@@ -50,9 +50,22 @@ def matrix_to_json(m: matrices.Matrix, n: int | None = None) -> dict:
     return out
 
 
+def _object(obj, path: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+
+
+def _matrix_rows_from_json(ring, obj: dict, field: str):
+    rows = obj[field]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{field}: expected a list of rows")
+    return [[elem_from_json(ring, x) for x in row] for row in rows]
+
+
 def matrix_from_json(obj: dict) -> matrices.Matrix:
+    _object(obj, "matrix")
     ring = ring_from_json(obj["ring"])
-    rows = [[elem_from_json(ring, x) for x in row] for row in obj["rows"]]
+    rows = _matrix_rows_from_json(ring, obj, "rows")
     dim = obj.get("dim", len(rows))
     if dim != len(rows):
         raise ValueError("dim field disagrees with row count")
@@ -72,13 +85,10 @@ def pair_to_json(p: matrices.InvPair, n: int | None = None) -> dict:
 
 
 def pair_from_json(obj: dict) -> matrices.InvPair:
+    _object(obj, "matrix pair")
     ring = ring_from_json(obj["ring"])
-    fwd = matrices.Matrix(
-        ring, [[elem_from_json(ring, x) for x in row] for row in obj["fwd"]]
-    )
-    bwd = matrices.Matrix(
-        ring, [[elem_from_json(ring, x) for x in row] for row in obj["bwd"]]
-    )
+    fwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "fwd"))
+    bwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "bwd"))
     return matrices.InvPair(fwd, bwd)  # certified on load
 
 

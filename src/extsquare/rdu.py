@@ -127,18 +127,6 @@ class ReverseDecomposer:
     def _single(self, i: int, j: int, payload) -> ExtWord:
         return ExtWord(self.n, ((i, j, payload),))
 
-    def _right_conj(self, pair: matrices.InvPair, word: ExtWord) -> matrices.InvPair:
-        w = word.eval(self.ring, self._cache)
-        return matrices.InvPair._trusted(
-            w.bwd.mul(pair.fwd).mul(w.fwd), w.bwd.mul(pair.bwd).mul(w.fwd)
-        )
-
-    def _left_conj(self, pair: matrices.InvPair, word: ExtWord) -> matrices.InvPair:
-        w = word.eval(self.ring, self._cache)
-        return matrices.InvPair._trusted(
-            w.fwd.mul(pair.fwd).mul(w.bwd), w.fwd.mul(pair.bwd).mul(w.bwd)
-        )
-
     def _signed(self, payload, s: int):
         return payload if s == 1 else self.ring.neg(payload)
 
@@ -178,7 +166,7 @@ class ReverseDecomposer:
         certs = []
 
         src, sigma = exterior.route_source(I, J, n)
-        g1 = self._left_conj(pair, src)
+        g1 = matrices.conjugate(pair, src.eval(ring, self._cache), "left")
         r13, r12 = self._rank((1, 3)), self._rank((1, 2))
         c = g1.fwd.at(r13, r12)
         certs.append(
@@ -351,7 +339,7 @@ class ReverseDecomposer:
         b1 = B[0]
         tau = self._single(b1, a1, ring.neg(ring.one))
         I0 = tuple(sorted((b1, a2)))
-        gt = self._right_conj(self.g, tau)
+        gt = matrices.conjugate(self.g, tau.eval(ring, self._cache))
         v = gt.fwd.at(self._rank(I0), self._rank(B))
         word, param, certs = self._core_words(
             ("h0-combined", A, B), gt, I0, B, prefix=tau
@@ -392,7 +380,7 @@ class ReverseDecomposer:
         i = (set(I) - set(J)).pop()
         j = (set(J) - set(I)).pop()
         tau = self._single(i, j, ring.one)
-        gt = self._right_conj(self.g, tau)
+        gt = matrices.conjugate(self.g, tau.eval(ring, self._cache))
         v = gt.fwd.at(self._rank(I), self._rank(J))
         word, param, certs = self._core_words(
             ("diag-combined", I, J), gt, I, J, prefix=tau
@@ -496,7 +484,13 @@ def height_one_path(n: int):
 
 
 def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | None = None) -> bool:
-    """Independent referee: multiply the word out against the minor oracle."""
+    """Independent referee: multiply the word out against the minor oracle.
+
+    The product is deliberately naive: every conjugator is multiplied out
+    letter by letter into a fresh cache, and the terms are multiplied in one
+    by one.  It never calls the factored `ConjWord.eval_matrix` that
+    the engine's own certificates use.
+    """
     if n is None:
         n = indexing.ambient_rank(g.dim)
     ring = g.ring
@@ -504,7 +498,15 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
     expected = exterior.cauchy_binet(
         matrices.transvection(ring, n, k, l, xi), n
     )
-    return word.eval_matrix(g) == expected
+    if g.dim != indexing.dim(word.n):
+        raise ValueError("dimension mismatch")
+    cache: dict = {}
+    acc = matrices.identity(ring, g.dim)
+    for eps, h in word.terms:
+        x = h.eval(ring, cache)
+        base = g.fwd if eps == 1 else g.bwd
+        acc = acc.mul(x.bwd).mul(base).mul(x.fwd)
+    return acc == expected
 
 
 def targets_of_level(g: matrices.InvPair, n: int, k: int = 2, l: int = 3):

@@ -20,6 +20,7 @@ decomposition engine counts.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -50,7 +51,11 @@ def _letter_support(n: int, i: int, j: int):
     )
 
 
+# Keyed by the letter argument, so a wide modulus would grow it without end;
+# past the cap the oldest entries go.  The cap holds the whole Z/97 working
+# set for n <= 6 (about 4 800 letters).
 _LETTER_NP_CACHE: dict = {}
+_LETTER_NP_CACHE_MAX = 8192
 
 
 def _letter_np(modulus: int, n: int, i: int, j: int, x: int):
@@ -61,6 +66,9 @@ def _letter_np(modulus: int, n: int, i: int, j: int, x: int):
         hit = np.identity(indexing.dim(n), dtype=np.int64)
         hit[rows, cols] = (signs * x) % modulus
         hit.flags.writeable = False
+        if len(_LETTER_NP_CACHE) >= _LETTER_NP_CACHE_MAX:
+            # pop with a default: another thread may evict the same key
+            _LETTER_NP_CACHE.pop(next(iter(_LETTER_NP_CACHE), None), None)
         _LETTER_NP_CACHE[key] = hit
     return hit
 
@@ -349,16 +357,64 @@ class ConjWord:
         return acc
 
     def eval_matrix(self, g: matrices.InvPair, cache: dict | None = None) -> matrices.Matrix:
-        """Forward product only; the verification workhorse."""
+        """Forward product, factored over the segments the conjugators share.
+
+        Conjugators are built as route prefix + core segment + target
+        suffix, so the terms share long runs of letters.  By associativity
+        the product is S^-1 (prod of the terms stripped of S) S for the
+        common suffix S, and a run of consecutive terms whose conjugators
+        share a prefix P is evaluated against P^-1 g^{+-1} P.  Every letter
+        still multiplies in against g.  Segments are evaluated through
+        ExtWord.eval with `cache`, so a caller's dict keeps segments that
+        recur across words.  `rdu.verify` does not use this evaluator; it
+        referees with a naive letter-by-letter product.
+        """
         N = indexing.dim(self.n)
         if g.dim != N:
             raise ValueError("dimension mismatch")
-        ring = g.ring
+        if not self.terms:
+            return matrices.identity(g.ring, N)
         if cache is None:
             cache = {}
-        acc = matrices.identity(ring, N)
-        for eps, h in self.terms:
-            x = h.eval(ring, cache)
-            base = g.fwd if eps == 1 else g.bwd
-            acc = acc.mul(x.bwd).mul(base).mul(x.fwd)
-        return acc
+        terms = [(eps, h.letters) for eps, h in self.terms]
+        return _conj_product(g.ring, self.n, terms, {1: g.fwd, -1: g.bwd}, cache)
+
+
+def _shared_prefix_len(words) -> int:
+    first = words[0]
+    k = min(len(w) for w in words)
+    for w in words[1:]:
+        i = 0
+        while i < k and w[i] == first[i]:
+            i += 1
+        k = i
+    return k
+
+
+def _conj_product(ring, n: int, terms, base: dict, cache: dict) -> matrices.Matrix:
+    """Product of X^-1 b^eps X over nonempty `terms` of (eps, letters of X).
+
+    `base[eps]` is b^eps for every exponent the terms use; b is g conjugated
+    by the prefix stripped so far.
+    """
+    k = _shared_prefix_len([h[::-1] for _, h in terms])
+    if k:
+        s = ExtWord(n, terms[0][1][-k:]).eval(ring, cache)
+        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache)
+        return s.bwd.mul(inner).mul(s.fwd)
+    parts = []
+    for head, group in groupby(terms, key=lambda t: t[1][:1]):
+        run = list(group)
+        if not head:  # empty conjugators contribute b^eps directly
+            parts.extend(base[eps] for eps, _ in run)
+            continue
+        p = _shared_prefix_len([h for _, h in run])
+        x = ExtWord(n, run[0][1][:p]).eval(ring, cache)
+        run_base = {eps: x.bwd.mul(base[eps]).mul(x.fwd) for eps in {e for e, _ in run}}
+        parts.append(
+            _conj_product(ring, n, [(eps, h[p:]) for eps, h in run], run_base, cache)
+        )
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = acc.mul(part)
+    return acc

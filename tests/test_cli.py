@@ -198,6 +198,23 @@ def test_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+def test_member_rejects_top_level_list(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1,2]")
+    assert main(["member", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "expected a JSON object" in err and "Traceback" not in err
+
+
+def test_member_rejects_non_list_rows(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text(
+        json.dumps({"ring": {"type": "zmod", "modulus": 97}, "n": 5, "rows": 5})
+    )
+    assert main(["member", "--in", str(path)]) == 2
+    assert "rows: expected a list of rows" in capsys.readouterr().err
+
+
 def test_artifact_json_round_trips(tmp_path):
     g_path = _gen(tmp_path, n=4)
     obj = json.loads(g_path.read_text())

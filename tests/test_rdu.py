@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from extsquare import exterior, generate, indexing, level, matrices, plucker, rdu, rings
+from extsquare import exterior, generate, indexing, level, matrices, plucker, rdu, rings, words
 from extsquare.words import ConjWord, ext_letter_matrix
 
 
@@ -81,6 +81,20 @@ def test_flipped_exponent_fails_verification():
     flipped[3] = (-eps, h)
     bad = ConjWord(4, flipped)
     assert not rdu.verify(bad, g, 2, 3, d.param, 4)
+
+
+def test_verify_does_not_use_the_factored_evaluator(monkeypatch):
+    # the referee must not share the optimized evaluator it referees
+    g, eng = _engine(5, 11)
+    d = eng.diagonal((1, 2), (3, 4), 5, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the referee called the factored evaluator")
+
+    monkeypatch.setattr(ConjWord, "eval_matrix", refuse)
+    monkeypatch.setattr(words, "_conj_product", refuse)
+    assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
+    assert not rdu.verify(d.word, g, d.k, d.l, g.ring.add(d.param, 1), 5)
 
 
 def test_dispatch_matches_height():

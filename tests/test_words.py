@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extsquare import exterior, generate, indexing, matrices, rings
+from extsquare import words as words_mod
 from extsquare.words import ConjWord, ExtWord, PairWord, TransvWord, ext_letter_matrix
 
 
@@ -133,3 +135,119 @@ def test_expand_matches_eval(poly_xi):
     xi = poly_xi.var("xi")
     w = ExtWord(5, ((2, 4, xi), (1, 3, poly_xi.neg(xi))))
     assert w.expand().eval(poly_xi).fwd == w.eval(poly_xi).fwd
+
+
+# -- factored conjugate-word evaluation against the naive product -------------
+
+RINGS = {
+    "zmod97": rings.ModularRing(97),  # int64 kernel
+    "zmod-wide": rings.ModularRing(2**31 - 1),  # pure-python kernel
+    "int": rings.IntegerRing(),
+    "poly": rings.PolynomialRing(("x",)),
+}
+
+
+def _naive_eval_matrix(word, g):
+    """Letter by letter: every conjugator multiplied out from its letters."""
+    ring, n = g.ring, word.n
+    acc = matrices.identity(ring, g.dim)
+    for eps, h in word.terms:
+        fwd = matrices.identity(ring, g.dim)
+        bwd = matrices.identity(ring, g.dim)
+        for i, j, xi in h.letters:
+            fwd = fwd.mul(ext_letter_matrix(ring, n, i, j, xi))
+        for i, j, xi in reversed(h.letters):
+            bwd = bwd.mul(ext_letter_matrix(ring, n, i, j, ring.neg(ring.coerce(xi))))
+        acc = acc.mul(bwd).mul(g.fwd if eps == 1 else g.bwd).mul(fwd)
+    return acc
+
+
+def _shared_segment_word(ring, n, rng, shape):
+    """Terms built as shared prefix + middle + shared suffix.
+
+    Middles come from a pool of three letters, so neighbouring conjugators
+    share runs of letters the way routed engine words do.  `shape` holds one
+    entry per term: "empty", "same" (repeat the previous conjugator) or a
+    middle length.
+    """
+    prefix = generate.random_ext_word(n, ring, rng.randint(0, 3), rng)
+    suffix = generate.random_ext_word(n, ring, rng.randint(0, 3), rng)
+    pool = generate.random_ext_word(n, ring, 3, rng).letters
+    terms = []
+    for kind in shape:
+        eps = rng.choice((1, -1))
+        if kind == "empty":
+            h = ExtWord(n)
+        elif kind == "same":
+            h = terms[-1][1] if terms else prefix + suffix
+        else:
+            h = prefix + ExtWord(n, [rng.choice(pool) for _ in range(kind)]) + suffix
+        terms.append((eps, h))
+    return ConjWord(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring_id=st.sampled_from(sorted(RINGS)),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(
+        st.one_of(st.sampled_from(("empty", "same")), st.integers(0, 3)), max_size=8
+    ),
+)
+def test_factored_eval_matrix_equals_naive_product(ring_id, seed, shape):
+    ring = RINGS[ring_id]
+    rng = random.Random(seed)
+    n = 4
+    g = generate.compound_of_random(n, ring, 6, rng)
+    word = _shared_segment_word(ring, n, rng, shape)
+    assert word.eval_matrix(g) == _naive_eval_matrix(word, g)
+    assert word.eval_matrix(g, {}) == _naive_eval_matrix(word, g)
+
+
+@pytest.mark.parametrize("ring_id", sorted(RINGS))
+def test_factored_eval_matrix_named_shapes(ring_id):
+    ring = RINGS[ring_id]
+    n = 4
+    rng = random.Random(19)
+    g = generate.compound_of_random(n, ring, 6, rng)
+    h = generate.random_ext_word(n, ring, 4, rng)
+    k = generate.random_ext_word(n, ring, 3, rng)
+    e = ExtWord(n)
+    shapes = {
+        "empty conjugators": [(1, e), (-1, e), (1, e)],
+        "singleton runs": [(1, h), (-1, k), (1, h + k), (-1, k + h)],
+        "all equal": [(1, h + k)] * 3 + [(-1, h + k)] * 2,
+        "mixed exponents": [(1, h), (-1, h + k), (-1, h), (1, h + k + h), (1, e)],
+    }
+    cache: dict = {}
+    for name, terms in shapes.items():
+        word = ConjWord(n, terms)
+        assert word.eval_matrix(g, cache) == _naive_eval_matrix(word, g), name
+        assert word.inverse().eval_matrix(g, cache) == _naive_eval_matrix(
+            word.inverse(), g
+        ), name
+
+
+def test_letter_cache_is_bounded_on_a_wide_modulus(monkeypatch):
+    # every letter argument of a modulus near 2^20 is a new key, so a sweep
+    # past the cap must evict; the evicting int64 path stays exact
+    ring = rings.ModularRing(2**20 - 3)
+    n = 6
+    words_mod._LETTER_NP_CACHE.clear()
+    rng = random.Random(20)
+    sweep = [generate.random_ext_word(n, ring, 6, rng) for _ in range(720)]
+    fast = [w.eval(ring) for w in sweep]
+    assert len(words_mod._LETTER_NP_CACHE) == words_mod._LETTER_NP_CACHE_MAX
+    again = sweep[0].eval(ring)  # its letters were evicted and are rebuilt
+    assert len(words_mod._LETTER_NP_CACHE) == words_mod._LETTER_NP_CACHE_MAX
+    assert again == fast[0]
+    monkeypatch.setattr(matrices, "_np_safe", lambda ring, dim: False)
+    N = indexing.dim(n)
+    for w, pair in zip(sweep, fast):
+        slow = matrices.identity(ring, N)
+        for i, j, xi in w.letters:
+            slow = slow.mul(ext_letter_matrix(ring, n, i, j, xi))
+        assert pair.fwd == slow
+    monkeypatch.undo()
+    assert all(p.fwd.mul(p.bwd).is_identity() for p in fast)
+    words_mod._LETTER_NP_CACHE.clear()
