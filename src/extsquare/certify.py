@@ -221,27 +221,9 @@ def criterion_suite(n: int = 4) -> SuiteResult:
         ],
     )
     g = exterior.cauchy_binet(x, n)
-    ps = indexing.pairs(n)
-    for H in indexing.quads(n):
-        for A in ps:
-            for C in ps:
-                if set(A) & set(C):
-                    if not ring.is_zero(plucker.a_sum(g, H, A, C, n)):
-                        return _result(
-                            "membership-criterion", False, f"H={H} A={A} C={C}"
-                        )
-        for S in indexing.quads(n):
-            ref = None
-            for A, C in indexing.splittings(S):
-                value = plucker.a_sum(g, H, A, C, n)
-                if indexing.shuffle_sign(A, C) == -1:
-                    value = ring.neg(value)
-                if ref is None:
-                    ref = value
-                elif value != ref:
-                    return _result(
-                        "membership-criterion", False, f"H={H} S={S} split {A},{C}"
-                    )
+    violation = plucker._first_violation(g, n)
+    if violation is not None:
+        return _result("membership-criterion", False, violation)
     return _result("membership-criterion", True, f"generic source, n={n}")
 
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import certify, generate, indexing, jsonio, level, plucker, rdu, rings, stabilizer
+from . import certify, generate, jsonio, level, plucker, rdu, rings, stabilizer
 from .matrices import mat_vec, vec_mat
 
 
@@ -119,7 +119,7 @@ def cmd_member(args) -> int:
         m = jsonio.pair_from_json(obj).fwd
     else:
         m = jsonio.matrix_from_json(obj)
-    n = int(obj["n"]) if "n" in obj else indexing.ambient_rank(m.dim)
+    n = jsonio.pair_ambient_rank(obj, m.dim)
     ok = plucker.is_member(m, n)
     note = " (n=4 caveat noted)" if n == 4 else ""
     print(f"member{note}" if ok else f"not a member{note}")

@@ -9,8 +9,12 @@ over every supported ring.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:  # the builtin digest; hashlib would also load OpenSSL, several MB resident
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed the module
+    from hashlib import sha256
 
 from . import exterior, matrices
 from .words import ExtWord, TransvWord
@@ -19,7 +23,7 @@ from .words import ExtWord, TransvWord
 def rng_for(seed: int, *labels) -> random.Random:
     """Independent deterministic stream for a seed and a label tuple."""
     material = repr((int(seed), labels)).encode()
-    digest = hashlib.sha256(material).digest()
+    digest = sha256(material).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -92,10 +92,18 @@ def pair_from_json(obj: dict) -> matrices.InvPair:
     return matrices.InvPair(fwd, bwd)  # certified on load
 
 
-def pair_ambient_rank(obj: dict) -> int:
+def _int_field(obj: dict, field: str) -> int:
+    value = obj[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def pair_ambient_rank(obj: dict, dim: int | None = None) -> int:
+    """The artifact's "n", else the n with C(n, 2) = dim (default: its "dim")."""
     if "n" in obj:
-        return int(obj["n"])
-    return indexing.ambient_rank(int(obj["dim"]))
+        return _int_field(obj, "n")
+    return indexing.ambient_rank(_int_field(obj, "dim") if dim is None else dim)
 
 
 # -- vectors -----------------------------------------------------------------
@@ -112,7 +120,7 @@ def vector_to_json(v: plucker.PairVector) -> dict:
 def vector_from_json(obj: dict) -> plucker.PairVector:
     ring = ring_from_json(obj["ring"])
     return plucker.PairVector(
-        int(obj["n"]), ring, [elem_from_json(ring, x) for x in obj["entries"]]
+        _int_field(obj, "n"), ring, [elem_from_json(ring, x) for x in obj["entries"]]
     )
 
 
@@ -130,7 +138,7 @@ def ext_word_to_json(w: ExtWord, ring) -> dict:
 
 def ext_word_from_json(obj: dict, ring) -> ExtWord:
     return ExtWord(
-        int(obj["n"]),
+        _int_field(obj, "n"),
         [
             (int(l["i"]), int(l["j"]), elem_from_json(ring, l["xi"]))
             for l in obj["letters"]
@@ -149,7 +157,7 @@ def conj_word_to_json(w: ConjWord, ring) -> dict:
 
 def conj_word_from_json(obj: dict, ring) -> ConjWord:
     return ConjWord(
-        int(obj["n"]),
+        _int_field(obj, "n"),
         [
             (int(t["eps"]), ext_word_from_json(t["h"], ring))
             for t in obj["terms"]
@@ -193,9 +201,9 @@ def decomposition_parts_from_json(obj: dict):
     word = conj_word_from_json(obj["word"], ring)
     return (
         word,
-        int(obj["k"]),
-        int(obj["l"]),
+        _int_field(obj, "k"),
+        _int_field(obj, "l"),
         elem_from_json(ring, obj["param"]),
-        int(obj["n"]),
+        _int_field(obj, "n"),
         ring,
     )

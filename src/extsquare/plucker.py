@@ -6,9 +6,18 @@ column of a compound matrix has this property.  Membership of a whole
 N x N matrix in the compound group is decided by the bilinear sums
 a^H_{A,C}: they must vanish whenever A and C overlap, and be equal (after
 an orientation weight) across all disjoint splittings of a common support.
+
+Over Z/m with 6 (m-1)^2 < 2^62, is_member decides with one batched int64
+product that holds every a^H_{A,C} at once; elsewhere the a_sum loop of
+_first_violation decides.  That loop is also the referee the int64 path is
+tested against, and the check behind certify.criterion_suite.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
 
 from . import indexing, matrices
 
@@ -122,11 +131,28 @@ def is_member(g: matrices.Matrix, n: int | None = None) -> bool:
     and C intersect, and shuffle_sign(A,C) * a^H_{A,C} constant over the six
     disjoint ordered splittings (A, C) of each 4-subset.  Invertibility of g
     is the caller's responsibility.
+
+    Over Z/m with 6 * (m-1)^2 < 2^62 the int64 path decides, comparing every
+    sum of both families exactly; every other ring (and wider moduli) runs
+    the a_sum loop of _first_violation, which stays the referee the int64
+    path is tested against.
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
     if g.dim != indexing.dim(n):
         raise ValueError("dimension mismatch")
+    ring = g.ring
+    if matrices._np_store(ring) and matrices._np_safe(ring, 6):
+        return _is_member_int64(g._np, ring.modulus, n)
+    return _first_violation(g, n) is None
+
+
+def _first_violation(g: matrices.Matrix, n: int):
+    """The first failed membership relation in scan order, or None.
+
+    One a_sum call per (H, A, C): the naive form of the criterion, and the
+    only one over Z, polynomial rings and moduli past the int64 guard.
+    """
     ring = g.ring
     ps = indexing.pairs(n)
     for H in indexing.quads(n):
@@ -134,7 +160,7 @@ def is_member(g: matrices.Matrix, n: int | None = None) -> bool:
             for C in ps:
                 if set(A) & set(C):
                     if not ring.is_zero(a_sum(g, H, A, C, n)):
-                        return False
+                        return f"H={H} A={A} C={C}"
         for S in indexing.quads(n):
             ref = None
             for A, C in indexing.splittings(S):
@@ -144,7 +170,77 @@ def is_member(g: matrices.Matrix, n: int | None = None) -> bool:
                 if ref is None:
                     ref = value
                 elif value != ref:
-                    return False
+                    return f"H={H} S={S} split {A},{C}"
+    return None
+
+
+# int64 entries per block of _is_member_int64: 512 KiB
+_BLOCK_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _split_ranks(n: int):
+    """Ranks of B and of D over the ordered splittings (B, D) of each 4-subset."""
+    ranks = np.array(
+        [
+            [(indexing.rank(B, n), indexing.rank(D, n)) for B, D in indexing.splittings(H)]
+            for H in indexing.quads(n)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 6, 2)
+    ranks.flags.writeable = False
+    return ranks[..., 0], ranks[..., 1]
+
+
+@lru_cache(maxsize=16)
+def _overlap_mask(n: int):
+    """N x N mask of the pairs (A, C) that share an index."""
+    ps = indexing.pairs(n)
+    mask = np.array([[bool(set(A) & set(C)) for C in ps] for A in ps])
+    mask.flags.writeable = False
+    return mask
+
+
+def _is_member_int64(data, m: int, n: int) -> bool:
+    """Both criterion families for a residue matrix mod m, by blocks of H.
+
+    M[h, a, c] = a^H_{A,C} for the h-th 4-subset H and pairs of rank a, c,
+    built as a batched product of the signed B rows and the D rows.  Each
+    entry sums six products below (m-1)^2 in absolute value, so the caller
+    guarantees 6 * (m-1)^2 < 2^62.  Shuffle signs are read afresh on every
+    call, so a replaced indexing.shuffle_sign takes effect at once; only the
+    index combinatorics is cached.  A block's (block, N, N) and (block, Q, 6)
+    arrays hold at most _BLOCK_ENTRIES entries together (a single block up
+    to n = 7), and the first block with a failed relation ends the scan.
+    """
+    rB, rD = _split_ranks(n)
+    sign = np.array(
+        [
+            indexing.shuffle_sign(B, D)
+            for H in indexing.quads(n)
+            for B, D in indexing.splittings(H)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 6)
+    overlap = _overlap_mask(n)
+    left = data[rB]  # (Q, 6, N)
+    left *= sign[:, :, None]
+    left = left.transpose(0, 2, 1)
+    right = data[rD]  # (Q, 6, N)
+    Q, N = len(sign), len(data)
+    block = max(1, _BLOCK_ENTRIES // (N * N + 6 * Q))
+    for lo in range(0, Q, block):
+        M = np.matmul(left[lo : lo + block], right[lo : lo + block])
+        M %= m
+        if M[:, overlap].any():
+            return False
+        # for every S, sign(A, C) * a^H_{A,C} over the six splittings (A, C)
+        # of S must be one value
+        split = M[:, rB, rD]  # (block, Q, 6)
+        split *= sign
+        split %= m
+        if not (split == split[:, :, :1]).all():
+            return False
     return True
 
 

@@ -292,6 +292,8 @@ class ReverseDecomposer:
         return self._diag_h0(I, J, k, l)
 
     def decompose(self, target: GeneratorTarget) -> Decomposition:
+        for pair in (target.I, target.J):
+            indexing.rank(tuple(sorted(pair)), self.n)  # ValueError names the pair
         if target.kind == "entry":
             return self.entry(target.I, target.J, target.k, target.l)
         if target.kind == "diagdiff":

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extsquare import exterior, generate, indexing, matrices, plucker, rings
 
@@ -162,3 +163,77 @@ def test_trivial_column_reduces_a_sum(zmod97):
                 if s == -1:
                     expected = zmod97.neg(expected)
                 assert plucker.a_sum(g, H, A, C, n) == expected
+
+
+def _near_member(g, r, c, delta):
+    rows = [list(row) for row in g.rows]
+    rows[r][c] = g.ring.add(rows[r][c], delta)
+    return matrices.Matrix(g.ring, rows)
+
+
+def _agrees_with_referee(g, n):
+    got = plucker.is_member(g, n)
+    assert got == (plucker._first_violation(g, n) is None)
+    return got
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(4, 7),
+    seed=st.integers(0, 2**32 - 1),
+    spot=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 96)),
+)
+def test_int64_path_agrees_with_referee(n, seed, spot):
+    ring = rings.ModularRing(97)
+    g = _compound(n, ring, random.Random(seed))
+    assert _agrees_with_referee(g, n)
+    r, c, delta = spot
+    _agrees_with_referee(_near_member(g, r % g.dim, c % g.dim, delta), n)
+
+
+@pytest.mark.parametrize("m", [876706517, 876706559])
+def test_int64_guard_edges_agree_with_referee(m):
+    # the largest prime with 6 (m-1)^2 < 2^62, and the smallest prime past it
+    ring = rings.ModularRing(m)
+    rng = random.Random(m)
+    for n in (4, 5):
+        g = _compound(n, ring, rng)
+        assert _agrees_with_referee(g, n)
+        near = _near_member(g, rng.randrange(g.dim), rng.randrange(g.dim), m - 1)
+        assert not _agrees_with_referee(near, n)
+        full = matrices.Matrix(ring, [[m - 1] * g.dim for _ in range(g.dim)])
+        assert not _agrees_with_referee(full, n)
+
+
+@pytest.mark.parametrize("block_entries", [1, 2000])
+def test_int64_blocks_agree_with_referee(monkeypatch, zmod97, block_entries):
+    # one 4-subset per block, and blocks that split the 4-subsets unevenly
+    monkeypatch.setattr(plucker, "_BLOCK_ENTRIES", block_entries)
+    rng = random.Random(39)
+    for n in (5, 6):
+        g = _compound(n, zmod97, rng)
+        assert _agrees_with_referee(g, n)
+        for r in (0, g.dim // 2, g.dim - 1):
+            assert not _agrees_with_referee(_near_member(g, r, rng.randrange(g.dim), 1), n)
+
+
+def _refuse(*_args):
+    raise AssertionError("wrong membership path")
+
+
+@pytest.mark.parametrize("m", [97, 876706517])
+def test_int64_path_decides_inside_the_guard(monkeypatch, m):
+    ring = rings.ModularRing(m)
+    g = _compound(5, ring, random.Random(37))
+    monkeypatch.setattr(plucker, "_first_violation", _refuse)
+    monkeypatch.setattr(plucker, "a_sum", _refuse)
+    assert plucker.is_member(g, 5)
+    assert not plucker.is_member(_near_member(g, 3, 4, 1), 5)
+
+
+@pytest.mark.parametrize("ring", [rings.ModularRing(876706559),
+                                  rings.ModularRing(2**31 - 1), rings.IntegerRing()])
+def test_generic_path_decides_past_the_guard(monkeypatch, ring):
+    g = _compound(4, ring, random.Random(38))
+    monkeypatch.setattr(plucker, "_is_member_int64", _refuse)
+    assert plucker.is_member(g, 4)
