@@ -21,15 +21,30 @@ def dumps(obj) -> str:
 # -- elements and rings ----------------------------------------------------
 
 ring_to_json = rings.ring_to_json
-ring_from_json = rings.ring_from_json
+
+
+def ring_from_json(obj) -> rings.Ring:
+    _object(obj, "ring")
+    if obj.get("type") == "zmod":
+        _int_field(obj, "modulus", "ring")
+    elif obj.get("type") == "poly_int":
+        if not all(isinstance(v, str) for v in _list(obj, "vars", "ring")):
+            raise ValueError("ring.vars: expected a list of names")
+    return rings.ring_from_json(obj)
 
 
 def elem_to_json(ring, payload):
     return ring.payload_to_json(ring.coerce(payload))
 
 
-def elem_from_json(ring, obj):
-    return ring.payload_from_json(obj)
+def elem_from_json(ring, obj, path: str = "element"):
+    """A ring element; a malformed one raises ValueError naming `path`."""
+    try:
+        if not isinstance(obj, (bool, float)):
+            return ring.payload_from_json(obj)
+    except (TypeError, ValueError, KeyError):
+        pass
+    raise ValueError(f"{path}: expected an element of {ring!r}, got {json.dumps(obj)}")
 
 
 # -- matrices and pairs ------------------------------------------------------
@@ -55,11 +70,22 @@ def _object(obj, path: str):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
 
 
+def _list(obj: dict, field: str, path: str = "") -> list:
+    value = obj[field]
+    if not isinstance(value, list):
+        name = f"{path}.{field}" if path else field
+        raise ValueError(f"{name}: expected a list, got {json.dumps(value)}")
+    return value
+
+
 def _matrix_rows_from_json(ring, obj: dict, field: str):
     rows = obj[field]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{field}: expected a list of rows")
-    return [[elem_from_json(ring, x) for x in row] for row in rows]
+    return [
+        [elem_from_json(ring, x, f"{field}[{r}][{c}]") for c, x in enumerate(row)]
+        for r, row in enumerate(rows)
+    ]
 
 
 def matrix_from_json(obj: dict) -> matrices.Matrix:
@@ -92,10 +118,11 @@ def pair_from_json(obj: dict) -> matrices.InvPair:
     return matrices.InvPair(fwd, bwd)  # certified on load
 
 
-def _int_field(obj: dict, field: str) -> int:
+def _int_field(obj: dict, field: str, path: str = "") -> int:
     value = obj[field]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field}: expected an integer, got {json.dumps(value)}")
+        name = f"{path}.{field}" if path else field
+        raise ValueError(f"{name}: expected an integer, got {json.dumps(value)}")
     return value
 
 
@@ -118,9 +145,13 @@ def vector_to_json(v: plucker.PairVector) -> dict:
 
 
 def vector_from_json(obj: dict) -> plucker.PairVector:
+    _object(obj, "vector")
     ring = ring_from_json(obj["ring"])
+    entries = _list(obj, "entries")
     return plucker.PairVector(
-        _int_field(obj, "n"), ring, [elem_from_json(ring, x) for x in obj["entries"]]
+        _int_field(obj, "n"),
+        ring,
+        [elem_from_json(ring, x, f"entries[{k}]") for k, x in enumerate(entries)],
     )
 
 
@@ -136,14 +167,20 @@ def ext_word_to_json(w: ExtWord, ring) -> dict:
     }
 
 
-def ext_word_from_json(obj: dict, ring) -> ExtWord:
-    return ExtWord(
-        _int_field(obj, "n"),
-        [
-            (int(l["i"]), int(l["j"]), elem_from_json(ring, l["xi"]))
-            for l in obj["letters"]
-        ],
-    )
+def ext_word_from_json(obj: dict, ring, path: str = "word") -> ExtWord:
+    _object(obj, path)
+    letters = []
+    for k, letter in enumerate(_list(obj, "letters", path)):
+        at = f"{path}.letters[{k}]"
+        _object(letter, at)
+        letters.append(
+            (
+                _int_field(letter, "i", at),
+                _int_field(letter, "j", at),
+                elem_from_json(ring, letter["xi"], f"{at}.xi"),
+            )
+        )
+    return ExtWord(_int_field(obj, "n", path), letters)
 
 
 def conj_word_to_json(w: ConjWord, ring) -> dict:
@@ -155,14 +192,16 @@ def conj_word_to_json(w: ConjWord, ring) -> dict:
     }
 
 
-def conj_word_from_json(obj: dict, ring) -> ConjWord:
-    return ConjWord(
-        _int_field(obj, "n"),
-        [
-            (int(t["eps"]), ext_word_from_json(t["h"], ring))
-            for t in obj["terms"]
-        ],
-    )
+def conj_word_from_json(obj: dict, ring, path: str = "word") -> ConjWord:
+    _object(obj, path)
+    terms = []
+    for k, term in enumerate(_list(obj, "terms", path)):
+        at = f"{path}.terms[{k}]"
+        _object(term, at)
+        terms.append(
+            (_int_field(term, "eps", at), ext_word_from_json(term["h"], ring, f"{at}.h"))
+        )
+    return ConjWord(_int_field(obj, "n", path), terms)
 
 
 # -- level generators ----------------------------------------------------------
@@ -197,13 +236,14 @@ def decomposition_to_json(d: rdu.Decomposition, ring) -> dict:
 
 def decomposition_parts_from_json(obj: dict):
     """Returns (word, k, l, param, n, ring) for re-verification."""
+    _object(obj, "decomposition")
     ring = ring_from_json(obj["ring"])
     word = conj_word_from_json(obj["word"], ring)
     return (
         word,
         _int_field(obj, "k"),
         _int_field(obj, "l"),
-        elem_from_json(ring, obj["param"]),
+        elem_from_json(ring, obj["param"], "param"),
         _int_field(obj, "n"),
         ring,
     )

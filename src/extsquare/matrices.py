@@ -1,9 +1,19 @@
 """Exact dense square matrices over a ring, and invertible pairs.
 
-Matrices are immutable after construction.  Over a modular ring the entries
-live in a read-only int64 numpy array so that products reduce to a single
-integer matmul followed by a reduction; over the integer and polynomial
-rings the entries are payload tuples multiplied out in pure python.
+Matrices are immutable after construction.  Over Z/m with m < 2^62 the
+entries live in a read-only int64 numpy array; over the integer and
+polynomial rings (and wider moduli) they are payload tuples multiplied out
+in pure python.  One function, _int64_kernel, decides per (modulus, dim)
+how a product runs, and every product of matrices, vectors and exterior
+words asks it:
+
+* one limb, when dim (m-1)^2 < 2^62: one int64 matmul, then % m;
+* k limbs, when m < 2^62 but one limb could overflow: the right factor is
+  split into s-bit limbs and the limb products are combined mod m by
+  Horner's rule (Z/(2^31 - 1) takes two limbs at dim 10, 15 and 45);
+* pure python otherwise: Z, Z[x...], m >= 2^62, and moduli so wide that no
+  limb width fits, such as 2^61 - 1 at dim 6.  That product is the referee
+  of both int64 paths.
 
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
@@ -22,14 +32,51 @@ from . import rings
 VERIFY_PRODUCTS = False
 
 
-def _np_safe(ring, dim: int) -> bool:
-    # int64 matmul must not overflow: dim * (m-1)^2 accumulated per entry.
-    return dim * (ring.modulus - 1) ** 2 < 2**62
-
-
 def _np_store(ring) -> bool:
     # residues themselves must fit int64; products are guarded separately
     return ring.kind == "zmod" and ring.modulus < 2**62
+
+
+ONE_LIMB = 0
+
+
+def _int64_kernel(ring, dim: int):
+    """How a product of dim x dim matrices over `ring` runs.
+
+    ONE_LIMB when dim (m-1)^2 < 2^62; else the limb width s >= 1 of
+    _limb_matmul, the widest with max(dim, 2) (m-1) (2^s - 1) < 2^62; else
+    None, the pure-python product, which every ring _np_store rejects
+    takes too.  The max keeps acc * 2^s of _limb_matmul in bound at dim 1.
+    """
+    if not _np_store(ring):
+        return None
+    top = ring.modulus - 1
+    if dim * top * top < 2**62:
+        return ONE_LIMB
+    s = ((2**62 - 1) // (max(dim, 2) * top) + 1).bit_length() - 1
+    return s or None
+
+
+def _limb_matmul(a, b, m: int, s: int):
+    """a @ b mod m for int64 residues, b split into s-bit limbs b_k.
+
+    Horner's rule from the top limb down: acc = (acc * 2^s + a @ b_k) % m.
+    With s from _int64_kernel, a @ b_k <= dim (m-1) (2^s - 1) < 2^62 and
+    acc * 2^s <= 2 (m-1) (2^s - 1) < 2^62, so no sum reaches 2^63.
+    """
+    mask = (1 << s) - 1
+    top = ((m - 1).bit_length() - 1) // s
+    acc = (a @ (b >> (top * s))) % m
+    for k in range(top - 1, -1, -1):
+        acc = ((acc << s) + a @ ((b >> (k * s)) & mask)) % m
+    return acc
+
+
+def _int64_matmul(a, b, m: int, s: int):
+    """a @ b mod m for int64 residues, s from _int64_kernel (not None)."""
+    if s == ONE_LIMB:
+        return (a @ b) % m
+    return _limb_matmul(a, b, m, s)
 
 
 class Matrix:
@@ -80,10 +127,14 @@ class Matrix:
             raise rings.RingMismatchError("ring mismatch")
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if self._np is not None and _np_safe(self.ring, self.dim):
-            out = (self._np @ other._np) % self.ring.modulus
-            return Matrix(self.ring, None, _np_data=out)
         ring = self.ring
+        s = _int64_kernel(ring, self.dim)
+        if s == ONE_LIMB:
+            out = (self._np @ other._np) % ring.modulus
+            return Matrix(ring, None, _np_data=out)
+        if s is not None:
+            out = _limb_matmul(self._np, other._np, ring.modulus, s)
+            return Matrix(ring, None, _np_data=out)
         add, mul, zero = ring.add, ring.mul, ring.zero
         bt = list(zip(*other.rows))
         out_rows = []
@@ -167,9 +218,10 @@ def mat_vec(m: Matrix, vec):
     ring = m.ring
     if len(vec) != m.dim:
         raise ValueError("dimension mismatch")
-    if m._np is not None and _np_safe(ring, m.dim):
+    s = _int64_kernel(ring, m.dim)
+    if s is not None:
         v = np.array(vec, dtype=np.int64)
-        return tuple(int(x) for x in (m._np @ v) % ring.modulus)
+        return tuple(int(x) for x in _int64_matmul(m._np, v, ring.modulus, s))
     add, mul, zero = ring.add, ring.mul, ring.zero
     out = []
     for row in m.rows:
@@ -186,9 +238,10 @@ def vec_mat(vec, m: Matrix):
     ring = m.ring
     if len(vec) != m.dim:
         raise ValueError("dimension mismatch")
-    if m._np is not None and _np_safe(ring, m.dim):
+    s = _int64_kernel(ring, m.dim)
+    if s is not None:
         v = np.array(vec, dtype=np.int64)
-        return tuple(int(x) for x in (v @ m._np) % ring.modulus)
+        return tuple(int(x) for x in _int64_matmul(v, m._np, ring.modulus, s))
     add, mul, zero = ring.add, ring.mul, ring.zero
     cols = list(zip(*m.rows))
     out = []

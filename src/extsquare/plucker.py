@@ -142,7 +142,7 @@ def is_member(g: matrices.Matrix, n: int | None = None) -> bool:
     if g.dim != indexing.dim(n):
         raise ValueError("dimension mismatch")
     ring = g.ring
-    if matrices._np_store(ring) and matrices._np_safe(ring, 6):
+    if matrices._int64_kernel(ring, 6) == matrices.ONE_LIMB:
         return _is_member_int64(g._np, ring.modulus, n)
     return _first_violation(g, n) is None
 

@@ -260,8 +260,9 @@ class ExtWord:
             if hit is not None:
                 return hit
         N = indexing.dim(self.n)
-        if ring.kind == "zmod" and matrices._np_safe(ring, N):
-            pair = self._eval_zmod(ring, N)
+        s = matrices._int64_kernel(ring, N)
+        if s is not None:
+            pair = self._eval_zmod(ring, N, s)
         else:
             fwd = matrices.identity(ring, N)
             bwd = matrices.identity(ring, N)
@@ -276,20 +277,24 @@ class ExtWord:
             cache[key] = pair
         return pair
 
-    def _eval_zmod(self, ring, N: int) -> matrices.InvPair:
+    def _eval_zmod(self, ring, N: int, s: int) -> matrices.InvPair:
         # letter matrices recur across conjugators, so a keyed cache plus a
-        # plain int64 matmul beats rebuilding them
+        # plain int64 matmul beats rebuilding them; the one-limb product
+        # stays inline, as it runs once per letter
         m = ring.modulus
+        one = s == matrices.ONE_LIMB
         fwd = np.identity(N, dtype=np.int64)
         bwd = np.identity(N, dtype=np.int64)
         for i, j, xi in self.letters:
             x = ring.coerce(xi)
             if x:
-                fwd = (fwd @ _letter_np(m, self.n, i, j, x)) % m
+                b = _letter_np(m, self.n, i, j, x)
+                fwd = (fwd @ b) % m if one else matrices._limb_matmul(fwd, b, m, s)
         for i, j, xi in reversed(self.letters):
             x = (-ring.coerce(xi)) % m
             if x:
-                bwd = (bwd @ _letter_np(m, self.n, i, j, x)) % m
+                b = _letter_np(m, self.n, i, j, x)
+                bwd = (bwd @ b) % m if one else matrices._limb_matmul(bwd, b, m, s)
         return matrices.InvPair._trusted(
             matrices.Matrix(ring, None, _np_data=fwd),
             matrices.Matrix(ring, None, _np_data=bwd),

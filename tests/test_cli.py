@@ -262,3 +262,84 @@ def test_rng_for_is_the_sha256_stream():
     want = random.Random(int.from_bytes(digest[:8], "big"))
     got = generate.rng_for(7, "gen", 5, 30, 0)
     assert [got.random() for _ in range(3)] == [want.random() for _ in range(3)]
+
+
+def _decomposition(tmp_path):
+    g_path = _gen(tmp_path, n=4)
+    d_path = tmp_path / "d.json"
+    assert main(["decompose", "--in", str(g_path), "--target", "entry:1,3:1,2",
+                 "--k", "2", "--l", "3", "--out", str(d_path)]) == 0
+    return g_path, json.loads(d_path.read_text())
+
+
+def _set(obj, path, value):
+    *head, last = path
+    for key in head:
+        obj = obj[key]
+    obj[last] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("fwd", 0, 0), [1], "fwd[0][0]: expected an element of ModularRing(97), got [1]"),
+        (("bwd", 2, 1), 2.5, "bwd[2][1]: expected an element of ModularRing(97), got 2.5"),
+        (("ring",), 5, "ring: expected a JSON object, got int"),
+        (("ring", "modulus"), [97], "ring.modulus: expected an integer, got [97]"),
+        (("ring",), {"type": "poly_int", "vars": 5}, "ring.vars: expected a list, got 5"),
+        (("ring",), {"type": "poly_int", "vars": [[1]]}, "ring.vars: expected a list of names"),
+    ],
+    ids=["list-element", "float-element", "ring-not-object", "list-modulus",
+         "vars-not-list", "vars-not-names"],
+)
+def test_member_names_a_malformed_element(tmp_path, capsys, path, value, message):
+    obj = json.loads(_gen(tmp_path).read_text())
+    _set(obj, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["member", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("param",), [3], "param: expected an element of ModularRing(97), got [3]"),
+        (("word", "terms", 1, "h", "letters", 0, "i"), [1],
+         "word.terms[1].h.letters[0].i: expected an integer, got [1]"),
+        (("word", "terms", 0, "h", "letters", 0, "xi"), None,
+         "word.terms[0].h.letters[0].xi: expected an element of ModularRing(97), got null"),
+        (("word", "terms", 3, "eps"), "1", 'word.terms[3].eps: expected an integer, got "1"'),
+        (("word", "terms", 2), 7, "word.terms[2]: expected a JSON object, got int"),
+        (("word", "terms"), 5, "word.terms: expected a list, got 5"),
+        (("word", "terms", 0, "h", "letters"), {}, "word.terms[0].h.letters: expected a list, got {}"),
+        (("word",), [], "word: expected a JSON object, got list"),
+    ],
+    ids=["list-param", "list-letter-index", "null-letter-xi", "string-eps",
+         "term-not-object", "terms-not-list", "letters-not-list", "word-not-object"],
+)
+def test_verify_names_a_malformed_word(tmp_path, capsys, path, value, message):
+    g_path, obj = _decomposition(tmp_path)
+    _set(obj, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--in", str(bad), "--g", str(g_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [(5, "entries: expected a list, got 5"),
+     (["1", [2]], "entries[1]: expected an element of ModularRing(97), got [2]")],
+    ids=["entries-not-list", "list-entry"],
+)
+def test_stabilize_names_a_malformed_vector(tmp_path, capsys, entries, message):
+    v_path = tmp_path / "w.json"
+    v_path.write_text(json.dumps(
+        {"n": 4, "ring": {"type": "zmod", "modulus": 97}, "entries": entries}
+    ))
+    assert main(["stabilize", "--in", str(v_path), "--col", "2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -1,10 +1,12 @@
 """Exact matrix algebra and certified inverse pairs."""
 
+import math
 import random
 
 import pytest
 
-from extsquare import generate, matrices, rings
+from extsquare import generate, indexing, matrices, rings
+from extsquare.words import ExtWord, ext_letter_matrix
 
 
 def _random_matrix(ring, dim, rng):
@@ -140,3 +142,89 @@ def test_debug_flag_reverifies_compositions(zmod97, monkeypatch):
     bad_fwd = matrices.transvection(zmod97, 4, 1, 2, 1)
     with pytest.raises(ValueError):
         matrices.InvPair._trusted(bad_fwd, bad_fwd)
+
+
+# -- the int64 kernels on both sides of their bounds --------------------------
+
+
+def _edges(dim):
+    """(label, modulus, kernel) on both sides of each bound at this dim."""
+    one = math.isqrt((2**62 - 1) // dim) + 1  # largest m with dim (m-1)^2 < 2^62
+    fits = (2**62 - 1) // dim + 1  # largest m with dim (m-1) (2^1 - 1) < 2^62
+    return [
+        ("one-limb-last", one, "one limb"),
+        ("one-limb-past", one + 1, "limbs"),
+        ("mersenne-31", 2**31 - 1, "limbs"),
+        ("limbs-last", fits, "limbs"),
+        ("limbs-past", fits + 1, "python"),
+        ("store-last", 2**62 - 1, "python"),  # int64 entries, python product
+        ("store-past", 2**62, "python"),  # python-int entries
+    ]
+
+
+def _kernel_name(ring, dim):
+    s = matrices._int64_kernel(ring, dim)
+    return {None: "python", matrices.ONE_LIMB: "one limb"}.get(s, "limbs")
+
+
+def _reduce(m, modulus):
+    return tuple(tuple(x % modulus for x in row) for row in m.rows)
+
+
+INTEGERS = rings.IntegerRing()
+EDGES = [
+    pytest.param(dim, m, kernel, id=f"{dim}-{label}")
+    for dim in (15, 45)
+    for label, m, kernel in _edges(dim)
+]
+
+
+@pytest.mark.parametrize("dim,modulus,kernel", EDGES)
+def test_int64_kernels_match_the_integer_product_at_their_bounds(dim, modulus, kernel):
+    ring = rings.ModularRing(modulus)
+    assert _kernel_name(ring, dim) == kernel
+    assert (matrices.identity(ring, dim)._np is not None) == (modulus < 2**62)
+    rng = random.Random(dim * 7 + modulus)
+    top = [[modulus - 1] * dim for _ in range(dim)]
+    cases = [
+        (top, top),
+        (top, [[ring.random(rng) for _ in range(dim)] for _ in range(dim)]),
+        ([[ring.random(rng) for _ in range(dim)] for _ in range(dim)], top),
+    ]
+    for a_rows, b_rows in cases:
+        a, b = matrices.Matrix(ring, a_rows), matrices.Matrix(ring, b_rows)
+        za, zb = matrices.Matrix(INTEGERS, a_rows), matrices.Matrix(INTEGERS, b_rows)
+        assert a.mul(b).rows == _reduce(za.mul(zb), modulus)
+        v = b_rows[0]
+        assert matrices.mat_vec(a, v) == tuple(x % modulus for x in matrices.mat_vec(za, v))
+        assert matrices.vec_mat(v, a) == tuple(x % modulus for x in matrices.vec_mat(v, za))
+
+
+@pytest.mark.parametrize("dim,modulus,kernel", EDGES)
+def test_ext_word_eval_matches_the_integer_product_at_the_bounds(dim, modulus, kernel):
+    ring = rings.ModularRing(modulus)
+    n = indexing.ambient_rank(dim)
+    rng = random.Random(dim + modulus)
+    letters = [(1, 2, modulus - 1), (2, 1, modulus - 1), (3, n, 1)]
+    letters += generate.random_ext_word(n, ring, 3, rng).letters
+    pair = ExtWord(n, letters).eval(ring)
+    fwd = matrices.identity(INTEGERS, dim)
+    bwd = matrices.identity(INTEGERS, dim)
+    for i, j, xi in letters:
+        fwd = fwd.mul(ext_letter_matrix(INTEGERS, n, i, j, xi))
+    for i, j, xi in reversed(letters):
+        bwd = bwd.mul(ext_letter_matrix(INTEGERS, n, i, j, -xi))
+    assert pair.fwd.rows == _reduce(fwd, modulus)
+    assert pair.bwd.rows == _reduce(bwd, modulus)
+
+
+@pytest.mark.parametrize("dim", [10, 15, 45])
+def test_mersenne_31_takes_two_limbs(dim):
+    m = 2**31 - 1
+    s = matrices._int64_kernel(rings.ModularRing(m), dim)
+    assert s != matrices.ONE_LIMB and ((m - 1).bit_length() - 1) // s + 1 == 2
+
+
+def test_no_limb_fits_for_mersenne_61_at_dim_6():
+    assert matrices._int64_kernel(rings.ModularRing(2**61 - 1), 6) is None
+    assert matrices._int64_kernel(rings.IntegerRing(), 6) is None
