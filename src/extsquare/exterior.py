@@ -1,10 +1,13 @@
 """The second compound (Cauchy-Binet) map and its transvection calculus.
 
 cauchy_binet sends an n x n matrix to the C(n,2) x C(n,2) matrix of its
-2 x 2 minors.  ext_transvection expands the compound image of a single
-elementary transvection into explicit elementary transvections of the
-pair-indexed group; the expansion is checked against the minor matrix at
-construction time, so the two routes can never drift apart silently.
+2 x 2 minors.  Over Z/m with (m-1)^2 < 2^62 (the one-limb answer of
+matrices._int64_kernel at dim 1) all minors come from one int64 expression
+over the pair index arrays; elsewhere from ring arithmetic, entry by entry.
+ext_transvection expands the compound image of a single elementary
+transvection into explicit elementary transvections of the pair-indexed
+group; the expansion is checked against the minor matrix at construction
+time, so the two routes can never drift apart silently.
 
 p_element builds the monomial (signed permutation) words used to reroute a
 transvection from one index position to another, and route_source /
@@ -15,6 +18,8 @@ engine.  Routes are verified when first constructed and then cached.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from . import indexing, matrices, rings
 from .words import ExtWord, PairWord, ext_letter_matrix
@@ -28,6 +33,12 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
         raise ValueError("dimension mismatch")
     ring = x.ring
     ps = indexing.pairs(n)
+    if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
+        # every product is below 2^62 and every minor above -2^62
+        a, b = (np.array(ps) - 1).T
+        X = x._np
+        out = X[a[:, None], a] * X[b[:, None], b] - X[a[:, None], b] * X[b[:, None], a]
+        return matrices.Matrix(ring, None, _np_data=out % ring.modulus)
     out = []
     for i1, i2 in ps:
         row = []

@@ -70,16 +70,26 @@ def _object(obj, path: str):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
 
 
+def _name(path: str, field: str) -> str:
+    return f"{path}.{field}" if path else field
+
+
+def _field(obj: dict, field: str, path: str = ""):
+    """obj[field]; a missing field raises ValueError naming its path."""
+    if field not in obj:
+        raise ValueError(f"{_name(path, field)}: missing")
+    return obj[field]
+
+
 def _list(obj: dict, field: str, path: str = "") -> list:
-    value = obj[field]
+    value = _field(obj, field, path)
     if not isinstance(value, list):
-        name = f"{path}.{field}" if path else field
-        raise ValueError(f"{name}: expected a list, got {json.dumps(value)}")
+        raise ValueError(f"{_name(path, field)}: expected a list, got {json.dumps(value)}")
     return value
 
 
 def _matrix_rows_from_json(ring, obj: dict, field: str):
-    rows = obj[field]
+    rows = _field(obj, field)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{field}: expected a list of rows")
     return [
@@ -90,7 +100,7 @@ def _matrix_rows_from_json(ring, obj: dict, field: str):
 
 def matrix_from_json(obj: dict) -> matrices.Matrix:
     _object(obj, "matrix")
-    ring = ring_from_json(obj["ring"])
+    ring = ring_from_json(_field(obj, "ring"))
     rows = _matrix_rows_from_json(ring, obj, "rows")
     dim = obj.get("dim", len(rows))
     if dim != len(rows):
@@ -112,17 +122,16 @@ def pair_to_json(p: matrices.InvPair, n: int | None = None) -> dict:
 
 def pair_from_json(obj: dict) -> matrices.InvPair:
     _object(obj, "matrix pair")
-    ring = ring_from_json(obj["ring"])
+    ring = ring_from_json(_field(obj, "ring"))
     fwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "fwd"))
     bwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "bwd"))
     return matrices.InvPair(fwd, bwd)  # certified on load
 
 
 def _int_field(obj: dict, field: str, path: str = "") -> int:
-    value = obj[field]
+    value = _field(obj, field, path)
     if isinstance(value, bool) or not isinstance(value, int):
-        name = f"{path}.{field}" if path else field
-        raise ValueError(f"{name}: expected an integer, got {json.dumps(value)}")
+        raise ValueError(f"{_name(path, field)}: expected an integer, got {json.dumps(value)}")
     return value
 
 
@@ -146,7 +155,7 @@ def vector_to_json(v: plucker.PairVector) -> dict:
 
 def vector_from_json(obj: dict) -> plucker.PairVector:
     _object(obj, "vector")
-    ring = ring_from_json(obj["ring"])
+    ring = ring_from_json(_field(obj, "ring"))
     entries = _list(obj, "entries")
     return plucker.PairVector(
         _int_field(obj, "n"),
@@ -177,7 +186,7 @@ def ext_word_from_json(obj: dict, ring, path: str = "word") -> ExtWord:
             (
                 _int_field(letter, "i", at),
                 _int_field(letter, "j", at),
-                elem_from_json(ring, letter["xi"], f"{at}.xi"),
+                elem_from_json(ring, _field(letter, "xi", at), f"{at}.xi"),
             )
         )
     return ExtWord(_int_field(obj, "n", path), letters)
@@ -198,9 +207,8 @@ def conj_word_from_json(obj: dict, ring, path: str = "word") -> ConjWord:
     for k, term in enumerate(_list(obj, "terms", path)):
         at = f"{path}.terms[{k}]"
         _object(term, at)
-        terms.append(
-            (_int_field(term, "eps", at), ext_word_from_json(term["h"], ring, f"{at}.h"))
-        )
+        eps = _int_field(term, "eps", at)
+        terms.append((eps, ext_word_from_json(_field(term, "h", at), ring, f"{at}.h")))
     return ConjWord(_int_field(obj, "n", path), terms)
 
 
@@ -237,13 +245,13 @@ def decomposition_to_json(d: rdu.Decomposition, ring) -> dict:
 def decomposition_parts_from_json(obj: dict):
     """Returns (word, k, l, param, n, ring) for re-verification."""
     _object(obj, "decomposition")
-    ring = ring_from_json(obj["ring"])
-    word = conj_word_from_json(obj["word"], ring)
+    ring = ring_from_json(_field(obj, "ring"))
+    word = conj_word_from_json(_field(obj, "word"), ring)
     return (
         word,
         _int_field(obj, "k"),
         _int_field(obj, "l"),
-        elem_from_json(ring, obj["param"], "param"),
+        elem_from_json(ring, _field(obj, "param"), "param"),
         _int_field(obj, "n"),
         ring,
     )

@@ -174,8 +174,11 @@ def _first_violation(g: matrices.Matrix, n: int):
     return None
 
 
-# int64 entries per block of _is_member_int64: 512 KiB
-_BLOCK_ENTRIES = 1 << 16
+# int64 entries per block of _is_member_int64: 64 KiB.  Every per-block
+# array then stays below glibc's 128 KiB mmap threshold, so repeated calls
+# reuse heap memory instead of mapping fresh pages, whatever state earlier
+# allocations left the allocator in.
+_BLOCK_ENTRIES = 1 << 13
 
 
 @lru_cache(maxsize=16)
@@ -211,7 +214,7 @@ def _is_member_int64(data, m: int, n: int) -> bool:
     call, so a replaced indexing.shuffle_sign takes effect at once; only the
     index combinatorics is cached.  A block's (block, N, N) and (block, Q, 6)
     arrays hold at most _BLOCK_ENTRIES entries together (a single block up
-    to n = 7), and the first block with a failed relation ends the scan.
+    to n = 6), and the first block with a failed relation ends the scan.
     """
     rB, rD = _split_ranks(n)
     sign = np.array(

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import exterior, indexing, level, matrices, plucker
+import numpy as np
+
+from . import exterior, indexing, level, matrices, plucker, words
 from .words import ConjWord, ExtWord, ext_letter_matrix
 
 
@@ -488,10 +490,12 @@ def height_one_path(n: int):
 def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | None = None) -> bool:
     """Independent referee: multiply the word out against the minor oracle.
 
-    The product is deliberately naive: every conjugator is multiplied out
-    letter by letter into a fresh cache, and the terms are multiplied in one
-    by one.  It never calls the factored `ConjWord.eval_matrix` that
-    the engine's own certificates use.
+    The full product is compared exactly; nothing is sampled.  Over Z/m with
+    (m-1)^2 < 2^62 it comes from _batched_product, which applies every
+    letter of every conjugator to its own copy of g^{+-1} and shares no
+    word evaluator with the engine.  Over other rings it comes from
+    _naive_product, letter by letter.  Neither calls the factored
+    `ConjWord.eval_matrix` that the engine's own certificates use.
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
@@ -502,13 +506,76 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
     )
     if g.dim != indexing.dim(word.n):
         raise ValueError("dimension mismatch")
+    if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
+        product = matrices.Matrix(ring, None, _np_data=_batched_product(word, g))
+    else:
+        product = _naive_product(word, g)
+    return product == expected
+
+
+def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
+    """Every conjugator multiplied out letter by letter into a fresh cache,
+    and the terms multiplied in one by one; the referee of _batched_product.
+    """
+    ring = g.ring
     cache: dict = {}
     acc = matrices.identity(ring, g.dim)
     for eps, h in word.terms:
         x = h.eval(ring, cache)
         base = g.fwd if eps == 1 else g.bwd
         acc = acc.mul(x.bwd).mul(base).mul(x.fwd)
-    return acc == expected
+    return acc
+
+
+def _batched_product(word: ConjWord, g: matrices.InvPair):
+    """The word's product as an int64 array over Z/m with (m-1)^2 < 2^62.
+
+    Every term starts as its own copy of g^{+-1} in one (T, N, N) stack.  A
+    letter is I + E whose rows R and columns C (from _letter_support) are
+    disjoint, so E^2 = 0 and its inverse is I - E: conjugating by it is
+    M[:, C] += v M[:, R] (M times the letter), then M[R, :] -= v M[C, :]
+    (the inverse times M), each one product plus one residue, below
+    2^62 + 2^31 < 2^63.  Letter position p is applied to all terms whose
+    conjugator reaches it at once; the stack is kept longest conjugator
+    first, so those terms are a prefix.  Then the T terms are multiplied
+    together in order, pairwise.  Shared segments are never factored out.
+    """
+    ring, n, N = g.ring, word.n, g.dim
+    m = ring.modulus
+    if not word.terms:
+        return np.identity(N, dtype=np.int64) % m
+    # stable sort, longest conjugator first
+    order = sorted(range(len(word.terms)), key=lambda t: -len(word.terms[t][1]))
+    terms = [word.terms[t] for t in order]
+    lens = np.array([len(h) for _, h in terms])
+    letters: dict = {}  # distinct (i, j, xi) -> row of the letter tables
+    ids = [letters.setdefault(x, len(letters)) for _, h in terms for x in h.letters]
+    M = np.stack([g.fwd._np if eps == 1 else g.bwd._np for eps, _ in terms])
+    if ids:
+        support = {(i, j): words._letter_support(n, i, j) for i, j, _ in letters}
+        rows, cols, signs = (np.stack(a) for a in zip(*(support[i, j] for i, j, _ in letters)))
+        xs = np.array([ring.coerce(x) for _, _, x in letters], dtype=np.int64)
+        ids = np.array(ids)
+        # (position, term) of every letter, in the flat order of ids
+        term = np.repeat(np.arange(len(terms)), lens)
+        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lens) - lens, lens)
+        shape = (int(lens[0]), len(terms), n - 2)
+        R, C = np.zeros(shape, np.intp), np.zeros(shape, np.intp)
+        V = np.zeros(shape + (1,), np.int64)
+        R[pos, term], C[pos, term] = rows[ids], cols[ids]
+        V[pos, term, :, 0] = (signs * xs[:, None])[ids] % m
+        tt = np.arange(len(terms))[:, None]
+        for p in range(shape[0]):
+            k = int(np.count_nonzero(lens > p))
+            t, r, c, v = tt[:k], R[p, :k], C[p, :k], V[p, :k]
+            M[t, :, c] = (M[t, :, c] + v * M[t, :, r]) % m
+            M[t, r, :] = (M[t, r, :] - v * M[t, c, :]) % m
+    M[order] = M.copy()  # back to the word's order
+    s = matrices._int64_kernel(ring, N)
+    while len(M) > 1:
+        head = matrices._int64_matmul(M[0:-1:2], M[1::2], m, s)
+        M = np.concatenate([head, M[-1:]]) if len(M) % 2 else head
+    return M[0]
 
 
 def targets_of_level(g: matrices.InvPair, n: int, k: int = 2, l: int = 3):

@@ -84,31 +84,24 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
     """The N x N matrix of a single exterior transvection letter.
 
     It is the identity plus, for every a outside {i, j}, the entry
-    sign(a,i) * sign(a,j) * xi at row {a,i}, column {a,j} (sorted labels).
-    All touched positions are independent, so this closed form equals the
-    product of the letter's elementary-transvection expansion.
+    sign(a,i) * sign(a,j) * xi at row {a,i}, column {a,j} (sorted labels),
+    at the positions and signs of _letter_support.  All touched positions
+    are independent, so this closed form equals the product of the letter's
+    elementary-transvection expansion.
     """
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("bad index")
     xi = ring.coerce(payload)
     N = indexing.dim(n)
-    entries = []
-    for a in range(1, n + 1):
-        if a == i or a == j:
-            continue
-        row, si = indexing.canon(a, i)
-        col, sj = indexing.canon(a, j)
-        val = xi if si * sj == 1 else ring.neg(xi)
-        entries.append((indexing.rank(row, n), indexing.rank(col, n), val))
+    rows, cols, signs = _letter_support(n, i, j)
     if matrices._np_store(ring):
         data = np.identity(N, dtype=np.int64)
-        for r, c, v in entries:
-            data[r, c] = v
+        data[rows, cols] = signs * xi
         return matrices.Matrix(ring, None, _np_data=data % ring.modulus)
-    rows = [list(r) for r in matrices.identity(ring, N).rows]
-    for r, c, v in entries:
-        rows[r][c] = v
-    return matrices.Matrix(ring, rows)
+    out = [list(r) for r in matrices.identity(ring, N).rows]
+    for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+        out[r][c] = xi if s == 1 else ring.neg(xi)
+    return matrices.Matrix(ring, out)
 
 
 class TransvWord:
@@ -371,8 +364,10 @@ class ConjWord:
         share a prefix P is evaluated against P^-1 g^{+-1} P.  Every letter
         still multiplies in against g.  Segments are evaluated through
         ExtWord.eval with `cache`, so a caller's dict keeps segments that
-        recur across words.  `rdu.verify` does not use this evaluator; it
-        referees with a naive letter-by-letter product.
+        recur across words.  `rdu.verify` does not use this evaluator: over
+        Z/m with (m-1)^2 < 2^62 it applies every letter of every conjugator
+        to its own copy of g^{+-1} in one batched int64 pass, and elsewhere
+        it multiplies each conjugator out letter by letter.
         """
         N = indexing.dim(self.n)
         if g.dim != N:

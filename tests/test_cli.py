@@ -329,6 +329,54 @@ def test_verify_names_a_malformed_word(tmp_path, capsys, path, value, message):
     assert message in err and "Traceback" not in err
 
 
+def _delete(obj, path):
+    *head, last = path
+    for key in head:
+        obj = obj[key]
+    del obj[last]
+
+
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        (("word", "terms", 2, "h", "letters"), "word.terms[2].h.letters: missing"),
+        (("word", "terms"), "word.terms: missing"),
+        (("word", "terms", 1, "h", "letters", 0, "i"), "word.terms[1].h.letters[0].i: missing"),
+        (("word", "terms", 0, "h", "letters", 0, "xi"), "word.terms[0].h.letters[0].xi: missing"),
+        (("word", "terms", 4, "h"), "word.terms[4].h: missing"),
+        (("param",), "param: missing"),
+    ],
+    ids=["letters", "terms", "letter-index", "letter-xi", "conjugator", "param"],
+)
+def test_verify_names_a_missing_field(tmp_path, capsys, path, message):
+    g_path, obj = _decomposition(tmp_path)
+    _delete(obj, path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "--in", str(bad), "--g", str(g_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_missing_matrix_fields_are_named(tmp_path, capsys):
+    g_path, obj = _decomposition(tmp_path)
+    d_path = tmp_path / "d.json"
+    d_path.write_text(json.dumps(obj))
+    g = json.loads(g_path.read_text())
+    no_rows = {"n": g["n"], "dim": g["dim"], "ring": g["ring"]}
+    del g["fwd"]
+    bad_g = tmp_path / "bad_g.json"
+    bad_g.write_text(json.dumps(g))
+    assert main(["verify", "--in", str(d_path), "--g", str(bad_g)]) == 2
+    err = capsys.readouterr().err
+    assert "fwd: missing" in err and "Traceback" not in err
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(no_rows))
+    assert main(["member", "--in", str(matrix)]) == 2
+    err = capsys.readouterr().err
+    assert "rows: missing" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "entries,message",
     [(5, "entries: expected a list, got 5"),

@@ -44,6 +44,27 @@ def test_compound_is_multiplicative(zmod97):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize(
+    "modulus,int64", [(97, True), (2**31, True), (2**31 + 1, False)],
+    ids=["97", "2^31", "2^31+1"],
+)
+def test_minors_over_zmod_equal_the_integer_minors_reduced(n, modulus, int64):
+    # the int64 branch up to the dim-1 one-limb bound, the ring loop past it
+    ring = rings.ModularRing(modulus)
+    assert (matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB) is int64
+    rng = random.Random(n)
+    integers = rings.IntegerRing()
+    top = modulus - 1
+    for rows in (
+        [[top] * n for _ in range(n)],
+        [[rng.choice((0, 1, top, rng.randrange(modulus))) for _ in range(n)] for _ in range(n)],
+    ):
+        want = exterior.cauchy_binet(matrices.Matrix(integers, rows), n)
+        got = exterior.cauchy_binet(matrices.Matrix(ring, rows), n)
+        assert got.rows == tuple(tuple(v % modulus for v in row) for row in want.rows)
+
+
 def test_compound_rejects_small_rank(zmod97):
     with pytest.raises(ValueError):
         exterior.cauchy_binet(matrices.identity(zmod97, 2), 2)

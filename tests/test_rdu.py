@@ -1,8 +1,11 @@
 """The decomposition engine: cases, certificates, verification, errors."""
 
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extsquare import exterior, generate, indexing, level, matrices, plucker, rdu, rings, words
 from extsquare.words import ConjWord, ext_letter_matrix
@@ -84,17 +87,26 @@ def test_flipped_exponent_fails_verification():
 
 
 def test_verify_does_not_use_the_factored_evaluator(monkeypatch):
-    # the referee must not share the optimized evaluator it referees
-    g, eng = _engine(5, 11)
-    d = eng.diagonal((1, 2), (3, 4), 5, 1)
+    # the referee must not share the optimized evaluator it referees, and
+    # over Z/m with (m-1)^2 < 2^62 it shares no word evaluator at all
+    found = []
+    for ring in (rings.ModularRing(97), rings.ModularRing(2**31 - 1)):
+        g, eng = _engine(5, 11, ring)
+        found.append((g, eng.diagonal((1, 2), (3, 4), 5, 1)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the referee called the factored evaluator")
+        raise AssertionError("the referee called an evaluator of the engine")
 
     monkeypatch.setattr(ConjWord, "eval_matrix", refuse)
     monkeypatch.setattr(words, "_conj_product", refuse)
-    assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
-    assert not rdu.verify(d.word, g, d.k, d.l, g.ring.add(d.param, 1), 5)
+    monkeypatch.setattr(words.ExtWord, "eval", refuse)
+    monkeypatch.setattr(words, "_letter_np", refuse)
+    monkeypatch.setattr(words, "ext_letter_matrix", refuse)
+    monkeypatch.setattr(rdu, "ext_letter_matrix", refuse)
+    for g, d in found:
+        assert len(d.word) == 48
+        assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
+        assert not rdu.verify(d.word, g, d.k, d.l, g.ring.add(d.param, 1), 5)
 
 
 def test_dispatch_matches_height():
@@ -223,3 +235,132 @@ def test_height_one_path_property():
         assert sorted(path) == sorted(indexing.pairs(n))
         for P, Q in zip(path, path[1:]):
             assert indexing.height(P, Q) == 1
+
+
+# -- the batched referee against the letter-by-letter product ----------------
+
+REFEREE_RINGS = {
+    "zmod97": rings.ModularRing(97),
+    "zmod-mersenne-31": rings.ModularRing(2**31 - 1),
+}
+
+
+@lru_cache(maxsize=None)
+def _real_words(ring_id):
+    """g and an 8-, 16-, 24- and 48-term decomposition over one ring, n = 5."""
+    g, eng = _engine(5, 12, REFEREE_RINGS[ring_id])
+    return g, (
+        eng.entry((1, 3), (1, 2), 2, 3),
+        eng.entry((1, 2), (3, 4), 4, 1),
+        eng.diagonal((1, 2), (1, 3), 3, 2),
+        eng.diagonal((1, 2), (3, 4), 5, 1),
+    )
+
+
+def _perturb_letter(word, ring, which, rng):
+    """Shift the argument of one letter in the first or last term with letters."""
+    terms = list(word.terms)
+    order = range(len(terms)) if which == "first" else reversed(range(len(terms)))
+    t = next(t for t in order if terms[t][1].letters)
+    eps, h = terms[t]
+    letters = list(h.letters)
+    p = rng.randrange(len(letters))
+    i, j, xi = letters[p]
+    letters[p] = (i, j, ring.add(ring.coerce(xi), rng.randrange(1, ring.modulus)))
+    terms[t] = (eps, words.ExtWord(word.n, letters))
+    return ConjWord(word.n, terms)
+
+
+def _assert_products_agree(word, g, k, l, xi, n):
+    """Same product and same verdict from the batched pass and the loop."""
+    loop = rdu._naive_product(word, g)
+    assert np.array_equal(rdu._batched_product(word, g), loop._np)
+    expected = exterior.cauchy_binet(matrices.transvection(g.ring, n, k, l, xi), n)
+    verdict = rdu.verify(word, g, k, l, xi, n)
+    assert verdict == (loop == expected)
+    return verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ring_id=st.sampled_from(sorted(REFEREE_RINGS)),
+    case=st.integers(0, 3),
+    change=st.sampled_from(("none", "param", "first", "last")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_referee_matches_the_loop_on_real_words(ring_id, case, change, seed):
+    ring = REFEREE_RINGS[ring_id]
+    g, found = _real_words(ring_id)
+    d = found[case]
+    rng = random.Random(seed)
+    word, param = d.word, d.param
+    if change == "param":
+        param = ring.add(param, rng.randrange(1, ring.modulus))
+    elif change != "none":
+        word = _perturb_letter(word, ring, change, rng)
+    assert _assert_products_agree(word, g, d.k, d.l, param, 5) == (change == "none")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring_id=st.sampled_from(sorted(REFEREE_RINGS)),
+    n=st.sampled_from((4, 5)),
+    lengths=st.one_of(
+        st.lists(st.integers(0, 6), max_size=10),
+        st.sampled_from((8, 48)).map(lambda t: [3] * t),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_referee_matches_the_loop_on_random_words(ring_id, n, lengths, seed):
+    # conjugators of any length, empty ones included, in random order
+    ring = REFEREE_RINGS[ring_id]
+    rng = random.Random(seed)
+    g = generate.compound_of_random(n, ring, 8, rng)
+    word = ConjWord(
+        n,
+        [
+            (rng.choice((1, -1)), generate.random_ext_word(n, ring, rng.randint(0, k), rng))
+            for k in lengths
+        ],
+    )
+    _assert_products_agree(word, g, 2, 3, ring.random(rng), n)
+
+
+@pytest.mark.parametrize(
+    "modulus,batched", [(2**31, True), (2**31 + 1, False)], ids=["2^31", "2^31+1"]
+)
+def test_referee_at_the_one_limb_bound(monkeypatch, modulus, batched):
+    # all-(m-1) matrices and letters: the largest residues the batched
+    # updates see; both paths equal the same product over Z reduced mod m
+    ring = rings.ModularRing(modulus)
+    assert (matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB) is batched
+    n, top = 4, modulus - 1
+    N = indexing.dim(n)
+    full = matrices.Matrix(ring, [[top] * N] * N)
+    g = matrices.InvPair._trusted(full, full)  # g^{+-1} both all-(m-1); never multiplied together
+    rng = random.Random(21)
+    letters = [(i, j, top) for i, j, _ in generate.random_ext_word(n, ring, 5, rng).letters]
+    h = words.ExtWord(n, letters)
+    word = ConjWord(n, [(1, h), (-1, words.ExtWord(n)), (-1, h + h), (1, h)])
+
+    integers = rings.IntegerRing()
+    g_int = matrices.Matrix(integers, [[top] * N] * N)
+    want = matrices.identity(integers, N)
+    for _, x in word.terms:
+        fwd = bwd = matrices.identity(integers, N)
+        for i, j, xi in x.letters:
+            fwd = fwd.mul(ext_letter_matrix(integers, n, i, j, xi))
+        for i, j, xi in reversed(x.letters):
+            bwd = bwd.mul(ext_letter_matrix(integers, n, i, j, -xi))
+        want = want.mul(bwd).mul(g_int).mul(fwd)
+    want = tuple(tuple(v % modulus for v in row) for row in want.rows)
+
+    assert rdu._naive_product(word, g).rows == want
+    if batched:
+        assert tuple(map(tuple, rdu._batched_product(word, g).tolist())) == want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify took the other path")
+
+    monkeypatch.setattr(rdu, "_naive_product" if batched else "_batched_product", refuse)
+    assert not rdu.verify(word, g, 2, 3, 1, n)
