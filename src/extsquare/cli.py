@@ -113,12 +113,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _matrix_artifact(obj):
+    """The matrix of a plain matrix artifact, or the fwd side of a pair."""
+    jsonio._object(obj, "matrix")
+    if "fwd" in obj or "bwd" in obj:
+        return jsonio.pair_from_json(obj).fwd
+    return jsonio.matrix_from_json(obj)
+
+
 def cmd_member(args) -> int:
     obj = _read_json(args.input)
-    if "fwd" in obj:
-        m = jsonio.pair_from_json(obj).fwd
-    else:
-        m = jsonio.matrix_from_json(obj)
+    m = _matrix_artifact(obj)
     n = jsonio.pair_ambient_rank(obj, m.dim)
     ok = plucker.is_member(m, n)
     note = " (n=4 caveat noted)" if n == 4 else ""
@@ -128,10 +133,7 @@ def cmd_member(args) -> int:
 
 def cmd_level(args) -> int:
     obj = _read_json(args.input)
-    if "fwd" in obj:
-        m = jsonio.pair_from_json(obj).fwd
-    else:
-        m = jsonio.matrix_from_json(obj)
+    m = _matrix_artifact(obj)
     n = jsonio.pair_ambient_rank(obj)
     gens = level.level_generators(m, n)
     payload = {

@@ -6,8 +6,9 @@ matrices._int64_kernel at dim 1) all minors come from one int64 expression
 over the pair index arrays; elsewhere from ring arithmetic, entry by entry.
 ext_transvection expands the compound image of a single elementary
 transvection into explicit elementary transvections of the pair-indexed
-group; the expansion is checked against the minor matrix at construction
-time, so the two routes can never drift apart silently.
+group, at the positions and signs of words._letter_support; the expansion
+is checked against the minor matrix at construction time, so the two
+routes can never drift apart silently.
 
 p_element builds the monomial (signed permutation) words used to reroute a
 transvection from one index position to another, and route_source /
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import indexing, matrices, rings
-from .words import ExtWord, PairWord, ext_letter_matrix
+from .words import ExtWord, PairWord, _letter_support, ext_letter_matrix
 
 
 def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
@@ -71,16 +72,19 @@ def ext_transvection(i: int, j: int, payload, n: int) -> PairWord:
         raise ValueError("bad index")
     if isinstance(payload, rings.RingElement):
         payload = payload.payload
-    letters = []
-    for a in range(1, n + 1):
-        if a == i or a == j:
-            continue
-        row, si = indexing.canon(a, i)
-        col, sj = indexing.canon(a, j)
-        letters.append((row, col, payload if si * sj == 1 else _neg(payload)))
-    word = PairWord(n, letters)
+    word = _expansion(i, j, n, payload, _neg)
     _certify_expansion(i, j, n)
     return word
+
+
+def _expansion(i: int, j: int, n: int, xi, neg) -> PairWord:
+    # the letters of _letter_support, in its order, labelled by their pairs
+    ps = indexing.pairs(n)
+    rows, cols, signs = _letter_support(n, i, j)
+    return PairWord(n, [
+        (ps[r], ps[c], xi if s == 1 else neg(xi))
+        for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist())
+    ])
 
 
 def _neg(payload):
@@ -101,14 +105,7 @@ def _certify_expansion(i: int, j: int, n: int) -> bool:
     """One-time symbolic check: expansion product equals the minor matrix."""
     ring = _probe_ring()
     xi = ring.var("x")
-    letters = []
-    for a in range(1, n + 1):
-        if a == i or a == j:
-            continue
-        row, si = indexing.canon(a, i)
-        col, sj = indexing.canon(a, j)
-        letters.append((row, col, xi if si * sj == 1 else ring.neg(xi)))
-    word = PairWord(n, letters)
+    word = _expansion(i, j, n, xi, ring.neg)
     oracle = cauchy_binet(matrices.transvection(ring, n, i, j, xi), n)
     if word.eval(ring).fwd != oracle:
         raise AssertionError(
@@ -128,16 +125,6 @@ def p_element(i: int, j: int, n: int) -> ExtWord:
     return ExtWord(n, ((i, j, 1), (j, i, -1), (i, j, 1)))
 
 
-def _row_move(i: int, j: int, k: int, n: int) -> ExtWord:
-    # conjugating by p_element(k, i) moves a transvection at (i, j) to (k, j)
-    return p_element(k, i, n)
-
-
-def _col_move(i: int, j: int, k: int, n: int) -> ExtWord:
-    # conjugating by p_element(k, j) moves a transvection at (i, j) to (i, k)
-    return p_element(k, j, n)
-
-
 @lru_cache(maxsize=None)
 def route_target(k: int, l: int, n: int) -> ExtWord:
     """Word w with w (ext t_{2,3}(xi)) w^-1 = ext t_{k,l}(xi), sign-exact.
@@ -151,7 +138,9 @@ def route_target(k: int, l: int, n: int) -> ExtWord:
         raise ValueError("rank too small")
     if k == l or not (1 <= k <= n and 1 <= l <= n):
         raise ValueError("bad index")
-    moves = []  # conjugations applied innermost first, as (ExtWord, new (i, j))
+    # conjugations applied innermost first; conjugating by p_element(new, old)
+    # moves a transvection's index old to new, as (2, 3) -> (k, 3) for (k, 2)
+    moves = []
     cur = (2, 3)
 
     def push(word, new):
@@ -161,23 +150,23 @@ def route_target(k: int, l: int, n: int) -> ExtWord:
     if (k, l) == (2, 3):
         pass
     elif k == 2:
-        cur = push(_col_move(2, 3, l, n), (2, l))
+        cur = push(p_element(l, 3, n), (2, l))
     elif l == 3:
-        cur = push(_row_move(2, 3, k, n), (k, 3))
+        cur = push(p_element(k, 2, n), (k, 3))
     elif k == 3 and l == 2:
         spare = next(m for m in range(1, n + 1) if m not in (2, 3))
-        cur = push(_row_move(2, 3, spare, n), (spare, 3))
-        cur = push(_col_move(spare, 3, 2, n), (spare, 2))
-        cur = push(_row_move(spare, 2, 3, n), (3, 2))
+        cur = push(p_element(spare, 2, n), (spare, 3))
+        cur = push(p_element(2, 3, n), (spare, 2))
+        cur = push(p_element(3, spare, n), (3, 2))
     elif k == 3:
-        cur = push(_col_move(2, 3, l, n), (2, l))
-        cur = push(_row_move(2, l, 3, n), (3, l))
+        cur = push(p_element(l, 3, n), (2, l))
+        cur = push(p_element(3, 2, n), (3, l))
     elif l == 2:
-        cur = push(_row_move(2, 3, k, n), (k, 3))
-        cur = push(_col_move(k, 3, 2, n), (k, 2))
+        cur = push(p_element(k, 2, n), (k, 3))
+        cur = push(p_element(2, 3, n), (k, 2))
     else:
-        cur = push(_row_move(2, 3, k, n), (k, 3))
-        cur = push(_col_move(k, 3, l, n), (k, l))
+        cur = push(p_element(k, 2, n), (k, 3))
+        cur = push(p_element(l, 3, n), (k, l))
     if moves and cur != (k, l):
         raise AssertionError("route construction lost its target")
     word = ExtWord(n)

@@ -27,26 +27,24 @@ def rng_for(seed: int, *labels) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def random_transv_word(dim: int, ring, length: int, rng: random.Random) -> TransvWord:
+def _random_letters(dim: int, length: int, rng: random.Random, arg):
+    """`length` letters (i, j, arg(rng)) with i != j, drawn i, j, then arg."""
     letters = []
     for _ in range(length):
         i = rng.randrange(1, dim + 1)
         j = rng.randrange(1, dim + 1)
         while j == i:
             j = rng.randrange(1, dim + 1)
-        letters.append((i, j, ring.random(rng)))
-    return TransvWord(dim, letters)
+        letters.append((i, j, arg(rng)))
+    return letters
+
+
+def random_transv_word(dim: int, ring, length: int, rng: random.Random) -> TransvWord:
+    return TransvWord(dim, _random_letters(dim, length, rng, ring.random))
 
 
 def random_ext_word(n: int, ring, length: int, rng: random.Random) -> ExtWord:
-    letters = []
-    for _ in range(length):
-        i = rng.randrange(1, n + 1)
-        j = rng.randrange(1, n + 1)
-        while j == i:
-            j = rng.randrange(1, n + 1)
-        letters.append((i, j, ring.random(rng)))
-    return ExtWord(n, letters)
+    return ExtWord(n, _random_letters(n, length, rng, ring.random))
 
 
 def source_pair(n: int, ring, length: int, rng: random.Random) -> matrices.InvPair:
@@ -72,13 +70,8 @@ def congruent_compound(
         raise ValueError("congruent generation is provided modulo m")
     if ring.modulus % d != 0:
         raise ValueError(f"{d} does not divide the modulus")
-    letters = []
-    for _ in range(length):
-        i = rng.randrange(1, n + 1)
-        j = rng.randrange(1, n + 1)
-        while j == i:
-            j = rng.randrange(1, n + 1)
-        letters.append((i, j, (d * rng.randrange(ring.modulus // d)) % ring.modulus))
+    m = ring.modulus
+    letters = _random_letters(n, length, rng, lambda r: (d * r.randrange(m // d)) % m)
     base = TransvWord(n, letters).eval(ring)
     if scalar is None:
         scalar = 1

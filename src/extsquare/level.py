@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import matrices, rings
-from .indexing import ambient_rank, pairs
+from .indexing import ambient_rank, dim, pairs
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ def level_generators(g: matrices.Matrix, n: int | None = None):
     """
     if n is None:
         n = ambient_rank(g.dim)
+    if g.dim != dim(n):
+        raise ValueError("dimension mismatch")
     ring = g.ring
     ps = pairs(n)
     out = []

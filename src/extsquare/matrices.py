@@ -1,11 +1,10 @@
 """Exact dense square matrices over a ring, and invertible pairs.
 
-Matrices are immutable after construction.  Over Z/m with m < 2^62 the
-entries live in a read-only int64 numpy array; over the integer and
-polynomial rings (and wider moduli) they are payload tuples multiplied out
-in pure python.  One function, _int64_kernel, decides per (modulus, dim)
-how a product runs, and every product of matrices, vectors and exterior
-words asks it:
+Matrices are immutable after construction.  One function, _int64_kernel,
+decides per (ring, dim) how a product runs, and with it how entries are
+stored: a read-only int64 numpy array exactly when the product runs in
+int64, payload tuples multiplied out in pure python otherwise.  Every
+product of matrices, vectors and exterior words asks it:
 
 * one limb, when dim (m-1)^2 < 2^62: one int64 matmul, then % m;
 * k limbs, when m < 2^62 but one limb could overflow: the right factor is
@@ -26,17 +25,6 @@ import numpy as np
 
 from . import rings
 
-# When True, composite InvPairs re-verify fwd * bwd == identity.  The public
-# constructor always verifies; this flag additionally checks the internal
-# trusted compositions, at roughly double the running cost.
-VERIFY_PRODUCTS = False
-
-
-def _np_store(ring) -> bool:
-    # residues themselves must fit int64; products are guarded separately
-    return ring.kind == "zmod" and ring.modulus < 2**62
-
-
 ONE_LIMB = 0
 
 
@@ -45,10 +33,11 @@ def _int64_kernel(ring, dim: int):
 
     ONE_LIMB when dim (m-1)^2 < 2^62; else the limb width s >= 1 of
     _limb_matmul, the widest with max(dim, 2) (m-1) (2^s - 1) < 2^62; else
-    None, the pure-python product, which every ring _np_store rejects
-    takes too.  The max keeps acc * 2^s of _limb_matmul in bound at dim 1.
+    None, the pure-python product, which every ring other than Z/m takes
+    too (for m >= 2^62 no width s >= 1 fits).  The max keeps acc * 2^s of
+    _limb_matmul in bound at dim 1.
     """
-    if not _np_store(ring):
+    if ring.kind != "zmod":
         return None
     top = ring.modulus - 1
     if dim * top * top < 2**62:
@@ -96,7 +85,7 @@ class Matrix:
         self.dim = len(rows)
         if any(len(r) != self.dim for r in rows):
             raise ValueError("matrix must be square")
-        if _np_store(ring):
+        if _int64_kernel(ring, self.dim) is not None:
             data = np.array(rows, dtype=np.int64) % ring.modulus
             data.flags.writeable = False
             self._np = data
@@ -129,11 +118,8 @@ class Matrix:
             raise ValueError("dimension mismatch")
         ring = self.ring
         s = _int64_kernel(ring, self.dim)
-        if s == ONE_LIMB:
-            out = (self._np @ other._np) % ring.modulus
-            return Matrix(ring, None, _np_data=out)
         if s is not None:
-            out = _limb_matmul(self._np, other._np, ring.modulus, s)
+            out = _int64_matmul(self._np, other._np, ring.modulus, s)
             return Matrix(ring, None, _np_data=out)
         add, mul, zero = ring.add, ring.mul, ring.zero
         bt = list(zip(*other.rows))
@@ -181,13 +167,8 @@ class Matrix:
         return f"Matrix({self.ring!r}, dim={self.dim})"
 
 
-def from_rows(ring, rows) -> Matrix:
-    """Build a matrix, canonicalizing every entry through the ring."""
-    return Matrix(ring, [[ring.coerce(x) for x in row] for row in rows])
-
-
 def identity(ring, dim: int) -> Matrix:
-    if _np_store(ring):
+    if _int64_kernel(ring, dim) is not None:
         return Matrix(ring, None, _np_data=np.identity(dim, dtype=np.int64) % ring.modulus)
     z, o = ring.zero, ring.one
     return Matrix(ring, [[o if r == c else z for c in range(dim)] for r in range(dim)])
@@ -204,7 +185,7 @@ def transvection(ring, dim: int, i: int, j: int, payload) -> Matrix:
     if i == j or not (1 <= i <= dim and 1 <= j <= dim):
         raise ValueError("bad index")
     xi = ring.coerce(payload)
-    if _np_store(ring):
+    if _int64_kernel(ring, dim) is not None:
         data = np.identity(dim, dtype=np.int64)
         data[i - 1, j - 1] = xi
         return Matrix(ring, None, _np_data=data % ring.modulus)
@@ -269,7 +250,7 @@ class InvPair:
 
     @classmethod
     def _trusted(cls, fwd: Matrix, bwd: Matrix) -> "InvPair":
-        return cls(fwd, bwd, check=VERIFY_PRODUCTS)
+        return cls(fwd, bwd, check=False)
 
     @property
     def ring(self):

@@ -499,13 +499,15 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
+    if g.dim != indexing.dim(word.n):
+        raise ValueError("dimension mismatch")
+    if n != word.n:
+        raise ValueError(f"rank mismatch: n is {n} but the word has n = {word.n}")
     ring = g.ring
     xi = ring.coerce(xi)
     expected = exterior.cauchy_binet(
         matrices.transvection(ring, n, k, l, xi), n
     )
-    if g.dim != indexing.dim(word.n):
-        raise ValueError("dimension mismatch")
     if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
         product = matrices.Matrix(ring, None, _np_data=_batched_product(word, g))
     else:

@@ -50,9 +50,6 @@ class Ring:
     def elem(self, value) -> "RingElement":
         return RingElement(self, self.coerce(value))
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class IntegerRing(Ring):
     """Arbitrary-precision integers."""

@@ -14,12 +14,16 @@ reduced (letter counts are part of the contract):
 
 ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
-decomposition engine counts.
+decomposition engine counts, and eval_matrix multiplies it out against g.
+
+_letter_support is the one source of the exterior-letter sign rule: letter
+matrices, the int64 letter cache that ExtWord.eval and ext_letter_matrix
+share, and the pair-indexed expansion in exterior all read it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 
 import numpy as np
@@ -93,15 +97,30 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
         raise ValueError("bad index")
     xi = ring.coerce(payload)
     N = indexing.dim(n)
+    if matrices._int64_kernel(ring, N) is not None:
+        return matrices.Matrix(ring, None, _np_data=_letter_np(ring.modulus, n, i, j, xi))
     rows, cols, signs = _letter_support(n, i, j)
-    if matrices._np_store(ring):
-        data = np.identity(N, dtype=np.int64)
-        data[rows, cols] = signs * xi
-        return matrices.Matrix(ring, None, _np_data=data % ring.modulus)
     out = [list(r) for r in matrices.identity(ring, N).rows]
     for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
         out[r][c] = xi if s == 1 else ring.neg(xi)
     return matrices.Matrix(ring, out)
+
+
+def _inverse_letters(letters, ring):
+    """Formal inverse of a letter sequence: reversed, arguments negated."""
+    return tuple((i, j, ring.neg(ring.coerce(xi))) for i, j, xi in reversed(letters))
+
+
+def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
+    """The product of letter(i, j, xi) over `letters`, with its inverse as the
+    product over the formal inverse."""
+    fwd = matrices.identity(ring, dim)
+    bwd = matrices.identity(ring, dim)
+    for i, j, xi in letters:
+        fwd = fwd.mul(letter(i, j, xi))
+    for i, j, xi in _inverse_letters(letters, ring):
+        bwd = bwd.mul(letter(i, j, xi))
+    return matrices.InvPair._trusted(fwd, bwd)
 
 
 class TransvWord:
@@ -131,24 +150,11 @@ class TransvWord:
         return self.dim == other.dim and self.letters == other.letters
 
     def inverse(self, ring) -> "TransvWord":
-        return TransvWord(
-            self.dim,
-            tuple(
-                (i, j, ring.neg(ring.coerce(xi)))
-                for i, j, xi in reversed(self.letters)
-            ),
-        )
+        return TransvWord(self.dim, _inverse_letters(self.letters, ring))
 
     def eval(self, ring) -> matrices.InvPair:
-        fwd = matrices.identity(ring, self.dim)
-        bwd = matrices.identity(ring, self.dim)
-        for i, j, xi in self.letters:
-            fwd = fwd.mul(matrices.transvection(ring, self.dim, i, j, xi))
-        for i, j, xi in reversed(self.letters):
-            bwd = bwd.mul(
-                matrices.transvection(ring, self.dim, i, j, ring.neg(ring.coerce(xi)))
-            )
-        return matrices.InvPair._trusted(fwd, bwd)
+        letter = partial(matrices.transvection, ring, self.dim)
+        return _eval_letters(ring, self.dim, self.letters, letter)
 
 
 class PairWord:
@@ -183,26 +189,16 @@ class PairWord:
         return self.n == other.n and self.letters == other.letters
 
     def inverse(self, ring) -> "PairWord":
-        return PairWord(
-            self.n,
-            tuple(
-                (r, c, ring.neg(ring.coerce(xi)))
-                for r, c, xi in reversed(self.letters)
-            ),
-        )
-
-    def to_transv(self) -> TransvWord:
-        N = indexing.dim(self.n)
-        return TransvWord(
-            N,
-            tuple(
-                (indexing.rank(r, self.n) + 1, indexing.rank(c, self.n) + 1, xi)
-                for r, c, xi in self.letters
-            ),
-        )
+        return PairWord(self.n, _inverse_letters(self.letters, ring))
 
     def eval(self, ring) -> matrices.InvPair:
-        return self.to_transv().eval(ring)
+        N = indexing.dim(self.n)
+
+        def letter(row, col, xi):
+            r, c = indexing.rank(row, self.n), indexing.rank(col, self.n)
+            return matrices.transvection(ring, N, r + 1, c + 1, xi)
+
+        return _eval_letters(ring, N, self.letters, letter)
 
 
 class ExtWord:
@@ -237,13 +233,7 @@ class ExtWord:
         return hash((self.n, self.letters))
 
     def inverse(self, ring) -> "ExtWord":
-        return ExtWord(
-            self.n,
-            tuple(
-                (i, j, ring.neg(ring.coerce(xi)))
-                for i, j, xi in reversed(self.letters)
-            ),
-        )
+        return ExtWord(self.n, _inverse_letters(self.letters, ring))
 
     def eval(self, ring, cache: dict | None = None) -> matrices.InvPair:
         key = None
@@ -257,37 +247,26 @@ class ExtWord:
         if s is not None:
             pair = self._eval_zmod(ring, N, s)
         else:
-            fwd = matrices.identity(ring, N)
-            bwd = matrices.identity(ring, N)
-            for i, j, xi in self.letters:
-                fwd = fwd.mul(ext_letter_matrix(ring, self.n, i, j, xi))
-            for i, j, xi in reversed(self.letters):
-                bwd = bwd.mul(
-                    ext_letter_matrix(ring, self.n, i, j, ring.neg(ring.coerce(xi)))
-                )
-            pair = matrices.InvPair._trusted(fwd, bwd)
+            letter = partial(ext_letter_matrix, ring, self.n)
+            pair = _eval_letters(ring, N, self.letters, letter)
         if cache is not None:
             cache[key] = pair
         return pair
 
     def _eval_zmod(self, ring, N: int, s: int) -> matrices.InvPair:
         # letter matrices recur across conjugators, so a keyed cache plus a
-        # plain int64 matmul beats rebuilding them; the one-limb product
-        # stays inline, as it runs once per letter
+        # plain int64 matmul beats rebuilding them
         m = ring.modulus
-        one = s == matrices.ONE_LIMB
         fwd = np.identity(N, dtype=np.int64)
         bwd = np.identity(N, dtype=np.int64)
         for i, j, xi in self.letters:
             x = ring.coerce(xi)
             if x:
-                b = _letter_np(m, self.n, i, j, x)
-                fwd = (fwd @ b) % m if one else matrices._limb_matmul(fwd, b, m, s)
+                fwd = matrices._int64_matmul(fwd, _letter_np(m, self.n, i, j, x), m, s)
         for i, j, xi in reversed(self.letters):
             x = (-ring.coerce(xi)) % m
             if x:
-                b = _letter_np(m, self.n, i, j, x)
-                bwd = (bwd @ b) % m if one else matrices._limb_matmul(bwd, b, m, s)
+                bwd = matrices._int64_matmul(bwd, _letter_np(m, self.n, i, j, x), m, s)
         return matrices.InvPair._trusted(
             matrices.Matrix(ring, None, _np_data=fwd),
             matrices.Matrix(ring, None, _np_data=bwd),
@@ -335,24 +314,6 @@ class ConjWord:
     def inverse(self) -> "ConjWord":
         """Formal inverse: reversed terms with flipped exponents, same length."""
         return ConjWord(self.n, tuple((-eps, h) for eps, h in reversed(self.terms)))
-
-    def eval(self, g: matrices.InvPair, cache: dict | None = None) -> matrices.InvPair:
-        """Multiply out the conjugates against a concrete certified g."""
-        N = indexing.dim(self.n)
-        if g.dim != N:
-            raise ValueError("dimension mismatch")
-        ring = g.ring
-        if cache is None:
-            cache = {}
-        acc = matrices.identity_pair(ring, N)
-        for eps, h in self.terms:
-            x = h.eval(ring, cache)
-            base = g if eps == 1 else g.invert()
-            term = matrices.InvPair._trusted(
-                x.bwd.mul(base.fwd).mul(x.fwd), x.bwd.mul(base.bwd).mul(x.fwd)
-            )
-            acc = acc.compose(term)
-        return acc
 
     def eval_matrix(self, g: matrices.InvPair, cache: dict | None = None) -> matrices.Matrix:
         """Forward product, factored over the segments the conjugators share.

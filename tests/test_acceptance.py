@@ -234,17 +234,6 @@ def test_criterion_09_congruence_commutators():
         assert level.congruence_class(matrices.commutator(g, e).fwd, d) == "principal"
 
 
-def _clear_sign_dependent_caches():
-    from extsquare import exterior as ext_mod
-    from extsquare import words as words_mod
-
-    words_mod._letter_support.cache_clear()
-    words_mod._LETTER_NP_CACHE.clear()
-    ext_mod._certify_expansion.cache_clear()
-    ext_mod.route_target.cache_clear()
-    ext_mod.route_source.cache_clear()
-
-
 def _expansion_detector() -> bool:
     ring = rings.PolynomialRing(("xi",))
     xi = ring.var("xi")
@@ -272,13 +261,13 @@ def _membership_detector() -> bool:
 
 
 @criterion(10, "seeded mutations are caught by the suites")
-def test_criterion_10_mutation_sensitivity(monkeypatch):
+def test_criterion_10_mutation_sensitivity(monkeypatch, clear_sign_dependent_caches):
     caught = []
 
     # 1-3: orientation flips inside the expansion sign rule
     for site in ((2, 1), (4, 1), (3, 2)):
         with monkeypatch.context() as mp:
-            _clear_sign_dependent_caches()
+            clear_sign_dependent_caches()
             orig = indexing.canon
 
             def mutant(i, j, n=None, _site=site, _orig=orig):
@@ -289,7 +278,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
 
             mp.setattr(indexing, "canon", mutant)
             caught.append(not _expansion_detector())
-        _clear_sign_dependent_caches()
+        clear_sign_dependent_caches()
 
     # 4-5: shuffle sign flips break the membership families
     for site in (((1, 3), (2, 4)), ((1, 2), (3, 4))):

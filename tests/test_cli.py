@@ -155,20 +155,11 @@ def test_identities_small(capsys):
     assert "PASS transvection-expansion" in out
 
 
-def test_identities_fail_exit_code(capsys, monkeypatch):
+def test_identities_fail_exit_code(capsys, monkeypatch, clear_sign_dependent_caches):
     # a tampered orientation sign must make the expansion suite fail closed
-    from extsquare import exterior as ext_mod
     from extsquare import indexing
-    from extsquare import words as words_mod
 
-    def clear():
-        words_mod._letter_support.cache_clear()
-        words_mod._LETTER_NP_CACHE.clear()
-        ext_mod._certify_expansion.cache_clear()
-        ext_mod.route_target.cache_clear()
-        ext_mod.route_source.cache_clear()
-
-    clear()
+    clear_sign_dependent_caches()
     orig = indexing.canon
 
     def mutant(i, j, n=None):
@@ -180,7 +171,7 @@ def test_identities_fail_exit_code(capsys, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(indexing, "canon", mutant)
         code = main(["identities", "--max-n", "3"])
-    clear()
+    clear_sign_dependent_caches()
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -204,6 +195,49 @@ def test_member_rejects_top_level_list(tmp_path, capsys):
     assert main(["member", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "expected a JSON object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["member", "level"])
+def test_member_and_level_reject_a_bare_number(tmp_path, capsys, command):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    assert main([command, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "expected a JSON object, got int" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["member", "level"])
+def test_member_and_level_name_a_missing_fwd(tmp_path, capsys, command):
+    obj = json.loads(_gen(tmp_path).read_text())
+    del obj["fwd"]
+    path = tmp_path / "no_fwd.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "fwd: missing" in err and "Traceback" not in err
+
+
+def test_level_rejects_an_n_that_disagrees_with_the_dimension(tmp_path, capsys):
+    obj = json.loads(_gen(tmp_path, n=5).read_text())
+    obj["n"] = 4  # a 10 x 10 pair read as n = 4 would yield 35 wrong generators
+    path = tmp_path / "wrong_n.json"
+    path.write_text(json.dumps(obj))
+    assert main(["level", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "dimension mismatch" in captured.err
+
+
+def test_verify_rejects_an_n_that_disagrees_with_the_word(tmp_path, capsys):
+    g_path = _gen(tmp_path, n=5)
+    d_path = tmp_path / "d.json"
+    assert main(["decompose", "--in", str(g_path), "--target", "entry:1,3:1,2",
+                 "--k", "2", "--l", "3", "--out", str(d_path)]) == 0
+    obj = json.loads(d_path.read_text())
+    obj["n"] = 4
+    d_path.write_text(json.dumps(obj))
+    assert main(["verify", "--in", str(d_path), "--g", str(g_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rank mismatch" in captured.err
 
 
 def test_member_rejects_non_list_rows(tmp_path, capsys):
@@ -391,3 +425,49 @@ def test_stabilize_names_a_malformed_vector(tmp_path, capsys, entries, message):
     assert main(["stabilize", "--in", str(v_path), "--col", "2"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# sha256 prefixes of the n=5, seed-1 artifacts; a refactor must not move a byte
+_PINNED = {
+    "zmod:97": {
+        "gen": "e825f7499dc8fbce",
+        "entry:1,3:1,2 2,3": "be3f2f445763da58",
+        "entry:1,3:1,2 5,1": "57b48ca72b07f680",
+        "entry:1,2:3,4 2,3": "5610484f1249c467",
+        "entry:1,2:3,4 5,1": "034259e94fdd2209",
+        "diagdiff:1,2:1,3 2,3": "703d4c36b0359e57",
+        "diagdiff:1,2:1,3 5,1": "0eb3ca3dbc0a6334",
+        "diagdiff:1,2:3,4 2,3": "6ebf6cb62e94e8f0",
+        "diagdiff:1,2:3,4 5,1": "bc67cbce295ec85f",
+    },
+    "zmod:2147483647": {
+        "gen": "a05cf324b4224b8a",
+        "entry:1,3:1,2 2,3": "64b48a1d3848595d",
+        "entry:1,3:1,2 5,1": "ead148a047ac7165",
+        "entry:1,2:3,4 2,3": "9f926ba983317051",
+        "entry:1,2:3,4 5,1": "b841175588b36218",
+        "diagdiff:1,2:1,3 2,3": "9b908fbf5c31ddfe",
+        "diagdiff:1,2:1,3 5,1": "dc082f9f5ae62484",
+        "diagdiff:1,2:3,4 2,3": "9790fb584ecf03e1",
+        "diagdiff:1,2:3,4 5,1": "01d29456f0cde8fa",
+    },
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_PINNED))
+def test_gen_and_decompose_artifact_bytes_are_pinned(tmp_path, ring):
+    import hashlib
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+    g_path = tmp_path / "g.json"
+    assert main(["gen", "--ring", ring, "--n", "5", "--seed", "1", "--out", str(g_path)]) == 0
+    got = {"gen": digest(g_path)}
+    d_path = tmp_path / "d.json"
+    for target in ("entry:1,3:1,2", "entry:1,2:3,4", "diagdiff:1,2:1,3", "diagdiff:1,2:3,4"):
+        for k, l in ((2, 3), (5, 1)):
+            assert main(["decompose", "--in", str(g_path), "--target", target,
+                         "--k", str(k), "--l", str(l), "--out", str(d_path)]) == 0
+            got[f"{target} {k},{l}"] = digest(d_path)
+    assert got == _PINNED[ring]
