@@ -109,6 +109,13 @@ def _generic_vector(n: int):
     return plucker.PairVector(n, ring, entries)
 
 
+def _generic_matrix(n: int):
+    names = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(1, n + 1))
+    ring = rings.PolynomialRing(names)
+    labels = range(1, n + 1)
+    return matrices.Matrix(ring, [[ring.var(f"x{r}{c}") for c in labels] for r in labels])
+
+
 def column_stabilizer_suite(ns=(3, 4, 5)) -> SuiteResult:
     """The column stabilizer fixes a fully generic vector, every column index."""
     for n in ns:
@@ -188,16 +195,8 @@ def plucker_stabilizer_suite(n: int = 5) -> SuiteResult:
 
 def plucker_vanishing_suite(n: int = 5) -> SuiteResult:
     """Short relations vanish on every column of a generic compound matrix."""
-    names = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(1, n + 1))
-    ring = rings.PolynomialRing(names)
-    x = matrices.Matrix(
-        ring,
-        [
-            [ring.var(f"x{r}{c}") for c in range(1, n + 1)]
-            for r in range(1, n + 1)
-        ],
-    )
-    m = exterior.cauchy_binet(x, n)
+    m = exterior.cauchy_binet(_generic_matrix(n), n)
+    ring = m.ring
     for col_pair in indexing.pairs(n):
         w = plucker.PairVector.column_of(m, n, col_pair)
         for i in range(1, n + 1):
@@ -211,16 +210,7 @@ def plucker_vanishing_suite(n: int = 5) -> SuiteResult:
 
 def criterion_suite(n: int = 4) -> SuiteResult:
     """Both membership families hold for a generic compound matrix."""
-    names = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(1, n + 1))
-    ring = rings.PolynomialRing(names)
-    x = matrices.Matrix(
-        ring,
-        [
-            [ring.var(f"x{r}{c}") for c in range(1, n + 1)]
-            for r in range(1, n + 1)
-        ],
-    )
-    g = exterior.cauchy_binet(x, n)
+    g = exterior.cauchy_binet(_generic_matrix(n), n)
     violation = plucker._first_violation(g, n)
     if violation is not None:
         return _result("membership-criterion", False, violation)

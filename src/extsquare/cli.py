@@ -134,7 +134,7 @@ def cmd_member(args) -> int:
 def cmd_level(args) -> int:
     obj = _read_json(args.input)
     m = _matrix_artifact(obj)
-    n = jsonio.pair_ambient_rank(obj)
+    n = jsonio.pair_ambient_rank(obj, m.dim)
     gens = level.level_generators(m, n)
     payload = {
         "n": n,

@@ -3,8 +3,10 @@
 Matrices are immutable after construction.  One function, _int64_kernel,
 decides per (ring, dim) how a product runs, and with it how entries are
 stored: a read-only int64 numpy array exactly when the product runs in
-int64, payload tuples multiplied out in pure python otherwise.  Every
-product of matrices, vectors and exterior words asks it:
+int64, payload tuples multiplied out in pure python otherwise.  Callers
+choose no kernel: _identity_plus builds identities, transvections and
+exterior letters, _product multiplies chains (Matrix.mul and every word
+evaluation), and mat_vec and vec_mat take vectors; each asks it once:
 
 * one limb, when dim (m-1)^2 < 2^62: one int64 matmul, then % m;
 * k limbs, when m < 2^62 but one limb could overflow: the right factor is
@@ -116,27 +118,7 @@ class Matrix:
             raise rings.RingMismatchError("ring mismatch")
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        ring = self.ring
-        s = _int64_kernel(ring, self.dim)
-        if s is not None:
-            out = _int64_matmul(self._np, other._np, ring.modulus, s)
-            return Matrix(ring, None, _np_data=out)
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        bt = list(zip(*other.rows))
-        out_rows = []
-        for ra in self.rows:
-            out_row = []
-            for cb in bt:
-                acc = zero
-                for a, b in zip(ra, cb):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out_rows.append(tuple(out_row))
-        return Matrix(ring, out_rows)
-
-    def __matmul__(self, other):
-        return self.mul(other)
+        return _product(self.ring, self.dim, (self, other))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -167,11 +149,52 @@ class Matrix:
         return f"Matrix({self.ring!r}, dim={self.dim})"
 
 
-def identity(ring, dim: int) -> Matrix:
+def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
+    """The dim x dim identity with payloads `values` at the off-diagonal
+    positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides."""
     if _int64_kernel(ring, dim) is not None:
-        return Matrix(ring, None, _np_data=np.identity(dim, dtype=np.int64) % ring.modulus)
+        data = np.identity(dim, dtype=np.int64)
+        data[rows, cols] = values
+        return Matrix(ring, None, _np_data=data % ring.modulus)
     z, o = ring.zero, ring.one
-    return Matrix(ring, [[o if r == c else z for c in range(dim)] for r in range(dim)])
+    out = [[o if r == c else z for c in range(dim)] for r in range(dim)]
+    for r, c, v in zip(rows, cols, values):
+        out[r][c] = v
+    return Matrix(ring, out)
+
+
+def _product(ring, dim: int, factors) -> Matrix:
+    """The product of a sequence of dim x dim matrices over `ring`, left to
+    right (the identity when it is empty), with the kernel chosen once."""
+    if not factors:
+        return identity(ring, dim)
+    s = _int64_kernel(ring, dim)
+    if s is not None:
+        m = ring.modulus
+        acc = factors[0]._np
+        for f in factors[1:]:
+            acc = _int64_matmul(acc, f._np, m, s)
+        return Matrix(ring, None, _np_data=acc)
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    acc = factors[0].rows
+    for f in factors[1:]:
+        bt = list(zip(*f.rows))
+        out_rows = []
+        for ra in acc:
+            out_row = []
+            for cb in bt:
+                total = zero
+                for a, b in zip(ra, cb):
+                    if a != zero and b != zero:
+                        total = add(total, mul(a, b))
+                out_row.append(total)
+            out_rows.append(tuple(out_row))
+        acc = out_rows
+    return Matrix(ring, acc)
+
+
+def identity(ring, dim: int) -> Matrix:
+    return _identity_plus(ring, dim, [], [], [])
 
 
 def scalar_matrix(ring, dim: int, payload) -> Matrix:
@@ -184,14 +207,7 @@ def transvection(ring, dim: int, i: int, j: int, payload) -> Matrix:
     """The elementary matrix e + xi E_{i,j}, indices 1-based."""
     if i == j or not (1 <= i <= dim and 1 <= j <= dim):
         raise ValueError("bad index")
-    xi = ring.coerce(payload)
-    if _int64_kernel(ring, dim) is not None:
-        data = np.identity(dim, dtype=np.int64)
-        data[i - 1, j - 1] = xi
-        return Matrix(ring, None, _np_data=data % ring.modulus)
-    rows = [list(r) for r in identity(ring, dim).rows]
-    rows[i - 1][j - 1] = xi
-    return Matrix(ring, rows)
+    return _identity_plus(ring, dim, [i - 1], [j - 1], [ring.coerce(payload)])
 
 
 def mat_vec(m: Matrix, vec):

@@ -330,6 +330,14 @@ class ReverseDecomposer:
         word = self._with_target(word, k, l)
         return self._finalize(word, param, certs, "h1-entry", k, l)
 
+    def _combined_core(self, tag, tau: ExtWord, I, J):
+        """Core words at (I, J) of g conjugated by the one-letter word tau,
+        absorbing tau, and the entry v of that conjugate at (I, J)."""
+        gt = matrices.conjugate(self.g, tau.eval(self.ring, self._cache))
+        v = gt.fwd.at(self._rank(I), self._rank(J))
+        word, param, certs = self._core_words(tag, gt, I, J, prefix=tau)
+        return word, param, certs, v
+
     def _combined_entry_core(self, A, B):
         """Core for the conjugated-matrix entry that absorbs a height-zero slot.
 
@@ -343,11 +351,7 @@ class ReverseDecomposer:
         b1 = B[0]
         tau = self._single(b1, a1, ring.neg(ring.one))
         I0 = tuple(sorted((b1, a2)))
-        gt = matrices.conjugate(self.g, tau.eval(ring, self._cache))
-        v = gt.fwd.at(self._rank(I0), self._rank(B))
-        word, param, certs = self._core_words(
-            ("h0-combined", A, B), gt, I0, B, prefix=tau
-        )
+        word, param, certs, v = self._combined_core(("h0-combined", A, B), tau, I0, B)
         kappa = indexing.sign(a2, b1) * indexing.sign(a2, a1)
         return word, param, certs, v, kappa, I0
 
@@ -384,11 +388,7 @@ class ReverseDecomposer:
         i = (set(I) - set(J)).pop()
         j = (set(J) - set(I)).pop()
         tau = self._single(i, j, ring.one)
-        gt = matrices.conjugate(self.g, tau.eval(ring, self._cache))
-        v = gt.fwd.at(self._rank(I), self._rank(J))
-        word, param, certs = self._core_words(
-            ("diag-combined", I, J), gt, I, J, prefix=tau
-        )
+        word, param, certs, v = self._combined_core(("diag-combined", I, J), tau, I, J)
         beta = indexing.sign(common, i) * indexing.sign(common, j)
         return word, param, certs, v, beta
 

@@ -21,16 +21,7 @@ def column_stabilizer(j: int, w: plucker.PairVector) -> ExtWord:
     n = w.n
     if not 1 <= j <= n:
         raise ValueError("bad index")
-    ring = w.ring
-    letters = []
-    for s in range(1, n + 1):
-        if s == j:
-            continue
-        arg = w.at((s, j))
-        if indexing.sign(s, j) == -1:
-            arg = ring.neg(arg)
-        letters.append((s, j, arg))
-    return ExtWord(n, letters)
+    return ExtWord(n, [(s, j, w.signed_at(s, j)) for s in range(1, n + 1) if s != j])
 
 
 def row_stabilizer(i: int, z: plucker.PairVector) -> ExtWord:
@@ -38,16 +29,7 @@ def row_stabilizer(i: int, z: plucker.PairVector) -> ExtWord:
     n = z.n
     if not 1 <= i <= n:
         raise ValueError("bad index")
-    ring = z.ring
-    letters = []
-    for s in range(1, n + 1):
-        if s == i:
-            continue
-        arg = z.at((i, s))
-        if indexing.sign(i, s) == -1:
-            arg = ring.neg(arg)
-        letters.append((i, s, arg))
-    return ExtWord(n, letters)
+    return ExtWord(n, [(i, s, z.signed_at(i, s)) for s in range(1, n + 1) if s != i])
 
 
 def pair_increment(p: int, q: int, j: int, w: plucker.PairVector):

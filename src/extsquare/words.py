@@ -17,8 +17,11 @@ matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
-matrices, the int64 letter cache that ExtWord.eval and ext_letter_matrix
-share, and the pair-indexed expansion in exterior all read it.
+matrices and the pair-indexed expansion in exterior read it.  Letter
+matrices, for every ring, sit in one bounded cache that ExtWord.eval and
+ext_letter_matrix share.  Words choose no kernel: matrices._identity_plus
+builds each letter and matrices._product multiplies each chain of letters
+and of conjugated segments.
 """
 
 from __future__ import annotations
@@ -55,25 +58,26 @@ def _letter_support(n: int, i: int, j: int):
     )
 
 
-# Keyed by the letter argument, so a wide modulus would grow it without end;
+# Keyed by ring and letter, so a wide modulus would grow it without end;
 # past the cap the oldest entries go.  The cap holds the whole Z/97 working
 # set for n <= 6 (about 4 800 letters).
-_LETTER_NP_CACHE: dict = {}
-_LETTER_NP_CACHE_MAX = 8192
+_LETTER_CACHE: dict = {}
+_LETTER_CACHE_MAX = 8192
 
 
-def _letter_np(modulus: int, n: int, i: int, j: int, x: int):
-    key = (modulus, n, i, j, x)
-    hit = _LETTER_NP_CACHE.get(key)
+def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
+    """ext_letter_matrix for valid indices and a ring payload xi, cached."""
+    key = (ring, n, i, j, xi)
+    hit = _LETTER_CACHE.get(key)
     if hit is None:
         rows, cols, signs = _letter_support(n, i, j)
-        hit = np.identity(indexing.dim(n), dtype=np.int64)
-        hit[rows, cols] = (signs * x) % modulus
-        hit.flags.writeable = False
-        if len(_LETTER_NP_CACHE) >= _LETTER_NP_CACHE_MAX:
+        neg = ring.neg(xi)
+        values = [xi if s == 1 else neg for s in signs.tolist()]
+        hit = matrices._identity_plus(ring, indexing.dim(n), rows, cols, values)
+        if len(_LETTER_CACHE) >= _LETTER_CACHE_MAX:
             # pop with a default: another thread may evict the same key
-            _LETTER_NP_CACHE.pop(next(iter(_LETTER_NP_CACHE), None), None)
-        _LETTER_NP_CACHE[key] = hit
+            _LETTER_CACHE.pop(next(iter(_LETTER_CACHE), None), None)
+        _LETTER_CACHE[key] = hit
     return hit
 
 
@@ -95,15 +99,7 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
     """
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("bad index")
-    xi = ring.coerce(payload)
-    N = indexing.dim(n)
-    if matrices._int64_kernel(ring, N) is not None:
-        return matrices.Matrix(ring, None, _np_data=_letter_np(ring.modulus, n, i, j, xi))
-    rows, cols, signs = _letter_support(n, i, j)
-    out = [list(r) for r in matrices.identity(ring, N).rows]
-    for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
-        out[r][c] = xi if s == 1 else ring.neg(xi)
-    return matrices.Matrix(ring, out)
+    return _letter(ring, n, i, j, ring.coerce(payload))
 
 
 def _inverse_letters(letters, ring):
@@ -113,14 +109,14 @@ def _inverse_letters(letters, ring):
 
 def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
     """The product of letter(i, j, xi) over `letters`, with its inverse as the
-    product over the formal inverse."""
-    fwd = matrices.identity(ring, dim)
-    bwd = matrices.identity(ring, dim)
-    for i, j, xi in letters:
-        fwd = fwd.mul(letter(i, j, xi))
-    for i, j, xi in _inverse_letters(letters, ring):
-        bwd = bwd.mul(letter(i, j, xi))
-    return matrices.InvPair._trusted(fwd, bwd)
+    product over the formal inverse.  Payloads are coerced once, here, so
+    `letter` receives ring payloads."""
+    fwd = [(i, j, ring.coerce(xi)) for i, j, xi in letters]
+    bwd = [(i, j, ring.neg(xi)) for i, j, xi in reversed(fwd)]
+    return matrices.InvPair._trusted(
+        matrices._product(ring, dim, [letter(*t) for t in fwd]),
+        matrices._product(ring, dim, [letter(*t) for t in bwd]),
+    )
 
 
 class TransvWord:
@@ -242,35 +238,11 @@ class ExtWord:
             hit = cache.get(key)
             if hit is not None:
                 return hit
-        N = indexing.dim(self.n)
-        s = matrices._int64_kernel(ring, N)
-        if s is not None:
-            pair = self._eval_zmod(ring, N, s)
-        else:
-            letter = partial(ext_letter_matrix, ring, self.n)
-            pair = _eval_letters(ring, N, self.letters, letter)
+        letter = partial(_letter, ring, self.n)
+        pair = _eval_letters(ring, indexing.dim(self.n), self.letters, letter)
         if cache is not None:
             cache[key] = pair
         return pair
-
-    def _eval_zmod(self, ring, N: int, s: int) -> matrices.InvPair:
-        # letter matrices recur across conjugators, so a keyed cache plus a
-        # plain int64 matmul beats rebuilding them
-        m = ring.modulus
-        fwd = np.identity(N, dtype=np.int64)
-        bwd = np.identity(N, dtype=np.int64)
-        for i, j, xi in self.letters:
-            x = ring.coerce(xi)
-            if x:
-                fwd = matrices._int64_matmul(fwd, _letter_np(m, self.n, i, j, x), m, s)
-        for i, j, xi in reversed(self.letters):
-            x = (-ring.coerce(xi)) % m
-            if x:
-                bwd = matrices._int64_matmul(bwd, _letter_np(m, self.n, i, j, x), m, s)
-        return matrices.InvPair._trusted(
-            matrices.Matrix(ring, None, _np_data=fwd),
-            matrices.Matrix(ring, None, _np_data=bwd),
-        )
 
     def expand(self) -> PairWord:
         """Expansion into elementary transvections of the pair-indexed group."""
@@ -375,7 +347,4 @@ def _conj_product(ring, n: int, terms, base: dict, cache: dict) -> matrices.Matr
         parts.append(
             _conj_product(ring, n, [(eps, h[p:]) for eps, h in run], run_base, cache)
         )
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = acc.mul(part)
-    return acc
+    return matrices._product(ring, indexing.dim(n), parts)

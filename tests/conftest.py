@@ -11,7 +11,7 @@ def clear_sign_dependent_caches():
 
     def clear():
         words._letter_support.cache_clear()
-        words._LETTER_NP_CACHE.clear()
+        words._LETTER_CACHE.clear()
         exterior._certify_expansion.cache_clear()
         exterior.route_target.cache_clear()
         exterior.route_source.cache_clear()

@@ -96,6 +96,21 @@ def test_level_command(tmp_path):
     assert kinds == {"entry", "diagdiff"}
 
 
+def test_member_and_level_accept_a_plain_matrix_without_dim(tmp_path, capsys):
+    # n comes from the matrix's own dimension, as for member
+    obj = {
+        "ring": {"type": "zmod", "modulus": 97},
+        "rows": [["1" if r == c else "0" for c in range(6)] for r in range(6)],
+    }
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(obj))
+    l_path = tmp_path / "l.json"
+    assert main(["member", "--in", str(path)]) == 0
+    assert main(["level", "--in", str(path), "--out", str(l_path)]) == 0
+    assert json.loads(l_path.read_text())["n"] == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_stabilize_column_and_row(tmp_path):
     ring = rings.ModularRing(97)
     rng = generate.rng_for(5, "stab")

@@ -100,7 +100,6 @@ def test_verify_does_not_use_the_factored_evaluator(monkeypatch):
     monkeypatch.setattr(ConjWord, "eval_matrix", refuse)
     monkeypatch.setattr(words, "_conj_product", refuse)
     monkeypatch.setattr(words.ExtWord, "eval", refuse)
-    monkeypatch.setattr(words, "_letter_np", refuse)
     monkeypatch.setattr(words, "ext_letter_matrix", refuse)
     monkeypatch.setattr(rdu, "ext_letter_matrix", refuse)
     for g, d in found:

@@ -229,18 +229,37 @@ def test_factored_eval_matrix_named_shapes(ring_id):
         ), name
 
 
+def test_letter_cache_keeps_each_ring_apart():
+    # 5 is the same payload in Z/97, Z/101 and Z, so only the ring in the
+    # cache key tells their letters apart
+    n, i, j = 5, 4, 2
+    domains = [
+        rings.ModularRing(97),
+        rings.ModularRing(101),
+        rings.IntegerRing(),
+        rings.PolynomialRing(("xi",)),
+    ]
+    words_mod._LETTER_CACHE.clear()
+    for _ in range(2):  # the second round reads the cache
+        for ring in domains:
+            got = ext_letter_matrix(ring, n, i, j, 5)
+            oracle = exterior.cauchy_binet(matrices.transvection(ring, n, i, j, 5), n)
+            assert got.ring == ring and got == oracle, ring
+    words_mod._LETTER_CACHE.clear()
+
+
 def test_letter_cache_is_bounded_on_a_wide_modulus():
     # every letter argument of a modulus near 2^20 is a new key, so a sweep
     # past the cap must evict; the evicting int64 path stays exact
     ring = rings.ModularRing(2**20 - 3)
     n = 6
-    words_mod._LETTER_NP_CACHE.clear()
+    words_mod._LETTER_CACHE.clear()
     rng = random.Random(20)
     sweep = [generate.random_ext_word(n, ring, 6, rng) for _ in range(720)]
     fast = [w.eval(ring) for w in sweep]
-    assert len(words_mod._LETTER_NP_CACHE) == words_mod._LETTER_NP_CACHE_MAX
+    assert len(words_mod._LETTER_CACHE) == words_mod._LETTER_CACHE_MAX
     again = sweep[0].eval(ring)  # its letters were evicted and are rebuilt
-    assert len(words_mod._LETTER_NP_CACHE) == words_mod._LETTER_NP_CACHE_MAX
+    assert len(words_mod._LETTER_CACHE) == words_mod._LETTER_CACHE_MAX
     assert again == fast[0]
     # referee: the same letters multiplied over Z, then reduced mod m
     integers = rings.IntegerRing()
@@ -253,4 +272,4 @@ def test_letter_cache_is_bounded_on_a_wide_modulus():
             tuple(x % ring.modulus for x in row) for row in slow.rows
         )
     assert all(p.fwd.mul(p.bwd).is_identity() for p in fast)
-    words_mod._LETTER_NP_CACHE.clear()
+    words_mod._LETTER_CACHE.clear()
