@@ -93,7 +93,7 @@ def cmd_gen(args) -> int:
 def cmd_decompose(args) -> int:
     obj = _read_json(args.input)
     pair = jsonio.pair_from_json(obj)
-    n = jsonio.pair_ambient_rank(obj)
+    n = jsonio.pair_ambient_rank(obj, pair.dim)
     kind, I, J = _parse_target(args.target)
     engine = rdu.ReverseDecomposer(pair, n)
     result = engine.decompose(rdu.GeneratorTarget(kind, I, J, args.k, args.l))

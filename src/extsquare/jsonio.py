@@ -135,11 +135,12 @@ def _int_field(obj: dict, field: str, path: str = "") -> int:
     return value
 
 
-def pair_ambient_rank(obj: dict, dim: int | None = None) -> int:
-    """The artifact's "n", else the n with C(n, 2) = dim (default: its "dim")."""
+def pair_ambient_rank(obj: dict, dim: int) -> int:
+    """The artifact's "n", else the n with C(n, 2) = dim, the dimension of
+    the matrix read from it."""
     if "n" in obj:
         return _int_field(obj, "n")
-    return indexing.ambient_rank(_int_field(obj, "dim") if dim is None else dim)
+    return indexing.ambient_rank(dim)
 
 
 # -- vectors -----------------------------------------------------------------

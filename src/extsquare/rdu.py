@@ -10,7 +10,13 @@ height-zero entry, 24 for a diagonal difference of height-one indices and
 
 Every construction step is asserted as a named certificate, and the final
 word is multiplied out and compared with the target transvection before it
-is returned; a failed certificate raises instead of degrading.
+is returned; a failed certificate raises instead of degrading, and
+`decompose` names the target it failed on.
+
+Every word certificate is evaluated on the engine's own g, through one
+shared cache, so ConjWord.eval_matrix multiplies each run of core terms once
+per engine: the core certificates compute it, and `final-verified` and the
+system check reuse it for every target.
 
 The eight-term core works at the fixed position ({1,3}, {1,2}):
 
@@ -31,6 +37,7 @@ preserves length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +66,9 @@ class CertificateError(RuntimeError):
 
 
 CASE_LENGTHS = {"h1-entry": 8, "h0-entry": 16, "h1-diag": 24, "h0-diag": 48}
+
+# Above the 452 cores of a full level sweep at n = 7; the oldest go first.
+_CORE_CACHE_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -137,30 +147,30 @@ class ReverseDecomposer:
 
     # -- the eight-conjugate core ----------------------------------------
 
-    def _core_words(self, tag, pair: matrices.InvPair, I, J, prefix: ExtWord | None = None):
+    def _core_words(self, tag, pair: matrices.InvPair, I, J, tau: ExtWord | None = None):
         """Memoized eight-conjugate core at position (2, 3) for one slot.
 
-        The returned word is written on self.g (any conjugation relating
-        `pair` to self.g must be supplied as `prefix`) and multiplies out to
-        the exterior letter at (2, 3) with argument pair_{I,J}.  The cached
+        `pair` is self.g, or tau^-1 g tau for the one-letter word tau.  The
+        returned word is written on self.g and multiplies out to the
+        exterior letter at (2, 3) with argument pair_{I,J}.  The cached
         value is target independent; callers reroute it per target.
         """
         hit = self._core_cache.get(tag)
         if hit is not None:
             return hit
-        word, param, certs = self._build_core(pair, I, J)
-        if prefix is not None:
-            word = reconjugate(word, prefix)
+        word, param, certs = self._build_core(pair, I, J, tau)
         value = (word, param, tuple(certs))
-        self._core_cache[tag] = value
+        words._bounded_put(self._core_cache, tag, value, _CORE_CACHE_MAX)
         return value
 
-    def _build_core(self, pair: matrices.InvPair, I, J):
-        """Eight conjugates of `pair` multiplying to letter (2,3, pair_{I,J}).
+    def _build_core(self, pair: matrices.InvPair, I, J, tau: ExtWord | None):
+        """Eight conjugates of self.g multiplying to letter (2,3, pair_{I,J}).
 
-        Returns (word, param, certificates); the word's conjugators already
-        carry the source route, and an orientation flip from the source
-        route has been absorbed by formal inversion.
+        Returns (word, param, certificates).  The core is built on g1, the
+        source-routed `pair`, and written on self.g through the outer prefix
+        P = tau + src^-1 (g1 = P^-1 g P); an orientation flip from the
+        source route is absorbed by formal inversion.  Word certificates are
+        evaluated on self.g, so later products on g reuse their runs.
         """
         ring, n = self.ring, self.n
         I = tuple(I)
@@ -168,6 +178,7 @@ class ReverseDecomposer:
         certs = []
 
         src, sigma = exterior.route_source(I, J, n)
+        outer = src.inverse(ring) if tau is None else tau + src.inverse(ring)
         g1 = matrices.conjugate(pair, src.eval(ring, self._cache), "left")
         r13, r12 = self._rank((1, 3)), self._rank((1, 2))
         c = g1.fwd.at(r13, r12)
@@ -214,7 +225,7 @@ class ReverseDecomposer:
                 (1, T + s_inv + t_inv),
             ),
         )
-        z_val = z.eval_matrix(g1, self._cache)
+        z_val = reconjugate(z, outer).eval_matrix(self.g, self._cache)
 
         # Direct route: z = T [T^-1 h, s] T^-1, multiplied out from matrices.
         Hinv = g1.bwd.mul(Tm.bwd).mul(g1.fwd)
@@ -232,43 +243,31 @@ class ReverseDecomposer:
         final = ConjWord(
             n, tuple((eps, h + a_inv) for eps, h in z.terms)
         ) + z.inverse()
-        certs.append(
-            _require(
-                final.eval_matrix(g1, self._cache)
-                == ext_letter_matrix(ring, n, 2, 3, c),
-                "eight-conjugate-core",
-            )
-        )
-
-        word = reconjugate(final, src.inverse(ring))
+        word = reconjugate(final, outer)
         if sigma == -1:
             word = word.inverse()
         param = pair.fwd.at(self._rank(I), self._rank(J))
+        # the word itself, flip absorbed: letter (2,3, c)^sigma = letter (2,3, param)
+        certs.append(
+            _require(
+                word.eval_matrix(self.g, self._cache)
+                == ext_letter_matrix(ring, n, 2, 3, param),
+                "eight-conjugate-core",
+            )
+        )
         return word, param, certs
 
     def _in_radical(self, u: matrices.Matrix) -> bool:
-        """Identity outside the strictly block-upper positions.
-
-        Blocks order the pair labels by their overlap with {1, 2}: the pair
-        {1,2} itself, then pairs meeting it in one index, then the rest.
-        The abelian unipotent radical sits strictly above the diagonal in
-        this grading.
-        """
-        ring, n = self.ring, self.n
-
-        def block(pair):
-            inter = len(set(pair) & {1, 2})
-            return 2 - inter
-
-        ps = indexing.pairs(n)
-        for r, P in enumerate(ps):
-            for c_, Q in enumerate(ps):
-                if block(P) < block(Q):
-                    continue
-                want = ring.one if r == c_ else ring.zero
-                if u.at(r, c_) != want:
-                    return False
-        return True
+        """Identity outside the strictly block-upper positions (see
+        _radical_complement)."""
+        rows, cols, eye = _radical_complement(self.n)
+        if u._np is not None:
+            return bool(np.array_equal(u._np[rows, cols], eye))
+        want = (self.ring.zero, self.ring.one)
+        return all(
+            u.rows[r][c] == want[d]
+            for r, c, d in zip(rows.tolist(), cols.tolist(), eye.tolist())
+        )
 
     # -- public cases ------------------------------------------------------
 
@@ -294,13 +293,20 @@ class ReverseDecomposer:
         return self._diag_h0(I, J, k, l)
 
     def decompose(self, target: GeneratorTarget) -> Decomposition:
+        """The case's word for `target`; a failed certificate is re-raised
+        naming the kind, I, J and (k, l) it failed on."""
         for pair in (target.I, target.J):
             indexing.rank(tuple(sorted(pair)), self.n)  # ValueError names the pair
-        if target.kind == "entry":
-            return self.entry(target.I, target.J, target.k, target.l)
-        if target.kind == "diagdiff":
-            return self.diagonal(target.I, target.J, target.k, target.l)
-        raise DecompositionError(f"unknown generator kind {target.kind!r}")
+        if target.kind not in ("entry", "diagdiff"):
+            raise DecompositionError(f"unknown generator kind {target.kind!r}")
+        case = self.entry if target.kind == "entry" else self.diagonal
+        try:
+            return case(target.I, target.J, target.k, target.l)
+        except CertificateError as exc:
+            where = f"{target.kind} {tuple(target.I)} {tuple(target.J)}"
+            raise CertificateError(
+                f"{exc} ({where} at ({target.k}, {target.l}))"
+            ) from exc
 
     def _check_target(self, k: int, l: int):
         if k == l or not (1 <= k <= self.n and 1 <= l <= self.n):
@@ -335,7 +341,7 @@ class ReverseDecomposer:
         absorbing tau, and the entry v of that conjugate at (I, J)."""
         gt = matrices.conjugate(self.g, tau.eval(self.ring, self._cache))
         v = gt.fwd.at(self._rank(I), self._rank(J))
-        word, param, certs = self._core_words(tag, gt, I, J, prefix=tau)
+        word, param, certs = self._core_words(tag, gt, I, J, tau)
         return word, param, certs, v
 
     def _combined_entry_core(self, A, B):
@@ -474,6 +480,24 @@ class ReverseDecomposer:
                 )
             results.append((kind, I, J, word, param))
         return results
+
+
+@lru_cache(maxsize=None)
+def _radical_complement(n: int):
+    """Positions where a matrix in the parabolic's unipotent radical equals
+    the identity: (rows, cols, identity entries there), 0-based.
+
+    Blocks grade the pair labels by their overlap with {1, 2}: the pair
+    {1,2} itself, then pairs meeting it in one index, then the rest.  The
+    abelian unipotent radical sits strictly above the diagonal in this
+    grading, so it is the identity wherever grade(row) >= grade(col).
+    """
+    grade = np.array([2 - len(set(p) & {1, 2}) for p in indexing.pairs(n)])
+    rows, cols = np.nonzero(grade[:, None] >= grade[None, :])
+    eye = (rows == cols).astype(np.int64)
+    for a in (rows, cols, eye):
+        a.flags.writeable = False
+    return rows, cols, eye
 
 
 def height_one_path(n: int):

@@ -14,12 +14,15 @@ reduced (letter counts are part of the contract):
 
 ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
-decomposition engine counts, and eval_matrix multiplies it out against g.
+decomposition engine counts, and eval_matrix multiplies it out against g,
+factored over the segments the conjugators share and memoizing, per g, the
+product of each top-level run of terms.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices and the pair-indexed expansion in exterior read it.  Letter
 matrices, for every ring, sit in one bounded cache that ExtWord.eval and
-ext_letter_matrix share.  Words choose no kernel: matrices._identity_plus
+ext_letter_matrix share; every cache here drops its oldest entries past its
+cap through _bounded_put.  Words choose no kernel: matrices._identity_plus
 builds each letter and matrices._product multiplies each chain of letters
 and of conjugated segments.
 """
@@ -58,11 +61,26 @@ def _letter_support(n: int, i: int, j: int):
     )
 
 
-# Keyed by ring and letter, so a wide modulus would grow it without end;
-# past the cap the oldest entries go.  The cap holds the whole Z/97 working
-# set for n <= 6 (about 4 800 letters).
+# Each cap sits above the working set of a full level sweep at n <= 7, so
+# only wider moduli or larger ranks evict.  The letter cache is keyed by ring
+# and letter, so a wide modulus would grow it without end; it holds the whole
+# Z/97 working set for n <= 6 (about 4 800 letters).  A caller's segment cache
+# (ExtWord.eval) and the run memo of each g in it (ConjWord.eval_matrix) hold
+# about 1 800 segments and 540 runs after five targets per level generator
+# and the system check at n = 6, and 3 100 and 1 000 at n = 7.
 _LETTER_CACHE: dict = {}
 _LETTER_CACHE_MAX = 8192
+_SEGMENT_CACHE_MAX = 8192
+_RUN_MEMO_MAX = 4096
+
+
+def _bounded_put(store: dict, key, value, cap: int) -> None:
+    """store[key] = value, first dropping the oldest entries so that at most
+    `cap` remain (dicts keep insertion order)."""
+    while len(store) >= cap:
+        # pop with a default: another thread may evict the same key
+        store.pop(next(iter(store), None), None)
+    store[key] = value
 
 
 def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
@@ -74,10 +92,7 @@ def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
         neg = ring.neg(xi)
         values = [xi if s == 1 else neg for s in signs.tolist()]
         hit = matrices._identity_plus(ring, indexing.dim(n), rows, cols, values)
-        if len(_LETTER_CACHE) >= _LETTER_CACHE_MAX:
-            # pop with a default: another thread may evict the same key
-            _LETTER_CACHE.pop(next(iter(_LETTER_CACHE), None), None)
-        _LETTER_CACHE[key] = hit
+        _bounded_put(_LETTER_CACHE, key, hit, _LETTER_CACHE_MAX)
     return hit
 
 
@@ -212,13 +227,21 @@ class ExtWord:
         self.n = n
         self.letters = letters
 
+    @classmethod
+    def _trusted(cls, n: int, letters: tuple) -> "ExtWord":
+        """A word on a tuple of letters taken from validated words, unchecked."""
+        word = object.__new__(cls)
+        word.n = n
+        word.letters = letters
+        return word
+
     def __len__(self):
         return len(self.letters)
 
     def __add__(self, other: "ExtWord") -> "ExtWord":
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return ExtWord(self.n, self.letters + other.letters)
+        return ExtWord._trusted(self.n, self.letters + other.letters)
 
     def __eq__(self, other):
         if not isinstance(other, ExtWord):
@@ -229,9 +252,11 @@ class ExtWord:
         return hash((self.n, self.letters))
 
     def inverse(self, ring) -> "ExtWord":
-        return ExtWord(self.n, _inverse_letters(self.letters, ring))
+        return ExtWord._trusted(self.n, _inverse_letters(self.letters, ring))
 
     def eval(self, ring, cache: dict | None = None) -> matrices.InvPair:
+        """The word's matrix and its inverse.  A caller's `cache` keeps the
+        pair under (n, letters), at most _SEGMENT_CACHE_MAX entries in all."""
         key = None
         if cache is not None:
             key = (self.n, self.letters)
@@ -241,7 +266,7 @@ class ExtWord:
         letter = partial(_letter, ring, self.n)
         pair = _eval_letters(ring, indexing.dim(self.n), self.letters, letter)
         if cache is not None:
-            cache[key] = pair
+            _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
         return pair
 
     def expand(self) -> PairWord:
@@ -295,12 +320,20 @@ class ConjWord:
         the product is S^-1 (prod of the terms stripped of S) S for the
         common suffix S, and a run of consecutive terms whose conjugators
         share a prefix P is evaluated against P^-1 g^{+-1} P.  Every letter
-        still multiplies in against g.  Segments are evaluated through
-        ExtWord.eval with `cache`, so a caller's dict keeps segments that
-        recur across words.  `rdu.verify` does not use this evaluator: over
-        Z/m with (m-1)^2 < 2^62 it applies every letter of every conjugator
-        to its own copy of g^{+-1} in one batched int64 pass, and elsewhere
-        it multiplies each conjugator out letter by letter.
+        still multiplies in against g.
+
+        `cache` is the caller's dict, shared across words and matrices.  It
+        keeps segments (ExtWord.eval, keyed by (n, letters)) and, under
+        ("runs", id(g)), a pair (g, memo) whose memo maps each top-level run
+        -- the run's (eps, letters) terms once S is stripped -- to its
+        product against g.  The pair holds g, so its id is not reused while
+        the entry lives.  A run that recurs, in this word or a later one on
+        the same g, is then multiplied once.
+
+        `rdu.verify` does not use this evaluator: over Z/m with
+        (m-1)^2 < 2^62 it applies every letter of every conjugator to its
+        own copy of g^{+-1} in one batched int64 pass, and elsewhere it
+        multiplies each conjugator out letter by letter.
         """
         N = indexing.dim(self.n)
         if g.dim != N:
@@ -310,7 +343,17 @@ class ConjWord:
         if cache is None:
             cache = {}
         terms = [(eps, h.letters) for eps, h in self.terms]
-        return _conj_product(g.ring, self.n, terms, {1: g.fwd, -1: g.bwd}, cache)
+        base = {1: g.fwd, -1: g.bwd}
+        return _conj_product(g.ring, self.n, terms, base, cache, _run_memo(cache, g))
+
+
+def _run_memo(cache: dict, g: matrices.InvPair) -> dict:
+    """The run memo of g in a caller's cache (see ConjWord.eval_matrix),
+    moved to the newest place so that a full cache drops segments first."""
+    key = ("runs", id(g))
+    slot = cache.pop(key, None) or (g, {})
+    _bounded_put(cache, key, slot, _SEGMENT_CACHE_MAX)
+    return slot[1]
 
 
 def _shared_prefix_len(words) -> int:
@@ -324,27 +367,35 @@ def _shared_prefix_len(words) -> int:
     return k
 
 
-def _conj_product(ring, n: int, terms, base: dict, cache: dict) -> matrices.Matrix:
+def _segment(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
+    return ExtWord._trusted(n, letters).eval(ring, cache)
+
+
+def _conj_product(ring, n: int, terms, base: dict, cache: dict, memo=None) -> matrices.Matrix:
     """Product of X^-1 b^eps X over nonempty `terms` of (eps, letters of X).
 
     `base[eps]` is b^eps for every exponent the terms use; b is g conjugated
-    by the prefix stripped so far.
+    by the prefix stripped so far.  `memo` is g's run memo, passed at the
+    top level only, where b is g itself.
     """
     k = _shared_prefix_len([h[::-1] for _, h in terms])
     if k:
-        s = ExtWord(n, terms[0][1][-k:]).eval(ring, cache)
-        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache)
+        s = _segment(ring, n, terms[0][1][-k:], cache)
+        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache, memo)
         return s.bwd.mul(inner).mul(s.fwd)
     parts = []
     for head, group in groupby(terms, key=lambda t: t[1][:1]):
-        run = list(group)
+        run = tuple(group)
         if not head:  # empty conjugators contribute b^eps directly
             parts.extend(base[eps] for eps, _ in run)
             continue
-        p = _shared_prefix_len([h for _, h in run])
-        x = ExtWord(n, run[0][1][:p]).eval(ring, cache)
-        run_base = {eps: x.bwd.mul(base[eps]).mul(x.fwd) for eps in {e for e, _ in run}}
-        parts.append(
-            _conj_product(ring, n, [(eps, h[p:]) for eps, h in run], run_base, cache)
-        )
+        hit = None if memo is None else memo.get(run)
+        if hit is None:
+            p = _shared_prefix_len([h for _, h in run])
+            x = _segment(ring, n, run[0][1][:p], cache)
+            run_base = {eps: x.bwd.mul(base[eps]).mul(x.fwd) for eps in {e for e, _ in run}}
+            hit = _conj_product(ring, n, [(eps, h[p:]) for eps, h in run], run_base, cache)
+            if memo is not None:
+                _bounded_put(memo, run, hit, _RUN_MEMO_MAX)
+        parts.append(hit)
     return matrices._product(ring, indexing.dim(n), parts)

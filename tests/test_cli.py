@@ -111,6 +111,22 @@ def test_member_and_level_accept_a_plain_matrix_without_dim(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_decompose_member_and_level_accept_a_pair_without_dim_or_n(tmp_path, capsys):
+    # n comes from the pair's own dimension for every command that reads it
+    obj = json.loads(_gen(tmp_path, n=4).read_text())
+    del obj["dim"], obj["n"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(obj))
+    d_path = tmp_path / "d.json"
+    assert main(["decompose", "--in", str(path), "--target", "entry:1,3:1,2",
+                 "--k", "2", "--l", "3", "--out", str(d_path)]) == 0
+    assert json.loads(d_path.read_text())["n"] == 4
+    assert main(["verify", "--in", str(d_path), "--g", str(path)]) == 0
+    assert main(["member", "--in", str(path)]) == 0
+    assert main(["level", "--in", str(path), "--out", str(tmp_path / "l.json")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_stabilize_column_and_row(tmp_path):
     ring = rings.ModularRing(97)
     rng = generate.rng_for(5, "stab")

@@ -100,6 +100,9 @@ def test_verify_does_not_use_the_factored_evaluator(monkeypatch):
     monkeypatch.setattr(ConjWord, "eval_matrix", refuse)
     monkeypatch.setattr(words, "_conj_product", refuse)
     monkeypatch.setattr(words.ExtWord, "eval", refuse)
+    monkeypatch.setattr(words.ExtWord, "_trusted", refuse)
+    monkeypatch.setattr(words, "_run_memo", refuse)
+    monkeypatch.setattr(words, "_bounded_put", refuse)
     monkeypatch.setattr(words, "ext_letter_matrix", refuse)
     monkeypatch.setattr(rdu, "ext_letter_matrix", refuse)
     for g, d in found:
@@ -152,6 +155,60 @@ def test_membership_gate(zmod97):
     assert rdu.verify(d.word, bad, 2, 3, d.param, 4)
     with pytest.raises(rdu.CertificateError, match="parabolic-zeros"):
         eng.diagonal((2, 4), (3, 4), 2, 3)
+
+
+def test_failed_certificate_names_the_target(zmod97):
+    # the fail-closed non-member of test_membership_gate, through decompose
+    rows = [[1 if r == c else 0 for c in range(6)] for r in range(6)]
+    inv = [row[:] for row in rows]
+    rows[5][5], inv[5][5] = 2, zmod97.inverse(2)
+    bad = matrices.InvPair(matrices.Matrix(zmod97, rows), matrices.Matrix(zmod97, inv))
+    eng = rdu.ReverseDecomposer(bad, 4, check_membership=False)
+    target = rdu.GeneratorTarget("diagdiff", (2, 4), (3, 4), 2, 3)
+    with pytest.raises(rdu.CertificateError) as info:
+        eng.decompose(target)
+    assert str(info.value) == (
+        "decomposition certificate failed: parabolic-zeros "
+        "(diagdiff (2, 4) (3, 4) at (2, 3))"
+    )
+
+
+def _sweep(eng, g, n, after_each=lambda: None):
+    out = []
+    for gen in level.level_generators(g.fwd, n):
+        for k, l in ((2, 3), (1, n)):
+            d = eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, k, l))
+            out.append((d.word, d.param, d.case, d.certificates))
+            after_each()
+    out.append(eng.eight_conjugate_system())
+    after_each()
+    return out
+
+
+def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch):
+    # a full n = 5 sweep with every cap at a few entries evicts all the time;
+    # words, params and certificates must not change, and no cache may grow
+    # past its cap at any point
+    n = 5
+    g, eng = _engine(n, 12)
+    want = _sweep(eng, g, n)
+    caps = {"_LETTER_CACHE_MAX": 7, "_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2}
+    for name, cap in caps.items():
+        monkeypatch.setattr(words, name, cap)
+    monkeypatch.setattr(rdu, "_CORE_CACHE_MAX", 3)
+    words._LETTER_CACHE.clear()
+    small = rdu.ReverseDecomposer(g, n)
+    memo_sizes = []
+
+    def check():
+        assert len(words._LETTER_CACHE) <= 7
+        assert len(small._cache) <= 24
+        assert len(small._core_cache) <= 3
+        memo_sizes.extend(len(slot[1]) for key, slot in small._cache.items() if key[0] == "runs")
+
+    assert _sweep(small, g, n, check) == want
+    assert max(memo_sizes) == 2  # the memo was used, up to its cap
+    words._LETTER_CACHE.clear()
 
 
 def test_every_target_index(zmod97):

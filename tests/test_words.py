@@ -273,3 +273,71 @@ def test_letter_cache_is_bounded_on_a_wide_modulus():
         )
     assert all(p.fwd.mul(p.bwd).is_identity() for p in fast)
     words_mod._LETTER_CACHE.clear()
+
+
+# -- the run memo: products of top-level runs, kept per matrix g --------------
+
+
+def test_one_cache_keeps_each_matrix_apart():
+    # the same word on two matrices through one cache dict: the run memo of
+    # the first matrix must not answer for the second
+    ring = rings.ModularRing(97)
+    n = 4
+    rng = random.Random(21)
+    g1 = generate.compound_of_random(n, ring, 8, rng)
+    g2 = generate.compound_of_random(n, ring, 8, rng)
+    p = generate.random_ext_word(n, ring, 2, rng)
+    h = generate.random_ext_word(n, ring, 2, rng)
+    word = ConjWord(n, ((1, p), (-1, p + h), (1, p + h + p)))
+    cache: dict = {}
+    for _ in range(2):  # the second round reads the memo
+        for g in (g1, g2):
+            assert word.eval_matrix(g, cache) == _naive_eval_matrix(word, g)
+    assert g1.fwd != g2.fwd
+    assert sum(1 for key in cache if key[0] == "runs") == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ring_id=st.sampled_from(sorted(RINGS)),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(
+        st.one_of(st.sampled_from(("empty", "same")), st.integers(0, 3)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_warm_cache_variants_equal_naive_product(ring_id, seed, shape):
+    # a word, then variants whose top-level runs repeat the word's own runs
+    # (retargeted), reverse them with flipped exponents (inverted) or join
+    # them with a second word's runs (concatenated), all through one cache
+    ring = RINGS[ring_id]
+    rng = random.Random(seed)
+    n = 4
+    g = generate.compound_of_random(n, ring, 6, rng)
+    word = _shared_segment_word(ring, n, rng, shape)
+    other = _shared_segment_word(ring, n, rng, shape[::-1])
+    suffix = generate.random_ext_word(n, ring, rng.randint(1, 3), rng)
+    cache: dict = {}
+    variants = [
+        word,
+        rdu.retarget(word, suffix),
+        word.inverse(),
+        rdu.retarget(word.inverse(), suffix),
+        word + other,
+        other + word.inverse(),
+        rdu.retarget(word + other, suffix),
+        word,
+    ]
+    for variant in variants:
+        assert variant.eval_matrix(g, cache) == _naive_eval_matrix(variant, g)
+
+
+def test_bounded_put_drops_the_oldest_entries():
+    store: dict = {}
+    for key in range(5):
+        words_mod._bounded_put(store, key, -key, 3)
+        assert len(store) <= 3
+    assert store == {2: -2, 3: -3, 4: -4}
+    store = {key: key for key in range(10)}  # already past a lowered cap
+    words_mod._bounded_put(store, "new", 0, 4)
+    assert list(store) == [7, 8, 9, "new"]
