@@ -2,8 +2,10 @@
 
 cauchy_binet sends an n x n matrix to the C(n,2) x C(n,2) matrix of its
 2 x 2 minors.  Over Z/m with (m-1)^2 < 2^62 (the one-limb answer of
-matrices._int64_kernel at dim 1) all minors come from one int64 expression
-over the pair index arrays; elsewhere from ring arithmetic, entry by entry.
+matrices._int64_kernel at dim 1) all minors come from _int64_minors, one
+int64 expression over the pair index arrays that serves any stack of n x n
+matrices (rdu.verify lifts all conjugators of a word through it at once);
+elsewhere from ring arithmetic, entry by entry.
 ext_transvection expands the compound image of a single elementary
 transvection into explicit elementary transvections of the pair-indexed
 group, at the positions and signs of words._letter_support; the expansion
@@ -33,13 +35,9 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
     if x.dim != n:
         raise ValueError("dimension mismatch")
     ring = x.ring
-    ps = indexing.pairs(n)
     if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
-        # every product is below 2^62 and every minor above -2^62
-        a, b = (np.array(ps) - 1).T
-        X = x._np
-        out = X[a[:, None], a] * X[b[:, None], b] - X[a[:, None], b] * X[b[:, None], a]
-        return matrices.Matrix(ring, None, _np_data=out % ring.modulus)
+        return matrices.Matrix(ring, None, _np_data=_int64_minors(x._np, ring.modulus))
+    ps = indexing.pairs(n)
     out = []
     for i1, i2 in ps:
         row = []
@@ -49,6 +47,20 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
             row.append(ring.sub(a, b))
         out.append(row)
     return matrices.Matrix(ring, out)
+
+
+def _int64_minors(x, m: int):
+    """2 x 2 minors of a stack (..., n, n) of int64 residues mod m, as the
+    stack (..., C(n,2), C(n,2)) of their residues, pairs in lexicographic
+    order.  Needs (m-1)^2 < 2^62, the one-limb answer of
+    matrices._int64_kernel at dim 1: every product is then below 2^62 and
+    every minor above -2^62."""
+    a, b = (np.array(indexing.pairs(x.shape[-1])) - 1).T
+    ra, rb = a[:, None], b[:, None]
+    out = x[..., ra, a] * x[..., rb, b]
+    out -= x[..., ra, b] * x[..., rb, a]
+    out %= m
+    return out
 
 
 def compound_pair(x: matrices.InvPair, n: int) -> matrices.InvPair:

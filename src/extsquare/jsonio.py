@@ -177,20 +177,34 @@ def ext_word_to_json(w: ExtWord, ring) -> dict:
     }
 
 
-def ext_word_from_json(obj: dict, ring, path: str = "word") -> ExtWord:
+def _index_pair(first: str, i: int, second: str, j: int, n: int, path: str = "") -> None:
+    """Reject the index pair of a transvection when it is equal or outside
+    1..n, naming `path` (else the first bad field) and both values."""
+    if i == j:
+        bad, detail = first, f"{first} = {second} = {i}"
+    elif not (1 <= i <= n and 1 <= j <= n):
+        bad, detail = first if not 1 <= i <= n else second, f"{first} = {i}, {second} = {j}"
+    else:
+        return
+    raise ValueError(f"{path or bad}: bad index ({detail} at n = {n})")
+
+
+def ext_word_from_json(obj: dict, ring, path: str = "word", rank: int | None = None) -> ExtWord:
+    """An ExtWord; `rank`, when given, is the n the word must have (that of
+    the ConjWord holding it).  A malformed word raises ValueError naming
+    the path of the bad field."""
     _object(obj, path)
+    n = _int_field(obj, "n", path)
+    if rank is not None and n != rank:
+        raise ValueError(f"{_name(path, 'n')}: expected {rank}, the word's n, got {n}")
     letters = []
     for k, letter in enumerate(_list(obj, "letters", path)):
         at = f"{path}.letters[{k}]"
         _object(letter, at)
-        letters.append(
-            (
-                _int_field(letter, "i", at),
-                _int_field(letter, "j", at),
-                elem_from_json(ring, _field(letter, "xi", at), f"{at}.xi"),
-            )
-        )
-    return ExtWord(_int_field(obj, "n", path), letters)
+        i, j = _int_field(letter, "i", at), _int_field(letter, "j", at)
+        _index_pair("i", i, "j", j, n, at)
+        letters.append((i, j, elem_from_json(ring, _field(letter, "xi", at), f"{at}.xi")))
+    return ExtWord(n, letters)
 
 
 def conj_word_to_json(w: ConjWord, ring) -> dict:
@@ -204,13 +218,16 @@ def conj_word_to_json(w: ConjWord, ring) -> dict:
 
 def conj_word_from_json(obj: dict, ring, path: str = "word") -> ConjWord:
     _object(obj, path)
+    n = _int_field(obj, "n", path)
     terms = []
     for k, term in enumerate(_list(obj, "terms", path)):
         at = f"{path}.terms[{k}]"
         _object(term, at)
         eps = _int_field(term, "eps", at)
-        terms.append((eps, ext_word_from_json(_field(term, "h", at), ring, f"{at}.h")))
-    return ConjWord(_int_field(obj, "n", path), terms)
+        if eps not in (1, -1):
+            raise ValueError(f"{at}.eps: expected +1 or -1, got {eps}")
+        terms.append((eps, ext_word_from_json(_field(term, "h", at), ring, f"{at}.h", n)))
+    return ConjWord(n, terms)
 
 
 # -- level generators ----------------------------------------------------------
@@ -248,11 +265,7 @@ def decomposition_parts_from_json(obj: dict):
     _object(obj, "decomposition")
     ring = ring_from_json(_field(obj, "ring"))
     word = conj_word_from_json(_field(obj, "word"), ring)
-    return (
-        word,
-        _int_field(obj, "k"),
-        _int_field(obj, "l"),
-        elem_from_json(ring, _field(obj, "param"), "param"),
-        _int_field(obj, "n"),
-        ring,
-    )
+    n = _int_field(obj, "n")
+    k, l = _int_field(obj, "k"), _int_field(obj, "l")
+    _index_pair("k", k, "l", l, n)
+    return word, k, l, elem_from_json(ring, _field(obj, "param"), "param"), n, ring

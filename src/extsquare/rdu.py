@@ -514,12 +514,14 @@ def height_one_path(n: int):
 def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | None = None) -> bool:
     """Independent referee: multiply the word out against the minor oracle.
 
-    The full product is compared exactly; nothing is sampled.  Over Z/m with
-    (m-1)^2 < 2^62 it comes from _batched_product, which applies every
-    letter of every conjugator to its own copy of g^{+-1} and shares no
-    word evaluator with the engine.  Over other rings it comes from
-    _naive_product, letter by letter.  Neither calls the factored
-    `ConjWord.eval_matrix` that the engine's own certificates use.
+    The full product is compared exactly with cauchy_binet of the n x n
+    transvection t_kl(xi); nothing is sampled.  Over Z/m with
+    (m-1)^2 < 2^62 it comes from _batched_product, which multiplies every
+    conjugator out as n x n transvections and lifts them all by one batched
+    compound, sharing no word evaluator and no letter rule with the engine.
+    Over other rings it comes from _naive_product, letter by letter.
+    Neither calls the factored `ConjWord.eval_matrix` that the engine's own
+    certificates use.
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
@@ -556,52 +558,62 @@ def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
 def _batched_product(word: ConjWord, g: matrices.InvPair):
     """The word's product as an int64 array over Z/m with (m-1)^2 < 2^62.
 
-    Every term starts as its own copy of g^{+-1} in one (T, N, N) stack.  A
-    letter is I + E whose rows R and columns C (from _letter_support) are
-    disjoint, so E^2 = 0 and its inverse is I - E: conjugating by it is
-    M[:, C] += v M[:, R] (M times the letter), then M[R, :] -= v M[C, :]
-    (the inverse times M), each one product plus one residue, below
-    2^62 + 2^31 < 2^63.  Letter position p is applied to all terms whose
-    conjugator reaches it at once; the stack is kept longest conjugator
-    first, so those terms are a prefix.  Then the T terms are multiplied
-    together in order, pairwise.  Shared segments are never factored out.
+    A term is X^-1 g^{+-1} X, and X, the product of its conjugator's
+    exterior letters, is the second compound of the product of the n x n
+    transvections t_ij(xi) of those letters (the paper's definition of a
+    letter).  So every conjugator and its inverse is multiplied out in
+    n x n (_transvection_stack, pairwise along the letter positions), one
+    call of exterior._int64_minors lifts all 2T products to N x N, and the
+    chain X_t^-1, g^{eps_t}, X_t over all terms t is multiplied pairwise.
+    Every letter of every conjugator is applied in its own term; nothing is
+    shared between terms or calls, and the engine's sign rule for letters
+    (words._letter_support) is not read.
     """
     ring, n, N = g.ring, word.n, g.dim
     m = ring.modulus
-    if not word.terms:
+    T = len(word.terms)
+    if not T:
         return np.identity(N, dtype=np.int64) % m
-    # stable sort, longest conjugator first
-    order = sorted(range(len(word.terms)), key=lambda t: -len(word.terms[t][1]))
-    terms = [word.terms[t] for t in order]
-    lens = np.array([len(h) for _, h in terms])
-    letters: dict = {}  # distinct (i, j, xi) -> row of the letter tables
-    ids = [letters.setdefault(x, len(letters)) for _, h in terms for x in h.letters]
-    M = np.stack([g.fwd._np if eps == 1 else g.bwd._np for eps, _ in terms])
-    if ids:
-        support = {(i, j): words._letter_support(n, i, j) for i, j, _ in letters}
-        rows, cols, signs = (np.stack(a) for a in zip(*(support[i, j] for i, j, _ in letters)))
-        xs = np.array([ring.coerce(x) for _, _, x in letters], dtype=np.int64)
-        ids = np.array(ids)
-        # (position, term) of every letter, in the flat order of ids
-        term = np.repeat(np.arange(len(terms)), lens)
-        pos = np.arange(len(ids)) - np.repeat(np.cumsum(lens) - lens, lens)
-        shape = (int(lens[0]), len(terms), n - 2)
-        R, C = np.zeros(shape, np.intp), np.zeros(shape, np.intp)
-        V = np.zeros(shape + (1,), np.int64)
-        R[pos, term], C[pos, term] = rows[ids], cols[ids]
-        V[pos, term, :, 0] = (signs * xs[:, None])[ids] % m
-        tt = np.arange(len(terms))[:, None]
-        for p in range(shape[0]):
-            k = int(np.count_nonzero(lens > p))
-            t, r, c, v = tt[:k], R[p, :k], C[p, :k], V[p, :k]
-            M[t, :, c] = (M[t, :, c] + v * M[t, :, r]) % m
-            M[t, r, :] = (M[t, r, :] - v * M[t, c, :]) % m
-    M[order] = M.copy()  # back to the word's order
-    s = matrices._int64_kernel(ring, N)
-    while len(M) > 1:
-        head = matrices._int64_matmul(M[0:-1:2], M[1::2], m, s)
-        M = np.concatenate([head, M[-1:]]) if len(M) % 2 else head
-    return M[0]
+    # the stack is passed, not named, so its first level frees it
+    X = _pairwise_product(_transvection_stack(word, ring), m, matrices._int64_kernel(ring, n))
+    X = exterior._int64_minors(X, m)
+    eps = np.array([eps for eps, _ in word.terms])[:, None, None]
+    G = np.where(eps == 1, g.fwd._np, g.bwd._np)
+    chain = np.stack([X[T:], G, X[:T]], axis=1).reshape(3 * T, N, N)
+    return _pairwise_product(chain, m, matrices._int64_kernel(ring, N))
+
+
+def _transvection_stack(word: ConjWord, ring):
+    """The letters of the T conjugators as n x n transvections, in one int64
+    stack (P, 2T, n, n) for the longest conjugator length P: slot t holds
+    the conjugator of term t as t_ij(xi) in order, slot T + t its inverse
+    as t_ij(-xi) in reverse order, each padded with identities."""
+    n, m, T = word.n, ring.modulus, len(word.terms)
+    lens = np.array([len(h) for _, h in word.terms])
+    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n), np.int64)
+    X[..., range(n), range(n)] = 1
+    letters = [x for _, h in word.terms for x in h.letters]
+    if letters:
+        i, j, payloads = zip(*letters)
+        coerced = {x: ring.coerce(x) for x in set(payloads)}
+        xi = np.array([coerced[x] for x in payloads], np.int64)
+        i, j = np.array(i) - 1, np.array(j) - 1
+        # (term, position) of every letter, in the flat order of `letters`
+        term = np.repeat(np.arange(T), lens)
+        pos = np.arange(len(letters)) - np.repeat(np.cumsum(lens) - lens, lens)
+        X[pos, term, i, j] = xi
+        X[lens[term] - 1 - pos, T + term, i, j] = (-xi) % m
+    return X
+
+
+def _pairwise_product(stack, m: int, s):
+    """The product, in order, of the int64 residue matrices of `stack` along
+    its first axis, multiplied pairwise at the kernel s of _int64_kernel
+    (an odd one out waits for the next level)."""
+    while len(stack) > 1:
+        head = matrices._int64_matmul(stack[0:-1:2], stack[1::2], m, s)
+        stack = np.concatenate([head, stack[-1:]]) if len(stack) % 2 else head
+    return stack[0]
 
 
 def targets_of_level(g: matrices.InvPair, n: int, k: int = 2, l: int = 3):

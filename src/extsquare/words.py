@@ -331,9 +331,9 @@ class ConjWord:
         the same g, is then multiplied once.
 
         `rdu.verify` does not use this evaluator: over Z/m with
-        (m-1)^2 < 2^62 it applies every letter of every conjugator to its
-        own copy of g^{+-1} in one batched int64 pass, and elsewhere it
-        multiplies each conjugator out letter by letter.
+        (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
+        transvections and lifts them all by one batched compound, and
+        elsewhere it multiplies each conjugator out letter by letter.
         """
         N = indexing.dim(self.n)
         if g.dim != N:

@@ -423,6 +423,35 @@ def test_verify_names_a_missing_field(tmp_path, capsys, path, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("word", "terms", 1, "h", "letters", 0), {"i": 3, "j": 3, "xi": "1"},
+         "word.terms[1].h.letters[0]: bad index (i = j = 3 at n = 5)"),
+        (("word", "terms", 1, "h", "letters", 0), {"i": 6, "j": 1, "xi": "1"},
+         "word.terms[1].h.letters[0]: bad index (i = 6, j = 1 at n = 5)"),
+        (("word", "terms", 1, "eps"), 2, "word.terms[1].eps: expected +1 or -1, got 2"),
+        (("k",), 3, "k: bad index (k = l = 3 at n = 5)"),
+        (("l",), 0, "l: bad index (k = 2, l = 0 at n = 5)"),
+        (("word", "terms", 1, "h", "n"), 4, "word.terms[1].h.n: expected 5, the word's n, got 4"),
+        (("word", "n"), 6, "word.terms[0].h.n: expected 6, the word's n, got 5"),
+    ],
+    ids=["letter-i-equals-j", "letter-i-out-of-range", "eps-2", "k-equals-l", "l-out-of-range",
+         "conjugator-n", "word-n"],
+)
+def test_verify_names_a_bad_index_exponent_or_rank(tmp_path, capsys, path, value, message):
+    g_path = _gen(tmp_path, n=5)
+    d_path = tmp_path / "d.json"
+    assert main(["decompose", "--in", str(g_path), "--target", "entry:1,2:3,4",
+                 "--k", "2", "--l", "3", "--out", str(d_path)]) == 0
+    obj = json.loads(d_path.read_text())
+    _set(obj, path, value)
+    d_path.write_text(json.dumps(obj))
+    assert main(["verify", "--in", str(d_path), "--g", str(g_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}\n" == captured.err
+
+
 def test_missing_matrix_fields_are_named(tmp_path, capsys):
     g_path, obj = _decomposition(tmp_path)
     d_path = tmp_path / "d.json"

@@ -105,6 +105,8 @@ def test_verify_does_not_use_the_factored_evaluator(monkeypatch):
     monkeypatch.setattr(words, "_bounded_put", refuse)
     monkeypatch.setattr(words, "ext_letter_matrix", refuse)
     monkeypatch.setattr(rdu, "ext_letter_matrix", refuse)
+    monkeypatch.setattr(words, "_letter_support", refuse)
+    monkeypatch.setattr(words, "_letter", refuse)
     for g, d in found:
         assert len(d.word) == 48
         assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
@@ -379,6 +381,38 @@ def test_batched_referee_matches_the_loop_on_random_words(ring_id, n, lengths, s
             for k in lengths
         ],
     )
+    _assert_products_agree(word, g, 2, 3, ring.random(rng), n)
+
+
+REFEREE_SHAPES = {
+    # conjugator lengths per term: odd tree levels, both sides of a power of two
+    "longest-1": [1, 0, 1],
+    "longest-2": [2, 1],
+    "longest-3": [3, 1, 2],
+    "longest-16": [16, 5, 16],
+    "longest-17": [17, 16, 1],
+    "longest-33": [33, 2],
+    "single-term": [9],
+    "all-empty": [0, 0, 0],
+    "empty-and-long": [0, 33, 0, 0, 20, 0],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REFEREE_SHAPES))
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("ring_id", sorted(REFEREE_RINGS))
+def test_batched_referee_matches_the_loop_on_named_shapes(ring_id, n, shape):
+    ring = REFEREE_RINGS[ring_id]
+    rng = random.Random(f"{ring_id} {n} {shape}")
+    g = generate.compound_of_random(n, ring, 8, rng)
+    word = ConjWord(
+        n,
+        [
+            (rng.choice((1, -1)), generate.random_ext_word(n, ring, k, rng))
+            for k in REFEREE_SHAPES[shape]
+        ],
+    )
+    assert [len(h) for _, h in word.terms] == REFEREE_SHAPES[shape]
     _assert_products_agree(word, g, 2, 3, ring.random(rng), n)
 
 
