@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import certify, generate, jsonio, level, plucker, rdu, rings, stabilizer
+from . import certify, generate, indexing, jsonio, level, plucker, rdu, rings, stabilizer
 from .matrices import mat_vec, vec_mat
 
 
@@ -94,6 +94,8 @@ def cmd_decompose(args) -> int:
     obj = _read_json(args.input)
     pair = jsonio.pair_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, pair.dim)
+    if pair.dim != indexing.dim(n):
+        raise ValueError("dimension mismatch")
     kind, I, J = _parse_target(args.target)
     engine = rdu.ReverseDecomposer(pair, n)
     result = engine.decompose(rdu.GeneratorTarget(kind, I, J, args.k, args.l))

@@ -15,7 +15,9 @@ routes can never drift apart silently.
 p_element builds the monomial (signed permutation) words used to reroute a
 transvection from one index position to another, and route_source /
 route_target build the full conjugation words needed by the decomposition
-engine.  Routes are verified when first constructed and then cached.
+engine.  Routes are verified when first constructed and then cached; the
+sign of a source route is read by pushing unit vectors through its letters,
+with no N x N product.
 """
 
 from __future__ import annotations
@@ -203,8 +205,11 @@ def route_source(I, J, n: int):
 
     I and J must be sorted pairs of height one.  The underlying permutation
     sends the common index to 1, the index only in I to 3 and the index only
-    in J to 2, built greedily from at most three transpositions; the sign is
-    read off a probe matrix.
+    in J to 2, built greedily from at most three transpositions.  The sign
+    is read through vectors, W being the word's matrix: row {1,3} of W at I
+    times column {1,2} of W^-1 at J, each a unit vector pushed through every
+    letter (vec_mat, and mat_vec on the inverse letters) over Z, and it is
+    checked to be +-1.
     """
     I = tuple(I)
     J = tuple(J)
@@ -237,12 +242,17 @@ def route_source(I, J, n: int):
 
     ring = rings.IntegerRing()
     N = indexing.dim(n)
-    probe_rows = [[0] * N for _ in range(N)]
-    probe_rows[indexing.rank(I, n)][indexing.rank(J, n)] = 1
-    probe = matrices.Matrix(ring, probe_rows)
-    w = word.eval(ring)
-    routed = w.fwd.mul(probe).mul(w.bwd)
-    s = routed.at(indexing.rank((1, 3), n), indexing.rank((1, 2), n))
+    row = _unit(N, indexing.rank((1, 3), n))
+    for i, j, xi in word.letters:
+        row = matrices.vec_mat(row, ext_letter_matrix(ring, n, i, j, xi))
+    col = _unit(N, indexing.rank((1, 2), n))
+    for i, j, xi in reversed(word.inverse(ring).letters):
+        col = matrices.mat_vec(ext_letter_matrix(ring, n, i, j, xi), col)
+    s = row[indexing.rank(I, n)] * col[indexing.rank(J, n)]
     if s not in (1, -1):
-        raise AssertionError("source route probe is not a unit")
+        raise AssertionError("source route sign is not a unit")
     return word, s
+
+
+def _unit(N: int, r: int):
+    return tuple(1 if k == r else 0 for k in range(N))

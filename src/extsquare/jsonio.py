@@ -92,6 +92,12 @@ def _matrix_rows_from_json(ring, obj: dict, field: str):
     rows = _field(obj, field)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{field}: expected a list of rows")
+    widths = {len(row) for row in rows}
+    if len(widths) == 1 and len(rows) not in widths:
+        raise ValueError(f"{field}: expected {len(rows[0])} rows, got {len(rows)}")
+    for r, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError(f"{field}[{r}]: expected {len(rows)} entries, got {len(row)}")
     return [
         [elem_from_json(ring, x, f"{field}[{r}][{c}]") for c, x in enumerate(row)]
         for r, row in enumerate(rows)

@@ -252,7 +252,8 @@ def parabolic_zero_check(g: matrices.Matrix, I, n: int | None = None) -> bool:
 
     Requires column I of g to be the standard basis column; then checks
     g_{K,J} = 0 for every K avoiding I entirely and every J meeting I in
-    exactly one index.
+    exactly one index, as one gather over the block's index arrays (cached
+    per (I, n)) for int64 storage and entry by entry in the ring otherwise.
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
@@ -264,12 +265,20 @@ def parabolic_zero_check(g: matrices.Matrix, I, n: int | None = None) -> bool:
         want = ring.one if r == rI else ring.zero
         if value != want:
             raise ValueError("precondition: column is not standard")
-    for K in indexing.pairs(n):
-        if set(K) & set(I):
-            continue
-        for J in indexing.pairs(n):
-            if indexing.height(I, J) != 1:
-                continue
-            if not ring.is_zero(g.at(indexing.rank(K, n), indexing.rank(J, n))):
-                return False
-    return True
+    rows, cols = _zero_block(I, n)
+    if g._np is not None:
+        return not g._np[rows[:, None], cols].any()
+    return all(ring.is_zero(g.at(r, c)) for r in rows.tolist() for c in cols.tolist())
+
+
+@lru_cache(maxsize=None)
+def _zero_block(I, n: int):
+    """Ranks of the pairs K avoiding the sorted pair I, and of the pairs J
+    meeting it in exactly one index: the rows and columns of the zero block
+    of parabolic_zero_check."""
+    ps = indexing.pairs(n)
+    rows = np.array([indexing.rank(K, n) for K in ps if not set(K) & set(I)], dtype=np.intp)
+    cols = np.array([indexing.rank(J, n) for J in ps if indexing.height(I, J) == 1], dtype=np.intp)
+    for a in (rows, cols):
+        a.flags.writeable = False
+    return rows, cols

@@ -225,7 +225,11 @@ class ReverseDecomposer:
                 (1, T + s_inv + t_inv),
             ),
         )
-        z_val = reconjugate(z, outer).eval_matrix(self.g, self._cache)
+        # no later word repeats z's run, so it stays out of g's run memo;
+        # its segments stay cached for the final word to extend
+        z_word = reconjugate(z, outer)
+        z_word._memo_runs = False
+        z_val = z_word.eval_matrix(self.g, self._cache)
 
         # Direct route: z = T [T^-1 h, s] T^-1, multiplied out from matrices.
         Hinv = g1.bwd.mul(Tm.bwd).mul(g1.fwd)
@@ -542,14 +546,14 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
 
 
 def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
-    """Every conjugator multiplied out letter by letter into a fresh cache,
-    and the terms multiplied in one by one; the referee of _batched_product.
+    """Every conjugator multiplied out letter by letter, with no segment
+    cache (a cache would extend one term's conjugator from another's), and
+    the terms multiplied in one by one; the referee of _batched_product.
     """
     ring = g.ring
-    cache: dict = {}
     acc = matrices.identity(ring, g.dim)
     for eps, h in word.terms:
-        x = h.eval(ring, cache)
+        x = h.eval(ring)
         base = g.fwd if eps == 1 else g.bwd
         acc = acc.mul(x.bwd).mul(base).mul(x.fwd)
     return acc

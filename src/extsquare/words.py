@@ -16,7 +16,9 @@ ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g,
 factored over the segments the conjugators share and memoizing, per g, the
-product of each top-level run of terms.
+product of each top-level run of terms.  ExtWord.eval keeps those segments
+in a caller's cache, each entry exactly the product of its key's letters,
+and builds a new segment by extending its longest cached proper suffix.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices and the pair-indexed expansion in exterior read it.  Letter
@@ -66,8 +68,8 @@ def _letter_support(n: int, i: int, j: int):
 # and letter, so a wide modulus would grow it without end; it holds the whole
 # Z/97 working set for n <= 6 (about 4 800 letters).  A caller's segment cache
 # (ExtWord.eval) and the run memo of each g in it (ConjWord.eval_matrix) hold
-# about 1 800 segments and 540 runs after five targets per level generator
-# and the system check at n = 6, and 3 100 and 1 000 at n = 7.
+# about 1 800 segments and 300 runs after five targets per level generator
+# and the system check at n = 6, and 2 900 and 580 at n = 7.
 _LETTER_CACHE: dict = {}
 _LETTER_CACHE_MAX = 8192
 _SEGMENT_CACHE_MAX = 8192
@@ -255,18 +257,38 @@ class ExtWord:
         return ExtWord._trusted(self.n, _inverse_letters(self.letters, ring))
 
     def eval(self, ring, cache: dict | None = None) -> matrices.InvPair:
-        """The word's matrix and its inverse.  A caller's `cache` keeps the
-        pair under (n, letters), at most _SEGMENT_CACHE_MAX entries in all."""
-        key = None
-        if cache is not None:
-            key = (self.n, self.letters)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        letter = partial(_letter, ring, self.n)
-        pair = _eval_letters(ring, indexing.dim(self.n), self.letters, letter)
-        if cache is not None:
-            _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
+        """The word's matrix and its inverse.
+
+        A caller's `cache` keeps the pair under (n, letters), at most
+        _SEGMENT_CACHE_MAX entries in all, and every entry is exactly the
+        product of the letters of its key.  On a miss the word extends its
+        longest cached proper suffix letters[p:]: the head letters[:p] is
+        read from the cache when it is there and multiplied out letter by
+        letter (and not stored) otherwise, and the pair is the head composed
+        with the tail, stored under the word's own key only.  Without a
+        cached suffix, or without a cache, the word is multiplied out letter
+        by letter.
+        """
+        n, letters = self.n, self.letters
+        letter = partial(_letter, ring, n)
+        dim = indexing.dim(n)
+        if cache is None:
+            return _eval_letters(ring, dim, letters, letter)
+        key = (n, letters)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        for p in range(1, len(letters)):
+            tail = cache.get((n, letters[p:]))
+            if tail is not None:
+                head = cache.get((n, letters[:p]))
+                if head is None:
+                    head = _eval_letters(ring, dim, letters[:p], letter)
+                pair = head.compose(tail)
+                break
+        else:
+            pair = _eval_letters(ring, dim, letters, letter)
+        _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
         return pair
 
     def expand(self) -> PairWord:
@@ -282,10 +304,11 @@ class ExtWord:
 class ConjWord:
     """Product of elementary conjugates h^-1 g^{eps} h of an unspecified g."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_memo_runs")
 
     def __init__(self, n: int, terms=()):
         self.n = n
+        self._memo_runs = True  # see eval_matrix
         out = []
         for eps, h in terms:
             if eps not in (1, -1):
@@ -328,7 +351,10 @@ class ConjWord:
         -- the run's (eps, letters) terms once S is stripped -- to its
         product against g.  The pair holds g, so its id is not reused while
         the entry lives.  A run that recurs, in this word or a later one on
-        the same g, is then multiplied once.
+        the same g, is then multiplied once.  A word whose `_memo_runs` is
+        cleared (the engine's four-conjugate z certificate, whose run no
+        later word repeats) reads and stores no run; its segments are still
+        cached.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -344,7 +370,8 @@ class ConjWord:
             cache = {}
         terms = [(eps, h.letters) for eps, h in self.terms]
         base = {1: g.fwd, -1: g.bwd}
-        return _conj_product(g.ring, self.n, terms, base, cache, _run_memo(cache, g))
+        memo = _run_memo(cache, g) if self._memo_runs else None
+        return _conj_product(g.ring, self.n, terms, base, cache, memo)
 
 
 def _run_memo(cache: dict, g: matrices.InvPair) -> dict:

@@ -258,6 +258,43 @@ def test_level_rejects_an_n_that_disagrees_with_the_dimension(tmp_path, capsys):
     assert captured.out == "" and "dimension mismatch" in captured.err
 
 
+def test_decompose_rejects_an_n_that_disagrees_with_the_dimension(tmp_path, capsys):
+    obj = json.loads(_gen(tmp_path, n=4).read_text())
+    obj["n"] = 5  # a 6 x 6 pair has n = 4
+    path = tmp_path / "wrong_n.json"
+    path.write_text(json.dumps(obj))
+    assert main(["decompose", "--in", str(path), "--target", "entry:1,3:1,2",
+                 "--k", "2", "--l", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: dimension mismatch\n"
+
+
+@pytest.mark.parametrize(
+    "command,field,row,message",
+    [("member", "fwd", 3, "fwd[3]: expected 6 entries, got 5"),
+     ("decompose", "bwd", 0, "bwd[0]: expected 6 entries, got 5"),
+     ("member", "rows", 5, "rows[5]: expected 6 entries, got 5"),
+     ("level", "rows", None, "rows: expected 6 rows, got 5")],
+    ids=["fwd-entry", "bwd-entry", "rows-entry", "rows-row"],
+)
+def test_a_truncated_row_names_its_field(tmp_path, capsys, command, field, row, message):
+    obj = json.loads(_gen(tmp_path, n=4).read_text())
+    if field == "rows":  # a plain matrix artifact
+        obj = {"n": 4, "ring": obj["ring"], "rows": obj["fwd"]}
+    if row is None:
+        obj[field].pop()
+    else:
+        obj[field][row].pop()
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(obj))
+    argv = [command, "--in", str(path)]
+    if command == "decompose":
+        argv += ["--target", "entry:1,3:1,2", "--k", "2", "--l", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_verify_rejects_an_n_that_disagrees_with_the_word(tmp_path, capsys):
     g_path = _gen(tmp_path, n=5)
     d_path = tmp_path / "d.json"

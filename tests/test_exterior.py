@@ -160,22 +160,51 @@ def test_route_source_requires_height_one():
         exterior.route_source((1, 2), (3, 4), 5)
 
 
+def _height_one_pairs(n):
+    return [
+        (I, J)
+        for I in indexing.pairs(n)
+        for J in indexing.pairs(n)
+        if indexing.height(I, J) == 1
+    ]
+
+
 def test_route_source_places_entry(zmod97):
     rng = random.Random(21)
-    n = 5
-    r13 = indexing.rank((1, 3), n)
-    r12 = indexing.rank((1, 2), n)
-    for I in indexing.pairs(n):
-        for J in indexing.pairs(n):
-            if indexing.height(I, J) != 1 or I == J:
-                continue
+    for n in (4, 5, 6, 7):
+        r13 = indexing.rank((1, 3), n)
+        r12 = indexing.rank((1, 2), n)
+        for I, J in _height_one_pairs(n):
             word, s = exterior.route_source(I, J, n)
             g = generate.compound_of_random(n, zmod97, 12, rng)
             w = word.eval(zmod97)
             routed = w.fwd.mul(g.fwd).mul(w.bwd)
             expected = g.fwd.at(indexing.rank(I, n), indexing.rank(J, n))
             got = routed.at(r13, r12)
-            assert got == (expected if s == 1 else zmod97.neg(expected))
+            assert got == (expected if s == 1 else zmod97.neg(expected)), (n, I, J)
+
+
+def _probe_sign(word, I, J, n):
+    """The route sign read off a dense probe: W E_IJ W^-1 over Z at
+    ({1,3}, {1,2}), with W the word's matrix."""
+    ring = rings.IntegerRing()
+    N = indexing.dim(n)
+    probe_rows = [[0] * N for _ in range(N)]
+    probe_rows[indexing.rank(I, n)][indexing.rank(J, n)] = 1
+    probe = matrices.Matrix(ring, probe_rows)
+    w = word.eval(ring)
+    routed = w.fwd.mul(probe).mul(w.bwd)
+    return routed.at(indexing.rank((1, 3), n), indexing.rank((1, 2), n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_route_sign_read_through_vectors_equals_the_probe_sign(n):
+    signs = set()
+    for I, J in _height_one_pairs(n):
+        word, s = exterior.route_source(I, J, n)
+        assert s == _probe_sign(word, I, J, n), (I, J)
+        signs.add(s)
+    assert signs == {1, -1}
 
 
 def test_compound_pair_certifies(zmod97):

@@ -125,6 +125,58 @@ def test_parabolic_zero_check_transvection_image(poly_xi):
     assert plucker.parabolic_zero_check(m, (1, 2), 5)
 
 
+def _zero_block_loop(g, I, n):
+    """The zero block of parabolic_zero_check as a loop over label pairs: the
+    referee of its index arrays."""
+    for K in indexing.pairs(n):
+        if set(K) & set(I):
+            continue
+        for J in indexing.pairs(n):
+            if indexing.height(I, J) != 1:
+                continue
+            if not g.ring.is_zero(g.at(indexing.rank(K, n), indexing.rank(J, n))):
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [rings.ModularRing(97), rings.ModularRing(2**31 - 1), rings.PolynomialRing(("x",))],
+    ids=["zmod97", "zmod-wide", "poly"],
+)
+def test_zero_block_index_arrays_agree_with_the_pair_loop(ring):
+    # random matrices with a standard column at I and a zero block, then one
+    # nonzero planted inside the block or outside it
+    rng = random.Random(40)
+    for n in (4, 5, 6):
+        N = indexing.dim(n)
+        for I in indexing.pairs(n):
+            rI = indexing.rank(I, n)
+            block = [
+                (indexing.rank(K, n), indexing.rank(J, n))
+                for K in indexing.pairs(n)
+                if not set(K) & set(I)
+                for J in indexing.pairs(n)
+                if indexing.height(I, J) == 1
+            ]
+            outside = [
+                (r, c) for r in range(N) for c in range(N) if c != rI and (r, c) not in block
+            ]
+            for plant in ((), block, outside):
+                rows = [[ring.random(rng) for _ in range(N)] for _ in range(N)]
+                for r, c in block:
+                    rows[r][c] = ring.zero
+                for r in range(N):
+                    rows[r][rI] = ring.one if r == rI else ring.zero
+                if plant:
+                    r, c = rng.choice(plant)
+                    rows[r][c] = ring.coerce(rng.randint(1, 96))
+                g = matrices.Matrix(ring, rows)
+                got = plucker.parabolic_zero_check(g, I, n)
+                assert got == _zero_block_loop(g, I, n)
+                assert got == (plant is not block), (n, I)
+
+
 def _parabolic_compound(n, ring, rng):
     # block upper-triangular source with a unit-determinant top 2x2 block
     word = []

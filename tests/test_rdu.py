@@ -175,10 +175,10 @@ def test_failed_certificate_names_the_target(zmod97):
     )
 
 
-def _sweep(eng, g, n, after_each=lambda: None):
+def _sweep(eng, g, n, after_each=lambda: None, targets=None):
     out = []
     for gen in level.level_generators(g.fwd, n):
-        for k, l in ((2, 3), (1, n)):
+        for k, l in targets or ((2, 3), (1, n)):
             d = eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, k, l))
             out.append((d.word, d.param, d.case, d.certificates))
             after_each()
@@ -211,6 +211,74 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
     assert _sweep(small, g, n, check) == want
     assert max(memo_sizes) == 2  # the memo was used, up to its cap
     words._LETTER_CACHE.clear()
+
+
+SEGMENT_RINGS = {
+    "zmod97": rings.ModularRing(97),  # one-limb int64 kernel
+    "zmod-wide": rings.ModularRing(2**31 - 1),  # two limbs at N = 10
+    "int": rings.IntegerRing(),  # pure python
+}
+
+
+def _segments(eng):
+    return {key: pair for key, pair in eng._cache.items() if key[0] != "runs"}
+
+
+def _check_segments(segments, ring):
+    for (rank, letters), pair in segments.items():
+        assert pair == words.ExtWord(rank, letters).eval(ring), letters
+
+
+def _counting_compose(monkeypatch):
+    calls = []
+    compose = matrices.InvPair.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(matrices.InvPair, "compose", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring_id", sorted(SEGMENT_RINGS))
+def test_segment_entries_are_the_products_of_their_letters(monkeypatch, ring_id):
+    # segments extend cached suffixes (ExtWord.eval); after a full n = 5 sweep
+    # every entry must still be its letters multiplied out one by one
+    n = 5
+    g, eng = _engine(n, 13, SEGMENT_RINGS[ring_id])
+    composed = _counting_compose(monkeypatch)
+    _sweep(eng, g, n, targets=((2, 3), (3, 2), (1, n)))
+    assert composed
+    _check_segments(_segments(eng), g.ring)
+
+
+def test_segment_entries_stay_exact_while_a_small_cap_evicts(monkeypatch):
+    # with room for a few entries, suffixes and heads are evicted between
+    # the segments that extend them; every entry is checked after each step
+    n = 5
+    g, eng = _engine(n, 13)
+    want = _sweep(rdu.ReverseDecomposer(g, n), g, n)
+    monkeypatch.setattr(words, "_SEGMENT_CACHE_MAX", 5)
+    composed = _counting_compose(monkeypatch)
+
+    def check():
+        assert len(eng._cache) <= 5
+        _check_segments(_segments(eng), g.ring)
+
+    assert _sweep(eng, g, n, check) == want
+    assert composed
+
+
+def test_four_conjugate_z_run_stays_out_of_the_run_memo():
+    # z is the commutator [T^-1 h, s]^(T^-1) as four conjugates; no later
+    # word repeats its run, so the memo keeps none of its four-term runs
+    n = 5
+    g, eng = _engine(n, 14)
+    _sweep(eng, g, n)
+    _, memo = eng._cache[("runs", id(g))]
+    assert memo and all(len(run) != 4 for run in memo)
+    assert {len(run) for run in memo} >= {8, 16}
 
 
 def test_every_target_index(zmod97):
