@@ -15,9 +15,14 @@ routes can never drift apart silently.
 p_element builds the monomial (signed permutation) words used to reroute a
 transvection from one index position to another, and route_source /
 route_target build the full conjugation words needed by the decomposition
-engine.  Routes are verified when first constructed and then cached; the
-sign of a source route is read by pushing unit vectors through its letters,
-with no N x N product.
+engine.  Routes are checked once, in n x n, and cached: a route's N x N
+matrix is the compound of the product w of its letters' transvections, so
+a source sign is two 2 x 2 minors of w and w^-1, and a target route is
+certified by w t_23(x) w^-1 = t_kl(x), from unit vectors pushed through
+every transvection over Z at O(1) per letter.  The lift to N x N rests on
+the closed-form letter being the compound of t_ij (_certify_expansion and
+the identities suite check it), on every engine word's N x N
+`final-verified` check, and on the referee rdu.verify.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import indexing, matrices, rings
-from .words import ExtWord, PairWord, _letter_support, ext_letter_matrix
+from .words import ExtWord, PairWord, _letter_support
 
 
 def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
@@ -154,48 +159,40 @@ def route_target(k: int, l: int, n: int) -> ExtWord:
         raise ValueError("bad index")
     # conjugations applied innermost first; conjugating by p_element(new, old)
     # moves a transvection's index old to new, as (2, 3) -> (k, 3) for (k, 2)
-    moves = []
-    cur = (2, 3)
-
-    def push(word, new):
-        moves.append(word)
-        return new
-
     if (k, l) == (2, 3):
-        pass
+        moves = ()
     elif k == 2:
-        cur = push(p_element(l, 3, n), (2, l))
+        moves = ((l, 3),)
     elif l == 3:
-        cur = push(p_element(k, 2, n), (k, 3))
-    elif k == 3 and l == 2:
+        moves = ((k, 2),)
+    elif (k, l) == (3, 2):  # via (spare, 3) and (spare, 2)
         spare = next(m for m in range(1, n + 1) if m not in (2, 3))
-        cur = push(p_element(spare, 2, n), (spare, 3))
-        cur = push(p_element(2, 3, n), (spare, 2))
-        cur = push(p_element(3, spare, n), (3, 2))
-    elif k == 3:
-        cur = push(p_element(l, 3, n), (2, l))
-        cur = push(p_element(3, 2, n), (3, l))
-    elif l == 2:
-        cur = push(p_element(k, 2, n), (k, 3))
-        cur = push(p_element(2, 3, n), (k, 2))
-    else:
-        cur = push(p_element(k, 2, n), (k, 3))
-        cur = push(p_element(l, 3, n), (k, l))
-    if moves and cur != (k, l):
-        raise AssertionError("route construction lost its target")
+        moves = ((spare, 2), (2, 3), (3, spare))
+    elif k == 3:  # via (2, l)
+        moves = ((l, 3), (3, 2))
+    elif l == 2:  # via (k, 3)
+        moves = ((k, 2), (2, 3))
+    else:  # via (k, 3)
+        moves = ((k, 2), (l, 3))
     word = ExtWord(n)
-    for w in moves:
-        word = w + word  # later moves conjugate on the outside
+    for new, old in moves:
+        word = p_element(new, old, n) + word  # later moves conjugate on the outside
     _certify_target_route(word, k, l, n)
     return word
 
 
 def _certify_target_route(word: ExtWord, k: int, l: int, n: int) -> None:
-    ring = _probe_ring()
-    xi = ring.var("x")
-    w = word.eval(ring)
-    moved = w.fwd.mul(ext_letter_matrix(ring, n, 2, 3, xi)).mul(w.bwd)
-    if moved != ext_letter_matrix(ring, n, k, l, xi):
+    """w t_23(x) w^-1 = t_kl(x) for the route's n x n matrix w, over Z[x].
+
+    The left side is 1 + x (w e_2)(e_3^T w^-1), so the check is that column
+    2 of w times row 3 of w^-1 is the matrix unit E_kl, sign included."""
+    col = _column(word.letters, 2, n)
+    row = _row(word.inverse(rings.IntegerRing()).letters, 3, n)
+    if any(
+        col[a] * row[b] != (a == k and b == l)
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+    ):
         raise AssertionError(f"target route ({k},{l}) failed symbolic check")
 
 
@@ -205,11 +202,12 @@ def route_source(I, J, n: int):
 
     I and J must be sorted pairs of height one.  The underlying permutation
     sends the common index to 1, the index only in I to 3 and the index only
-    in J to 2, built greedily from at most three transpositions.  The sign
-    is read through vectors, W being the word's matrix: row {1,3} of W at I
-    times column {1,2} of W^-1 at J, each a unit vector pushed through every
-    letter (vec_mat, and mat_vec on the inverse letters) over Z, and it is
-    checked to be +-1.
+    in J to 2, built greedily from at most three transpositions.  W being
+    the compound of the word's n x n matrix x, s = W[{1,3}, I] W^-1[J, {1,2}]
+    is the minor of x at rows {1,3} and columns I times the minor of x^-1
+    at rows J and columns {1,2}, read from rows 1, 3 of x and columns 1, 2
+    of x^-1.  A misplaced route reads 0 there, so the check that s is +-1
+    covers the placement too.
     """
     I = tuple(I)
     J = tuple(J)
@@ -221,38 +219,42 @@ def route_source(I, J, n: int):
     only_i = (set(I) - set(J)).pop()
     only_j = (set(J) - set(I)).pop()
 
-    perm = {v: v for v in range(1, n + 1)}  # current position of each value
-
-    def transpose(a: int, b: int):
-        for v, pos in perm.items():
-            if pos == a:
-                va = v
-            if pos == b:
-                vb = v
-        perm[va], perm[vb] = b, a
-
+    at = list(range(n + 1))  # the value now at each position
     word = ExtWord(n)
     for value, slot in ((common, 1), (only_i, 3), (only_j, 2)):
-        pos = perm[value]
+        pos = at.index(value)
         if pos != slot:
             word = p_element(slot, pos, n) + word
-            transpose(pos, slot)
-    if not (perm[common] == 1 and perm[only_i] == 3 and perm[only_j] == 2):
-        raise AssertionError("source route construction failed")
-
-    ring = rings.IntegerRing()
-    N = indexing.dim(n)
-    row = _unit(N, indexing.rank((1, 3), n))
-    for i, j, xi in word.letters:
-        row = matrices.vec_mat(row, ext_letter_matrix(ring, n, i, j, xi))
-    col = _unit(N, indexing.rank((1, 2), n))
-    for i, j, xi in reversed(word.inverse(ring).letters):
-        col = matrices.mat_vec(ext_letter_matrix(ring, n, i, j, xi), col)
-    s = row[indexing.rank(I, n)] * col[indexing.rank(J, n)]
+            at[pos], at[slot] = at[slot], at[pos]
+    inverse = word.inverse(rings.IntegerRing()).letters
+    s = _minor(_row(word.letters, 1, n), _row(word.letters, 3, n), I) * _minor(
+        _column(inverse, 1, n), _column(inverse, 2, n), J
+    )
     if s not in (1, -1):
         raise AssertionError("source route sign is not a unit")
     return word, s
 
 
-def _unit(N: int, r: int):
-    return tuple(1 if k == r else 0 for k in range(N))
+def _row(letters, r: int, n: int):
+    """Row r of the product of the n x n transvections t_ij(xi) of `letters`
+    over Z, 1-based: e_r pushed through each of them in order."""
+    v = [0] * (n + 1)
+    v[r] = 1
+    for i, j, xi in letters:
+        v[j] += xi * v[i]
+    return v
+
+
+def _column(letters, c: int, n: int):
+    """Column c of the same product: e_c pushed through each in reverse."""
+    v = [0] * (n + 1)
+    v[c] = 1
+    for i, j, xi in reversed(letters):
+        v[i] += xi * v[j]
+    return v
+
+
+def _minor(u, v, cols):
+    """The 2 x 2 minor of the rows (or columns) u, v at the sorted pair cols."""
+    a, b = cols
+    return u[a] * v[b] - u[b] * v[a]

@@ -7,10 +7,11 @@ N x N matrix in the compound group is decided by the bilinear sums
 a^H_{A,C}: they must vanish whenever A and C overlap, and be equal (after
 an orientation weight) across all disjoint splittings of a common support.
 
-Over Z/m with 6 (m-1)^2 < 2^62, is_member decides with one batched int64
-product that holds every a^H_{A,C} at once; elsewhere the a_sum loop of
-_first_violation decides.  That loop is also the referee the int64 path is
-tested against, and the check behind certify.criterion_suite.
+Over Z/m where matrices._int64_kernel(ring, 6) gives an int64 kernel,
+is_member decides with batched int64 products that hold every a^H_{A,C};
+elsewhere the a_sum loop of _first_violation decides.  That loop is also
+the referee the int64 path is tested against, and the check behind
+certify.criterion_suite.
 """
 
 from __future__ import annotations
@@ -132,26 +133,29 @@ def is_member(g: matrices.Matrix, n: int | None = None) -> bool:
     disjoint ordered splittings (A, C) of each 4-subset.  Invertibility of g
     is the caller's responsibility.
 
-    Over Z/m with 6 * (m-1)^2 < 2^62 the int64 path decides, comparing every
-    sum of both families exactly; every other ring (and wider moduli) runs
-    the a_sum loop of _first_violation, which stays the referee the int64
-    path is tested against.
+    Where matrices._int64_kernel(ring, 6) gives an int64 kernel (one limb
+    or several) the int64 path decides, comparing every sum of both families
+    exactly; elsewhere the a_sum loop of _first_violation, the referee of
+    the int64 path, decides.
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
     if g.dim != indexing.dim(n):
         raise ValueError("dimension mismatch")
     ring = g.ring
-    if matrices._int64_kernel(ring, 6) == matrices.ONE_LIMB:
-        return _is_member_int64(g._np, ring.modulus, n)
-    return _first_violation(g, n) is None
+    s = matrices._int64_kernel(ring, 6)
+    if s is None:
+        return _first_violation(g, n) is None
+    # a modulus with limbs at dim 6 may still store g in python ints at dim N
+    data = g._np if g._np is not None else np.array(g.rows, dtype=np.int64)
+    return _is_member_int64(data, ring.modulus, n, s)
 
 
 def _first_violation(g: matrices.Matrix, n: int):
     """The first failed membership relation in scan order, or None.
 
     One a_sum call per (H, A, C): the naive form of the criterion, and the
-    only one over Z, polynomial rings and moduli past the int64 guard.
+    only one over Z, polynomial rings and moduli with no int64 product.
     """
     ring = g.ring
     ps = indexing.pairs(n)
@@ -204,17 +208,18 @@ def _overlap_mask(n: int):
     return mask
 
 
-def _is_member_int64(data, m: int, n: int) -> bool:
+def _is_member_int64(data, m: int, n: int, s) -> bool:
     """Both criterion families for a residue matrix mod m, by blocks of H.
 
     M[h, a, c] = a^H_{A,C} for the h-th 4-subset H and pairs of rank a, c,
-    built as a batched product of the signed B rows and the D rows.  Each
-    entry sums six products below (m-1)^2 in absolute value, so the caller
-    guarantees 6 * (m-1)^2 < 2^62.  Shuffle signs are read afresh on every
-    call, so a replaced indexing.shuffle_sign takes effect at once; only the
-    index combinatorics is cached.  A block's (block, N, N) and (block, Q, 6)
-    arrays hold at most _BLOCK_ENTRIES entries together (a single block up
-    to n = 6), and the first block with a failed relation ends the scan.
+    built as a batched product of the signed B rows and the D rows, of inner
+    dimension 6, at the kernel s of matrices._int64_kernel(ring, 6), whose
+    bounds hold for a left factor in (-m, m).  Shuffle signs are read afresh
+    on every call, so a replaced indexing.shuffle_sign takes effect at once;
+    only the index combinatorics is cached.  A block's (block, N, N) and
+    (block, Q, 6) arrays hold at most _BLOCK_ENTRIES entries together (a
+    single block up to n = 6), and the first block with a failed relation
+    ends the scan.
     """
     rB, rD = _split_ranks(n)
     sign = np.array(
@@ -233,8 +238,7 @@ def _is_member_int64(data, m: int, n: int) -> bool:
     Q, N = len(sign), len(data)
     block = max(1, _BLOCK_ENTRIES // (N * N + 6 * Q))
     for lo in range(0, Q, block):
-        M = np.matmul(left[lo : lo + block], right[lo : lo + block])
-        M %= m
+        M = matrices._int64_matmul(left[lo : lo + block], right[lo : lo + block], m, s)
         if M[:, overlap].any():
             return False
         # for every S, sign(A, C) * a^H_{A,C} over the six splittings (A, C)

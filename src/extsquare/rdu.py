@@ -116,14 +116,14 @@ def retarget(word: ConjWord, suffix: ExtWord) -> ConjWord:
 class ReverseDecomposer:
     """Decomposition engine bound to one certified compound-group matrix."""
 
-    def __init__(self, g: matrices.InvPair, n: int | None = None, *, check_membership: bool = True):
+    def __init__(self, g: matrices.InvPair, n: int | None = None):
         if n is None:
             n = indexing.ambient_rank(g.dim)
         if n < 4:
             raise RankError("rank too small: need n >= 4")
         if g.dim != indexing.dim(n):
             raise RankError("dimension does not match ambient rank")
-        if check_membership and not plucker.is_member(g.fwd, n):
+        if not plucker.is_member(g.fwd, n):
             raise MembershipError("matrix fails the compound-group criterion")
         self.g = g
         self.n = n
@@ -231,13 +231,11 @@ class ReverseDecomposer:
         z_word._memo_runs = False
         z_val = z_word.eval_matrix(self.g, self._cache)
 
-        # Direct route: z = T [T^-1 h, s] T^-1, multiplied out from matrices.
+        # Direct route from matrices: z = T [T^-1 h, s] T^-1 = h s h^-1 T s^-1 T^-1.
         Hinv = g1.bwd.mul(Tm.bwd).mul(g1.fwd)
-        X = Tm.bwd.mul(H)
-        Xinv = Hinv.mul(Tm.fwd)
         S = ext_letter_matrix(ring, n, 2, 3, ring.one)
         Sinv = ext_letter_matrix(ring, n, 2, 3, ring.neg(ring.one))
-        z_direct = Tm.fwd.mul(X).mul(S).mul(Xinv).mul(Sinv).mul(Tm.bwd)
+        z_direct = H.mul(S).mul(Hinv).mul(Tm.fwd).mul(Sinv).mul(Tm.bwd)
         certs.append(_require(z_val == z_direct, "four-conjugate-z"))
 
         u = z_val.mul(ext_letter_matrix(ring, n, 2, 1, ring.neg(c)))
@@ -319,21 +317,22 @@ class ReverseDecomposer:
     def _with_target(self, word: ConjWord, k: int, l: int) -> ConjWord:
         return retarget(word, exterior.route_target(k, l, self.n).inverse(self.ring))
 
-    def _finalize(self, word, param, certs, case, k, l) -> Decomposition:
-        certs = list(certs)
-        certs.append(
-            _require(
-                word.eval_matrix(self.g, self._cache)
-                == self._transvection_target(k, l, param),
-                "final-verified",
-            )
+    def _verified(self, word: ConjWord, param, k: int, l: int, name: str, length: int, what: str):
+        """Certificate `name`: word multiplies out on self.g to the letter at
+        (k, l) with argument param; a length other than `length` names `what`."""
+        cert = _require(
+            word.eval_matrix(self.g, self._cache) == self._transvection_target(k, l, param),
+            name,
         )
-        if len(word) != CASE_LENGTHS[case]:
+        if len(word) != length:
             raise CertificateError(
-                f"decomposition certificate failed: length {len(word)} != "
-                f"{CASE_LENGTHS[case]} for {case}"
+                f"decomposition certificate failed: length {len(word)} != {length} for {what}"
             )
-        return Decomposition(word, param, case, tuple(certs), k, l, self.n)
+        return cert
+
+    def _finalize(self, word, param, certs, case, k, l) -> Decomposition:
+        cert = self._verified(word, param, k, l, "final-verified", CASE_LENGTHS[case], case)
+        return Decomposition(word, param, case, tuple(certs) + (cert,), k, l, self.n)
 
     def _entry_h1(self, I, J, k, l) -> Decomposition:
         word, param, certs = self._core_words(("g", I, J), self.g, I, J)
@@ -472,16 +471,10 @@ class ReverseDecomposer:
         results = []
         for kind, I, J, word, param in out:
             word = self._with_target(word, k, l)
-            if len(word) != 8:
-                raise CertificateError(
-                    "decomposition certificate failed: system word length"
-                )
-            if word.eval_matrix(self.g, self._cache) != self._transvection_target(
-                k, l, param
-            ):
-                raise CertificateError(
-                    "decomposition certificate failed: system verification"
-                )
+            try:
+                self._verified(word, param, k, l, "system verification", 8, "system word")
+            except CertificateError as exc:
+                raise CertificateError(f"{exc} ({kind} {I} {J} at ({k}, {l}))") from exc
             results.append((kind, I, J, word, param))
         return results
 

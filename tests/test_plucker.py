@@ -243,10 +243,18 @@ def test_int64_path_agrees_with_referee(n, seed, spot):
     _agrees_with_referee(_near_member(g, r % g.dim, c % g.dim, delta), n)
 
 
-@pytest.mark.parametrize("m", [876706517, 876706559])
+# The largest modulus with limbs at inner dimension 6, 6 (m-1) < 2^62, and
+# the next, where no limb width fits.
+_LIMB_EDGE = (2**62 - 1) // 6 + 1
+
+
+@pytest.mark.parametrize("m", [876706517, 876706559, _LIMB_EDGE, _LIMB_EDGE + 1])
 def test_int64_guard_edges_agree_with_referee(m):
-    # the largest prime with 6 (m-1)^2 < 2^62, and the smallest prime past it
+    # both sides of the one-limb bound 6 (m-1)^2 < 2^62 at inner dimension 6,
+    # and of the limb bound; at n = 5, Z/_LIMB_EDGE stores g in python ints
     ring = rings.ModularRing(m)
+    assert (matrices._int64_kernel(ring, 6) == matrices.ONE_LIMB) == (m < 876706559)
+    assert (matrices._int64_kernel(ring, 6) is None) == (m > _LIMB_EDGE)
     rng = random.Random(m)
     for n in (4, 5):
         g = _compound(n, ring, rng)
@@ -273,19 +281,35 @@ def _refuse(*_args):
     raise AssertionError("wrong membership path")
 
 
-@pytest.mark.parametrize("m", [97, 876706517])
+@pytest.mark.parametrize("m", [97, 876706517, 876706559, 2**31 - 1])
 def test_int64_path_decides_inside_the_guard(monkeypatch, m):
+    # one limb for the first two moduli, two limbs for the others
     ring = rings.ModularRing(m)
-    g = _compound(5, ring, random.Random(37))
+    rng = random.Random(37)
+    found = [(n, _compound(n, ring, rng)) for n in range(4, 9)]
     monkeypatch.setattr(plucker, "_first_violation", _refuse)
     monkeypatch.setattr(plucker, "a_sum", _refuse)
-    assert plucker.is_member(g, 5)
-    assert not plucker.is_member(_near_member(g, 3, 4, 1), 5)
+    widths = set()
+    product = matrices._int64_matmul
+
+    def spy(a, b, modulus, s):
+        widths.add(s)
+        return product(a, b, modulus, s)
+
+    monkeypatch.setattr(matrices, "_int64_matmul", spy)
+    for n, g in found:
+        assert plucker.is_member(g, n)
+        assert not plucker.is_member(_near_member(g, 3, 4, 1), n)
+        assert not plucker.is_member(_near_member(g, g.dim - 1, 0, m - 1), n)
+    # the a-sum blocks multiply at the kernel's own width, limbs included
+    assert widths == {matrices._int64_kernel(ring, 6)}
 
 
-@pytest.mark.parametrize("ring", [rings.ModularRing(876706559),
-                                  rings.ModularRing(2**31 - 1), rings.IntegerRing()])
+@pytest.mark.parametrize("ring", [rings.IntegerRing(), rings.ModularRing(2**61 - 1),
+                                  rings.ModularRing(2**62 + 1)])
 def test_generic_path_decides_past_the_guard(monkeypatch, ring):
+    # Z, a modulus with no limb width at dim 6, and one with m >= 2^62
     g = _compound(4, ring, random.Random(38))
     monkeypatch.setattr(plucker, "_is_member_int64", _refuse)
     assert plucker.is_member(g, 4)
+    assert not plucker.is_member(_near_member(g, 3, 4, 1), 4)

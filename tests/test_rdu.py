@@ -137,7 +137,7 @@ def test_rank_and_height_errors(zmod97):
         eng.entry((1, 2), (1, 3), 2, 2)
 
 
-def test_membership_gate(zmod97):
+def test_membership_gate(monkeypatch, zmod97):
     rows = [[0] * 6 for _ in range(6)]
     for r in range(6):
         rows[r][r] = 1
@@ -151,7 +151,8 @@ def test_membership_gate(zmod97):
         rdu.ReverseDecomposer(bad, 4)
     # bypassing the gate is fail-closed: either a certificate rejects the
     # construction, or the returned word still verifies exactly
-    eng = rdu.ReverseDecomposer(bad, 4, check_membership=False)
+    monkeypatch.setattr(plucker, "is_member", lambda *_: True)
+    eng = rdu.ReverseDecomposer(bad, 4)
     d = eng.entry((1, 3), (1, 2), 2, 3)  # zero slot: degenerate but correct
     assert zmod97.is_zero(d.param)
     assert rdu.verify(d.word, bad, 2, 3, d.param, 4)
@@ -159,19 +160,40 @@ def test_membership_gate(zmod97):
         eng.diagonal((2, 4), (3, 4), 2, 3)
 
 
-def test_failed_certificate_names_the_target(zmod97):
+def test_failed_certificate_names_the_target(monkeypatch, zmod97):
     # the fail-closed non-member of test_membership_gate, through decompose
     rows = [[1 if r == c else 0 for c in range(6)] for r in range(6)]
     inv = [row[:] for row in rows]
     rows[5][5], inv[5][5] = 2, zmod97.inverse(2)
     bad = matrices.InvPair(matrices.Matrix(zmod97, rows), matrices.Matrix(zmod97, inv))
-    eng = rdu.ReverseDecomposer(bad, 4, check_membership=False)
+    monkeypatch.setattr(plucker, "is_member", lambda *_: True)
+    eng = rdu.ReverseDecomposer(bad, 4)
     target = rdu.GeneratorTarget("diagdiff", (2, 4), (3, 4), 2, 3)
     with pytest.raises(rdu.CertificateError) as info:
         eng.decompose(target)
     assert str(info.value) == (
         "decomposition certificate failed: parabolic-zeros "
         "(diagdiff (2, 4) (3, 4) at (2, 3))"
+    )
+
+
+def test_failed_system_slot_names_the_slot(monkeypatch):
+    # one slot's core claims a wrong argument; the system check names it
+    g, eng = _engine(4, 8)
+    build = eng._core_words
+
+    def wrong(tag, *args):
+        word, param, certs = build(tag, *args)
+        if tag == ("g", (1, 3), (2, 3)):
+            param = g.ring.add(param, 1)
+        return word, param, certs
+
+    monkeypatch.setattr(eng, "_core_words", wrong)
+    with pytest.raises(rdu.CertificateError) as info:
+        eng.eight_conjugate_system(1, 4)
+    assert str(info.value) == (
+        "decomposition certificate failed: system verification "
+        "(entry (1, 3) (2, 3) at (1, 4))"
     )
 
 
