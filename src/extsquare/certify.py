@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exterior, indexing, matrices, plucker, rings, stabilizer
-from .words import ExtWord, ext_letter_matrix
+from .words import ext_letter_matrix
 
 
 @dataclass(frozen=True)
@@ -160,23 +160,17 @@ def increment_cancellation_suite(n: int = 5) -> SuiteResult:
 def plucker_stabilizer_suite(n: int = 5) -> SuiteResult:
     """Residual of the three-letter stabilizer equals the short relations.
 
-    For a fully generic vector w the word built from w's coordinates adds
-    sign(2,i) * f_{i,(3,4,5)}(w) to coordinate {2,i} and nothing elsewhere.
-    On compound-matrix columns all these relations vanish, so the word is a
-    stabilizer exactly there.
+    For a fully generic vector w, the word stabilizer.plucker_stabilizer
+    builds from w's coordinates (its column check skipped: the relations do
+    not vanish on w) adds sign(2,i) * f_{i,(3,4,5)}(w) to coordinate {2,i}
+    and nothing elsewhere.  On compound-matrix columns all these relations
+    vanish, so the word is a stabilizer exactly there.
     """
     if n < 5:
         return SuiteResult("plucker-stabilizer", "skip", "needs n >= 5")
     w = _generic_vector(n)
     ring = w.ring
-    word = ExtWord(
-        n,
-        (
-            (2, 3, w.at((4, 5))),
-            (2, 4, ring.neg(w.at((3, 5)))),
-            (2, 5, w.at((3, 4))),
-        ),
-    )
+    word = stabilizer._three_letters(w)
     moved = matrices.mat_vec(word.eval(ring).fwd, w.entries)
     for idx, pair in enumerate(indexing.pairs(n)):
         residual = ring.sub(moved[idx], w.entries[idx])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import certify, generate, indexing, jsonio, level, plucker, rdu, rings, stabilizer
@@ -28,19 +29,15 @@ def _parse_ring(text: str):
     raise ValueError(f"unknown ring {text!r} (use int, zmod:<m>, poly:<v,..>)")
 
 
-def _parse_pair(text: str):
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected a pair like 1,3 (got {text!r})")
-    return tuple(sorted(parts))
-
-
 def _parse_target(text: str):
-    head, _, rest = text.partition(":")
-    if head not in ("entry", "diagdiff"):
-        raise ValueError("target must be entry:<pair>:<pair> or diagdiff:<pair>:<pair>")
-    first, _, second = rest.partition(":")
-    return head, _parse_pair(first), _parse_pair(second)
+    """(kind, I, J) from entry:<i,j>:<i,j> or diagdiff:<i,j>:<i,j>, pairs sorted."""
+    m = re.fullmatch(r"(entry|diagdiff):(-?\d+),(-?\d+):(-?\d+),(-?\d+)", text)
+    if m is None:
+        raise ValueError(
+            f"--target: expected entry:<i,j>:<i,j> or diagdiff:<i,j>:<i,j>, got {text!r}"
+        )
+    a, b, c, d = (int(x) for x in m.groups()[1:])
+    return m[1], tuple(sorted((a, b))), tuple(sorted((c, d)))
 
 
 def _read_json(path: str) -> dict:
@@ -73,6 +70,10 @@ def cmd_gen(args) -> int:
     ring = _parse_ring(args.ring)
     if ring.kind not in ("int", "zmod"):
         raise ValueError("gen supports the int and zmod rings")
+    if args.n < 3:
+        raise ValueError("--n must be at least 3")
+    if args.length < 0:
+        raise ValueError("--len must be at least 0")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     emitted = []
@@ -94,9 +95,14 @@ def cmd_decompose(args) -> int:
     obj = _read_json(args.input)
     pair = jsonio.pair_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, pair.dim)
-    if pair.dim != indexing.dim(n):
-        raise ValueError("dimension mismatch")
     kind, I, J = _parse_target(args.target)
+    for P in (I, J):
+        if not indexing._is_pair(*P, n):
+            raise ValueError(f"--target: bad index: {P} is not a sorted pair over [{n}]")
+    if I == J:
+        raise ValueError(f"--target: {kind} needs two different pairs, got {I} twice")
+    if not indexing._is_pair(args.k, args.l, n):
+        raise ValueError(f"--k, --l: bad index (k = {args.k}, l = {args.l} at n = {n})")
     engine = rdu.ReverseDecomposer(pair, n)
     result = engine.decompose(rdu.GeneratorTarget(kind, I, J, args.k, args.l))
     _write_text(
@@ -106,26 +112,20 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    word, k, l, param, n, _ring = jsonio.decomposition_parts_from_json(
+    word, k, l, param, n, ring = jsonio.decomposition_parts_from_json(
         _read_json(args.input)
     )
     pair = jsonio.pair_from_json(_read_json(args.g))
+    if pair.ring != ring:
+        raise ValueError(f"ring mismatch: --in is over {ring!r}, --g over {pair.ring!r}")
     ok = rdu.verify(word, pair, k, l, param, n)
     print("verified" if ok else "verification failed")
     return 0 if ok else 1
 
 
-def _matrix_artifact(obj):
-    """The matrix of a plain matrix artifact, or the fwd side of a pair."""
-    jsonio._object(obj, "matrix")
-    if "fwd" in obj or "bwd" in obj:
-        return jsonio.pair_from_json(obj).fwd
-    return jsonio.matrix_from_json(obj)
-
-
 def cmd_member(args) -> int:
     obj = _read_json(args.input)
-    m = _matrix_artifact(obj)
+    m = jsonio.matrix_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, m.dim)
     ok = plucker.is_member(m, n)
     note = " (n=4 caveat noted)" if n == 4 else ""
@@ -135,7 +135,7 @@ def cmd_member(args) -> int:
 
 def cmd_level(args) -> int:
     obj = _read_json(args.input)
-    m = _matrix_artifact(obj)
+    m = jsonio.matrix_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, m.dim)
     gens = level.level_generators(m, n)
     payload = {

@@ -87,7 +87,7 @@ def ext_transvection(i: int, j: int, payload, n: int) -> PairWord:
     """
     if n < 3:
         raise ValueError("rank too small")
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
+    if not indexing._is_pair(i, j, n):
         raise ValueError("bad index")
     if isinstance(payload, rings.RingElement):
         payload = payload.payload
@@ -139,7 +139,7 @@ def p_element(i: int, j: int, n: int) -> ExtWord:
     Its source matrix sends e_i to -e_j and e_j to e_i, fixing the rest, so
     conjugation by it acts as a signed transposition on index positions.
     """
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
+    if not indexing._is_pair(i, j, n):
         raise ValueError("bad index")
     return ExtWord(n, ((i, j, 1), (j, i, -1), (i, j, 1)))
 
@@ -155,7 +155,7 @@ def route_target(k: int, l: int, n: int) -> ExtWord:
     """
     if n < 4:
         raise ValueError("rank too small")
-    if k == l or not (1 <= k <= n and 1 <= l <= n):
+    if not indexing._is_pair(k, l, n):
         raise ValueError("bad index")
     # conjugations applied innermost first; conjugating by p_element(new, old)
     # moves a transvection's index old to new, as (2, 3) -> (k, 3) for (k, 2)

@@ -29,6 +29,8 @@ def rng_for(seed: int, *labels) -> random.Random:
 
 def _random_letters(dim: int, length: int, rng: random.Random, arg):
     """`length` letters (i, j, arg(rng)) with i != j, drawn i, j, then arg."""
+    if dim < 2 or length < 0:
+        raise ValueError(f"need dim >= 2 and length >= 0, got dim {dim}, length {length}")
     letters = []
     for _ in range(length):
         i = rng.randrange(1, dim + 1)

@@ -14,6 +14,14 @@ from functools import lru_cache
 from itertools import combinations
 
 
+def _is_pair(i: int, j: int, n: int) -> bool:
+    """The index rule of a transvection t_ij over [n]: i != j, both in 1..n.
+
+    Words, letters, transvections, routes, engine targets, artifacts and
+    command-line flags all decide through this one rule."""
+    return i != j and 1 <= i <= n and 1 <= j <= n
+
+
 def sign(i: int, j: int) -> int:
     """Orientation of the ordered pair (i, j): +1 if i < j, -1 if i > j."""
     if i == j:
@@ -25,7 +33,7 @@ def canon(i: int, j: int, n: int | None = None):
     """Sort a pair into canonical ascending order; returns ((a, b), sign)."""
     if i == j:
         raise ValueError("bad index: repeated entry")
-    if n is not None and not (1 <= i <= n and 1 <= j <= n):
+    if n is not None and not _is_pair(i, j, n):
         raise ValueError("bad index: out of range")
     if i < j:
         return (i, j), 1

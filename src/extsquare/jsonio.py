@@ -20,28 +20,44 @@ def dumps(obj) -> str:
 
 # -- elements and rings ----------------------------------------------------
 
-ring_to_json = rings.ring_to_json
+def ring_to_json(ring: rings.Ring) -> dict:
+    if ring.kind == "zmod":
+        return {"type": "zmod", "modulus": ring.modulus}
+    if ring.kind == "poly_int":
+        return {"type": "poly_int", "vars": list(ring.variables)}
+    return {"type": "int"}
 
 
 def ring_from_json(obj) -> rings.Ring:
     _object(obj, "ring")
-    if obj.get("type") == "zmod":
-        _int_field(obj, "modulus", "ring")
-    elif obj.get("type") == "poly_int":
-        if not all(isinstance(v, str) for v in _list(obj, "vars", "ring")):
+    kind = obj.get("type")
+    if kind == "int":
+        return rings.IntegerRing()
+    if kind == "zmod":
+        return rings.ModularRing(_int_field(obj, "modulus", "ring"))
+    if kind == "poly_int":
+        names = _list(obj, "vars", "ring")
+        if not all(isinstance(v, str) for v in names):
             raise ValueError("ring.vars: expected a list of names")
-    return rings.ring_from_json(obj)
+        return rings.PolynomialRing(names)
+    raise ValueError(f"unknown ring descriptor {obj!r}")
 
 
 def elem_to_json(ring, payload):
-    return ring.payload_to_json(ring.coerce(payload))
+    """A decimal string for int and zmod, a monomial list for poly_int."""
+    x = ring.coerce(payload)
+    if ring.kind == "poly_int":
+        return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in x]
+    return str(x)
 
 
 def elem_from_json(ring, obj, path: str = "element"):
     """A ring element; a malformed one raises ValueError naming `path`."""
     try:
+        if ring.kind == "poly_int":
+            return ring.canon([(tuple(m["exps"]), int(m["coeff"])) for m in obj])
         if not isinstance(obj, (bool, float)):
-            return ring.payload_from_json(obj)
+            return ring.canon(int(obj))
     except (TypeError, ValueError, KeyError):
         pass
     raise ValueError(f"{path}: expected an element of {ring!r}, got {json.dumps(obj)}")
@@ -105,7 +121,10 @@ def _matrix_rows_from_json(ring, obj: dict, field: str):
 
 
 def matrix_from_json(obj: dict) -> matrices.Matrix:
+    """A plain matrix artifact, or the fwd side of a certified pair."""
     _object(obj, "matrix")
+    if "fwd" in obj or "bwd" in obj:
+        return pair_from_json(obj).fwd
     ring = ring_from_json(_field(obj, "ring"))
     rows = _matrix_rows_from_json(ring, obj, "rows")
     dim = obj.get("dim", len(rows))
@@ -143,10 +162,13 @@ def _int_field(obj: dict, field: str, path: str = "") -> int:
 
 def pair_ambient_rank(obj: dict, dim: int) -> int:
     """The artifact's "n", else the n with C(n, 2) = dim, the dimension of
-    the matrix read from it."""
-    if "n" in obj:
-        return _int_field(obj, "n")
-    return indexing.ambient_rank(dim)
+    the matrix read from it; an "n" with C(n, 2) != dim is rejected."""
+    if "n" not in obj:
+        return indexing.ambient_rank(dim)
+    n = _int_field(obj, "n")
+    if indexing.dim(n) != dim:
+        raise ValueError("dimension mismatch")
+    return n
 
 
 # -- vectors -----------------------------------------------------------------
@@ -186,12 +208,12 @@ def ext_word_to_json(w: ExtWord, ring) -> dict:
 def _index_pair(first: str, i: int, second: str, j: int, n: int, path: str = "") -> None:
     """Reject the index pair of a transvection when it is equal or outside
     1..n, naming `path` (else the first bad field) and both values."""
+    if indexing._is_pair(i, j, n):
+        return
     if i == j:
         bad, detail = first, f"{first} = {second} = {i}"
-    elif not (1 <= i <= n and 1 <= j <= n):
-        bad, detail = first if not 1 <= i <= n else second, f"{first} = {i}, {second} = {j}"
     else:
-        return
+        bad, detail = first if not 1 <= i <= n else second, f"{first} = {i}, {second} = {j}"
     raise ValueError(f"{path or bad}: bad index ({detail} at n = {n})")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rings
+from . import indexing, rings
 
 ONE_LIMB = 0
 
@@ -205,7 +205,7 @@ def scalar_matrix(ring, dim: int, payload) -> Matrix:
 
 def transvection(ring, dim: int, i: int, j: int, payload) -> Matrix:
     """The elementary matrix e + xi E_{i,j}, indices 1-based."""
-    if i == j or not (1 <= i <= dim and 1 <= j <= dim):
+    if not indexing._is_pair(i, j, dim):
         raise ValueError("bad index")
     return _identity_plus(ring, dim, [i - 1], [j - 1], [ring.coerce(payload)])
 

@@ -225,11 +225,7 @@ class ReverseDecomposer:
                 (1, T + s_inv + t_inv),
             ),
         )
-        # no later word repeats z's run, so it stays out of g's run memo;
-        # its segments stay cached for the final word to extend
-        z_word = reconjugate(z, outer)
-        z_word._memo_runs = False
-        z_val = z_word.eval_matrix(self.g, self._cache)
+        z_val = reconjugate(z, outer).eval_matrix(self.g, self._cache)
 
         # Direct route from matrices: z = T [T^-1 h, s] T^-1 = h s h^-1 T s^-1 T^-1.
         Hinv = g1.bwd.mul(Tm.bwd).mul(g1.fwd)
@@ -311,7 +307,7 @@ class ReverseDecomposer:
             ) from exc
 
     def _check_target(self, k: int, l: int):
-        if k == l or not (1 <= k <= self.n and 1 <= l <= self.n):
+        if not indexing._is_pair(k, l, self.n):
             raise DecompositionError("bad transvection target")
 
     def _with_target(self, word: ConjWord, k: int, l: int) -> ConjWord:

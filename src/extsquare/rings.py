@@ -11,6 +11,8 @@ Payloads by ring kind:
     int      python int
     zmod     python int in [0, m)
     poly_int tuple of (exponent tuple, nonzero int coefficient)
+
+Rings and elements are encoded and decoded as JSON by jsonio alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class Ring:
     kind = "abstract"
 
     # -- subclasses provide: zero, one, add, mul, neg, canon, from_int,
-    #    is_zero, random, key, payload_to_json, payload_from_json
+    #    is_zero, random, key
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -83,12 +85,6 @@ class IntegerRing(Ring):
 
     def key(self):
         return ("int",)
-
-    def payload_to_json(self, a):
-        return str(a)
-
-    def payload_from_json(self, obj):
-        return int(obj)
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -143,12 +139,6 @@ class ModularRing(Ring):
 
     def key(self):
         return ("zmod", self.modulus)
-
-    def payload_to_json(self, a):
-        return str(a)
-
-    def payload_from_json(self, obj):
-        return int(obj) % self.modulus
 
     def __eq__(self, other):
         return isinstance(other, ModularRing) and other.modulus == self.modulus
@@ -271,12 +261,6 @@ class PolynomialRing(Ring):
     def key(self):
         return ("poly_int", self.variables)
 
-    def payload_to_json(self, a):
-        return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in a]
-
-    def payload_from_json(self, obj):
-        return self.canon([(tuple(m["exps"]), int(m["coeff"])) for m in obj])
-
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and other.variables == self.variables
 
@@ -329,23 +313,3 @@ class RingElement:
             raise NonUnitError("inverse is only provided modulo m")
         return RingElement(self.ring, self.ring.inverse(self.payload))
 
-
-def ring_to_json(ring: Ring) -> dict:
-    if ring.kind == "int":
-        return {"type": "int"}
-    if ring.kind == "zmod":
-        return {"type": "zmod", "modulus": ring.modulus}
-    if ring.kind == "poly_int":
-        return {"type": "poly_int", "vars": list(ring.variables)}
-    raise ValueError(f"unknown ring kind {ring.kind!r}")
-
-
-def ring_from_json(obj: dict) -> Ring:
-    kind = obj.get("type")
-    if kind == "int":
-        return IntegerRing()
-    if kind == "zmod":
-        return ModularRing(int(obj["modulus"]))
-    if kind == "poly_int":
-        return PolynomialRing(obj["vars"])
-    raise ValueError(f"unknown ring descriptor {obj!r}")

@@ -55,6 +55,12 @@ def plucker_stabilizer(w: plucker.PairVector) -> ExtWord:
         raise ValueError("rank too small")
     if not plucker.column_satisfies(w):
         raise ValueError("not a compound-matrix column: a short relation is nonzero")
+    return _three_letters(w)
+
+
+def _three_letters(w: plucker.PairVector) -> ExtWord:
+    """plucker_stabilizer's word, built without checking w; the identities
+    suite certifies this word on a generic vector."""
     ring = w.ring
     return ExtWord(
         w.n,

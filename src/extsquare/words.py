@@ -12,6 +12,10 @@ reduced (letter counts are part of the contract):
   stands for the image of t_{i,j}(xi) under the second compound map, an
   N x N matrix touching n-2 positions.
 
+The three share one container, _LetterWord: length, concatenation,
+equality and the formal inverse exist once, and each species checks its
+own labels and evaluates itself.
+
 ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g,
@@ -68,8 +72,8 @@ def _letter_support(n: int, i: int, j: int):
 # and letter, so a wide modulus would grow it without end; it holds the whole
 # Z/97 working set for n <= 6 (about 4 800 letters).  A caller's segment cache
 # (ExtWord.eval) and the run memo of each g in it (ConjWord.eval_matrix) hold
-# about 1 800 segments and 300 runs after five targets per level generator
-# and the system check at n = 6, and 2 900 and 580 at n = 7.
+# about 1 700 segments and 530 runs after a full level sweep at n = 6, and
+# 3 050 and 1 020 at n = 7.
 _LETTER_CACHE: dict = {}
 _LETTER_CACHE_MAX = 8192
 _SEGMENT_CACHE_MAX = 8192
@@ -98,13 +102,6 @@ def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
     return hit
 
 
-def _canon_letters(letters):
-    out = []
-    for i, j, payload in letters:
-        out.append((int(i), int(j), payload))
-    return tuple(out)
-
-
 def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
     """The N x N matrix of a single exterior transvection letter.
 
@@ -114,14 +111,9 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
     are independent, so this closed form equals the product of the letter's
     elementary-transvection expansion.
     """
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
+    if not indexing._is_pair(i, j, n):
         raise ValueError("bad index")
     return _letter(ring, n, i, j, ring.coerce(payload))
-
-
-def _inverse_letters(letters, ring):
-    """Formal inverse of a letter sequence: reversed, arguments negated."""
-    return tuple((i, j, ring.neg(ring.coerce(xi))) for i, j, xi in reversed(letters))
 
 
 def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
@@ -136,47 +128,77 @@ def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
     )
 
 
-class TransvWord:
-    """Word in plain elementary transvections over a fixed dimension."""
+class _LetterWord:
+    """What the three letter-word species share: a size, the attribute named
+    by _SIZE (TransvWord.dim, or the rank n), a tuple of letters
+    (label, label, xi), and the formal operations on them.  Each species
+    checks its own labels (_checked) and evaluates itself."""
 
-    __slots__ = ("dim", "letters")
+    __slots__ = ("letters",)
+    _SIZE = "n"
+    _MISMATCH = "rank mismatch"
 
-    def __init__(self, dim: int, letters=()):
-        self.dim = dim
-        letters = _canon_letters(letters)
-        for i, j, _ in letters:
-            if i == j or not (1 <= i <= dim and 1 <= j <= dim):
-                raise ValueError("bad index")
+    def __init__(self, size: int, letters=()):
+        letters = self._checked(size, letters)
+        setattr(self, self._SIZE, size)
         self.letters = letters
+
+    @classmethod
+    def _trusted(cls, size: int, letters: tuple):
+        """A word on a tuple of letters taken from validated words, unchecked."""
+        word = object.__new__(cls)
+        setattr(word, cls._SIZE, size)
+        word.letters = letters
+        return word
 
     def __len__(self):
         return len(self.letters)
 
-    def __add__(self, other: "TransvWord") -> "TransvWord":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return TransvWord(self.dim, self.letters + other.letters)
+    def __add__(self, other):
+        size = getattr(self, self._SIZE)
+        if getattr(other, self._SIZE) != size:
+            raise ValueError(self._MISMATCH)
+        return self._trusted(size, self.letters + other.letters)
 
     def __eq__(self, other):
-        if not isinstance(other, TransvWord):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.dim == other.dim and self.letters == other.letters
+        attr = self._SIZE
+        return getattr(self, attr) == getattr(other, attr) and self.letters == other.letters
 
-    def inverse(self, ring) -> "TransvWord":
-        return TransvWord(self.dim, _inverse_letters(self.letters, ring))
+    def inverse(self, ring):
+        """Formal inverse: letters reversed, arguments negated."""
+        letters = tuple((i, j, ring.neg(ring.coerce(xi))) for i, j, xi in reversed(self.letters))
+        return self._trusted(getattr(self, self._SIZE), letters)
+
+
+class TransvWord(_LetterWord):
+    """Word in plain elementary transvections over a fixed dimension."""
+
+    __slots__ = ("dim",)
+    _SIZE = "dim"
+    _MISMATCH = "dimension mismatch"
+
+    @staticmethod
+    def _checked(dim: int, letters) -> tuple:
+        out = tuple((int(i), int(j), xi) for i, j, xi in letters)
+        for i, j, _ in out:
+            if not indexing._is_pair(i, j, dim):
+                raise ValueError("bad index")
+        return out
 
     def eval(self, ring) -> matrices.InvPair:
         letter = partial(matrices.transvection, ring, self.dim)
         return _eval_letters(ring, self.dim, self.letters, letter)
 
 
-class PairWord:
+class PairWord(_LetterWord):
     """Word in elementary transvections with pair-valued row/column labels."""
 
-    __slots__ = ("n", "letters")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, letters=()):
-        self.n = n
+    @staticmethod
+    def _checked(n: int, letters) -> tuple:
         out = []
         for row, col, payload in letters:
             row = tuple(row)
@@ -186,23 +208,7 @@ class PairWord:
             if row == col:
                 raise ValueError("bad index")
             out.append((row, col, payload))
-        self.letters = tuple(out)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __add__(self, other: "PairWord") -> "PairWord":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return PairWord(self.n, self.letters + other.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, PairWord):
-            return NotImplemented
-        return self.n == other.n and self.letters == other.letters
-
-    def inverse(self, ring) -> "PairWord":
-        return PairWord(self.n, _inverse_letters(self.letters, ring))
+        return tuple(out)
 
     def eval(self, ring) -> matrices.InvPair:
         N = indexing.dim(self.n)
@@ -214,47 +220,19 @@ class PairWord:
         return _eval_letters(ring, N, self.letters, letter)
 
 
-class ExtWord:
+class ExtWord(_LetterWord):
     """Word in exterior transvections over ambient rank n."""
 
-    __slots__ = ("n", "letters")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, letters=()):
+    @staticmethod
+    def _checked(n: int, letters) -> tuple:
         if n < 3:
             raise ValueError("rank too small")
-        letters = _canon_letters(letters)
-        for i, j, _ in letters:
-            if i == j or not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError("bad index")
-        self.n = n
-        self.letters = letters
-
-    @classmethod
-    def _trusted(cls, n: int, letters: tuple) -> "ExtWord":
-        """A word on a tuple of letters taken from validated words, unchecked."""
-        word = object.__new__(cls)
-        word.n = n
-        word.letters = letters
-        return word
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __add__(self, other: "ExtWord") -> "ExtWord":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return ExtWord._trusted(self.n, self.letters + other.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtWord):
-            return NotImplemented
-        return self.n == other.n and self.letters == other.letters
+        return TransvWord._checked(n, letters)
 
     def __hash__(self):
         return hash((self.n, self.letters))
-
-    def inverse(self, ring) -> "ExtWord":
-        return ExtWord._trusted(self.n, _inverse_letters(self.letters, ring))
 
     def eval(self, ring, cache: dict | None = None) -> matrices.InvPair:
         """The word's matrix and its inverse.
@@ -304,11 +282,10 @@ class ExtWord:
 class ConjWord:
     """Product of elementary conjugates h^-1 g^{eps} h of an unspecified g."""
 
-    __slots__ = ("n", "terms", "_memo_runs")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=()):
         self.n = n
-        self._memo_runs = True  # see eval_matrix
         out = []
         for eps, h in terms:
             if eps not in (1, -1):
@@ -351,10 +328,7 @@ class ConjWord:
         -- the run's (eps, letters) terms once S is stripped -- to its
         product against g.  The pair holds g, so its id is not reused while
         the entry lives.  A run that recurs, in this word or a later one on
-        the same g, is then multiplied once.  A word whose `_memo_runs` is
-        cleared (the engine's four-conjugate z certificate, whose run no
-        later word repeats) reads and stores no run; its segments are still
-        cached.
+        the same g, is then multiplied once.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -370,8 +344,7 @@ class ConjWord:
             cache = {}
         terms = [(eps, h.letters) for eps, h in self.terms]
         base = {1: g.fwd, -1: g.bwd}
-        memo = _run_memo(cache, g) if self._memo_runs else None
-        return _conj_product(g.ring, self.n, terms, base, cache, memo)
+        return _conj_product(g.ring, self.n, terms, base, cache, _run_memo(cache, g))
 
 
 def _run_memo(cache: dict, g: matrices.InvPair) -> dict:

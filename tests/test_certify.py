@@ -2,7 +2,8 @@
 
 import pytest
 
-from extsquare import certify
+from extsquare import certify, stabilizer
+from extsquare.words import ExtWord
 
 
 def test_expansion_suite():
@@ -61,3 +62,16 @@ def test_run_all_rejects_out_of_range():
         certify.run_all(2)
     with pytest.raises(ValueError):
         certify.run_all(7)
+
+
+def test_plucker_stabilizer_suite_certifies_the_word_that_ships(monkeypatch):
+    # a sign flipped in the word stabilizer builds must fail the suite, so
+    # the suite cannot pass on a copy of its own
+    assert certify.plucker_stabilizer_suite(5).status == "pass"
+
+    def flipped(n, letters):
+        first, (i, j, xi), last = letters
+        return ExtWord(n, (first, (i, j, tuple((e, -c) for e, c in xi)), last))
+
+    monkeypatch.setattr(stabilizer, "ExtWord", flipped)
+    assert certify.plucker_stabilizer_suite(5).status == "fail"

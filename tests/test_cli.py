@@ -1,6 +1,9 @@
 """Command line round trips, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -568,3 +571,55 @@ def test_gen_and_decompose_artifact_bytes_are_pinned(tmp_path, ring):
                          "--k", str(k), "--l", str(l), "--out", str(d_path)]) == 0
             got[f"{target} {k},{l}"] = digest(d_path)
     assert got == _PINNED[ring]
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["gen", "--n", "0"], "--n"),
+        (["gen", "--n", "-2"], "--n"),
+        (["gen", "--n", "2"], "--n"),
+        (["gen", "--n", "5", "--len", "-1"], "--len"),
+        (["decompose", "--in", "{g}", "--target", "entry:1,3:1,2", "--k", "0", "--l", "3"], "--k"),
+        (["decompose", "--in", "{g}", "--target", "entry:1,3:1,2", "--k", "2", "--l", "2"], "--k"),
+        (["decompose", "--in", "{g}", "--target", "entry:1,3:1,3", "--k", "2", "--l", "3"],
+         "--target"),
+        (["decompose", "--in", "{g}", "--target", "diagdiff:1,3:1,3", "--k", "2", "--l", "3"],
+         "--target"),
+        (["decompose", "--in", "{g}", "--target", "entry:1,3", "--k", "2", "--l", "3"],
+         "--target"),
+        (["verify", "--in", "{d}", "--g", "{g101}"], "ring mismatch"),
+        (["verify", "--in", "{d}", "--g", "{gint}"], "ring mismatch"),
+    ],
+    ids=["gen-n-0", "gen-n-negative", "gen-n-2", "gen-len-negative", "k-0", "k-equals-l",
+         "entry-I-equals-J", "diagdiff-I-equals-J", "target-one-pair", "verify-zmod-101",
+         "verify-int"],
+)
+def test_flag_usage_errors_exit_2_and_name_the_flag(tmp_path, capsys, argv, named):
+    paths = {key: str(tmp_path / f"{key}.json") for key in ("g", "g101", "gint", "d")}
+    for key, ring in (("g", "zmod:97"), ("g101", "zmod:101"), ("gint", "int")):
+        assert main(["gen", "--ring", ring, "--n", "5", "--seed", "1", "--len", "20",
+                     "--out", paths[key]]) == 0
+    assert main(["decompose", "--in", paths["g"], "--target", "entry:1,3:1,2",
+                 "--k", "2", "--l", "3", "--out", paths["d"]]) == 0
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err and "Traceback" not in captured.err
+
+
+def test_gen_at_rank_one_exits_2_instead_of_looping():
+    # a child process, so that a regression fails on the timeout instead of
+    # hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "extsquare.cli", "gen", "--n", "1"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "--n" in done.stderr and "Traceback" not in done.stderr
+    ring, rng = rings.ModularRing(97), generate.rng_for(0, "letters")
+    with pytest.raises(ValueError):
+        generate.random_transv_word(1, ring, 3, rng)
+    with pytest.raises(ValueError):
+        generate.random_ext_word(5, ring, -1, rng)

@@ -292,17 +292,6 @@ def test_segment_entries_stay_exact_while_a_small_cap_evicts(monkeypatch):
     assert composed
 
 
-def test_four_conjugate_z_run_stays_out_of_the_run_memo():
-    # z is the commutator [T^-1 h, s]^(T^-1) as four conjugates; no later
-    # word repeats its run, so the memo keeps none of its four-term runs
-    n = 5
-    g, eng = _engine(n, 14)
-    _sweep(eng, g, n)
-    _, memo = eng._cache[("runs", id(g))]
-    assert memo and all(len(run) != 4 for run in memo)
-    assert {len(run) for run in memo} >= {8, 16}
-
-
 def test_every_target_index(zmod97):
     g, eng = _engine(4, 8)
     n = 4
