@@ -19,14 +19,19 @@ from .matrices import mat_vec, vec_mat
 
 
 def _parse_ring(text: str):
+    bad = ValueError(f"--ring: expected int, zmod:<m> or poly:<v,...>, got {text!r}")
     if text == "int":
         return rings.IntegerRing()
     if text.startswith("zmod:"):
-        return rings.ModularRing(int(text.split(":", 1)[1]))
+        try:
+            modulus = int(text.split(":", 1)[1])
+        except ValueError:
+            raise bad from None
+        return rings.ModularRing(modulus)
     if text.startswith("poly:"):
         names = [v for v in text.split(":", 1)[1].split(",") if v]
         return rings.PolynomialRing(names)
-    raise ValueError(f"unknown ring {text!r} (use int, zmod:<m>, poly:<v,..>)")
+    raise bad
 
 
 def _parse_target(text: str):
@@ -95,6 +100,8 @@ def cmd_decompose(args) -> int:
     obj = _read_json(args.input)
     pair = jsonio.pair_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, pair.dim)
+    if n < 4:
+        raise ValueError(f"decompose needs n >= 4, got n = {n}")
     kind, I, J = _parse_target(args.target)
     for P in (I, J):
         if not indexing._is_pair(*P, n):
@@ -118,9 +125,25 @@ def cmd_verify(args) -> int:
     pair = jsonio.pair_from_json(_read_json(args.g))
     if pair.ring != ring:
         raise ValueError(f"ring mismatch: --in is over {ring!r}, --g over {pair.ring!r}")
-    ok = rdu.verify(word, pair, k, l, param, n)
-    print("verified" if ok else "verification failed")
-    return 0 if ok else 1
+    found = rdu.first_difference(word, pair, k, l, param, n)
+    if found is not None:
+        I, J, got, want = found
+        print(
+            f"first difference at ({_label(I)}, {_label(J)}): "
+            f"product {_value(ring, got)}, expected {_value(ring, want)}",
+            file=sys.stderr,
+        )
+    print("verified" if found is None else "verification failed")
+    return 0 if found is None else 1
+
+
+def _label(pair) -> str:
+    return "{%d,%d}" % pair
+
+
+def _value(ring, payload) -> str:
+    value = jsonio.elem_to_json(ring, payload)
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def cmd_member(args) -> int:
@@ -150,6 +173,9 @@ def cmd_level(args) -> int:
 def cmd_stabilize(args) -> int:
     v = jsonio.vector_from_json(_read_json(args.input))
     ring = v.ring
+    for flag, index in (("--col", args.col), ("--row", args.row)):
+        if index is not None and not 1 <= index <= v.n:
+            raise ValueError(f"{flag}: bad index ({index} at n = {v.n})")
     if args.col is not None:
         word = stabilizer.column_stabilizer(args.col, v)
         fixed = mat_vec(word.eval(ring).fwd, v.entries) == v.entries

@@ -2,10 +2,11 @@
 
 cauchy_binet sends an n x n matrix to the C(n,2) x C(n,2) matrix of its
 2 x 2 minors.  Over Z/m with (m-1)^2 < 2^62 (the one-limb answer of
-matrices._int64_kernel at dim 1) all minors come from _int64_minors, one
+matrices._int64_kernel at dim 1) all minors come from _residue_minors, one
 int64 expression over the pair index arrays that serves any stack of n x n
-matrices (rdu.verify lifts all conjugators of a word through it at once);
-elsewhere from ring arithmetic, entry by entry.
+matrices (rdu.verify lifts all conjugators of a word through it at once,
+in float64 where matrices._float64_exact allows); elsewhere from ring
+arithmetic, entry by entry.
 ext_transvection expands the compound image of a single elementary
 transvection into explicit elementary transvections of the pair-indexed
 group, at the positions and signs of words._letter_support; the expansion
@@ -43,7 +44,7 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
         raise ValueError("dimension mismatch")
     ring = x.ring
     if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
-        return matrices.Matrix(ring, None, _np_data=_int64_minors(x._np, ring.modulus))
+        return matrices.Matrix(ring, None, _np_data=_residue_minors(x._np, ring.modulus))
     ps = indexing.pairs(n)
     out = []
     for i1, i2 in ps:
@@ -56,16 +57,22 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
     return matrices.Matrix(ring, out)
 
 
-def _int64_minors(x, m: int):
-    """2 x 2 minors of a stack (..., n, n) of int64 residues mod m, as the
-    stack (..., C(n,2), C(n,2)) of their residues, pairs in lexicographic
-    order.  Needs (m-1)^2 < 2^62, the one-limb answer of
+def _residue_minors(x, m: int):
+    """2 x 2 minors of a stack (..., n, n) of residues mod m, as the stack
+    (..., C(n,2), C(n,2)) of their residues in x's dtype, pairs in
+    lexicographic order.
+
+    int64 needs (m-1)^2 < 2^62, the one-limb answer of
     matrices._int64_kernel at dim 1: every product is then below 2^62 and
-    every minor above -2^62."""
+    every minor above -2^62.  float64 needs matrices._float64_exact at any
+    dim >= 1: every product and minor is then an exact float64, reduced by
+    the floor quotient of matrices._float64_reduce."""
     a, b = (np.array(indexing.pairs(x.shape[-1])) - 1).T
     ra, rb = a[:, None], b[:, None]
     out = x[..., ra, a] * x[..., rb, b]
     out -= x[..., ra, b] * x[..., rb, a]
+    if out.dtype == np.float64:
+        return matrices._float64_reduce(out, m)
     out %= m
     return out
 

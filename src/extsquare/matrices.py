@@ -16,6 +16,11 @@ evaluation), and mat_vec and vec_mat take vectors; each asks it once:
   limb width fits, such as 2^61 - 1 at dim 6.  That product is the referee
   of both int64 paths.
 
+_float64_exact answers one narrower question, for batched residue stacks
+only (the referee rdu._batched_product): whether float64 BLAS products,
+reduced by _float64_reduce after each one, are exact.  Matrix storage and
+every product above stay as _int64_kernel decides.
+
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
 multiplying the two sides together.
@@ -68,6 +73,42 @@ def _int64_matmul(a, b, m: int, s: int):
     if s == ONE_LIMB:
         return (a @ b) % m
     return _limb_matmul(a, b, m, s)
+
+
+def _float64_exact(ring, dim: int) -> bool:
+    """Whether products of dim x dim residue matrices over `ring`, and
+    2 x 2 minors of residues, are exact in float64: Z/m with
+    dim (m-1)^2 + m <= 2^53 (Z/97 at any dim up to 9 * 10^11, Z/(2^31 - 1)
+    at none).
+
+    Every integer up to 2^53 in absolute value is a float64.  A product of
+    residues in [0, m) is at most (m-1)^2 and a sum of dim of them at most
+    dim (m-1)^2.  BLAS may add them in any order or fuse them (FMA): every
+    partial sum is an integer no larger than the total, so each is exact.
+    A minor ad - bc of residues lies in (-(m-1)^2, (m-1)^2).  Both leave
+    |c| + m <= 2^53, which _float64_reduce needs.
+    """
+    if ring.kind != "zmod":
+        return False
+    m = ring.modulus
+    return dim * (m - 1) ** 2 + m <= 2**53
+
+
+def _float64_reduce(c, m: int):
+    """c mod m, in place, for a float64 array of integers with
+    |c| + m <= 2^53, by the floor quotient c - floor(c / m) m.
+
+    The division rounds c / m by a relative 2^-53 at most, so by less than
+    |c| 2^-53 / m < 1/m; a c / m that is not an integer is at least 1/m
+    from either neighbouring integer, so the floor q is exact.  Then
+    |q m| <= |c| + m and c - q m in [0, m) are exact too.  floor, not
+    trunc: minors can be negative.
+    """
+    q = c / m
+    np.floor(q, out=q)
+    q *= m
+    c -= q
+    return c
 
 
 class Matrix:

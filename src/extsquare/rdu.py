@@ -511,11 +511,23 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
     transvection t_kl(xi); nothing is sampled.  Over Z/m with
     (m-1)^2 < 2^62 it comes from _batched_product, which multiplies every
     conjugator out as n x n transvections and lifts them all by one batched
-    compound, sharing no word evaluator and no letter rule with the engine.
+    compound, sharing no word evaluator and no letter rule with the engine;
+    its stacks are float64 where matrices._float64_exact holds at N, so
+    that every BLAS sum stays an exact integer, and int64 otherwise.
     Over other rings it comes from _naive_product, letter by letter.
     Neither calls the factored `ConjWord.eval_matrix` that the engine's own
     certificates use.
     """
+    return first_difference(word, g, k, l, xi, n) is None
+
+
+def first_difference(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | None = None):
+    """None when `word` verifies (see verify); else (I, J, got, want): the
+    pair labels of the first entry, in row-major order, where the word's
+    product differs from the target letter, and both payloads there.
+
+    The product is computed once and compared whole; the entry is looked
+    for only after that comparison fails."""
     if n is None:
         n = indexing.ambient_rank(g.dim)
     if g.dim != indexing.dim(word.n):
@@ -531,7 +543,16 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
         product = matrices.Matrix(ring, None, _np_data=_batched_product(word, g))
     else:
         product = _naive_product(word, g)
-    return product == expected
+    if product == expected:
+        return None
+    ps = indexing.pairs(n)
+    r, c = next(
+        (r, c)
+        for r in range(g.dim)
+        for c in range(g.dim)
+        if product.at(r, c) != expected.at(r, c)
+    )
+    return ps[r], ps[c], product.at(r, c), expected.at(r, c)
 
 
 def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
@@ -556,34 +577,42 @@ def _batched_product(word: ConjWord, g: matrices.InvPair):
     transvections t_ij(xi) of those letters (the paper's definition of a
     letter).  So every conjugator and its inverse is multiplied out in
     n x n (_transvection_stack, pairwise along the letter positions), one
-    call of exterior._int64_minors lifts all 2T products to N x N, and the
-    chain X_t^-1, g^{eps_t}, X_t over all terms t is multiplied pairwise.
-    Every letter of every conjugator is applied in its own term; nothing is
-    shared between terms or calls, and the engine's sign rule for letters
-    (words._letter_support) is not read.
+    call of exterior._residue_minors lifts all 2T products to N x N, and
+    the chain X_t^-1, g^{eps_t}, X_t over all terms t is multiplied
+    pairwise.  Every letter of every conjugator is applied in its own term;
+    nothing is shared between terms or calls, and the engine's sign rule
+    for letters (words._letter_support) is not read.
+
+    The dtype of all three stacks is chosen here, once: float64 where
+    matrices._float64_exact(ring, N) holds (N (m-1)^2 + m <= 2^53, which
+    covers the n x n products and the minors too), so that every product
+    is one exact BLAS call reduced by the floor quotient; int64 otherwise,
+    one limb or several as matrices._int64_kernel decides.
     """
     ring, n, N = g.ring, word.n, g.dim
     m = ring.modulus
     T = len(word.terms)
     if not T:
         return np.identity(N, dtype=np.int64) % m
+    dtype = np.float64 if matrices._float64_exact(ring, N) else np.int64
     # the stack is passed, not named, so its first level frees it
-    X = _pairwise_product(_transvection_stack(word, ring), m, matrices._int64_kernel(ring, n))
-    X = exterior._int64_minors(X, m)
+    X = _pairwise_product(_transvection_stack(word, ring, dtype), m, matrices._int64_kernel(ring, n))
+    X = exterior._residue_minors(X, m)
     eps = np.array([eps for eps, _ in word.terms])[:, None, None]
     G = np.where(eps == 1, g.fwd._np, g.bwd._np)
-    chain = np.stack([X[T:], G, X[:T]], axis=1).reshape(3 * T, N, N)
-    return _pairwise_product(chain, m, matrices._int64_kernel(ring, N))
+    chain = np.stack([X[T:], G, X[:T]], axis=1, dtype=dtype).reshape(3 * T, N, N)
+    return _pairwise_product(chain, m, matrices._int64_kernel(ring, N)).astype(np.int64, copy=False)
 
 
-def _transvection_stack(word: ConjWord, ring):
-    """The letters of the T conjugators as n x n transvections, in one int64
-    stack (P, 2T, n, n) for the longest conjugator length P: slot t holds
-    the conjugator of term t as t_ij(xi) in order, slot T + t its inverse
-    as t_ij(-xi) in reverse order, each padded with identities."""
+def _transvection_stack(word: ConjWord, ring, dtype):
+    """The letters of the T conjugators as n x n transvections, in one stack
+    (P, 2T, n, n) of residues in `dtype` for the longest conjugator length
+    P: slot t holds the conjugator of term t as t_ij(xi) in order, slot
+    T + t its inverse as t_ij(-xi) in reverse order, each padded with
+    identities."""
     n, m, T = word.n, ring.modulus, len(word.terms)
     lens = np.array([len(h) for _, h in word.terms])
-    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n), np.int64)
+    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n), dtype)
     X[..., range(n), range(n)] = 1
     letters = [x for _, h in word.terms for x in h.letters]
     if letters:
@@ -600,11 +629,15 @@ def _transvection_stack(word: ConjWord, ring):
 
 
 def _pairwise_product(stack, m: int, s):
-    """The product, in order, of the int64 residue matrices of `stack` along
-    its first axis, multiplied pairwise at the kernel s of _int64_kernel
-    (an odd one out waits for the next level)."""
+    """The product, in order, of the residue matrices of `stack` along its
+    first axis, multiplied pairwise (an odd one out waits for the next
+    level) and reduced after every product: a float64 stack by one BLAS
+    product and matrices._float64_reduce, an int64 one at the kernel s of
+    _int64_kernel."""
+    exact = stack.dtype == np.float64
     while len(stack) > 1:
-        head = matrices._int64_matmul(stack[0:-1:2], stack[1::2], m, s)
+        a, b = stack[0:-1:2], stack[1::2]
+        head = matrices._float64_reduce(a @ b, m) if exact else matrices._int64_matmul(a, b, m, s)
         stack = np.concatenate([head, stack[-1:]]) if len(stack) % 2 else head
     return stack[0]
 

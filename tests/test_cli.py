@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from extsquare import cli, generate, indexing, jsonio, plucker, rings
+from extsquare import cli, exterior, generate, indexing, jsonio, matrices, plucker, rdu, rings
 from extsquare.cli import main
 
 
@@ -590,23 +590,61 @@ def test_gen_and_decompose_artifact_bytes_are_pinned(tmp_path, ring):
          "--target"),
         (["verify", "--in", "{d}", "--g", "{g101}"], "ring mismatch"),
         (["verify", "--in", "{d}", "--g", "{gint}"], "ring mismatch"),
+        (["gen", "--ring", "zmod:abc"],
+         "--ring: expected int, zmod:<m> or poly:<v,...>, got 'zmod:abc'"),
+        (["stabilize", "--in", "{v}", "--col", "0"], "--col: bad index (0 at n = 5)"),
+        (["stabilize", "--in", "{v}", "--row", "9"], "--row: bad index (9 at n = 5)"),
+        (["decompose", "--in", "{g3}", "--target", "entry:1,3:1,2", "--k", "2", "--l", "3"],
+         "decompose needs n >= 4, got n = 3"),
     ],
     ids=["gen-n-0", "gen-n-negative", "gen-n-2", "gen-len-negative", "k-0", "k-equals-l",
          "entry-I-equals-J", "diagdiff-I-equals-J", "target-one-pair", "verify-zmod-101",
-         "verify-int"],
+         "verify-int", "ring-zmod-abc", "stabilize-col-0", "stabilize-row-9",
+         "decompose-n-3"],
 )
 def test_flag_usage_errors_exit_2_and_name_the_flag(tmp_path, capsys, argv, named):
-    paths = {key: str(tmp_path / f"{key}.json") for key in ("g", "g101", "gint", "d")}
-    for key, ring in (("g", "zmod:97"), ("g101", "zmod:101"), ("gint", "int")):
-        assert main(["gen", "--ring", ring, "--n", "5", "--seed", "1", "--len", "20",
+    paths = {key: str(tmp_path / f"{key}.json") for key in ("g", "g101", "gint", "g3", "d", "v")}
+    for key, ring, n in (("g", "zmod:97", 5), ("g101", "zmod:101", 5), ("gint", "int", 5),
+                         ("g3", "zmod:97", 3)):
+        assert main(["gen", "--ring", ring, "--n", str(n), "--seed", "1", "--len", "20",
                      "--out", paths[key]]) == 0
     assert main(["decompose", "--in", paths["g"], "--target", "entry:1,3:1,2",
                  "--k", "2", "--l", "3", "--out", paths["d"]]) == 0
+    ring = rings.ModularRing(97)
+    entries = [ring.random(generate.rng_for(1, "flags", i)) for i in range(indexing.dim(5))]
+    with open(paths["v"], "w", encoding="utf-8") as fh:
+        fh.write(jsonio.dumps(jsonio.vector_to_json(plucker.PairVector(5, ring, entries))))
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err and "Traceback" not in captured.err
+
+
+def test_failed_verify_names_the_first_difference(tmp_path, capsys):
+    g_path = _gen(tmp_path, n=5)
+    d_path = tmp_path / "d.json"
+    assert main(["decompose", "--in", str(g_path), "--target", "entry:1,2:3,4",
+                 "--k", "4", "--l", "1", "--out", str(d_path)]) == 0
+    obj = json.loads(d_path.read_text())
+    obj["word"]["terms"][5]["eps"] = -obj["word"]["terms"][5]["eps"]
+    t_path = tmp_path / "t.json"
+    t_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(t_path), "--g", str(g_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "verification failed\n"
+
+    # the first differing entry, found here by the letter-by-letter product
+    word, k, l, param, n, ring = jsonio.decomposition_parts_from_json(obj)
+    g = jsonio.pair_from_json(json.loads(g_path.read_text()))
+    got = rdu._naive_product(word, g)
+    want = exterior.cauchy_binet(matrices.transvection(ring, n, k, l, param), n)
+    r, c = next((r, c) for r in range(g.dim) for c in range(g.dim)
+                if got.at(r, c) != want.at(r, c))
+    (a, b), (p, q) = indexing.unrank(r, n), indexing.unrank(c, n)
+    assert captured.err == (f"first difference at ({{{a},{b}}}, {{{p},{q}}}): "
+                            f"product {got.at(r, c)}, expected {want.at(r, c)}\n")
 
 
 def test_gen_at_rank_one_exits_2_instead_of_looping():

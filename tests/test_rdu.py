@@ -1,5 +1,6 @@
 """The decomposition engine: cases, certificates, verification, errors."""
 
+import math
 import random
 from functools import lru_cache
 
@@ -477,10 +478,36 @@ REFEREE_SHAPES = {
 }
 
 
+def _spy_dtypes(monkeypatch):
+    """The dtypes of every stack the batched referee builds or multiplies:
+    the n x n transvection stack, its product (the minors keep its dtype)
+    and the N x N chain."""
+    seen = []
+    build, pairwise = rdu._transvection_stack, rdu._pairwise_product
+
+    def spy_build(*args):
+        stack = build(*args)
+        seen.append(stack.dtype)
+        return stack
+
+    def spy_pairwise(stack, *args):
+        seen.append(stack.dtype)
+        return pairwise(stack, *args)
+
+    monkeypatch.setattr(rdu, "_transvection_stack", spy_build)
+    monkeypatch.setattr(rdu, "_pairwise_product", spy_pairwise)
+    return seen
+
+
+# the stack dtype the batched referee must take on each ring at n <= 7
+REFEREE_DTYPES = {"zmod97": np.float64, "zmod-mersenne-31": np.int64}
+
+
 @pytest.mark.parametrize("shape", sorted(REFEREE_SHAPES))
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("ring_id", sorted(REFEREE_RINGS))
-def test_batched_referee_matches_the_loop_on_named_shapes(ring_id, n, shape):
+def test_batched_referee_matches_the_loop_on_named_shapes(monkeypatch, ring_id, n, shape):
+    seen = _spy_dtypes(monkeypatch)
     ring = REFEREE_RINGS[ring_id]
     rng = random.Random(f"{ring_id} {n} {shape}")
     g = generate.compound_of_random(n, ring, 8, rng)
@@ -493,6 +520,7 @@ def test_batched_referee_matches_the_loop_on_named_shapes(ring_id, n, shape):
     )
     assert [len(h) for _, h in word.terms] == REFEREE_SHAPES[shape]
     _assert_products_agree(word, g, 2, 3, ring.random(rng), n)
+    assert seen and set(seen) == {np.dtype(REFEREE_DTYPES[ring_id])}
 
 
 @pytest.mark.parametrize(
@@ -532,4 +560,45 @@ def test_referee_at_the_one_limb_bound(monkeypatch, modulus, batched):
         raise AssertionError("verify took the other path")
 
     monkeypatch.setattr(rdu, "_naive_product" if batched else "_batched_product", refuse)
+    assert not rdu.verify(word, g, 2, 3, 1, n)
+
+
+def _largest_float64_modulus(N):
+    """The largest m with N (m-1)^2 + m <= 2^53."""
+    m = math.isqrt(2**53 // N) + 1
+    while N * (m - 1) ** 2 + m > 2**53:
+        m -= 1
+    return m
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_referee_at_the_float64_bound(monkeypatch, n, inside):
+    # all-(m-1) g and letters, the largest residues the stacks see: sums
+    # against g approach N (m-1)^2, the most a float64 stack may hold; both
+    # sides equal the product over Z reduced mod m, in float64 at the
+    # largest m and in int64 at the next
+    N = indexing.dim(n)
+    modulus = _largest_float64_modulus(N) + (not inside)
+    ring = rings.ModularRing(modulus)
+    assert matrices._float64_exact(ring, N) is inside
+    assert matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB
+    top = modulus - 1
+    full = matrices.Matrix(ring, [[top] * N] * N)
+    g = matrices.InvPair._trusted(full, full)  # never multiplied together
+    rng = random.Random(f"float64 bound {n}")
+    letters = [(i, j, top) for i, j, _ in generate.random_ext_word(n, ring, 5, rng).letters]
+    h = words.ExtWord(n, letters)
+    word = ConjWord(n, [(1, h), (-1, words.ExtWord(n)), (-1, h + h), (1, h)])
+
+    integers = rings.IntegerRing()
+    full_int = matrices.Matrix(integers, [[top] * N] * N)
+    over_z = rdu._naive_product(word, matrices.InvPair._trusted(full_int, full_int))
+    want = tuple(tuple(v % modulus for v in row) for row in over_z.rows)
+
+    seen = _spy_dtypes(monkeypatch)
+    got = rdu._batched_product(word, g)
+    assert got.dtype == np.int64
+    assert tuple(map(tuple, got.tolist())) == want
+    assert set(seen) == {np.dtype(np.float64 if inside else np.int64)}
     assert not rdu.verify(word, g, 2, 3, 1, n)
