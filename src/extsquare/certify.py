@@ -189,6 +189,8 @@ def plucker_stabilizer_suite(n: int = 5) -> SuiteResult:
 
 def plucker_vanishing_suite(n: int = 5) -> SuiteResult:
     """Short relations vanish on every column of a generic compound matrix."""
+    if n < 5:
+        return SuiteResult("plucker-vanishing", "skip", "needs n >= 5")
     m = exterior.cauchy_binet(_generic_matrix(n), n)
     ring = m.ring
     for col_pair in indexing.pairs(n):
@@ -301,18 +303,10 @@ def run_all(max_n: int):
             "increment-cancellation",
             lambda: increment_cancellation_suite(min(max_n, 5)),
         ),
+        ("plucker-stabilizer", lambda: plucker_stabilizer_suite(min(max_n, 5))),
+        ("plucker-vanishing", lambda: plucker_vanishing_suite(min(max_n, 5))),
+        ("membership-criterion", lambda: criterion_suite(4)),
     ]
-    if max_n >= 5:
-        plan.append(("plucker-stabilizer", lambda: plucker_stabilizer_suite(5)))
-        plan.append(("plucker-vanishing", lambda: plucker_vanishing_suite(5)))
-    else:
-        plan.append(
-            ("plucker-stabilizer", lambda: SuiteResult("plucker-stabilizer", "skip", "needs n >= 5"))
-        )
-        plan.append(
-            ("plucker-vanishing", lambda: SuiteResult("plucker-vanishing", "skip", "needs n >= 5"))
-        )
-    plan.append(("membership-criterion", lambda: criterion_suite(4)))
     if max_n >= 4:
         plan.append(
             ("monomial-moves", lambda: monomial_suite(tuple(range(4, max_n + 1))))

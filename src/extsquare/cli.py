@@ -61,6 +61,8 @@ def _write_text(text: str, path: str | None):
 
 
 def cmd_identities(args) -> int:
+    if not 3 <= args.max_n <= 6:
+        raise ValueError(f"--max-n: must be between 3 and 6, got {args.max_n}")
     results = certify.run_all(args.max_n)
     failed = False
     for r in results:

@@ -44,7 +44,7 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
         raise ValueError("dimension mismatch")
     ring = x.ring
     if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
-        return matrices.Matrix(ring, None, _np_data=_residue_minors(x._np, ring.modulus))
+        return matrices._from_residues(ring, _residue_minors(x._residues(), ring.modulus))
     ps = indexing.pairs(n)
     out = []
     for i1, i2 in ps:

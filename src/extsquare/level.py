@@ -57,17 +57,13 @@ def ideal_contains(ring, generators, x) -> bool:
     """
     x = ring.coerce(x)
     gens = [ring.coerce(v) for v in generators]
-    if ring.kind == "int":
-        d = 0
-        for v in gens:
-            d = math.gcd(d, v)
-        return x == 0 if d == 0 else x % d == 0
-    if ring.kind == "zmod":
-        d = ring.modulus
-        for v in gens:
-            d = math.gcd(d, v)
-        return x % d == 0
-    raise ValueError("membership undecidable in this artifact")
+    if ring.kind not in ("int", "zmod"):
+        raise ValueError("membership undecidable in this artifact")
+    # over Z/m the gcd starts at m, so d is 0 only over Z with no nonzero gens
+    d = ring.modulus if ring.kind == "zmod" else 0
+    for v in gens:
+        d = math.gcd(d, v)
+    return x == 0 if d == 0 else x % d == 0
 
 
 def reduce_matrix(g: matrices.Matrix, d: int) -> matrices.Matrix:

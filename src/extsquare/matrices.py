@@ -13,8 +13,12 @@ evaluation), and mat_vec and vec_mat take vectors; each asks it once:
   split into s-bit limbs and the limb products are combined mod m by
   Horner's rule (Z/(2^31 - 1) takes two limbs at dim 10, 15 and 45);
 * pure python otherwise: Z, Z[x...], m >= 2^62, and moduli so wide that no
-  limb width fits, such as 2^61 - 1 at dim 6.  That product is the referee
-  of both int64 paths.
+  limb width fits, such as 2^61 - 1 at dim 6.  That product, _ring_product,
+  serves matrices and vectors alike and is the referee of both int64 paths.
+
+No other module reads the storage.  They use at, column and rows, and
+three package-internal accessors: Matrix._gather (payloads at paired
+positions), Matrix._residues (an int64 array) and _from_residues.
 
 _float64_exact answers one narrower question, for batched residue stacks
 only (the referee rdu._batched_product): whether float64 BLAS products,
@@ -116,31 +120,23 @@ class Matrix:
 
     __slots__ = ("ring", "dim", "_np", "_rows")
 
-    def __init__(self, ring, rows, _np_data=None):
-        self.ring = ring
-        if _np_data is not None:
-            self.dim = _np_data.shape[0]
-            _np_data.flags.writeable = False
-            self._np = _np_data
-            self._rows = None
-            return
+    def __init__(self, ring, rows):
         rows = tuple(tuple(r) for r in rows)
+        self.ring = ring
         self.dim = len(rows)
         if any(len(r) != self.dim for r in rows):
             raise ValueError("matrix must be square")
-        if _int64_kernel(ring, self.dim) is not None:
-            data = np.array(rows, dtype=np.int64) % ring.modulus
-            data.flags.writeable = False
-            self._np = data
-            self._rows = None
-        else:
-            self._np = None
+        self._np = self._rows = None
+        if _int64_kernel(ring, self.dim) is None:
             self._rows = rows
+        else:
+            self._np = np.array(rows, dtype=np.int64) % ring.modulus
+            self._np.flags.writeable = False
 
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = tuple(tuple(int(x) for x in row) for row in self._np)
+            self._rows = tuple(tuple(row) for row in self._np.tolist())
         return self._rows
 
     def at(self, r: int, c: int):
@@ -151,8 +147,22 @@ class Matrix:
 
     def column(self, c: int):
         if self._np is not None:
-            return tuple(int(x) for x in self._np[:, c])
+            return tuple(self._np[:, c].tolist())
         return tuple(row[c] for row in self._rows)
+
+    def _gather(self, rows, cols) -> list:
+        """The payloads at the 0-based positions (rows[k], cols[k]), for
+        two integer index arrays of one length, as a list (which compares
+        faster than a tuple)."""
+        if self._np is not None:
+            return self._np[rows, cols].tolist()
+        data = self._rows
+        return [data[r][c] for r, c in zip(rows.tolist(), cols.tolist())]
+
+    def _residues(self):
+        """The entries as an int64 array of residues, Z/m with m <= 2^63: the
+        storage, read-only, else a copy of the payload rows."""
+        return self._np if self._np is not None else np.array(self._rows, dtype=np.int64)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
@@ -190,13 +200,22 @@ class Matrix:
         return f"Matrix({self.ring!r}, dim={self.dim})"
 
 
+def _from_residues(ring, data) -> Matrix:
+    """The matrix stored as `data`, a square int64 array of residues, made
+    read-only; only where _int64_kernel(ring, dim) gives a kernel."""
+    data.flags.writeable = False
+    out = object.__new__(Matrix)
+    out.ring, out.dim, out._np, out._rows = ring, data.shape[0], data, None
+    return out
+
+
 def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     """The dim x dim identity with payloads `values` at the off-diagonal
     positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides."""
     if _int64_kernel(ring, dim) is not None:
         data = np.identity(dim, dtype=np.int64)
         data[rows, cols] = values
-        return Matrix(ring, None, _np_data=data % ring.modulus)
+        return _from_residues(ring, data % ring.modulus)
     z, o = ring.zero, ring.one
     out = [[o if r == c else z for c in range(dim)] for r in range(dim)]
     for r, c, v in zip(rows, cols, values):
@@ -215,23 +234,28 @@ def _product(ring, dim: int, factors) -> Matrix:
         acc = factors[0]._np
         for f in factors[1:]:
             acc = _int64_matmul(acc, f._np, m, s)
-        return Matrix(ring, None, _np_data=acc)
-    add, mul, zero = ring.add, ring.mul, ring.zero
+        return _from_residues(ring, acc)
     acc = factors[0].rows
     for f in factors[1:]:
-        bt = list(zip(*f.rows))
-        out_rows = []
-        for ra in acc:
-            out_row = []
-            for cb in bt:
-                total = zero
-                for a, b in zip(ra, cb):
-                    if a != zero and b != zero:
-                        total = add(total, mul(a, b))
-                out_row.append(total)
-            out_rows.append(tuple(out_row))
-        acc = out_rows
+        acc = _ring_product(ring, acc, tuple(zip(*f.rows)))
     return Matrix(ring, acc)
+
+
+def _ring_product(ring, rows, cols) -> list:
+    """out[r][c] = the sum over k of rows[r][k] cols[c][k] in ring
+    arithmetic: the one pure-python product, and the int64 kernels' referee."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    out = []
+    for ra in rows:
+        out_row = []
+        for cb in cols:
+            total = zero
+            for a, b in zip(ra, cb):
+                if a != zero and b != zero:
+                    total = add(total, mul(a, b))
+            out_row.append(total)
+        out.append(tuple(out_row))
+    return out
 
 
 def identity(ring, dim: int) -> Matrix:
@@ -253,43 +277,27 @@ def transvection(ring, dim: int, i: int, j: int, payload) -> Matrix:
 
 def mat_vec(m: Matrix, vec):
     """Matrix times column vector of payloads."""
-    ring = m.ring
-    if len(vec) != m.dim:
-        raise ValueError("dimension mismatch")
-    s = _int64_kernel(ring, m.dim)
-    if s is not None:
-        v = np.array(vec, dtype=np.int64)
-        return tuple(int(x) for x in _int64_matmul(m._np, v, ring.modulus, s))
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    out = []
-    for row in m.rows:
-        acc = zero
-        for a, b in zip(row, vec):
-            if a != zero and b != zero:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
+    return _vector_product(m, vec, True)
 
 
 def vec_mat(vec, m: Matrix):
     """Row vector of payloads times matrix."""
+    return _vector_product(m, vec, False)
+
+
+def _vector_product(m: Matrix, vec, column: bool) -> tuple:
+    """m vec for a column vector, vec m for a row one, at m's kernel."""
     ring = m.ring
     if len(vec) != m.dim:
         raise ValueError("dimension mismatch")
     s = _int64_kernel(ring, m.dim)
     if s is not None:
         v = np.array(vec, dtype=np.int64)
-        return tuple(int(x) for x in _int64_matmul(v, m._np, ring.modulus, s))
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    cols = list(zip(*m.rows))
-    out = []
-    for col in cols:
-        acc = zero
-        for a, b in zip(vec, col):
-            if a != zero and b != zero:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
+        a, b = (m._np, v) if column else (v, m._np)
+        return tuple(_int64_matmul(a, b, ring.modulus, s).tolist())
+    if column:
+        return tuple(row[0] for row in _ring_product(ring, m.rows, (vec,)))
+    return _ring_product(ring, (vec,), tuple(zip(*m.rows)))[0]
 
 
 class InvPair:

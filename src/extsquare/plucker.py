@@ -146,9 +146,7 @@ def is_member(g: matrices.Matrix, n: int | None = None) -> bool:
     s = matrices._int64_kernel(ring, 6)
     if s is None:
         return _first_violation(g, n) is None
-    # a modulus with limbs at dim 6 may still store g in python ints at dim N
-    data = g._np if g._np is not None else np.array(g.rows, dtype=np.int64)
-    return _is_member_int64(data, ring.modulus, n, s)
+    return _is_member_int64(g._residues(), ring.modulus, n, s)
 
 
 def _first_violation(g: matrices.Matrix, n: int):
@@ -256,33 +254,32 @@ def parabolic_zero_check(g: matrices.Matrix, I, n: int | None = None) -> bool:
 
     Requires column I of g to be the standard basis column; then checks
     g_{K,J} = 0 for every K avoiding I entirely and every J meeting I in
-    exactly one index, as one gather over the block's index arrays (cached
-    per (I, n)) for int64 storage and entry by entry in the ring otherwise.
+    exactly one index, as one Matrix._gather over the block's positions
+    (cached per (I, n)).
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
     ring = g.ring
     I = tuple(sorted(I))
     rI = indexing.rank(I, n)
-    col = g.column(rI)
-    for r, value in enumerate(col):
-        want = ring.one if r == rI else ring.zero
-        if value != want:
-            raise ValueError("precondition: column is not standard")
+    e_col = [ring.zero] * g.dim
+    e_col[rI] = ring.one
+    if g.column(rI) != tuple(e_col):
+        raise ValueError("precondition: column is not standard")
     rows, cols = _zero_block(I, n)
-    if g._np is not None:
-        return not g._np[rows[:, None], cols].any()
-    return all(ring.is_zero(g.at(r, c)) for r in rows.tolist() for c in cols.tolist())
+    return g._gather(rows, cols) == [ring.zero] * len(rows)
 
 
 @lru_cache(maxsize=None)
 def _zero_block(I, n: int):
-    """Ranks of the pairs K avoiding the sorted pair I, and of the pairs J
-    meeting it in exactly one index: the rows and columns of the zero block
-    of parabolic_zero_check."""
+    """The zero block of parabolic_zero_check as paired positions (rows[k],
+    cols[k]): every rank of a pair K avoiding the sorted pair I against
+    every rank of a pair J meeting it in exactly one index."""
     ps = indexing.pairs(n)
-    rows = np.array([indexing.rank(K, n) for K in ps if not set(K) & set(I)], dtype=np.intp)
-    cols = np.array([indexing.rank(J, n) for J in ps if indexing.height(I, J) == 1], dtype=np.intp)
+    K = [indexing.rank(K, n) for K in ps if not set(K) & set(I)]
+    J = [indexing.rank(J, n) for J in ps if indexing.height(I, J) == 1]
+    rows = np.repeat(np.array(K, dtype=np.intp), len(J))
+    cols = np.tile(np.array(J, dtype=np.intp), len(K))
     for a in (rows, cols):
         a.flags.writeable = False
     return rows, cols

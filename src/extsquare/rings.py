@@ -180,9 +180,6 @@ class PolynomialRing(Ring):
         exps = tuple(1 if i == idx else 0 for i in range(self.nvars))
         return ((exps, 1),)
 
-    def monomial(self, exps, coeff):
-        return self.canon([(tuple(exps), coeff)])
-
     def add(self, a, b):
         if not a:
             return b

@@ -16,11 +16,18 @@ from . import indexing, plucker
 from .words import ExtWord
 
 
+def _rank_at_least(w: plucker.PairVector, least: int, form: str) -> None:
+    """A ValueError naming n when w's rank is below what `form` needs."""
+    if w.n < least:
+        raise ValueError(f"rank too small: {form} needs n >= {least}, got n = {w.n}")
+
+
 def column_stabilizer(j: int, w: plucker.PairVector) -> ExtWord:
     """Word of n-1 exterior letters fixing the column vector w."""
     n = w.n
     if not 1 <= j <= n:
         raise ValueError("bad index")
+    _rank_at_least(w, 3, "a stabilizer word")
     return ExtWord(n, [(s, j, w.signed_at(s, j)) for s in range(1, n + 1) if s != j])
 
 
@@ -29,6 +36,7 @@ def row_stabilizer(i: int, z: plucker.PairVector) -> ExtWord:
     n = z.n
     if not 1 <= i <= n:
         raise ValueError("bad index")
+    _rank_at_least(z, 3, "a stabilizer word")
     return ExtWord(n, [(i, s, z.signed_at(i, s)) for s in range(1, n + 1) if s != i])
 
 
@@ -51,8 +59,7 @@ def pair_increment(p: int, q: int, j: int, w: plucker.PairVector):
 
 def plucker_stabilizer(w: plucker.PairVector) -> ExtWord:
     """Three-letter word fixing any column of a compound matrix, n >= 5."""
-    if w.n < 5:
-        raise ValueError("rank too small")
+    _rank_at_least(w, 5, "the three-letter form")
     if not plucker.column_satisfies(w):
         raise ValueError("not a compound-matrix column: a short relation is nonzero")
     return _three_letters(w)

@@ -237,13 +237,14 @@ class ExtWord(_LetterWord):
     def eval(self, ring, cache: dict | None = None) -> matrices.InvPair:
         """The word's matrix and its inverse.
 
-        A caller's `cache` keeps the pair under (n, letters), at most
-        _SEGMENT_CACHE_MAX entries in all, and every entry is exactly the
-        product of the letters of its key.  On a miss the word extends its
-        longest cached proper suffix letters[p:]: the head letters[:p] is
-        read from the cache when it is there and multiplied out letter by
-        letter (and not stored) otherwise, and the pair is the head composed
-        with the tail, stored under the word's own key only.  Without a
+        A caller's `cache` keeps the pair under (ring.key(), n, letters), at
+        most _SEGMENT_CACHE_MAX entries in all, and every entry is exactly
+        the product of the letters of its key over its ring, so one cache
+        may serve several rings.  On a miss the word extends its longest
+        cached proper suffix letters[p:]: the head letters[:p] is read from
+        the cache when it is there and multiplied out letter by letter (and
+        not stored) otherwise, and the pair is the head composed with the
+        tail, stored under the word's own key only.  Without a
         cached suffix, or without a cache, the word is multiplied out letter
         by letter.
         """
@@ -252,14 +253,15 @@ class ExtWord(_LetterWord):
         dim = indexing.dim(n)
         if cache is None:
             return _eval_letters(ring, dim, letters, letter)
-        key = (n, letters)
+        rk = ring.key()
+        key = (rk, n, letters)
         hit = cache.get(key)
         if hit is not None:
             return hit
         for p in range(1, len(letters)):
-            tail = cache.get((n, letters[p:]))
+            tail = cache.get((rk, n, letters[p:]))
             if tail is not None:
-                head = cache.get((n, letters[:p]))
+                head = cache.get((rk, n, letters[:p]))
                 if head is None:
                     head = _eval_letters(ring, dim, letters[:p], letter)
                 pair = head.compose(tail)
@@ -322,13 +324,13 @@ class ConjWord:
         share a prefix P is evaluated against P^-1 g^{+-1} P.  Every letter
         still multiplies in against g.
 
-        `cache` is the caller's dict, shared across words and matrices.  It
-        keeps segments (ExtWord.eval, keyed by (n, letters)) and, under
-        ("runs", id(g)), a pair (g, memo) whose memo maps each top-level run
-        -- the run's (eps, letters) terms once S is stripped -- to its
-        product against g.  The pair holds g, so its id is not reused while
-        the entry lives.  A run that recurs, in this word or a later one on
-        the same g, is then multiplied once.
+        `cache` is the caller's dict, shared across words, matrices and
+        rings.  It keeps segments (ExtWord.eval, keyed by (ring.key(), n,
+        letters)) and, under ("runs", id(g)), a pair (g, memo) whose memo
+        maps each top-level run -- the run's (eps, letters) terms once S is
+        stripped -- to its product against g.  The pair holds g, so its id
+        is not reused while the entry lives.  A run that recurs, in this
+        word or a later one on the same g, is then multiplied once.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n

@@ -596,14 +596,20 @@ def test_gen_and_decompose_artifact_bytes_are_pinned(tmp_path, ring):
         (["stabilize", "--in", "{v}", "--row", "9"], "--row: bad index (9 at n = 5)"),
         (["decompose", "--in", "{g3}", "--target", "entry:1,3:1,2", "--k", "2", "--l", "3"],
          "decompose needs n >= 4, got n = 3"),
+        (["identities", "--max-n", "7"], "--max-n: must be between 3 and 6, got 7"),
+        (["stabilize", "--in", "{v2}", "--col", "1"], "needs n >= 3, got n = 2"),
+        (["stabilize", "--in", "{v2}", "--row", "2"], "needs n >= 3, got n = 2"),
+        (["stabilize", "--in", "{v4}"], "the three-letter form needs n >= 5, got n = 4"),
     ],
     ids=["gen-n-0", "gen-n-negative", "gen-n-2", "gen-len-negative", "k-0", "k-equals-l",
          "entry-I-equals-J", "diagdiff-I-equals-J", "target-one-pair", "verify-zmod-101",
          "verify-int", "ring-zmod-abc", "stabilize-col-0", "stabilize-row-9",
-         "decompose-n-3"],
+         "decompose-n-3", "identities-max-n-7", "stabilize-col-n-2", "stabilize-row-n-2",
+         "stabilize-three-letter-n-4"],
 )
 def test_flag_usage_errors_exit_2_and_name_the_flag(tmp_path, capsys, argv, named):
-    paths = {key: str(tmp_path / f"{key}.json") for key in ("g", "g101", "gint", "g3", "d", "v")}
+    paths = {key: str(tmp_path / f"{key}.json")
+             for key in ("g", "g101", "gint", "g3", "d", "v", "v2", "v4")}
     for key, ring, n in (("g", "zmod:97", 5), ("g101", "zmod:101", 5), ("gint", "int", 5),
                          ("g3", "zmod:97", 3)):
         assert main(["gen", "--ring", ring, "--n", str(n), "--seed", "1", "--len", "20",
@@ -611,9 +617,10 @@ def test_flag_usage_errors_exit_2_and_name_the_flag(tmp_path, capsys, argv, name
     assert main(["decompose", "--in", paths["g"], "--target", "entry:1,3:1,2",
                  "--k", "2", "--l", "3", "--out", paths["d"]]) == 0
     ring = rings.ModularRing(97)
-    entries = [ring.random(generate.rng_for(1, "flags", i)) for i in range(indexing.dim(5))]
-    with open(paths["v"], "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps(jsonio.vector_to_json(plucker.PairVector(5, ring, entries))))
+    for key, n in (("v", 5), ("v2", 2), ("v4", 4)):
+        entries = [ring.random(generate.rng_for(1, "flags", i)) for i in range(indexing.dim(n))]
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            fh.write(jsonio.dumps(jsonio.vector_to_json(plucker.PairVector(n, ring, entries))))
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from extsquare import generate, indexing, matrices, rings
@@ -226,3 +227,79 @@ def test_mersenne_31_takes_two_limbs(dim):
 def test_no_limb_fits_for_mersenne_61_at_dim_6():
     assert matrices._int64_kernel(rings.ModularRing(2**61 - 1), 6) is None
     assert matrices._int64_kernel(rings.IntegerRing(), 6) is None
+
+
+# -- storage is read only inside matrices, through its accessors ---------------
+
+
+def test_storage_is_read_only_inside_matrices():
+    # every other module reaches Matrix storage through at, column, rows,
+    # _gather, _residues and _from_residues
+    import re
+    from pathlib import Path
+
+    src = Path(matrices.__file__).parent
+    named = {
+        path.name: sorted(set(re.findall(r"\b(?:_np_data|_np|_rows)\b", path.read_text())))
+        for path in src.glob("*.py")
+        if path.name != "matrices.py"
+    }
+    assert {name: found for name, found in named.items() if found} == {}
+
+
+def _ring_loop(ring, a, b):
+    """The product of two lists of rows, entry by entry in the ring."""
+    out = []
+    for row in a:
+        out_row = []
+        for c in range(len(b[0])):
+            total = ring.zero
+            for k, x in enumerate(row):
+                total = ring.add(total, ring.mul(x, b[k][c]))
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
+_LIMB_EDGE_6 = (2**62 - 1) // 6 + 1  # the largest modulus with limbs at dim 6
+ACCESSOR_RINGS = [
+    pytest.param(rings.ModularRing(97), 6, id="zmod97-one-limb"),
+    pytest.param(rings.ModularRing(2**31 - 1), 10, id="mersenne-31-limbs"),
+    pytest.param(rings.ModularRing(_LIMB_EDGE_6), 10, id="limbs-at-6-python-at-10"),
+    pytest.param(INTEGERS, 5, id="int"),
+    pytest.param(rings.PolynomialRing(("x",)), 3, id="poly"),
+]
+
+
+@pytest.mark.parametrize("ring,dim", ACCESSOR_RINGS)
+def test_accessors_and_the_ring_product_agree_with_the_ring_loop(ring, dim):
+    rng = random.Random(dim)
+    a, b = (_random_matrix(ring, dim, rng) for _ in range(2))
+    a_rows = [[a.at(r, c) for c in range(dim)] for r in range(dim)]
+    b_rows = [[b.at(r, c) for c in range(dim)] for r in range(dim)]
+    rows = np.array([rng.randrange(dim) for _ in range(3 * dim)])
+    cols = np.array([rng.randrange(dim) for _ in range(3 * dim)])
+    assert a._gather(rows, cols) == [a_rows[r][c] for r, c in zip(rows, cols)]
+    assert a.rows == tuple(map(tuple, a_rows))
+    assert a.column(1) == tuple(row[1] for row in a_rows)
+    assert a.mul(b).rows == tuple(map(tuple, _ring_loop(ring, a_rows, b_rows)))
+    v = b_rows[0]
+    assert matrices.mat_vec(a, v) == tuple(row[0] for row in _ring_loop(ring, a_rows, [[x] for x in v]))
+    assert matrices.vec_mat(v, a) == tuple(_ring_loop(ring, [v], a_rows)[0])
+    if ring.kind == "zmod":
+        residues = a._residues()
+        assert residues.dtype == np.int64 and residues.tolist() == a_rows
+        if matrices._int64_kernel(ring, dim) is not None:
+            assert matrices._from_residues(ring, residues.copy()) == a
+
+
+@pytest.mark.parametrize("dim,modulus,kernel", EDGES)
+def test_vector_products_match_the_ring_loop_at_their_bounds(dim, modulus, kernel):
+    ring = rings.ModularRing(modulus)
+    rng = random.Random(dim + 3 * modulus)
+    a_rows = [[ring.random(rng) for _ in range(dim)] for _ in range(dim)]
+    a_rows[0] = [modulus - 1] * dim
+    a = matrices.Matrix(ring, a_rows)
+    for v in ([modulus - 1] * dim, [ring.random(rng) for _ in range(dim)]):
+        assert matrices.mat_vec(a, v) == tuple(row[0] for row in _ring_loop(ring, a_rows, [[x] for x in v]))
+        assert matrices.vec_mat(v, a) == tuple(_ring_loop(ring, [v], a_rows)[0])

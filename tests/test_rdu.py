@@ -181,21 +181,44 @@ def test_failed_certificate_names_the_target(monkeypatch, zmod97):
 def test_failed_system_slot_names_the_slot(monkeypatch):
     # one slot's core claims a wrong argument; the system check names it
     g, eng = _engine(4, 8)
-    build = eng._core_words
+    build = eng._core
 
-    def wrong(tag, *args):
-        word, param, certs = build(tag, *args)
-        if tag == ("g", (1, 3), (2, 3)):
+    def wrong(I, J, tau=None):
+        word, param, certs = build(I, J, tau)
+        if (I, J, tau) == ((1, 3), (2, 3), None):
             param = g.ring.add(param, 1)
         return word, param, certs
 
-    monkeypatch.setattr(eng, "_core_words", wrong)
+    monkeypatch.setattr(eng, "_core", wrong)
     with pytest.raises(rdu.CertificateError) as info:
         eng.eight_conjugate_system(1, 4)
     assert str(info.value) == (
         "decomposition certificate failed: system verification "
         "(entry (1, 3) (2, 3) at (1, 4))"
     )
+
+
+def test_a_cached_core_conjugates_nothing(monkeypatch):
+    # g is conjugated only to build a core: once every core a target needs
+    # is cached, decomposing it at another position conjugates nothing
+    g, eng = _engine(5, 9)
+    calls = []
+    conjugate = matrices.conjugate
+
+    def counted(*args):
+        calls.append(1)
+        return conjugate(*args)
+
+    monkeypatch.setattr(matrices, "conjugate", counted)
+    for kind, I, J in (("entry", (1, 3), (1, 2)), ("entry", (1, 2), (3, 4)),
+                       ("diagdiff", (1, 2), (1, 3)), ("diagdiff", (1, 2), (3, 4))):
+        eng.decompose(rdu.GeneratorTarget(kind, I, J, 2, 3))
+        built = len(calls)
+        assert built
+        d = eng.decompose(rdu.GeneratorTarget(kind, I, J, 5, 1))
+        assert len(calls) == built, (kind, I, J)
+        assert rdu.verify(d.word, g, 5, 1, d.param, 5)
+        calls.clear()
 
 
 def _sweep(eng, g, n, after_each=lambda: None, targets=None):
@@ -248,7 +271,8 @@ def _segments(eng):
 
 
 def _check_segments(segments, ring):
-    for (rank, letters), pair in segments.items():
+    for (ring_key, rank, letters), pair in segments.items():
+        assert ring_key == ring.key()
         assert pair == words.ExtWord(rank, letters).eval(ring), letters
 
 

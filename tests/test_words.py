@@ -248,6 +248,28 @@ def test_letter_cache_keeps_each_ring_apart():
     words_mod._LETTER_CACHE.clear()
 
 
+def test_one_segment_cache_keeps_each_ring_apart():
+    # the same letters over Z/97, Z/101, Z and Z[x] through one cache dict:
+    # a segment of one ring must not answer for another, neither in
+    # ExtWord.eval nor in ConjWord.eval_matrix
+    n = 4
+    word = ExtWord(n, ((1, 2, 5), (3, 4, 7), (2, 3, 1)))
+    conj = ConjWord(n, ((1, word), (-1, word + ExtWord(n, ((4, 1, 2),)))))
+    domains = [
+        rings.ModularRing(97),
+        rings.ModularRing(101),
+        rings.IntegerRing(),
+        rings.PolynomialRing(("x",)),
+    ]
+    cache: dict = {}
+    for _ in range(2):  # the second round reads the cache
+        for ring in domains:
+            pair = word.eval(ring, cache)
+            assert pair.ring == ring and pair == word.eval(ring), ring
+            g = generate.compound_of_random(n, ring, 6, random.Random(22))
+            assert conj.eval_matrix(g, cache) == _naive_eval_matrix(conj, g), ring
+
+
 def test_letter_cache_is_bounded_on_a_wide_modulus():
     # every letter argument of a modulus near 2^20 is a new key, so a sweep
     # past the cap must evict; the evicting int64 path stays exact
