@@ -4,9 +4,9 @@ cauchy_binet sends an n x n matrix to the C(n,2) x C(n,2) matrix of its
 2 x 2 minors.  Over Z/m with (m-1)^2 < 2^62 (the one-limb answer of
 matrices._int64_kernel at dim 1) all minors come from _residue_minors, one
 int64 expression over the pair index arrays that serves any stack of n x n
-matrices (rdu.verify lifts all conjugators of a word through it at once,
-in float64 where matrices._float64_exact allows); elsewhere from ring
-arithmetic, entry by entry.
+matrices (rdu.verify lifts the telescoped conjugators of a word through it
+at once, in float64 where matrices._float64_kernel(ring, 1) is ONE_LIMB);
+elsewhere from ring arithmetic, entry by entry.
 ext_transvection expands the compound image of a single elementary
 transvection into explicit elementary transvections of the pair-indexed
 group, at the positions and signs of words._letter_support; the expansion
@@ -64,16 +64,31 @@ def _residue_minors(x, m: int):
 
     int64 needs (m-1)^2 < 2^62, the one-limb answer of
     matrices._int64_kernel at dim 1: every product is then below 2^62 and
-    every minor above -2^62.  float64 needs matrices._float64_exact at any
-    dim >= 1: every product and minor is then an exact float64, reduced by
-    the floor quotient of matrices._float64_reduce."""
-    a, b = (np.array(indexing.pairs(x.shape[-1])) - 1).T
-    ra, rb = a[:, None], b[:, None]
-    out = x[..., ra, a] * x[..., rb, b]
-    out -= x[..., ra, b] * x[..., rb, a]
+    every minor above -2^62.  float64 needs (m-1)^2 + m <= 2^53, the
+    ONE_LIMB answer of matrices._float64_kernel at dim 1: every product and
+    minor is then an exact float64, reduced by the floor quotient of
+    matrices._float64_reduce."""
+    n = x.shape[-1]
+    ac, bd, ad, bc = _minor_positions(n)
+    flat = x.reshape(x.shape[:-2] + (n * n,))
+    out = flat[..., ac] * flat[..., bd]
+    out -= flat[..., ad] * flat[..., bc]
     if out.dtype == np.float64:
         return matrices._float64_reduce(out, m)
     out %= m
+    return out
+
+
+@lru_cache(maxsize=None)
+def _minor_positions(n: int):
+    """Flat positions in an n x n matrix of the four entries of every 2 x 2
+    minor, pairs 0-based in lexicographic order: rows {a, b} and columns
+    {c, d} give (a c, b d, a d, b c), each an N x N index array."""
+    a, b = (np.array(indexing.pairs(n)) - 1).T
+    ra, rb = a[:, None] * n, b[:, None] * n
+    out = (ra + a, rb + b, ra + b, rb + a)
+    for p in out:
+        p.flags.writeable = False
     return out
 
 

@@ -20,10 +20,12 @@ No other module reads the storage.  They use at, column and rows, and
 three package-internal accessors: Matrix._gather (payloads at paired
 positions), Matrix._residues (an int64 array) and _from_residues.
 
-_float64_exact answers one narrower question, for batched residue stacks
-only (the referee rdu._batched_product): whether float64 BLAS products,
-reduced by _float64_reduce after each one, are exact.  Matrix storage and
-every product above stay as _int64_kernel decides.
+_float64_kernel answers the same question in float64, for batched residue
+stacks only (the referee rdu._batched_product): one BLAS product reduced by
+_float64_reduce when dim (m-1)^2 + m <= 2^53 (Z/97), else s-bit limbs of the
+right factor combined by Horner's rule in _float64_matmul, with every sum an
+exact integer (Z/(2^31 - 1) takes two limbs at every dim up to 63).  Matrix
+storage and every product above stay as _int64_kernel decides.
 
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
@@ -79,23 +81,56 @@ def _int64_matmul(a, b, m: int, s: int):
     return _limb_matmul(a, b, m, s)
 
 
-def _float64_exact(ring, dim: int) -> bool:
-    """Whether products of dim x dim residue matrices over `ring`, and
-    2 x 2 minors of residues, are exact in float64: Z/m with
-    dim (m-1)^2 + m <= 2^53 (Z/97 at any dim up to 9 * 10^11, Z/(2^31 - 1)
-    at none).
+def _float64_kernel(ring, dim: int):
+    """How a product of dim x dim float64 residue matrices over `ring` runs
+    exactly, shaped like _int64_kernel: ONE_LIMB when
+    dim (m-1)^2 + m <= 2^53; else the limb width s >= 1 of _float64_matmul,
+    the widest with (m-1) ((dim+1) 2^s - dim) + m <= 2^53; else None (every
+    ring other than Z/m, and moduli near 2^53 or above).
 
-    Every integer up to 2^53 in absolute value is a float64.  A product of
-    residues in [0, m) is at most (m-1)^2 and a sum of dim of them at most
-    dim (m-1)^2.  BLAS may add them in any order or fuse them (FMA): every
-    partial sum is an integer no larger than the total, so each is exact.
-    A minor ad - bc of residues lies in (-(m-1)^2, (m-1)^2).  Both leave
-    |c| + m <= 2^53, which _float64_reduce needs.
+    Every integer up to 2^53 in absolute value is a float64.  BLAS may add
+    the products of a sum in any order or fuse them (FMA), but when every
+    term is a non-negative integer each partial sum is an integer no larger
+    than the total, so a total up to 2^53 is exact.  One limb: each product
+    of residues in [0, m) is at most (m-1)^2, a sum of dim of them at most
+    dim (m-1)^2.  Limbs: Horner's rule forms acc 2^s + a @ b_k with acc in
+    [0, m) and b_k in [0, 2^s), so acc 2^s <= (m-1) 2^s (exact: a power of
+    two times an exact integer) and a @ b_k <= dim (m-1) (2^s - 1), whose
+    sum is (m-1) ((dim+1) 2^s - dim).  Both leave |c| + m <= 2^53, which
+    _float64_reduce needs; a 2 x 2 minor ad - bc of residues, in
+    (-(m-1)^2, (m-1)^2), is exact and reducible at ONE_LIMB for dim 1.
     """
     if ring.kind != "zmod":
-        return False
+        return None
     m = ring.modulus
-    return dim * (m - 1) ** 2 + m <= 2**53
+    top = m - 1
+    if dim * top * top + m <= 2**53:
+        return ONE_LIMB
+    # (dim+1) 2^s <= floor((2^53 - m) / (m-1)) + dim, an integer inequality
+    widest = ((2**53 - m) // top + dim) // (dim + 1)
+    return widest.bit_length() - 1 if widest >= 2 else None
+
+
+def _float64_matmul(a, b, m: int, s: int):
+    """a @ b mod m for float64 residues, s from _float64_kernel (not None):
+    one BLAS product, or Horner's rule over the s-bit limbs b_k of b from
+    the top limb down, acc = (acc 2^s + a @ b_k) mod m, every product
+    reduced by _float64_reduce.  b_k is floor(b / 2^(ks)) minus
+    2^s floor(b / 2^((k+1)s)), each floor exact: a power-of-two scaling of
+    an integer, rounded down to an integer."""
+    if s == ONE_LIMB:
+        return _float64_reduce(a @ b, m)
+    k = ((m - 1).bit_length() - 1) // s
+    high = np.floor(b * 2.0 ** (-k * s))
+    acc = _float64_reduce(a @ high, m)
+    while k:
+        k -= 1
+        low = np.floor(b * 2.0 ** (-k * s)) if k else b
+        acc *= 2.0**s
+        acc += a @ (low - high * 2.0**s)
+        _float64_reduce(acc, m)
+        high = low
+    return acc
 
 
 def _float64_reduce(c, m: int):

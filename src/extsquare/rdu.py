@@ -492,16 +492,16 @@ def height_one_path(n: int):
 def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | None = None) -> bool:
     """Independent referee: multiply the word out against the minor oracle.
 
-    The full product is compared exactly with cauchy_binet of the n x n
-    transvection t_kl(xi); nothing is sampled.  Over Z/m with
-    (m-1)^2 < 2^62 it comes from _batched_product, which multiplies every
-    conjugator out as n x n transvections and lifts them all by one batched
-    compound, sharing no word evaluator and no letter rule with the engine;
-    its stacks are float64 where matrices._float64_exact holds at N, so
-    that every BLAS sum stays an exact integer, and int64 otherwise.
-    Over other rings it comes from _naive_product, letter by letter.
-    Neither calls the factored `ConjWord.eval_matrix` that the engine's own
-    certificates use.
+    The full product is compared exactly with the 2 x 2 minors of the
+    n x n transvection t_kl(xi); nothing is sampled.  Over Z/m with
+    (m-1)^2 < 2^62 it comes from _batched_product, which multiplies the
+    conjugators out as n x n transvections, telescopes neighbouring ones
+    and lifts them all by one batched compound, sharing no word evaluator
+    and no letter rule with the engine; its stacks are float64 residues,
+    multiplied at matrices._float64_kernel, so that every BLAS sum stays an
+    exact integer.  Over other rings it comes from _naive_product, letter by
+    letter.  Neither calls the factored `ConjWord.eval_matrix` that the
+    engine's own certificates use.
     """
     return first_difference(word, g, k, l, xi, n) is None
 
@@ -511,25 +511,31 @@ def first_difference(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n:
     pair labels of the first entry, in row-major order, where the word's
     product differs from the target letter, and both payloads there.
 
-    The product is computed once and compared whole; the entry is looked
-    for only after that comparison fails."""
+    The product is computed once and compared whole, as a residue array on
+    the batched path; Matrix objects are built, and the entry looked for,
+    only after that comparison fails."""
     if n is None:
         n = indexing.ambient_rank(g.dim)
     if g.dim != indexing.dim(word.n):
         raise ValueError("dimension mismatch")
     if n != word.n:
         raise ValueError(f"rank mismatch: n is {n} but the word has n = {word.n}")
+    if not indexing._is_pair(k, l, n):
+        raise ValueError(f"bad index (k = {k}, l = {l} at n = {n})")
     ring = g.ring
     xi = ring.coerce(xi)
-    expected = exterior.cauchy_binet(
-        matrices.transvection(ring, n, k, l, xi), n
-    )
     if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
-        product = matrices._from_residues(ring, _batched_product(word, g))
+        t = np.identity(n, dtype=np.int64)
+        t[k - 1, l - 1] = xi
+        got, want = _batched_product(word, g), exterior._residue_minors(t, ring.modulus)
+        if np.array_equal(got, want):
+            return None
+        product, expected = matrices._from_residues(ring, got), matrices._from_residues(ring, want)
     else:
         product = _naive_product(word, g)
-    if product == expected:
-        return None
+        expected = exterior.cauchy_binet(matrices.transvection(ring, n, k, l, xi), n)
+        if product == expected:
+            return None
     ps = indexing.pairs(n)
     r, c = next(
         (r, c)
@@ -557,48 +563,55 @@ def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
 def _batched_product(word: ConjWord, g: matrices.InvPair):
     """The word's product as an int64 array over Z/m with (m-1)^2 < 2^62.
 
-    A term is X^-1 g^{+-1} X, and X, the product of its conjugator's
-    exterior letters, is the second compound of the product of the n x n
-    transvections t_ij(xi) of those letters (the paper's definition of a
-    letter).  So every conjugator and its inverse is multiplied out in
-    n x n (_transvection_stack, pairwise along the letter positions), one
-    call of exterior._residue_minors lifts all 2T products to N x N, and
-    the chain X_t^-1, g^{eps_t}, X_t over all terms t is multiplied
+    A term is X_t^-1 g^{eps_t} X_t, and X_t, the product of its
+    conjugator's exterior letters, is the second compound of the product
+    x_t of the n x n transvections t_ij(xi) of those letters (the paper's
+    definition of a letter).  So every x_t and x_t^-1 is multiplied out in
+    n x n (_transvection_stack, pairwise along the letter positions), and
+    the product telescopes: X_1^-1 g^{eps_1} (X_1 X_2^-1) g^{eps_2} ...
+    (X_{T-1} X_T^-1) g^{eps_T} X_T.  One batched n x n product forms
+    x_t x_{t+1}^-1 for t < T, one call of exterior._residue_minors lifts
+    the T + 1 factors x_1^-1, x_t x_{t+1}^-1 and x_T to N x N (the compound
+    is multiplicative), and the chain of 2T + 1 factors is multiplied
     pairwise.  Every letter of every conjugator is applied in its own term;
     nothing is shared between terms or calls, and the engine's sign rule
     for letters (words._letter_support) is not read.
 
-    The dtype of all three stacks is chosen here, once: float64 where
-    matrices._float64_exact(ring, N) holds (N (m-1)^2 + m <= 2^53, which
-    covers the n x n products and the minors too), so that every product
-    is one exact BLAS call reduced by the floor quotient; int64 otherwise,
-    one limb or several as matrices._int64_kernel decides.
+    Every stack is float64 residues, multiplied at matrices._float64_kernel
+    for its dim, one exact BLAS product per limb reduced by the floor
+    quotient.  The minors are float64 where matrices._float64_kernel(ring,
+    1) is ONE_LIMB ((m-1)^2 + m <= 2^53) and int64 otherwise.
     """
     ring, n, N = g.ring, word.n, g.dim
     m = ring.modulus
     T = len(word.terms)
     if not T:
         return np.identity(N, dtype=np.int64) % m
-    dtype = np.float64 if matrices._float64_exact(ring, N) else np.int64
+    s = matrices._float64_kernel(ring, n)
     # the stack is passed, not named, so its first level frees it
-    X = _pairwise_product(_transvection_stack(word, ring, dtype), m, matrices._int64_kernel(ring, n))
-    X = exterior._residue_minors(X, m)
+    x = _pairwise_product(_transvection_stack(word, ring), m, s)
+    # x_1^-1, then x_t x_{t+1}^-1 for t < T, then x_T
+    x = np.concatenate([x[T : T + 1], matrices._float64_matmul(x[: T - 1], x[T + 1 :], m, s), x[T - 1 : T]])
+    if matrices._float64_kernel(ring, 1) != matrices.ONE_LIMB:
+        x = x.astype(np.int64)
+    X = exterior._residue_minors(x, m)
     eps = np.array([eps for eps, _ in word.terms])[:, None, None]
-    G = np.where(eps == 1, g.fwd._residues(), g.bwd._residues())
-    chain = np.stack([X[T:], G, X[:T]], axis=1, dtype=dtype).reshape(3 * T, N, N)
-    return _pairwise_product(chain, m, matrices._int64_kernel(ring, N)).astype(np.int64, copy=False)
+    chain = np.empty((2 * T + 1, N, N))
+    chain[0::2] = X
+    chain[1::2] = np.where(eps == 1, g.fwd._residues(), g.bwd._residues())
+    return _pairwise_product(chain, m, matrices._float64_kernel(ring, N)).astype(np.int64)
 
 
-def _transvection_stack(word: ConjWord, ring, dtype):
+def _transvection_stack(word: ConjWord, ring):
     """The letters of the T conjugators as n x n transvections, in one stack
-    (P, 2T, n, n) of residues in `dtype` for the longest conjugator length
-    P: slot t holds the conjugator of term t as t_ij(xi) in order, slot
-    T + t its inverse as t_ij(-xi) in reverse order, each padded with
+    (P, 2T, n, n) of float64 residues for the longest conjugator length P:
+    slot t holds the conjugator of term t as t_ij(xi) in order, slot T + t
+    its inverse as t_ij(-xi) in reverse order, each padded with
     identities."""
     n, m, T = word.n, ring.modulus, len(word.terms)
     lens = np.array([len(h) for _, h in word.terms])
-    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n), dtype)
-    X[..., range(n), range(n)] = 1
+    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n))
+    X.reshape(-1, n * n)[:, :: n + 1] = 1
     letters = [x for _, h in word.terms for x in h.letters]
     if letters:
         i, j, payloads = zip(*letters)
@@ -614,15 +627,12 @@ def _transvection_stack(word: ConjWord, ring, dtype):
 
 
 def _pairwise_product(stack, m: int, s):
-    """The product, in order, of the residue matrices of `stack` along its
-    first axis, multiplied pairwise (an odd one out waits for the next
-    level) and reduced after every product: a float64 stack by one BLAS
-    product and matrices._float64_reduce, an int64 one at the kernel s of
-    _int64_kernel."""
-    exact = stack.dtype == np.float64
+    """The product, in order, of the float64 residue matrices of `stack`
+    along its first axis, multiplied pairwise (an odd one out waits for the
+    next level) by matrices._float64_matmul at the kernel s of
+    matrices._float64_kernel."""
     while len(stack) > 1:
-        a, b = stack[0:-1:2], stack[1::2]
-        head = matrices._float64_reduce(a @ b, m) if exact else matrices._int64_matmul(a, b, m, s)
+        head = matrices._float64_matmul(stack[0:-1:2], stack[1::2], m, s)
         stack = np.concatenate([head, stack[-1:]]) if len(stack) % 2 else head
     return stack[0]
 

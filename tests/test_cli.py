@@ -473,11 +473,12 @@ def test_verify_names_a_missing_field(tmp_path, capsys, path, message):
         (("word", "terms", 1, "eps"), 2, "word.terms[1].eps: expected +1 or -1, got 2"),
         (("k",), 3, "k: bad index (k = l = 3 at n = 5)"),
         (("l",), 0, "l: bad index (k = 2, l = 0 at n = 5)"),
+        (("k",), 6, "k: bad index (k = 6, l = 3 at n = 5)"),
         (("word", "terms", 1, "h", "n"), 4, "word.terms[1].h.n: expected 5, the word's n, got 4"),
         (("word", "n"), 6, "word.terms[0].h.n: expected 6, the word's n, got 5"),
     ],
     ids=["letter-i-equals-j", "letter-i-out-of-range", "eps-2", "k-equals-l", "l-out-of-range",
-         "conjugator-n", "word-n"],
+         "k-out-of-range", "conjugator-n", "word-n"],
 )
 def test_verify_names_a_bad_index_exponent_or_rank(tmp_path, capsys, path, value, message):
     g_path = _gen(tmp_path, n=5)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -524,7 +525,7 @@ def _spy_dtypes(monkeypatch):
 
 
 # the stack dtype the batched referee must take on each ring at n <= 7
-REFEREE_DTYPES = {"zmod97": np.float64, "zmod-mersenne-31": np.int64}
+REFEREE_DTYPES = {"zmod97": np.float64, "zmod-mersenne-31": np.float64}
 
 
 @pytest.mark.parametrize("shape", sorted(REFEREE_SHAPES))
@@ -587,42 +588,156 @@ def test_referee_at_the_one_limb_bound(monkeypatch, modulus, batched):
     assert not rdu.verify(word, g, 2, 3, 1, n)
 
 
-def _largest_float64_modulus(N):
-    """The largest m with N (m-1)^2 + m <= 2^53."""
-    m = math.isqrt(2**53 // N) + 1
-    while N * (m - 1) ** 2 + m > 2**53:
-        m -= 1
-    return m
+def _largest_modulus(fits):
+    """The largest m >= 2 with fits(m), for a bound that holds up to some m
+    below 2^31 and fails from there on."""
+    lo, hi = 2, 2**31
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
-@pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
-@pytest.mark.parametrize("n", [4, 6])
-def test_referee_at_the_float64_bound(monkeypatch, n, inside):
-    # all-(m-1) g and letters, the largest residues the stacks see: sums
-    # against g approach N (m-1)^2, the most a float64 stack may hold; both
-    # sides equal the product over Z reduced mod m, in float64 at the
-    # largest m and in int64 at the next
-    N = indexing.dim(n)
-    modulus = _largest_float64_modulus(N) + (not inside)
+def _all_top_word(n, ring, shape):
+    """A word whose letters all have argument m - 1: four terms, one of them
+    with an empty conjugator ("mixed"), a single term ("one-term"), or
+    three terms with empty conjugators ("all-empty")."""
+    top = ring.modulus - 1
+    rng = random.Random(f"all-top {n}")
+    h = words.ExtWord(n, [(i, j, top) for i, j, _ in generate.random_ext_word(n, ring, 5, rng).letters])
+    e = words.ExtWord(n)
+    return ConjWord(n, {
+        "mixed": [(1, h), (-1, e), (-1, h + h), (1, h)],
+        "one-term": [(-1, h)],
+        "all-empty": [(1, e), (-1, e), (-1, e)],
+    }[shape])
+
+
+def _assert_referee_on_all_top(monkeypatch, modulus, n, shape):
+    """All-(m-1) g and letters, the largest residues the stacks see: the
+    batched product, from float64 stacks only, and the loop both equal the
+    product over Z reduced mod m.  Returns the dtypes of the minor stacks."""
     ring = rings.ModularRing(modulus)
-    assert matrices._float64_exact(ring, N) is inside
-    assert matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB
-    top = modulus - 1
+    N, top = indexing.dim(n), modulus - 1
     full = matrices.Matrix(ring, [[top] * N] * N)
     g = matrices.InvPair._trusted(full, full)  # never multiplied together
-    rng = random.Random(f"float64 bound {n}")
-    letters = [(i, j, top) for i, j, _ in generate.random_ext_word(n, ring, 5, rng).letters]
-    h = words.ExtWord(n, letters)
-    word = ConjWord(n, [(1, h), (-1, words.ExtWord(n)), (-1, h + h), (1, h)])
+    word = _all_top_word(n, ring, shape)
 
     integers = rings.IntegerRing()
     full_int = matrices.Matrix(integers, [[top] * N] * N)
     over_z = rdu._naive_product(word, matrices.InvPair._trusted(full_int, full_int))
     want = tuple(tuple(v % modulus for v in row) for row in over_z.rows)
+    assert rdu._naive_product(word, g).rows == want
 
     seen = _spy_dtypes(monkeypatch)
+    minors, residue_minors = [], exterior._residue_minors
+
+    def spy_minors(x, m):
+        minors.append(x.dtype)
+        return residue_minors(x, m)
+
+    monkeypatch.setattr(exterior, "_residue_minors", spy_minors)
     got = rdu._batched_product(word, g)
     assert got.dtype == np.int64
     assert tuple(map(tuple, got.tolist())) == want
-    assert set(seen) == {np.dtype(np.float64 if inside else np.int64)}
+    assert seen and set(seen) == {np.dtype(np.float64)}
+    lifted = set(minors)
     assert not rdu.verify(word, g, 2, 3, 1, n)
+    return lifted
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_referee_at_the_float64_bound(monkeypatch, n, inside):
+    # one float64 limb at N up to the largest m with N (m-1)^2 + m <= 2^53,
+    # two limbs from the next m on
+    N = indexing.dim(n)
+    modulus = _largest_modulus(lambda m: N * (m - 1) ** 2 + m <= 2**53) + (not inside)
+    ring = rings.ModularRing(modulus)
+    s = matrices._float64_kernel(ring, N)
+    if inside:
+        assert s == matrices.ONE_LIMB
+    else:
+        assert s and ((modulus - 1).bit_length() - 1) // s == 1
+    assert _assert_referee_on_all_top(monkeypatch, modulus, n, "mixed") == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("shape", ["mixed", "one-term", "all-empty"])
+@pytest.mark.parametrize(
+    "bound", ["float-minors-largest", "float-minors-next", "2^31"]
+)
+def test_referee_at_the_minor_bound_and_at_2_to_the_31(monkeypatch, bound, shape):
+    # float64 minors up to the largest m with (m-1)^2 + m <= 2^53, int64
+    # ones from the next m on and at m = 2^31, the largest m the batched
+    # referee serves; the products run in float64 limbs throughout
+    largest = _largest_modulus(lambda m: (m - 1) ** 2 + m <= 2**53)
+    modulus = {"float-minors-largest": largest, "float-minors-next": largest + 1, "2^31": 2**31}[bound]
+    ring = rings.ModularRing(modulus)
+    float_minors = bound == "float-minors-largest"
+    assert (matrices._float64_kernel(ring, 1) == matrices.ONE_LIMB) is float_minors
+    assert matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB
+    minors = _assert_referee_on_all_top(monkeypatch, modulus, 5, shape)
+    assert minors == {np.dtype(np.float64 if float_minors else np.int64)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 10, 15, 45])
+def test_float64_kernel_takes_the_widest_exact_limb(dim):
+    # the width is the widest s with (m-1) ((dim+1) 2^s - dim) + m <= 2^53;
+    # at the largest m for each width, and the next, a product of all-(m-1)
+    # rows with columns whose low limb is all ones equals the product over Z
+    # reduced mod m
+    def fits(m, s):
+        return (m - 1) * ((dim + 1) * 2**s - dim) + m <= 2**53
+
+    checked = 0
+    for width in range(1, 24):
+        largest = _largest_modulus(lambda m: fits(m, width))
+        if largest == 2**31 - 1 or dim * (largest - 1) ** 2 + largest <= 2**53:
+            continue  # no limb bound below 2^31, or one limb
+        for m in (largest, largest + 1):
+            s = matrices._float64_kernel(rings.ModularRing(m), dim)
+            assert fits(m, s) and not fits(m, s + 1)
+            b = (((m - 1) >> s) << s) - 1
+            prod = matrices._float64_matmul(
+                np.full((2, dim, dim), m - 1.0), np.full((2, dim, dim), float(b)), m, s
+            )
+            assert set(prod.ravel().tolist()) == {dim * (m - 1) * b % m}
+            checked += 1
+    assert checked >= 4
+
+
+def test_float64_kernel_answers_none_off_its_range():
+    assert matrices._float64_kernel(rings.IntegerRing(), 1) is None
+    assert matrices._float64_kernel(rings.ModularRing(2**53), 1) is None
+    assert matrices._float64_kernel(rings.ModularRing(2**61 - 1), 6) is None
+    assert matrices._float64_kernel(rings.ModularRing(2**31 - 1), 10) == 18
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [rings.ModularRing(97), rings.ModularRing(2**31 - 1), rings.IntegerRing()],
+    ids=["zmod97-batched", "zmod-mersenne-31-batched", "int-naive"],
+)
+@pytest.mark.parametrize("k,l", [(3, 3), (0, 2), (2, 6), (6, 1)])
+def test_verify_rejects_a_bad_target_on_both_paths(ring, k, l):
+    # k = l or out of range raises before any product, batched or naive
+    g, eng = _engine(5, 3, ring, length=6)
+    word = eng.entry((1, 3), (1, 2), 2, 3).word
+    message = re.escape(f"bad index (k = {k}, l = {l} at n = 5)")
+    with pytest.raises(ValueError, match=message):
+        rdu.verify(word, g, k, l, 1, 5)
+    with pytest.raises(ValueError, match=message):
+        rdu.first_difference(word, g, k, l, 1, 5)
+
+
+def test_verify_over_the_mersenne_prime_multiplies_no_int64_product(monkeypatch):
+    g, eng = _engine(5, 13, rings.ModularRing(2**31 - 1))
+    d = eng.diagonal((1, 2), (3, 4), 4, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the referee multiplied in int64")
+
+    monkeypatch.setattr(matrices, "_int64_matmul", refuse)
+    monkeypatch.setattr(matrices, "_limb_matmul", refuse)
+    assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
+    assert rdu.first_difference(d.word, g, d.k, d.l, g.ring.add(d.param, 1), 5) is not None
