@@ -17,8 +17,10 @@ evaluation), and mat_vec and vec_mat take vectors; each asks it once:
   serves matrices and vectors alike and is the referee of both int64 paths.
 
 No other module reads the storage.  They use at, column and rows, and
-three package-internal accessors: Matrix._gather (payloads at paired
-positions), Matrix._residues (an int64 array) and _from_residues.
+four package-internal accessors: Matrix._gather (payloads at paired
+positions), Matrix._equals_at (whether the payloads at given positions are
+given ones, in numpy for int64 storage, the payloads as _payloads makes
+them), Matrix._residues (an int64 array) and _from_residues.
 
 _float64_kernel answers the same question in float64, for batched residue
 stacks only (the referee rdu._batched_product): one BLAS product reduced by
@@ -29,7 +31,9 @@ storage and every product above stay as _int64_kernel decides.
 
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
-multiplying the two sides together.
+multiplying the two sides together.  Where storage is int64 a pair is one
+(2, dim, dim) stack, so _pair_product and _chain_pair multiply both sides
+in one kernel call per factor, at _int64_kernel's answer.
 """
 
 from __future__ import annotations
@@ -194,6 +198,18 @@ class Matrix:
         data = self._rows
         return [data[r][c] for r, c in zip(rows.tolist(), cols.tolist())]
 
+    def _equals_at(self, flat, payloads) -> bool:
+        """Whether the payload at each 0-based row-major position flat[k]
+        (row r, column c at r dim + c) is payloads[k], for an integer index
+        array and payloads from _payloads of one length.  int64 storage is
+        compared in numpy, as the bytes of the entries there against those
+        of the int64 payload array, with nothing converted per call."""
+        if self._np is not None:
+            return self._np.take(flat).tobytes() == payloads.tobytes()
+        if isinstance(payloads, np.ndarray):
+            payloads = payloads.tolist()
+        return self._gather(*np.divmod(flat, self.dim)) == list(payloads)
+
     def _residues(self):
         """The entries as an int64 array of residues, Z/m with m <= 2^63: the
         storage, read-only, else a copy of the payload rows."""
@@ -242,6 +258,17 @@ def _from_residues(ring, data) -> Matrix:
     out = object.__new__(Matrix)
     out.ring, out.dim, out._np, out._rows = ring, data.shape[0], data, None
     return out
+
+
+def _payloads(ring, values):
+    """Ring payloads as Matrix._equals_at takes them: an int64 array over
+    Z/m with m <= 2^63 (its payloads are residues), else a tuple.  Callers
+    make them once per set of positions, not per comparison."""
+    if ring.kind == "zmod" and ring.modulus <= 2**63:
+        out = np.array(values, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+    return tuple(values)
 
 
 def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
@@ -336,35 +363,55 @@ def _vector_product(m: Matrix, vec, column: bool) -> tuple:
 
 
 class InvPair:
-    """A matrix with a certified inverse."""
+    """A matrix with a certified inverse.
 
-    __slots__ = ("fwd", "bwd")
+    Where _int64_kernel gives a kernel, a pair is stored once, as a
+    read-only (2, dim, dim) int64 residue stack: fwd, then the transpose of
+    bwd; fwd and bwd are Matrix views into it.  The inverse of a product
+    ab is b^-1 a^-1, whose transpose is a^-T b^-T, so the stack of ab is
+    the stacked product of the stacks of a and b: compose, conjugate and
+    _chain_pair multiply both sides in one kernel call per factor, and
+    invert is a view, the stack reversed and transposed.  The views are
+    made when first read, so a pair that only feeds a product makes none.
+    Over other rings fwd and bwd are held as they are and multiplied side
+    by side.
+    """
+
+    __slots__ = ("ring", "dim", "_stack", "_fwd", "_bwd")
 
     def __init__(self, fwd: Matrix, bwd: Matrix, check: bool = True):
         if fwd.ring != bwd.ring or fwd.dim != bwd.dim:
             raise ValueError("forward and backward parts do not match")
         if check and not (fwd.mul(bwd).is_identity() and bwd.mul(fwd).is_identity()):
             raise ValueError("certificate failure: product is not the identity")
-        self.fwd = fwd
-        self.bwd = bwd
+        if fwd._np is None:
+            self.ring, self.dim, self._stack, self._fwd, self._bwd = fwd.ring, fwd.dim, None, fwd, bwd
+        else:
+            _stacked(fwd.ring, np.stack((fwd._np, bwd._np.T)), self)
 
     @classmethod
     def _trusted(cls, fwd: Matrix, bwd: Matrix) -> "InvPair":
         return cls(fwd, bwd, check=False)
 
     @property
-    def ring(self):
-        return self.fwd.ring
+    def fwd(self) -> Matrix:
+        if self._fwd is None:
+            self._fwd = _from_residues(self.ring, self._stack[0])
+        return self._fwd
 
     @property
-    def dim(self):
-        return self.fwd.dim
+    def bwd(self) -> Matrix:
+        if self._bwd is None:
+            self._bwd = _from_residues(self.ring, self._stack[1].T)
+        return self._bwd
 
     def compose(self, other: "InvPair") -> "InvPair":
-        return InvPair._trusted(self.fwd.mul(other.fwd), other.bwd.mul(self.bwd))
+        return _pair_product((self, other))
 
     def invert(self) -> "InvPair":
-        return InvPair._trusted(self.bwd, self.fwd)
+        if self._stack is None:
+            return InvPair._trusted(self._bwd, self._fwd)
+        return _stacked(self.ring, self._stack[::-1].swapaxes(1, 2))
 
     def __eq__(self, other):
         if not isinstance(other, InvPair):
@@ -376,6 +423,53 @@ class InvPair:
 
     def __repr__(self):
         return f"InvPair(dim={self.dim}, ring={self.ring!r})"
+
+
+def _stacked(ring, stack, pair: InvPair | None = None) -> InvPair:
+    """The pair stored as `stack` (fwd, bwd transposed), made read-only; a
+    new one unless `pair` is given."""
+    stack.flags.writeable = False
+    if pair is None:
+        pair = object.__new__(InvPair)
+    pair.ring, pair.dim, pair._stack, pair._fwd, pair._bwd = ring, stack.shape[1], stack, None, None
+    return pair
+
+
+def _pair_product(pairs) -> InvPair:
+    """The product of a nonempty sequence of pairs of one ring and dim, left
+    to right: one stacked kernel call per factor where pairs are stacks,
+    else each side multiplied out, the backward one in reverse order."""
+    first = pairs[0]
+    ring, dim = first.ring, first.dim
+    for p in pairs[1:]:
+        if p.ring != ring:
+            raise rings.RingMismatchError("ring mismatch")
+        if p.dim != dim:
+            raise ValueError("dimension mismatch")
+    s = _int64_kernel(ring, dim)
+    if s is None:
+        return InvPair._trusted(
+            _product(ring, dim, [p.fwd for p in pairs]),
+            _product(ring, dim, [p.bwd for p in reversed(pairs)]),
+        )
+    acc = first._stack
+    for p in pairs[1:]:
+        acc = _int64_matmul(acc, p._stack, ring.modulus, s)
+    return _stacked(ring, acc)
+
+
+def _chain_pair(ring, dim: int, factors, inverses) -> InvPair:
+    """The pair (f_1 ... f_k, f_k^-1 ... f_1^-1) for dim x dim matrices
+    factors[t] = f_t with inverses[t] = f_t^-1: the identity pair when
+    empty, else the _pair_product of the pairs (f_t, f_t^-1), whose k
+    stacks are views into one array where storage is int64."""
+    if not factors:
+        return identity_pair(ring, dim)
+    if _int64_kernel(ring, dim) is None:
+        return _pair_product([InvPair._trusted(f, b) for f, b in zip(factors, inverses)])
+    x = np.stack([f._np for f in factors] + [b._np.T for b in inverses])
+    x = x.reshape(2, len(factors), dim, dim)
+    return _pair_product([_stacked(ring, x[:, t]) for t in range(len(factors))])
 
 
 def identity_pair(ring, dim: int) -> InvPair:
@@ -394,18 +488,12 @@ def transvection_pair(ring, dim: int, i: int, j: int, payload) -> InvPair:
 def conjugate(y: InvPair, x: InvPair, side: str = "right") -> InvPair:
     """Conjugate y by x: left is x y x^-1, right is x^-1 y x."""
     if side == "left":
-        return InvPair._trusted(
-            x.fwd.mul(y.fwd).mul(x.bwd), x.fwd.mul(y.bwd).mul(x.bwd)
-        )
+        return _pair_product((x, y, x.invert()))
     if side == "right":
-        return InvPair._trusted(
-            x.bwd.mul(y.fwd).mul(x.fwd), x.bwd.mul(y.bwd).mul(x.fwd)
-        )
+        return _pair_product((x.invert(), y, x))
     raise ValueError("side must be 'left' or 'right'")
 
 
 def commutator(x: InvPair, y: InvPair) -> InvPair:
     """Left-normed commutator x y x^-1 y^-1."""
-    fwd = x.fwd.mul(y.fwd).mul(x.bwd).mul(y.bwd)
-    bwd = y.fwd.mul(x.fwd).mul(y.bwd).mul(x.bwd)
-    return InvPair._trusted(fwd, bwd)
+    return _pair_product((x, y, x.invert(), y.invert()))

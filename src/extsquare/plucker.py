@@ -254,8 +254,8 @@ def parabolic_zero_check(g: matrices.Matrix, I, n: int | None = None) -> bool:
 
     Requires column I of g to be the standard basis column; then checks
     g_{K,J} = 0 for every K avoiding I entirely and every J meeting I in
-    exactly one index, as one Matrix._gather over the block's positions
-    (cached per (I, n)).
+    exactly one index, as one Matrix._equals_at over the block's positions
+    (cached per (I, n, ring)).
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
@@ -266,20 +266,18 @@ def parabolic_zero_check(g: matrices.Matrix, I, n: int | None = None) -> bool:
     e_col[rI] = ring.one
     if g.column(rI) != tuple(e_col):
         raise ValueError("precondition: column is not standard")
-    rows, cols = _zero_block(I, n)
-    return g._gather(rows, cols) == [ring.zero] * len(rows)
+    return g._equals_at(*_zero_block(I, n, ring))
 
 
-@lru_cache(maxsize=None)
-def _zero_block(I, n: int):
-    """The zero block of parabolic_zero_check as paired positions (rows[k],
-    cols[k]): every rank of a pair K avoiding the sorted pair I against
-    every rank of a pair J meeting it in exactly one index."""
+@lru_cache(maxsize=64)
+def _zero_block(I, n: int, ring):
+    """The zero block of parabolic_zero_check as 0-based row-major
+    positions, with ring zeros there as matrices._payloads makes them: every
+    rank of a pair K avoiding the sorted pair I against every rank of a
+    pair J meeting it in exactly one index."""
     ps = indexing.pairs(n)
     K = [indexing.rank(K, n) for K in ps if not set(K) & set(I)]
     J = [indexing.rank(J, n) for J in ps if indexing.height(I, J) == 1]
-    rows = np.repeat(np.array(K, dtype=np.intp), len(J))
-    cols = np.tile(np.array(J, dtype=np.intp), len(K))
-    for a in (rows, cols):
-        a.flags.writeable = False
-    return rows, cols
+    flat = (np.array(K, dtype=np.intp)[:, None] * len(ps) + np.array(J, dtype=np.intp)).ravel()
+    flat.flags.writeable = False
+    return flat, matrices._payloads(ring, [ring.zero] * len(flat))

@@ -16,7 +16,9 @@ is returned; a failed certificate raises instead of degrading, and
 Every word certificate is evaluated on the engine's own g, through one
 shared cache, so ConjWord.eval_matrix multiplies each run of core terms once
 per engine: the core certificates compute it, and `final-verified` and the
-system check reuse it for every target.
+system check reuse it for every target.  g is conjugated by each core's
+outer prefix once, too: the routed g1 that a core is built on is the base
+of its words' top-level run, and _build_core leaves it in g's run memo.
 
 The eight-term core works at the fixed position ({1,3}, {1,2}):
 
@@ -165,7 +167,9 @@ class ReverseDecomposer:
         the outer prefix P = tau + src^-1 (g1 = P^-1 g P); an orientation flip
         from the source route is absorbed by formal inversion.  Word
         certificates are evaluated on self.g, so later products on g reuse
-        their runs.
+        their runs; g1 is left in g's run memo as the base P^-1 g P of their
+        top-level run, and h = g1^-1 T g1 comes with its inverse from one
+        conjugation of T's pair.
         """
         ring, n = self.ring, self.n
         pair = self.g if tau is None else matrices.conjugate(self.g, tau.eval(ring, self._cache))
@@ -174,6 +178,7 @@ class ReverseDecomposer:
         src, sigma = exterior.route_source(I, J, n)
         outer = src.inverse(ring) if tau is None else tau + src.inverse(ring)
         g1 = matrices.conjugate(pair, src.eval(ring, self._cache), "left")
+        words._keep_base(self._cache, self.g, outer.letters, g1)
         r13, r12 = self._rank((1, 3)), self._rank((1, 2))
         c = g1.fwd.at(r13, r12)
         certs.append(
@@ -198,7 +203,8 @@ class ReverseDecomposer:
             _require(matrices.mat_vec(Tm.fwd, col) == tuple(col), "column-fixed")
         )
 
-        H = g1.bwd.mul(Tm.fwd).mul(g1.fwd)
+        h_pair = matrices.conjugate(Tm, g1)  # g1^-1 T g1 and its inverse
+        H, Hinv = h_pair.fwd, h_pair.bwd
         e_col = tuple(
             ring.one if r == r12 else ring.zero for r in range(g1.dim)
         )
@@ -222,7 +228,6 @@ class ReverseDecomposer:
         z_val = reconjugate(z, outer).eval_matrix(self.g, self._cache)
 
         # Direct route from matrices: z = T [T^-1 h, s] T^-1 = h s h^-1 T s^-1 T^-1.
-        Hinv = g1.bwd.mul(Tm.bwd).mul(g1.fwd)
         S = ext_letter_matrix(ring, n, 2, 3, ring.one)
         Sinv = ext_letter_matrix(ring, n, 2, 3, ring.neg(ring.one))
         z_direct = H.mul(S).mul(Hinv).mul(Tm.fwd).mul(Sinv).mul(Tm.bwd)
@@ -252,8 +257,7 @@ class ReverseDecomposer:
     def _in_radical(self, u: matrices.Matrix) -> bool:
         """Identity outside the strictly block-upper positions (see
         _radical_complement)."""
-        rows, cols, eye = _radical_complement(self.n, self.ring.zero, self.ring.one)
-        return u._gather(rows, cols) == eye
+        return u._equals_at(*_radical_complement(self.n, self.ring))
 
     # -- public cases ------------------------------------------------------
 
@@ -460,10 +464,10 @@ class ReverseDecomposer:
 
 
 @lru_cache(maxsize=64)
-def _radical_complement(n: int, zero, one):
+def _radical_complement(n: int, ring):
     """Positions where a matrix in the parabolic's unipotent radical equals
-    the identity: (rows, cols, the list of the identity's payloads there,
-    given its ring's zero and one), 0-based.
+    the identity: (the 0-based row-major positions, the identity's payloads
+    there over `ring` as matrices._payloads makes them).
 
     Blocks grade the pair labels by their overlap with {1, 2}: the pair
     {1,2} itself, then pairs meeting it in one index, then the rest.  The
@@ -472,10 +476,10 @@ def _radical_complement(n: int, zero, one):
     """
     grade = np.array([2 - len(set(p) & {1, 2}) for p in indexing.pairs(n)])
     rows, cols = np.nonzero(grade[:, None] >= grade[None, :])
-    eye = [one if d else zero for d in (rows == cols).tolist()]
-    for a in (rows, cols):
-        a.flags.writeable = False
-    return rows, cols, eye
+    eye = matrices._payloads(ring, [ring.one if d else ring.zero for d in (rows == cols).tolist()])
+    flat = rows * len(grade) + cols
+    flat.flags.writeable = False
+    return flat, eye
 
 
 def height_one_path(n: int):

@@ -20,9 +20,12 @@ ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g,
 factored over the segments the conjugators share and memoizing, per g, the
-product of each top-level run of terms.  ExtWord.eval keeps those segments
-in a caller's cache, each entry exactly the product of its key's letters,
-and builds a new segment by extending its longest cached proper suffix.
+product of each top-level run of terms and g conjugated by each run's
+prefix.  ExtWord.eval keeps those segments in a caller's cache, each entry
+exactly the product of its key's letters, and builds a new segment by
+inverting the entry of its formal inverse or by extending its longest cached
+proper suffix.  Every pair is one int64 stack where matrices stores int64
+(see matrices.InvPair), so both of its sides multiply in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices and the pair-indexed expansion in exterior read it.  Letter
@@ -73,11 +76,15 @@ def _letter_support(n: int, i: int, j: int):
 # Z/97 working set for n <= 6 (about 4 800 letters).  A caller's segment cache
 # (ExtWord.eval) and the run memo of each g in it (ConjWord.eval_matrix) hold
 # about 1 700 segments and 530 runs after a full level sweep at n = 6, and
-# 3 050 and 1 020 at n = 7.
+# 3 050 and 1 020 at n = 7; the memo's top-level bases add one entry per core
+# built.  Nested bases are reused within one core or decomposition only: at
+# n = 6 a sweep takes 45.4 kernel calls per core with 32 of them, as with no
+# cap, and 5.8 per final certificate against 3.4.  So their cap is small.
 _LETTER_CACHE: dict = {}
 _LETTER_CACHE_MAX = 8192
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
+_NESTED_BASE_MAX = 32
 
 
 def _bounded_put(store: dict, key, value, cap: int) -> None:
@@ -118,13 +125,16 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
 
 def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
     """The product of letter(i, j, xi) over `letters`, with its inverse as the
-    product over the formal inverse.  Payloads are coerced once, here, so
-    `letter` receives ring payloads."""
+    product over the formal inverse: each letter goes to
+    matrices._chain_pair with its inverse letter(i, j, -xi), and both sides
+    multiply in one chain.  Payloads are coerced once, here, so `letter`
+    receives ring payloads."""
     fwd = [(i, j, ring.coerce(xi)) for i, j, xi in letters]
-    bwd = [(i, j, ring.neg(xi)) for i, j, xi in reversed(fwd)]
-    return matrices.InvPair._trusted(
-        matrices._product(ring, dim, [letter(*t) for t in fwd]),
-        matrices._product(ring, dim, [letter(*t) for t in bwd]),
+    return matrices._chain_pair(
+        ring,
+        dim,
+        [letter(*t) for t in fwd],
+        [letter(i, j, ring.neg(xi)) for i, j, xi in fwd],
     )
 
 
@@ -240,13 +250,16 @@ class ExtWord(_LetterWord):
         A caller's `cache` keeps the pair under (ring.key(), n, letters), at
         most _SEGMENT_CACHE_MAX entries in all, and every entry is exactly
         the product of the letters of its key over its ring, so one cache
-        may serve several rings.  On a miss the word extends its longest
-        cached proper suffix letters[p:]: the head letters[:p] is read from
-        the cache when it is there and multiplied out letter by letter (and
-        not stored) otherwise, and the pair is the head composed with the
-        tail, stored under the word's own key only.  Without a
-        cached suffix, or without a cache, the word is multiplied out letter
-        by letter.
+        may serve several rings.  On a miss the pair is the cached pair of
+        the word's formal inverse, inverted (a view of its stack; a letter's
+        inverse is the letter with -xi, so this is the product of the
+        letters too), when that is there.  Otherwise the word extends its
+        longest cached proper suffix letters[p:]: the head letters[:p] is
+        read from the cache when it is there and multiplied out letter by
+        letter (and not stored) otherwise, and the pair is the head composed
+        with the tail.  Either is stored under the word's own key only.
+        Without a cached suffix, or without a cache, the word is multiplied
+        out letter by letter, both sides in one chain of stacked products.
         """
         n, letters = self.n, self.letters
         letter = partial(_letter, ring, n)
@@ -258,16 +271,20 @@ class ExtWord(_LetterWord):
         hit = cache.get(key)
         if hit is not None:
             return hit
-        for p in range(1, len(letters)):
-            tail = cache.get((rk, n, letters[p:]))
-            if tail is not None:
-                head = cache.get((rk, n, letters[:p]))
-                if head is None:
-                    head = _eval_letters(ring, dim, letters[:p], letter)
-                pair = head.compose(tail)
-                break
+        inverse = cache.get((rk, n, self.inverse(ring).letters))
+        if inverse is not None:
+            pair = inverse.invert()
         else:
-            pair = _eval_letters(ring, dim, letters, letter)
+            for p in range(1, len(letters)):
+                tail = cache.get((rk, n, letters[p:]))
+                if tail is not None:
+                    head = cache.get((rk, n, letters[:p]))
+                    if head is None:
+                        head = _eval_letters(ring, dim, letters[:p], letter)
+                    pair = head.compose(tail)
+                    break
+            else:
+                pair = _eval_letters(ring, dim, letters, letter)
         _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
         return pair
 
@@ -326,11 +343,18 @@ class ConjWord:
 
         `cache` is the caller's dict, shared across words, matrices and
         rings.  It keeps segments (ExtWord.eval, keyed by (ring.key(), n,
-        letters)) and, under ("runs", id(g)), a pair (g, memo) whose memo
-        maps each top-level run -- the run's (eps, letters) terms once S is
-        stripped -- to its product against g.  The pair holds g, so its id
-        is not reused while the entry lives.  A run that recurs, in this
-        word or a later one on the same g, is then multiplied once.
+        letters)) and, under ("runs", id(g)), a triple (g, memo, nested).
+        The memo maps each top-level run -- the run's (eps, letters) terms
+        once S is stripped -- to its product against g, and ("base", P) to
+        the pair P^-1 g P for the letters P of each top-level run's shared
+        prefix (rdu seeds it with the routed g of every core it builds).
+        nested keeps the bases below the top level the same way, the last
+        _NESTED_BASE_MAX of them: a core's four-term z and its eight-term
+        word, evaluated one after the other, share three.  The triple holds
+        g, so its id is not reused while the entry lives.  A run that
+        recurs, in this word or a later one on the same g, is then
+        multiplied once, and g is conjugated by each top-level prefix once
+        per engine, both sides in one stacked product per factor.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -345,17 +369,17 @@ class ConjWord:
         if cache is None:
             cache = {}
         terms = [(eps, h.letters) for eps, h in self.terms]
-        base = {1: g.fwd, -1: g.bwd}
-        return _conj_product(g.ring, self.n, terms, base, cache, _run_memo(cache, g))
+        return _conj_product(g.ring, self.n, terms, g, cache, _run_memo(cache, g))
 
 
-def _run_memo(cache: dict, g: matrices.InvPair) -> dict:
-    """The run memo of g in a caller's cache (see ConjWord.eval_matrix),
-    moved to the newest place so that a full cache drops segments first."""
+def _run_memo(cache: dict, g: matrices.InvPair):
+    """g's (run memo, nested bases) in a caller's cache (see
+    ConjWord.eval_matrix), moved to the newest place so that a full cache
+    drops segments first."""
     key = ("runs", id(g))
-    slot = cache.pop(key, None) or (g, {})
+    slot = cache.pop(key, None) or (g, {}, {})
     _bounded_put(cache, key, slot, _SEGMENT_CACHE_MAX)
-    return slot[1]
+    return slot[1:]
 
 
 def _shared_prefix_len(words) -> int:
@@ -373,31 +397,52 @@ def _segment(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
     return ExtWord._trusted(n, letters).eval(ring, cache)
 
 
-def _conj_product(ring, n: int, terms, base: dict, cache: dict, memo=None) -> matrices.Matrix:
+def _conj_product(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix=()) -> matrices.Matrix:
     """Product of X^-1 b^eps X over nonempty `terms` of (eps, letters of X).
 
-    `base[eps]` is b^eps for every exponent the terms use; b is g conjugated
-    by the prefix stripped so far.  `memo` is g's run memo, passed at the
-    top level only, where b is g itself.
+    `base` is the pair of b = P^-1 g P for the letters `prefix` of P, the
+    prefixes stripped so far: none at the top level, where b is g.  `memos`
+    is g's (run memo, nested bases); runs are memoized at the top level only.
     """
     k = _shared_prefix_len([h[::-1] for _, h in terms])
     if k:
         s = _segment(ring, n, terms[0][1][-k:], cache)
-        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache, memo)
+        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache, memos, prefix)
         return s.bwd.mul(inner).mul(s.fwd)
+    memo = None if prefix else memos[0]
     parts = []
     for head, group in groupby(terms, key=lambda t: t[1][:1]):
         run = tuple(group)
         if not head:  # empty conjugators contribute b^eps directly
-            parts.extend(base[eps] for eps, _ in run)
+            parts.extend(base.fwd if eps == 1 else base.bwd for eps, _ in run)
             continue
         hit = None if memo is None else memo.get(run)
         if hit is None:
             p = _shared_prefix_len([h for _, h in run])
-            x = _segment(ring, n, run[0][1][:p], cache)
-            run_base = {eps: x.bwd.mul(base[eps]).mul(x.fwd) for eps in {e for e, _ in run}}
-            hit = _conj_product(ring, n, [(eps, h[p:]) for eps, h in run], run_base, cache)
+            letters = prefix + run[0][1][:p]
+            run_base = _base(ring, n, base, letters, len(prefix), cache, memos)
+            hit = _conj_product(ring, n, [(eps, h[p:]) for eps, h in run], run_base, cache, memos, letters)
             if memo is not None:
                 _bounded_put(memo, run, hit, _RUN_MEMO_MAX)
         parts.append(hit)
     return matrices._product(ring, indexing.dim(n), parts)
+
+
+def _base(ring, n: int, base: matrices.InvPair, letters: tuple, k: int, cache: dict, memos) -> matrices.InvPair:
+    """The pair P^-1 g P for the letters of P, given the pair `base` of
+    letters[:k]: base conjugated by letters[k:], kept under ("base",
+    letters) in g's run memo when k = 0 and among its last
+    _NESTED_BASE_MAX nested bases otherwise."""
+    store, cap = (memos[0], _RUN_MEMO_MAX) if k == 0 else (memos[1], _NESTED_BASE_MAX)
+    key = ("base", letters)
+    hit = store.get(key)
+    if hit is None:
+        hit = matrices.conjugate(base, _segment(ring, n, letters[k:], cache))
+        _bounded_put(store, key, hit, cap)
+    return hit
+
+
+def _keep_base(cache: dict, g: matrices.InvPair, prefix: tuple, pair: matrices.InvPair) -> None:
+    """Record `pair` as P^-1 g P, for the letters `prefix` of P, in g's run
+    memo, where ConjWord.eval_matrix looks for the base of a top-level run."""
+    _bounded_put(_run_memo(cache, g)[0], ("base", prefix), pair, _RUN_MEMO_MAX)

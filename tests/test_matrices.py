@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from extsquare import generate, indexing, matrices, rings
+from extsquare import generate, indexing, jsonio, matrices, rings
 from extsquare.words import ExtWord, ext_letter_matrix
 
 
@@ -303,3 +303,104 @@ def test_vector_products_match_the_ring_loop_at_their_bounds(dim, modulus, kerne
     for v in ([modulus - 1] * dim, [ring.random(rng) for _ in range(dim)]):
         assert matrices.mat_vec(a, v) == tuple(row[0] for row in _ring_loop(ring, a_rows, [[x] for x in v]))
         assert matrices.vec_mat(v, a) == tuple(_ring_loop(ring, [v], a_rows)[0])
+
+
+@pytest.mark.parametrize("ring,dim", ACCESSOR_RINGS)
+def test_equals_at_compares_the_payloads_at_paired_positions(ring, dim):
+    rng = random.Random(dim + 1)
+    a = _random_matrix(ring, dim, rng)
+    flat = np.array([rng.randrange(dim * dim) for _ in range(3 * dim)])
+    want = [a.at(f // dim, f % dim) for f in flat.tolist()]
+    # as stored, and as the bwd of a pair: a transposed view into its stack
+    for m in (a, matrices.InvPair(a, a, check=False).bwd):
+        assert m._equals_at(flat, matrices._payloads(ring, want))
+        for k in (0, len(want) - 1):
+            wrong = list(want)
+            wrong[k] = ring.add(wrong[k], ring.one)
+            assert not m._equals_at(flat, matrices._payloads(ring, wrong))
+
+
+# -- invertible pairs: one stacked product per factor -------------------------
+
+
+_ONE_LIMB_LAST_15 = math.isqrt((2**62 - 1) // 15) + 1  # largest m with 15 (m-1)^2 < 2^62
+PAIR_RINGS = [
+    pytest.param(rings.ModularRing(97), 6, "one limb", id="zmod97-6"),
+    pytest.param(rings.ModularRing(2**31 - 1), 6, "limbs", id="mersenne-31-6"),
+    pytest.param(rings.ModularRing(2**31 - 1), 10, "limbs", id="mersenne-31-10"),
+    pytest.param(rings.ModularRing(_ONE_LIMB_LAST_15), 15, "one limb", id="one-limb-last-15"),
+    pytest.param(rings.ModularRing(_ONE_LIMB_LAST_15 + 1), 15, "limbs", id="one-limb-past-15"),
+    pytest.param(INTEGERS, 6, "python", id="int-6"),
+    pytest.param(rings.PolynomialRing(("x",)), 6, "python", id="poly-6"),
+]
+
+
+def _sides(ring, fwd_factors, bwd_factors):
+    """Both sides of a pair product as rows, each computed twice: by a chain
+    of Matrix.mul, and by _ring_product alone (the pure-python referee)."""
+    out = []
+    for factors in (fwd_factors, bwd_factors):
+        by_mul = factors[0]
+        for f in factors[1:]:
+            by_mul = by_mul.mul(f)
+        by_ring = factors[0].rows
+        for f in factors[1:]:
+            by_ring = matrices._ring_product(ring, by_ring, tuple(zip(*f.rows)))
+        assert by_mul.rows == tuple(map(tuple, by_ring))
+        out.append(by_mul.rows)
+    return out
+
+
+def _assert_pair(pair, fwd_factors, bwd_factors):
+    want_fwd, want_bwd = _sides(pair.ring, fwd_factors, bwd_factors)
+    assert pair.fwd.rows == want_fwd
+    assert pair.bwd.rows == want_bwd
+
+
+def _pairs(ring, dim, rng):
+    """Pairs of three origins: a word's evaluation, a JSON round trip (the
+    certifying constructor) and identity_pair."""
+    length = 4 if ring.kind == "poly" else 2 * dim
+    x = generate.source_pair(dim, ring, length, rng)
+    y = jsonio.pair_from_json(jsonio.pair_to_json(generate.source_pair(dim, ring, length, rng)))
+    return [x, y, matrices.identity_pair(ring, dim)]
+
+
+@pytest.mark.parametrize("ring,dim,kernel", PAIR_RINGS)
+def test_pair_products_equal_the_separate_products_and_the_ring_product(ring, dim, kernel):
+    assert _kernel_name(ring, dim) == kernel
+    pairs = _pairs(ring, dim, random.Random(dim * 11 + 1))
+    for a in pairs:
+        # a stacked pair holds each side once; its views read the stack
+        assert (a._stack is not None) == (kernel != "python")
+        inv = a.invert()
+        assert (inv.fwd, inv.bwd) == (a.bwd, a.fwd)
+        assert inv.invert() == a
+        for b in pairs:
+            _assert_pair(a.compose(b), [a.fwd, b.fwd], [b.bwd, a.bwd])
+            _assert_pair(matrices.conjugate(a, b, "right"), [b.bwd, a.fwd, b.fwd], [b.bwd, a.bwd, b.fwd])
+            _assert_pair(matrices.conjugate(a, b, "left"), [b.fwd, a.fwd, b.bwd], [b.fwd, a.bwd, b.bwd])
+            _assert_pair(
+                matrices.commutator(a, b), [a.fwd, b.fwd, a.bwd, b.bwd], [b.fwd, a.fwd, b.bwd, a.bwd]
+            )
+
+
+@pytest.mark.parametrize("ring,dim,kernel", PAIR_RINGS)
+def test_ext_word_pairs_equal_their_letters_multiplied_out(ring, dim, kernel):
+    # a word evaluated letter by letter, from the formal inverse's cached
+    # pair, and by extending a cached suffix
+    n = indexing.ambient_rank(dim)
+    rng = random.Random(dim * 13 + 2)
+    word = generate.random_ext_word(n, ring, 5, rng)
+    inverse = word.inverse(ring)
+    fwd = [ext_letter_matrix(ring, n, i, j, xi) for i, j, xi in word.letters]
+    bwd = [ext_letter_matrix(ring, n, i, j, xi) for i, j, xi in inverse.letters]
+    _assert_pair(word.eval(ring), fwd, bwd)
+    _assert_pair(ExtWord(n, word.letters[:1]).eval(ring), fwd[:1], bwd[-1:])
+    cache = {}
+    inverse.eval(ring, cache)
+    _assert_pair(word.eval(ring, cache), fwd, bwd)
+    assert len(cache) == 2
+    cache = {}
+    ExtWord(n, word.letters[2:]).eval(ring, cache)
+    _assert_pair(word.eval(ring, cache), fwd, bwd)

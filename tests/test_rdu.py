@@ -241,22 +241,29 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
     n = 5
     g, eng = _engine(n, 12)
     want = _sweep(eng, g, n)
-    caps = {"_LETTER_CACHE_MAX": 7, "_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2}
+    caps = {"_LETTER_CACHE_MAX": 7, "_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2, "_NESTED_BASE_MAX": 2}
     for name, cap in caps.items():
         monkeypatch.setattr(words, name, cap)
     monkeypatch.setattr(rdu, "_CORE_CACHE_MAX", 3)
     words._LETTER_CACHE.clear()
     small = rdu.ReverseDecomposer(g, n)
-    memo_sizes = []
+    memo_sizes, nested_sizes, memo_keys = [], [], set()
 
     def check():
         assert len(words._LETTER_CACHE) <= 7
         assert len(small._cache) <= 24
         assert len(small._core_cache) <= 3
-        memo_sizes.extend(len(slot[1]) for key, slot in small._cache.items() if key[0] == "runs")
+        for key, slot in small._cache.items():
+            if key[0] == "runs":
+                _, memo, nested = slot
+                memo_sizes.append(len(memo))
+                nested_sizes.append(len(nested))
+                memo_keys.update(k[0] for k in memo)
 
     assert _sweep(small, g, n, check) == want
-    assert max(memo_sizes) == 2  # the memo was used, up to its cap
+    # the memo was used, up to its cap, by runs and by top-level bases
+    assert max(memo_sizes) == 2 and max(nested_sizes) == 2
+    assert "base" in memo_keys and len(memo_keys) > 1
     words._LETTER_CACHE.clear()
 
 
@@ -275,6 +282,19 @@ def _check_segments(segments, ring):
     for (ring_key, rank, letters), pair in segments.items():
         assert ring_key == ring.key()
         assert pair == words.ExtWord(rank, letters).eval(ring), letters
+
+
+def _inverted_pairs(monkeypatch):
+    """Every pair InvPair.invert returns, kept alive so that ids stay unique."""
+    made = []
+    invert = matrices.InvPair.invert
+
+    def kept(self):
+        made.append(invert(self))
+        return made[-1]
+
+    monkeypatch.setattr(matrices.InvPair, "invert", kept)
+    return made
 
 
 def _counting_compose(monkeypatch):
@@ -296,9 +316,14 @@ def test_segment_entries_are_the_products_of_their_letters(monkeypatch, ring_id)
     n = 5
     g, eng = _engine(n, 13, SEGMENT_RINGS[ring_id])
     composed = _counting_compose(monkeypatch)
+    inverted = _inverted_pairs(monkeypatch)
     _sweep(eng, g, n, targets=((2, 3), (3, 2), (1, n)))
     assert composed
-    _check_segments(_segments(eng), g.ring)
+    segments = _segments(eng)
+    # some entries were served by inverting the entry of the formal inverse
+    made = {id(pair) for pair in inverted}
+    assert any(id(pair) in made for pair in segments.values())
+    _check_segments(segments, g.ring)
 
 
 def test_segment_entries_stay_exact_while_a_small_cap_evicts(monkeypatch):
@@ -316,6 +341,35 @@ def test_segment_entries_stay_exact_while_a_small_cap_evicts(monkeypatch):
 
     assert _sweep(eng, g, n, check) == want
     assert composed
+
+
+def test_a_core_takes_at_most_46_kernel_calls(monkeypatch):
+    # a guard on the engine's work, counted and not timed: over the n = 5,
+    # Z/97 sweep at (2, 3) for one seed, building a core multiplies 44.4 N x N
+    # products on average (83.6 before each pair became one stacked product
+    # and g was conjugated once per prefix)
+    n = 5
+    g, eng = _engine(n, 11)
+    calls, cores = [], []
+    kernel = matrices._int64_matmul
+    build = rdu.ReverseDecomposer._build_core
+
+    def counted_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def counted_build(self, *args):
+        before = len(calls)
+        out = build(self, *args)
+        cores.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(matrices, "_int64_matmul", counted_kernel)
+    monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
+    for gen in level.level_generators(g.fwd, n):
+        eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
+    assert len(cores) == 101
+    assert sum(cores) / len(cores) <= 46
 
 
 def test_every_target_index(zmod97):
