@@ -5,7 +5,9 @@ cauchy_binet sends an n x n matrix to the C(n,2) x C(n,2) matrix of its
 matrices._int64_kernel at dim 1) all minors come from _residue_minors, one
 int64 expression over the pair index arrays that serves any stack of n x n
 matrices (rdu.verify lifts the telescoped conjugators of a word through it
-at once, in float64 where matrices._float64_kernel(ring, 1) is ONE_LIMB);
+at once, in the dtype of its n x n products: float64 where
+matrices._referee_kernel(ring, n) is ONE_LIMB, balanced int64 residues
+where it is BALANCED);
 elsewhere from ring arithmetic, entry by entry.
 ext_transvection expands the compound image of a single elementary
 transvection into explicit elementary transvections of the pair-indexed
@@ -64,7 +66,10 @@ def _residue_minors(x, m: int):
 
     int64 needs (m-1)^2 < 2^62, the one-limb answer of
     matrices._int64_kernel at dim 1: every product is then below 2^62 and
-    every minor above -2^62.  float64 needs (m-1)^2 + m <= 2^53, the
+    every minor above -2^62.  It also takes balanced residues, in
+    [-floor(m/2), m-1-floor(m/2)], whose minors are at most
+    2 floor(m/2)^2 <= 2^61 in absolute value for m <= 2^31; the result is
+    canonical either way.  float64 needs (m-1)^2 + m <= 2^53, the
     ONE_LIMB answer of matrices._float64_kernel at dim 1: every product and
     minor is then an exact float64, reduced by the floor quotient of
     matrices._float64_reduce."""

@@ -22,12 +22,20 @@ positions), Matrix._equals_at (whether the payloads at given positions are
 given ones, in numpy for int64 storage, the payloads as _payloads makes
 them), Matrix._residues (an int64 array) and _from_residues.
 
-_float64_kernel answers the same question in float64, for batched residue
-stacks only (the referee rdu._batched_product): one BLAS product reduced by
-_float64_reduce when dim (m-1)^2 + m <= 2^53 (Z/97), else s-bit limbs of the
-right factor combined by Horner's rule in _float64_matmul, with every sum an
-exact integer (Z/(2^31 - 1) takes two limbs at every dim up to 63).  Matrix
-storage and every product above stay as _int64_kernel decides.
+_referee_kernel answers the same question for batched residue stacks only
+(the referee rdu._batched_product), and _referee_matmul multiplies at its
+answer:
+
+* one float64 BLAS product reduced by _float64_reduce, when
+  dim (m-1)^2 + m <= 2^53 (Z/97);
+* else one int64 product of balanced residues, in [-floor(m/2),
+  m-1-floor(m/2)], reduced by _balance, when dim floor(m/2)^2 + floor(m/2)
+  < 2^63 (every m <= 2^31 up to dim 7: Z/(2^31 - 1) at n <= 7 and N = 6);
+* else s-bit float64 limbs of the right factor combined by Horner's rule in
+  _float64_matmul at _float64_kernel's width, with every sum an exact
+  integer (Z/(2^31 - 1) at N = 10 and 15).
+
+Matrix storage and every product above stay as _int64_kernel decides.
 
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
@@ -71,10 +79,14 @@ def _limb_matmul(a, b, m: int, s: int):
     acc * 2^s <= 2 (m-1) (2^s - 1) < 2^62, so no sum reaches 2^63.
     """
     mask = (1 << s) - 1
-    top = ((m - 1).bit_length() - 1) // s
-    acc = (a @ (b >> (top * s))) % m
-    for k in range(top - 1, -1, -1):
-        acc = ((acc << s) + a @ ((b >> (k * s)) & mask)) % m
+    k = ((m - 1).bit_length() - 1) // s
+    acc = a @ (b >> (k * s))
+    acc %= m
+    while k:
+        k -= 1
+        acc <<= s
+        acc += a @ ((b >> (k * s) if k else b) & mask)
+        acc %= m
     return acc
 
 
@@ -152,6 +164,53 @@ def _float64_reduce(c, m: int):
     q *= m
     c -= q
     return c
+
+
+BALANCED = -1
+
+
+def _referee_kernel(ring, dim: int):
+    """How a batched stack of dim x dim residue matrices over `ring` runs
+    (the referee rdu._batched_product): ONE_LIMB, one float64 BLAS product,
+    when _float64_kernel gives it (dim (m-1)^2 + m <= 2^53, Z/97); else
+    BALANCED, one int64 product of balanced residues, when
+    dim h^2 + h < 2^63 for h = floor(m/2); else _float64_kernel's limb
+    width s for _float64_matmul; else None (every ring other than Z/m,
+    and moduli near 2^53 or above).
+
+    A balanced residue lies in [-h, m-1-h], so in absolute value it is at
+    most h, a product of two at most h^2 and a sum of dim of them, with
+    each of its partial sums, at most dim h^2: no int64 sum overflows.
+    _balance then maps a product c to (c + h) mod m - h, where
+    |c + h| <= dim h^2 + h < 2^63 and numpy's mod by m > 0 lies in [0, m),
+    so the result is the balanced residue of c.  The bound holds for every
+    m <= 2^31 up to dim 7, since 7 2^60 + 2^30 < 2^63; for m = 2^31 - 1
+    also at dim 8, and for no m above 1 920 767 767 at dim 10.  Z/97 stays
+    on float64, where one BLAS product is faster than numpy's int64 matmul.
+    """
+    s = _float64_kernel(ring, dim)
+    if s is None or s == ONE_LIMB:
+        return s
+    h = ring.modulus // 2
+    return BALANCED if dim * h * h + h < 2**63 else s
+
+
+def _balance(c, m: int):
+    """c -> (c + h) mod m - h, h = floor(m/2), in place: the balanced
+    residues of an int64 array with |c| + h < 2^63 (see _referee_kernel)."""
+    h = m // 2
+    c += h
+    c %= m
+    c -= h
+    return c
+
+
+def _referee_matmul(a, b, m: int, kind):
+    """a @ b mod m at the answer `kind` of _referee_kernel (not None):
+    balanced int64 residues at BALANCED, float64 residues otherwise."""
+    if kind == BALANCED:
+        return _balance(a @ b, m)
+    return _float64_matmul(a, b, m, kind)
 
 
 class Matrix:

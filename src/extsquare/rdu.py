@@ -501,11 +501,12 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
     (m-1)^2 < 2^62 it comes from _batched_product, which multiplies the
     conjugators out as n x n transvections, telescopes neighbouring ones
     and lifts them all by one batched compound, sharing no word evaluator
-    and no letter rule with the engine; its stacks are float64 residues,
-    multiplied at matrices._float64_kernel, so that every BLAS sum stays an
-    exact integer.  Over other rings it comes from _naive_product, letter by
-    letter.  Neither calls the factored `ConjWord.eval_matrix` that the
-    engine's own certificates use.
+    and no letter rule with the engine; every stack runs at
+    matrices._referee_kernel for its dim, in float64 residues where every
+    BLAS sum stays an exact integer, else in int64 balanced residues where
+    no sum can overflow, else in float64 limbs.  Over other rings it comes
+    from _naive_product, letter by letter.  Neither calls the factored
+    `ConjWord.eval_matrix` that the engine's own certificates use.
     """
     return first_difference(word, g, k, l, xi, n) is None
 
@@ -581,62 +582,80 @@ def _batched_product(word: ConjWord, g: matrices.InvPair):
     nothing is shared between terms or calls, and the engine's sign rule
     for letters (words._letter_support) is not read.
 
-    Every stack is float64 residues, multiplied at matrices._float64_kernel
-    for its dim, one exact BLAS product per limb reduced by the floor
-    quotient.  The minors are float64 where matrices._float64_kernel(ring,
-    1) is ONE_LIMB ((m-1)^2 + m <= 2^53) and int64 otherwise.
+    Every stack runs at matrices._referee_kernel for its dim: float64
+    residues and one exact BLAS product over Z/97; balanced int64 residues
+    and one int64 product up to dim 7 over wider moduli (Z/(2^31 - 1) at
+    n <= 7, and its N = 6 chain at n = 4); float64 limbs above (its N = 10
+    and 15 chains).  The minors keep the n x n product's dtype, int64 unless
+    that is one float64 limb: |ad - bc| is at most 2 floor(m/2)^2 < 2^62 for
+    balanced residues and (m-1)^2 < 2^62 for canonical ones.  The minors and
+    g^{+-1} enter the chain as canonical residues, balanced there where the
+    chain is int64, and the product is made canonical before it is returned.
     """
     ring, n, N = g.ring, word.n, g.dim
     m = ring.modulus
     T = len(word.terms)
     if not T:
         return np.identity(N, dtype=np.int64) % m
-    s = matrices._float64_kernel(ring, n)
+    s = matrices._referee_kernel(ring, n)
     # the stack is passed, not named, so its first level frees it
-    x = _pairwise_product(_transvection_stack(word, ring), m, s)
+    x = _pairwise_product(_transvection_stack(word, ring, s), m, s)
     # x_1^-1, then x_t x_{t+1}^-1 for t < T, then x_T
-    x = np.concatenate([x[T : T + 1], matrices._float64_matmul(x[: T - 1], x[T + 1 :], m, s), x[T - 1 : T]])
-    if matrices._float64_kernel(ring, 1) != matrices.ONE_LIMB:
-        x = x.astype(np.int64)
+    x = np.concatenate([x[T : T + 1], matrices._referee_matmul(x[: T - 1], x[T + 1 :], m, s), x[T - 1 : T]])
+    if s != matrices.ONE_LIMB:
+        x = x.astype(np.int64, copy=False)
     X = exterior._residue_minors(x, m)
+    s = matrices._referee_kernel(ring, N)
+    balanced = s == matrices.BALANCED
     eps = np.array([eps for eps, _ in word.terms])[:, None, None]
-    chain = np.empty((2 * T + 1, N, N))
+    chain = np.empty((2 * T + 1, N, N), np.int64 if balanced else np.float64)
     chain[0::2] = X
     chain[1::2] = np.where(eps == 1, g.fwd._residues(), g.bwd._residues())
-    return _pairwise_product(chain, m, matrices._float64_kernel(ring, N)).astype(np.int64)
+    if balanced:
+        matrices._balance(chain, m)
+    out = _pairwise_product(chain, m, s)
+    return out % m if balanced else out.astype(np.int64)
 
 
-def _transvection_stack(word: ConjWord, ring):
+def _transvection_stack(word: ConjWord, ring, kind):
     """The letters of the T conjugators as n x n transvections, in one stack
-    (P, 2T, n, n) of float64 residues for the longest conjugator length P:
-    slot t holds the conjugator of term t as t_ij(xi) in order, slot T + t
-    its inverse as t_ij(-xi) in reverse order, each padded with
-    identities."""
+    (P, 2T, n, n) for the longest conjugator length P: slot t holds the
+    conjugator of term t as t_ij(xi) in order, slot T + t its inverse as
+    t_ij(-xi) in reverse order, each padded with identities.  Balanced int64
+    residues where `kind`, an answer of matrices._referee_kernel, is
+    BALANCED, float64 residues otherwise."""
     n, m, T = word.n, ring.modulus, len(word.terms)
+    balanced = kind == matrices.BALANCED
     lens = np.array([len(h) for _, h in word.terms])
-    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n))
+    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n), np.int64 if balanced else np.float64)
     X.reshape(-1, n * n)[:, :: n + 1] = 1
     letters = [x for _, h in word.terms for x in h.letters]
     if letters:
         i, j, payloads = zip(*letters)
         coerced = {x: ring.coerce(x) for x in set(payloads)}
         xi = np.array([coerced[x] for x in payloads], np.int64)
+        inv = -xi
+        if balanced:
+            matrices._balance(xi, m)
+            matrices._balance(inv, m)
+        else:
+            inv %= m
         i, j = np.array(i) - 1, np.array(j) - 1
         # (term, position) of every letter, in the flat order of `letters`
         term = np.repeat(np.arange(T), lens)
         pos = np.arange(len(letters)) - np.repeat(np.cumsum(lens) - lens, lens)
         X[pos, term, i, j] = xi
-        X[lens[term] - 1 - pos, T + term, i, j] = (-xi) % m
+        X[lens[term] - 1 - pos, T + term, i, j] = inv
     return X
 
 
 def _pairwise_product(stack, m: int, s):
-    """The product, in order, of the float64 residue matrices of `stack`
-    along its first axis, multiplied pairwise (an odd one out waits for the
-    next level) by matrices._float64_matmul at the kernel s of
-    matrices._float64_kernel."""
+    """The product, in order, of the residue matrices of `stack` along its
+    first axis, multiplied pairwise (an odd one out waits for the next
+    level) by matrices._referee_matmul at the answer s of
+    matrices._referee_kernel."""
     while len(stack) > 1:
-        head = matrices._float64_matmul(stack[0:-1:2], stack[1::2], m, s)
+        head = matrices._referee_matmul(stack[0:-1:2], stack[1::2], m, s)
         stack = np.concatenate([head, stack[-1:]]) if len(stack) % 2 else head
     return stack[0]
 

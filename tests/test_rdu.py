@@ -578,8 +578,17 @@ def _spy_dtypes(monkeypatch):
     return seen
 
 
-# the stack dtype the batched referee must take on each ring at n <= 7
-REFEREE_DTYPES = {"zmod97": np.float64, "zmod-mersenne-31": np.float64}
+# the dtypes the batched referee must take on each ring at n <= 7: the
+# n x n stack, built and multiplied, then the N x N chain
+REFEREE_DTYPES = {
+    "zmod97": dict.fromkeys((4, 5, 6, 7), (np.float64, np.float64)),
+    "zmod-mersenne-31": {4: (np.int64, np.int64)} | dict.fromkeys((5, 6, 7), (np.int64, np.float64)),
+}
+
+
+def _stack_dtypes(stack, chain, calls=1):
+    """What _spy_dtypes sees over `calls` batched products."""
+    return [np.dtype(stack), np.dtype(stack), np.dtype(chain)] * calls
 
 
 @pytest.mark.parametrize("shape", sorted(REFEREE_SHAPES))
@@ -599,7 +608,7 @@ def test_batched_referee_matches_the_loop_on_named_shapes(monkeypatch, ring_id, 
     )
     assert [len(h) for _, h in word.terms] == REFEREE_SHAPES[shape]
     _assert_products_agree(word, g, 2, 3, ring.random(rng), n)
-    assert seen and set(seen) == {np.dtype(REFEREE_DTYPES[ring_id])}
+    assert seen == _stack_dtypes(*REFEREE_DTYPES[ring_id][n], calls=2)
 
 
 @pytest.mark.parametrize(
@@ -652,11 +661,11 @@ def _largest_modulus(fits):
     return lo
 
 
-def _all_top_word(n, ring, shape):
-    """A word whose letters all have argument m - 1: four terms, one of them
-    with an empty conjugator ("mixed"), a single term ("one-term"), or
-    three terms with empty conjugators ("all-empty")."""
-    top = ring.modulus - 1
+def _all_top_word(n, ring, shape, top=None):
+    """A word whose letters all have argument `top`, m - 1 unless given:
+    four terms, one of them with an empty conjugator ("mixed"), a single
+    term ("one-term"), or three terms with empty conjugators ("all-empty")."""
+    top = ring.modulus - 1 if top is None else top
     rng = random.Random(f"all-top {n}")
     h = words.ExtWord(n, [(i, j, top) for i, j, _ in generate.random_ext_word(n, ring, 5, rng).letters])
     e = words.ExtWord(n)
@@ -667,15 +676,17 @@ def _all_top_word(n, ring, shape):
     }[shape])
 
 
-def _assert_referee_on_all_top(monkeypatch, modulus, n, shape):
-    """All-(m-1) g and letters, the largest residues the stacks see: the
-    batched product, from float64 stacks only, and the loop both equal the
-    product over Z reduced mod m.  Returns the dtypes of the minor stacks."""
+def _assert_referee_on_all_top(monkeypatch, modulus, n, shape, dtypes, top=None):
+    """All-(m-1) g and letters, the largest canonical residues the stacks
+    see (all-`top` where given): the batched product, from stacks of the
+    (n x n, N x N) `dtypes`, and the loop both equal the product over Z
+    reduced mod m.  Returns the dtypes of the minor stacks."""
     ring = rings.ModularRing(modulus)
-    N, top = indexing.dim(n), modulus - 1
+    N = indexing.dim(n)
+    top = modulus - 1 if top is None else top
     full = matrices.Matrix(ring, [[top] * N] * N)
     g = matrices.InvPair._trusted(full, full)  # never multiplied together
-    word = _all_top_word(n, ring, shape)
+    word = _all_top_word(n, ring, shape, top)
 
     integers = rings.IntegerRing()
     full_int = matrices.Matrix(integers, [[top] * N] * N)
@@ -694,7 +705,7 @@ def _assert_referee_on_all_top(monkeypatch, modulus, n, shape):
     got = rdu._batched_product(word, g)
     assert got.dtype == np.int64
     assert tuple(map(tuple, got.tolist())) == want
-    assert seen and set(seen) == {np.dtype(np.float64)}
+    assert seen == _stack_dtypes(*dtypes)
     lifted = set(minors)
     assert not rdu.verify(word, g, 2, 3, 1, n)
     return lifted
@@ -704,7 +715,7 @@ def _assert_referee_on_all_top(monkeypatch, modulus, n, shape):
 @pytest.mark.parametrize("n", [4, 6])
 def test_referee_at_the_float64_bound(monkeypatch, n, inside):
     # one float64 limb at N up to the largest m with N (m-1)^2 + m <= 2^53,
-    # two limbs from the next m on
+    # two limbs from the next m on, where the chain runs in balanced int64
     N = indexing.dim(n)
     modulus = _largest_modulus(lambda m: N * (m - 1) ** 2 + m <= 2**53) + (not inside)
     ring = rings.ModularRing(modulus)
@@ -713,7 +724,8 @@ def test_referee_at_the_float64_bound(monkeypatch, n, inside):
         assert s == matrices.ONE_LIMB
     else:
         assert s and ((modulus - 1).bit_length() - 1) // s == 1
-    assert _assert_referee_on_all_top(monkeypatch, modulus, n, "mixed") == {np.dtype(np.float64)}
+    dtypes = (np.float64, np.float64 if inside else np.int64)
+    assert _assert_referee_on_all_top(monkeypatch, modulus, n, "mixed", dtypes) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("shape", ["mixed", "one-term", "all-empty"])
@@ -721,17 +733,121 @@ def test_referee_at_the_float64_bound(monkeypatch, n, inside):
     "bound", ["float-minors-largest", "float-minors-next", "2^31"]
 )
 def test_referee_at_the_minor_bound_and_at_2_to_the_31(monkeypatch, bound, shape):
-    # float64 minors up to the largest m with (m-1)^2 + m <= 2^53, int64
-    # ones from the next m on and at m = 2^31, the largest m the batched
-    # referee serves; the products run in float64 limbs throughout
+    # float64 minors at dim 1 up to the largest m with (m-1)^2 + m <= 2^53,
+    # int64 ones from the next m on and at m = 2^31, the largest m the
+    # batched referee serves; at n = 5 the n x n products run in balanced
+    # int64 at all three, so the minors are int64 too, and the N = 10 chain
+    # in balanced int64 up to m = 1 920 767 767 and in float64 limbs at 2^31
     largest = _largest_modulus(lambda m: (m - 1) ** 2 + m <= 2**53)
     modulus = {"float-minors-largest": largest, "float-minors-next": largest + 1, "2^31": 2**31}[bound]
     ring = rings.ModularRing(modulus)
     float_minors = bound == "float-minors-largest"
     assert (matrices._float64_kernel(ring, 1) == matrices.ONE_LIMB) is float_minors
     assert matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB
-    minors = _assert_referee_on_all_top(monkeypatch, modulus, 5, shape)
-    assert minors == {np.dtype(np.float64 if float_minors else np.int64)}
+    dtypes = (np.int64, np.float64 if bound == "2^31" else np.int64)
+    minors = _assert_referee_on_all_top(monkeypatch, modulus, 5, shape, dtypes)
+    assert minors == {np.dtype(np.int64)}
+
+
+# the largest m with dim h^2 + h < 2^63, h = floor(m/2), at dims 8 and 10
+BALANCED_LARGEST = {8: 2**31 - 1, 10: 1_920_767_767}
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
+@pytest.mark.parametrize("dim", sorted(BALANCED_LARGEST))
+def test_referee_kernel_at_the_balanced_bound(dim, inside):
+    # one balanced int64 product up to the largest m, float64 limbs from the
+    # next m on; rows and columns of residue h, whose balanced value is
+    # +-h, make every sum dim h^2, the bound itself (m - 1 balances to -1)
+    modulus = BALANCED_LARGEST[dim] + (not inside)
+    ring, h = rings.ModularRing(modulus), modulus // 2
+    assert (dim * h * h + h < 2**63) is inside
+    kind = matrices._referee_kernel(ring, dim)
+    a = np.full((2, dim, dim), h)
+    if inside:
+        assert kind == matrices.BALANCED
+        a = matrices._balance(a, modulus)
+        assert (np.abs(a) == h).all()
+    else:
+        assert kind == matrices._float64_kernel(ring, dim) >= 1
+        a = a.astype(np.float64)
+    got = matrices._referee_matmul(a, a, modulus, kind).astype(np.int64) % modulus
+    assert set(got.ravel().tolist()) == {dim * h * h % modulus}
+
+
+@pytest.mark.parametrize(
+    "dim,inside,shape",
+    [(8, True, "mixed"), (8, False, "mixed")]
+    + [(10, inside, shape) for inside in (True, False) for shape in ("mixed", "all-empty")],
+)
+def test_referee_at_the_balanced_bound(monkeypatch, dim, inside, shape):
+    # g and letters of residue h = floor(m/2), balanced value +-h, at n = 8,
+    # whose n x n stacks have dim 8, and at n = 5, whose chain has N = 10;
+    # "all-empty" multiplies g by g^-1 = g in the chain, sums of N h^2
+    modulus = BALANCED_LARGEST[dim] + (not inside)
+    ring = rings.ModularRing(modulus)
+    assert (matrices._referee_kernel(ring, dim) == matrices.BALANCED) is inside
+    if dim == 8:
+        n, dtypes = 8, (np.int64 if inside else np.float64, np.float64)
+    else:
+        n, dtypes = 5, (np.int64, np.int64 if inside else np.float64)
+    minors = _assert_referee_on_all_top(monkeypatch, modulus, n, shape, dtypes, modulus // 2)
+    assert minors == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("modulus", [97, 2**31 - 1, 2**31])
+def test_transvection_stack_holds_residues_of_its_kind(modulus):
+    # balanced residues in [-h, m-1-h], h = floor(m/2), where the n x n
+    # products run in int64 (both wide moduli at n = 5), canonical float64
+    # ones in [0, m) elsewhere (Z/97); letters and their inverses alike
+    ring = rings.ModularRing(modulus)
+    rng = random.Random(f"stack {modulus}")
+    word = ConjWord(5, [(1, generate.random_ext_word(5, ring, k, rng)) for k in (6, 0, 9)])
+    kind = matrices._referee_kernel(ring, 5)
+    stack = rdu._transvection_stack(word, ring, kind)
+    if modulus == 97:
+        assert kind == matrices.ONE_LIMB and stack.dtype == np.float64
+        assert 0 <= stack.min() and stack.max() <= modulus - 1
+    else:
+        h = modulus // 2
+        assert kind == matrices.BALANCED and stack.dtype == np.int64
+        assert -h <= stack.min() and stack.max() <= modulus - 1 - h
+
+
+def _referee_bound_moduli():
+    """Both sides of every bound of matrices._referee_kernel at the dims of
+    words at n = 4 to 6 (n and N) and of the balanced bound at dims 8 to
+    10, with 2^31 - 1 and 2^31."""
+    out = {2**31 - 1, 2**31}
+    for dim in (4, 5, 6, 10, 15):
+        largest = _largest_modulus(lambda m: dim * (m - 1) ** 2 + m <= 2**53)
+        out |= {largest, largest + 1}
+    for dim in (8, 9, 10):
+        largest = _largest_modulus(lambda m: dim * (m // 2) ** 2 + m // 2 < 2**63)
+        out |= {largest, largest + 1}
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    modulus=st.sampled_from(_referee_bound_moduli()),
+    n=st.integers(4, 6),
+    lengths=st.lists(st.integers(0, 5), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_referee_matches_the_loop_at_every_kernel_bound(modulus, n, lengths, seed):
+    ring = rings.ModularRing(modulus)
+    rng = random.Random(seed)
+    g = generate.compound_of_random(n, ring, 6, rng)
+    word = ConjWord(
+        n,
+        [
+            (rng.choice((1, -1)), generate.random_ext_word(n, ring, k, rng))
+            for k in lengths
+        ],
+    )
+    got = rdu._batched_product(word, g)
+    assert np.array_equal(got, rdu._naive_product(word, g)._residues())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 6, 10, 15, 45])
@@ -795,3 +911,22 @@ def test_verify_over_the_mersenne_prime_multiplies_no_int64_product(monkeypatch)
     monkeypatch.setattr(matrices, "_limb_matmul", refuse)
     assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
     assert rdu.first_difference(d.word, g, d.k, d.l, g.ring.add(d.param, 1), 5) is not None
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_wide_modulus_verify_runs_no_float64_product_below_dim_8(monkeypatch, n):
+    # over Z/(2^31 - 1) every referee stack of dim <= 7 runs in balanced
+    # int64: at n = 4 (N = 6) verify makes no float64 product, and at n = 5
+    # only the N = 10 chain does, one call per level of its 17 factors
+    g, eng = _engine(n, 13, rings.ModularRing(2**31 - 1))
+    d = eng.entry((1, 3), (1, 2), 2, 3)
+    assert len(d.word) == 8
+    dims, float64_matmul = [], matrices._float64_matmul
+
+    def spy(a, b, m, s):
+        dims.append(a.shape[-1])
+        return float64_matmul(a, b, m, s)
+
+    monkeypatch.setattr(matrices, "_float64_matmul", spy)
+    assert rdu.verify(d.word, g, d.k, d.l, d.param, n)
+    assert dims == ([] if n == 4 else [10] * 5)
