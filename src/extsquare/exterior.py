@@ -69,10 +69,11 @@ def _residue_minors(x, m: int):
     every minor above -2^62.  It also takes balanced residues, in
     [-floor(m/2), m-1-floor(m/2)], whose minors are at most
     2 floor(m/2)^2 <= 2^61 in absolute value for m <= 2^31; the result is
-    canonical either way.  float64 needs (m-1)^2 + m <= 2^53, the
-    ONE_LIMB answer of matrices._float64_kernel at dim 1: every product and
-    minor is then an exact float64, reduced by the floor quotient of
-    matrices._float64_reduce."""
+    canonical either way.  float64 takes non-negative integers up to e,
+    not only residues, where e^2 + m <= 2^53 (for residues, e = m - 1, the
+    ONE_LIMB answer of matrices._float64_kernel at dim 1): every product is
+    then an exact float64 in [0, e^2] and every minor one in [-e^2, e^2],
+    reduced by the floor quotient of matrices._float64_reduce."""
     n = x.shape[-1]
     ac, bd, ad, bc = _minor_positions(n)
     flat = x.reshape(x.shape[:-2] + (n * n,))

@@ -26,8 +26,12 @@ _referee_kernel answers the same question for batched residue stacks only
 (the referee rdu._batched_product), and _referee_matmul multiplies at its
 answer:
 
-* one float64 BLAS product reduced by _float64_reduce, when
-  dim (m-1)^2 + m <= 2^53 (Z/97);
+* one float64 BLAS product, when dim (m-1)^2 + m <= 2^53 (Z/97).  These
+  products are not reduced one by one: rdu._pairwise_product carries exact
+  bounds on the row sums and entries of every level, multiplies unreduced
+  while the next product's entries stay within 2^53 - m, and reduces by
+  _float64_reduce only before a level that could pass that, and once at
+  the end (delayed modular reduction);
 * else one int64 product of balanced residues, in [-floor(m/2),
   m-1-floor(m/2)], reduced by _balance, when dim floor(m/2)^2 + floor(m/2)
   < 2^63 (every m <= 2^31 up to dim 7: Z/(2^31 - 1) at n <= 7 and N = 6);

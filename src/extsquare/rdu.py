@@ -38,6 +38,8 @@ preserves length.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -503,10 +505,11 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
     and lifts them all by one batched compound, sharing no word evaluator
     and no letter rule with the engine; every stack runs at
     matrices._referee_kernel for its dim, in float64 residues where every
-    BLAS sum stays an exact integer, else in int64 balanced residues where
-    no sum can overflow, else in float64 limbs.  Over other rings it comes
-    from _naive_product, letter by letter.  Neither calls the factored
-    `ConjWord.eval_matrix` that the engine's own certificates use.
+    BLAS sum stays an exact integer (reduced only where a proven bound on
+    the next product would pass 2^53), else in int64 balanced residues
+    where no sum can overflow, else in float64 limbs.  Over other rings it
+    comes from _naive_product, letter by letter.  Neither calls the
+    factored `ConjWord.eval_matrix` that the engine's own certificates use.
     """
     return first_difference(word, g, k, l, xi, n) is None
 
@@ -582,15 +585,22 @@ def _batched_product(word: ConjWord, g: matrices.InvPair):
     nothing is shared between terms or calls, and the engine's sign rule
     for letters (words._letter_support) is not read.
 
-    Every stack runs at matrices._referee_kernel for its dim: float64
-    residues and one exact BLAS product over Z/97; balanced int64 residues
-    and one int64 product up to dim 7 over wider moduli (Z/(2^31 - 1) at
-    n <= 7, and its N = 6 chain at n = 4); float64 limbs above (its N = 10
-    and 15 chains).  The minors keep the n x n product's dtype, int64 unless
-    that is one float64 limb: |ad - bc| is at most 2 floor(m/2)^2 < 2^62 for
-    balanced residues and (m-1)^2 < 2^62 for canonical ones.  The minors and
-    g^{+-1} enter the chain as canonical residues, balanced there where the
-    chain is int64, and the product is made canonical before it is returned.
+    Every stack runs at matrices._referee_kernel for its dim.  At ONE_LIMB
+    (Z/97) the residues are float64, and _pairwise_product reduces a level
+    only when its exact bound requires it; the rows of a letter sum to at
+    most 1 + (m-1), and those of a canonical N x N factor to N (m-1).  The
+    products x_t x_{t+1}^-1 of canonical x are non-negative integers up to
+    e = n (m-1)^2, so their minors lie in [-e^2, e^2]; they reach
+    _residue_minors unreduced where e^2 + m <= 2^53 (every n <= 6 over
+    Z/97), which keeps every minor exact and reducible.  At BALANCED the
+    residues are balanced int64 (Z/(2^31 - 1) at n <= 7, and its N = 6
+    chain at n = 4), elsewhere float64 limbs (its N = 10 and 15 chains),
+    and every product is reduced.  The minors keep the n x n product's
+    dtype, int64 unless that is one float64 limb: |ad - bc| is at most
+    2 floor(m/2)^2 < 2^62 for balanced residues and (m-1)^2 < 2^62 for
+    canonical ones.  The minors and g^{+-1} enter the chain as canonical
+    residues, balanced there where the chain is int64, and the product is
+    made canonical before it is returned.
     """
     ring, n, N = g.ring, word.n, g.dim
     m = ring.modulus
@@ -598,10 +608,18 @@ def _batched_product(word: ConjWord, g: matrices.InvPair):
     if not T:
         return np.identity(N, dtype=np.int64) % m
     s = matrices._referee_kernel(ring, n)
-    # the stack is passed, not named, so its first level frees it
-    x = _pairwise_product(_transvection_stack(word, ring, s), m, s)
+    # the stack is passed, not named, so its first level frees it; a
+    # letter's rows sum to at most 1 + (m-1)
+    x = _pairwise_product(_transvection_stack(word, ring, s), m, s, m)
+    if s == matrices.ONE_LIMB:
+        between = x[: T - 1] @ x[T + 1 :]
+        top = n * (m - 1) ** 2  # its entries; its minors are at most top^2
+        if top * top + m > 2**53:
+            matrices._float64_reduce(between, m)
+    else:
+        between = matrices._referee_matmul(x[: T - 1], x[T + 1 :], m, s)
     # x_1^-1, then x_t x_{t+1}^-1 for t < T, then x_T
-    x = np.concatenate([x[T : T + 1], matrices._referee_matmul(x[: T - 1], x[T + 1 :], m, s), x[T - 1 : T]])
+    x = np.concatenate([x[T : T + 1], between, x[T - 1 : T]])
     if s != matrices.ONE_LIMB:
         x = x.astype(np.int64, copy=False)
     X = exterior._residue_minors(x, m)
@@ -613,7 +631,7 @@ def _batched_product(word: ConjWord, g: matrices.InvPair):
     chain[1::2] = np.where(eps == 1, g.fwd._residues(), g.bwd._residues())
     if balanced:
         matrices._balance(chain, m)
-    out = _pairwise_product(chain, m, s)
+    out = _pairwise_product(chain, m, s, N * (m - 1))
     return out % m if balanced else out.astype(np.int64)
 
 
@@ -623,7 +641,7 @@ def _transvection_stack(word: ConjWord, ring, kind):
     conjugator of term t as t_ij(xi) in order, slot T + t its inverse as
     t_ij(-xi) in reverse order, each padded with identities.  Balanced int64
     residues where `kind`, an answer of matrices._referee_kernel, is
-    BALANCED, float64 residues otherwise."""
+    BALANCED, canonical float64 residues otherwise."""
     n, m, T = word.n, ring.modulus, len(word.terms)
     balanced = kind == matrices.BALANCED
     lens = np.array([len(h) for _, h in word.terms])
@@ -631,16 +649,13 @@ def _transvection_stack(word: ConjWord, ring, kind):
     X.reshape(-1, n * n)[:, :: n + 1] = 1
     letters = [x for _, h in word.terms for x in h.letters]
     if letters:
-        i, j, payloads = zip(*letters)
-        coerced = {x: ring.coerce(x) for x in set(payloads)}
-        xi = np.array([coerced[x] for x in payloads], np.int64)
+        i, j, xi = _letter_arrays(letters, ring)
         inv = -xi
         if balanced:
             matrices._balance(xi, m)
             matrices._balance(inv, m)
         else:
             inv %= m
-        i, j = np.array(i) - 1, np.array(j) - 1
         # (term, position) of every letter, in the flat order of `letters`
         term = np.repeat(np.arange(T), lens)
         pos = np.arange(len(letters)) - np.repeat(np.cumsum(lens) - lens, lens)
@@ -649,14 +664,64 @@ def _transvection_stack(word: ConjWord, ring, kind):
     return X
 
 
-def _pairwise_product(stack, m: int, s):
+def _letter_arrays(letters, ring):
+    """The 0-based rows i and columns j of (i, j, xi) letters, and their
+    payloads coerced into Z/m, as three int64 arrays.
+
+    Where every payload is a python int within int64, all three are read in
+    one np.fromiter pass and xi is reduced % m, as ring.coerce reduces an
+    int.  The type check comes first because np.fromiter would also take
+    what ring.coerce refuses (it truncates 2.5 and parses "3"); any other
+    payload (a bool, a RingElement, an int beyond int64, or one that
+    raises) goes through ring.coerce, once per distinct payload."""
+    if {int} == {type(x) for _, _, x in letters}:
+        with contextlib.suppress(OverflowError):
+            flat = np.fromiter(itertools.chain.from_iterable(letters), np.int64, 3 * len(letters))
+            i, j, xi = flat.reshape(-1, 3).T
+            return i - 1, j - 1, xi % ring.modulus
+    i, j, payloads = zip(*letters)
+    coerced = {x: ring.coerce(x) for x in set(payloads)}
+    return np.array(i) - 1, np.array(j) - 1, np.array([coerced[x] for x in payloads], np.int64)
+
+
+def _pairwise_product(stack, m: int, s, rows: int):
     """The product, in order, of the residue matrices of `stack` along its
     first axis, multiplied pairwise (an odd one out waits for the next
-    level) by matrices._referee_matmul at the answer s of
-    matrices._referee_kernel."""
+    level) at the answer s of matrices._referee_kernel, as residues of the
+    stack's kind: canonical for float64, balanced for BALANCED.
+
+    At BALANCED and at limb widths matrices._referee_matmul reduces every
+    product.  At ONE_LIMB the reduction is delayed, as in FFLAS-FFPACK
+    (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  The entries are
+    canonical residues, so non-negative integers at most e = m - 1, and
+    `rows` bounds every row sum by r.  For non-negative integer matrices A
+    and B, an entry of AB is at most r(A) e(B) and a row sum at most
+    r(A) r(B) (the norm inequality ||AB|| <= ||A|| ||B||), so a level takes
+    r -> r^2 and e -> r e, and the odd one out, at r and e, stays within
+    them.  Every entry of AB is a sum of non-negative integer terms, so
+    each partial sum BLAS forms, in any order and fused or not, is an
+    integer no larger than the entry.  A level is therefore multiplied
+    unreduced while r e + m <= 2^53: every entry is exact and within the
+    |c| + m <= 2^53 that matrices._float64_reduce needs.  Otherwise the
+    stack is reduced first, which maps each entry c to c mod m <= c in
+    [0, m), so to e = m - 1 and r = min(r, dim (m-1)), where
+    r e + m <= dim (m-1)^2 + m <= 2^53 is the ONE_LIMB condition itself.
+    The product is reduced once at the end unless e < m already.
+    """
+    top = m - 1
+    dim = stack.shape[-1]
     while len(stack) > 1:
-        head = matrices._referee_matmul(stack[0:-1:2], stack[1::2], m, s)
+        if s != matrices.ONE_LIMB:
+            head = matrices._referee_matmul(stack[0:-1:2], stack[1::2], m, s)
+        else:
+            if rows * top + m > 2**53:
+                matrices._float64_reduce(stack, m)
+                rows, top = min(rows, dim * (m - 1)), m - 1
+            head = stack[0:-1:2] @ stack[1::2]
+            rows, top = rows * rows, rows * top
         stack = np.concatenate([head, stack[-1:]]) if len(stack) % 2 else head
+    if top >= m:
+        matrices._float64_reduce(stack, m)
     return stack[0]
 
 

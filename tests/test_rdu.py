@@ -676,22 +676,27 @@ def _all_top_word(n, ring, shape, top=None):
     }[shape])
 
 
+def _all_top_product(word, modulus, top=None):
+    """g over Z/m with every entry `top`, m - 1 unless given (trusted as its
+    own inverse: the two are never multiplied together), and the word's
+    product with that g over Z, reduced mod m."""
+    top = modulus - 1 if top is None else top
+    N = indexing.dim(word.n)
+    pairs = []
+    for ring in (rings.ModularRing(modulus), rings.IntegerRing()):
+        full = matrices.Matrix(ring, [[top] * N] * N)
+        pairs.append(matrices.InvPair._trusted(full, full))
+    over_z = rdu._naive_product(word, pairs[1])
+    return pairs[0], tuple(tuple(v % modulus for v in row) for row in over_z.rows)
+
+
 def _assert_referee_on_all_top(monkeypatch, modulus, n, shape, dtypes, top=None):
     """All-(m-1) g and letters, the largest canonical residues the stacks
     see (all-`top` where given): the batched product, from stacks of the
     (n x n, N x N) `dtypes`, and the loop both equal the product over Z
     reduced mod m.  Returns the dtypes of the minor stacks."""
-    ring = rings.ModularRing(modulus)
-    N = indexing.dim(n)
-    top = modulus - 1 if top is None else top
-    full = matrices.Matrix(ring, [[top] * N] * N)
-    g = matrices.InvPair._trusted(full, full)  # never multiplied together
-    word = _all_top_word(n, ring, shape, top)
-
-    integers = rings.IntegerRing()
-    full_int = matrices.Matrix(integers, [[top] * N] * N)
-    over_z = rdu._naive_product(word, matrices.InvPair._trusted(full_int, full_int))
-    want = tuple(tuple(v % modulus for v in row) for row in over_z.rows)
+    word = _all_top_word(n, rings.ModularRing(modulus), shape, top)
+    g, want = _all_top_product(word, modulus, top)
     assert rdu._naive_product(word, g).rows == want
 
     seen = _spy_dtypes(monkeypatch)
@@ -850,6 +855,197 @@ def test_batched_referee_matches_the_loop_at_every_kernel_bound(modulus, n, leng
     assert np.array_equal(got, rdu._naive_product(word, g)._residues())
 
 
+# -- delayed reduction in the one-limb float64 stacks --------------------------
+
+
+def _spy_reductions(monkeypatch):
+    """The shape of every stack matrices._float64_reduce reduces."""
+    shapes, reduce = [], matrices._float64_reduce
+
+    def spy(c, m):
+        shapes.append(c.shape)
+        return reduce(c, m)
+
+    monkeypatch.setattr(matrices, "_float64_reduce", spy)
+    return shapes
+
+
+def _alternating_word(n, modulus, length, terms):
+    """`terms` terms, each conjugated by `length` letters alternating
+    t_12(m-1) and t_21(m-1): the entries of their products grow like
+    (m-1)^k over k letters, so they come near the bounds the referee
+    carries (about m^8 for eight letters)."""
+    top = modulus - 1
+    h = words.ExtWord(n, [((1, 2, top), (2, 1, top))[p % 2] for p in range(length)])
+    return ConjWord(n, [((-1) ** t, h) for t in range(terms)])
+
+
+def _assert_delayed_product(monkeypatch, word, modulus):
+    """With all-(m-1) g, the batched product and the loop both equal the
+    product over Z reduced mod m; returns the shapes of the reduced stacks."""
+    g, want = _all_top_product(word, modulus)
+    assert rdu._naive_product(word, g).rows == want
+    shapes = _spy_reductions(monkeypatch)
+    assert tuple(map(tuple, rdu._batched_product(word, g).tolist())) == want
+    return shapes
+
+
+# the largest m whose letter trees run three levels unreduced: a letter's
+# rows sum to at most m and its entries are at most m - 1, so two levels
+# leave row sums m^4 and entries m^3 (m - 1), and the third level runs
+# unreduced while m^7 (m - 1) + m <= 2^53
+TREE_LARGEST = 98
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
+@pytest.mark.parametrize("length", [8, 16])
+def test_delayed_reduction_at_the_letter_tree_bound(monkeypatch, length, inside):
+    # 8 letters take three levels: one reduction, at the end, up to m = 98,
+    # and one more before the third level from m = 99 on.  16 letters take
+    # a fourth level, which at m = 98 needs its input reduced (unreduced it
+    # would reach 97^16); at m = 99 the reduction before the third level
+    # leaves room for the fourth.  Reductions are listed by stack length.
+    assert _largest_modulus(lambda m: m**7 * (m - 1) + m <= 2**53) == TREE_LARGEST
+    assert TREE_LARGEST**8 + TREE_LARGEST <= 2**53 < (TREE_LARGEST + 1) ** 8
+    modulus = TREE_LARGEST + (not inside)
+    shapes = _assert_delayed_product(monkeypatch, _alternating_word(4, modulus, length, 3), modulus)
+    tree = [shape[0] for shape in shapes if len(shape) == 4]
+    assert tree == {(8, True): [1], (8, False): [2, 1], (16, True): [2, 1], (16, False): [4, 1]}[length, inside]
+
+
+# the largest m whose N = 15 chains run two levels unreduced after a
+# reduction: canonical residues have entries m - 1 and row sums 15 (m - 1),
+# one level leaves 15 (m - 1)^2 and 225 (m - 1)^2, and the next runs
+# unreduced while 3375 (m - 1)^4 + m <= 2^53
+CHAIN_LARGEST = 1279
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
+def test_delayed_reduction_at_the_chain_bound(monkeypatch, inside):
+    # four terms at n = 6: the minors reduce their 5 factors, then the
+    # chain of 9 factors runs 9 -> 5 -> 3 -> 2 -> 1; up to m = 1279 it is
+    # reduced before the third level and at the end, from m = 1280 on
+    # before every level but the first, and at the end
+    assert _largest_modulus(lambda m: 3375 * (m - 1) ** 4 + m <= 2**53) == CHAIN_LARGEST
+    modulus = CHAIN_LARGEST + (not inside)
+    assert matrices._referee_kernel(rings.ModularRing(modulus), 15) == matrices.ONE_LIMB
+    shapes = _assert_delayed_product(monkeypatch, _alternating_word(6, modulus, 8, 4), modulus)
+    chain = [shape[0] for shape in shapes if shape[-1] == 15]
+    assert chain == ([5, 3, 1] if inside else [5, 5, 3, 2, 1])
+
+
+# the largest m at each n whose products x_t x_{t+1}^-1 reach the minors
+# unreduced: their entries are at most e = n (m - 1)^2, their minors at
+# most e^2 in absolute value, and e^2 + m <= 2^53
+MINOR_LARGEST = {4: 4871, 6: 3978}
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
+@pytest.mark.parametrize("n", sorted(MINOR_LARGEST))
+def test_delayed_reduction_at_the_minor_bound(monkeypatch, n, inside):
+    # three terms: the two products x_1 x_2^-1 and x_2 x_3^-1 are one n x n
+    # stack of length 2, reduced before the minors only from the next m on
+    largest = MINOR_LARGEST[n]
+    assert _largest_modulus(lambda m: (n * (m - 1) ** 2) ** 2 + m <= 2**53) == largest
+    modulus = largest + (not inside)
+    shapes = _assert_delayed_product(monkeypatch, _alternating_word(n, modulus, 8, 3), modulus)
+    between = [shape for shape in shapes if len(shape) == 3 and shape[-1] == n]
+    assert between == ([] if inside else [(2, n, n)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    modulus=st.sampled_from(
+        sorted({TREE_LARGEST, CHAIN_LARGEST} | set(MINOR_LARGEST.values()) | {4357})
+        + sorted({TREE_LARGEST + 1, CHAIN_LARGEST + 1, 4358} | {m + 1 for m in MINOR_LARGEST.values()})
+    ),
+    n=st.integers(4, 6),
+    lengths=st.lists(st.integers(0, 20), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_referee_matches_the_loop_at_every_delayed_bound(modulus, n, lengths, seed):
+    # random words on both sides of every edge above (4357 is the minor
+    # edge at n = 5); conjugators up to 20 letters take five tree levels
+    ring = rings.ModularRing(modulus)
+    rng = random.Random(seed)
+    g = generate.compound_of_random(n, ring, 6, rng)
+    word = ConjWord(
+        n,
+        [
+            (rng.choice((1, -1)), generate.random_ext_word(n, ring, k, rng))
+            for k in lengths
+        ],
+    )
+    got = rdu._batched_product(word, g)
+    assert np.array_equal(got, rdu._naive_product(word, g)._residues())
+
+
+@pytest.mark.parametrize("case,reductions", [("8-term", 6), ("16-term", 6)])
+def test_zmod97_verify_reduces_only_where_a_bound_requires(monkeypatch, case, reductions):
+    # the float64 reductions of one verify at n = 6 over Z/97, where every
+    # product used to be reduced (11 and 13): 8-term words have a letter
+    # tree of 4 levels and a chain of 17 factors, 16-term words 5 levels and
+    # 33 factors.  Two reductions in the tree, one in the minors, three in
+    # the chain.  The guard counts calls; it does not time them.
+    g, eng = _engine(6, 13)
+    if case == "8-term":
+        d = eng.entry((1, 3), (1, 2), 2, 3)
+    else:
+        d = eng.entry((1, 2), (3, 4), 4, 1)
+    assert len(d.word) == int(case.split("-")[0])
+    shapes = _spy_reductions(monkeypatch)
+    assert rdu.verify(d.word, g, d.k, d.l, d.param, 6)
+    assert len(shapes) == reductions
+
+
+LETTER_PAYLOADS = {
+    "above-m": lambda ring: ring.modulus + 5,
+    "beyond-int64": lambda ring: 2**70 + 3,
+    "negative": lambda ring: -1,
+    "negative-beyond-int64": lambda ring: -(2**65) - 7,
+    "bool": lambda ring: True,
+    "ring-element": lambda ring: ring.elem(5),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(LETTER_PAYLOADS))
+@pytest.mark.parametrize("modulus", [97, 2**31 - 1])
+@pytest.mark.parametrize("where", ["one-letter", "every-letter"])
+def test_transvection_stack_coerces_payloads_as_the_ring_does(modulus, payload, where):
+    # the array read of plain ints and the per-payload ring.coerce give the
+    # stack of the coerced word, and the batched product the loop's
+    ring = rings.ModularRing(modulus)
+    rng = random.Random(f"payloads {modulus} {payload}")
+    g = generate.compound_of_random(5, ring, 6, rng)
+    value = LETTER_PAYLOADS[payload](ring)
+    terms, coerced = [], []
+    for k in (4, 0, 7):
+        letters = list(generate.random_ext_word(5, ring, k, rng).letters)
+        for p in range(len(letters)) if where == "every-letter" else range(min(1, len(letters))):
+            letters[p] = letters[p][:2] + (value,)
+        terms.append((1, words.ExtWord(5, letters)))
+        coerced.append((1, words.ExtWord(5, [(i, j, ring.coerce(x)) for i, j, x in letters])))
+    word, plain = ConjWord(5, terms), ConjWord(5, coerced)
+    kind = matrices._referee_kernel(ring, 5)
+    assert np.array_equal(rdu._transvection_stack(word, ring, kind), rdu._transvection_stack(plain, ring, kind))
+    assert np.array_equal(rdu._batched_product(word, g), rdu._naive_product(word, g)._residues())
+
+
+@pytest.mark.parametrize("payload", [2.5, 3.0, "3", np.int64(3)], ids=["float", "integral-float", "str", "np.int64"])
+def test_transvection_stack_refuses_what_the_ring_refuses(payload):
+    # np.fromiter would truncate 2.5 and parse "3"; the referee raises the
+    # error ring.coerce raises instead, from the stack and from verify
+    ring = rings.ModularRing(97)
+    with pytest.raises(TypeError) as refused:
+        ring.coerce(payload)
+    g, _ = _engine(4, 2)
+    word = ConjWord(4, [(1, words.ExtWord(4, [(1, 2, 5), (2, 3, payload)]))])
+    with pytest.raises(refused.type, match=re.escape(str(refused.value))):
+        rdu._transvection_stack(word, ring, matrices.ONE_LIMB)
+    with pytest.raises(refused.type, match=re.escape(str(refused.value))):
+        rdu.verify(word, g, 2, 3, 1, 4)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 6, 10, 15, 45])
 def test_float64_kernel_takes_the_widest_exact_limb(dim):
     # the width is the widest s with (m-1) ((dim+1) 2^s - dim) + m <= 2^53;
@@ -901,6 +1097,9 @@ def test_verify_rejects_a_bad_target_on_both_paths(ring, k, l):
 
 
 def test_verify_over_the_mersenne_prime_multiplies_no_int64_product(monkeypatch):
+    # what this refuses is the engine's int64 kernels, _int64_matmul and
+    # _limb_matmul: the referee's own balanced int64 products (through
+    # matrices._referee_matmul) do run here, at n = 5 on every n x n stack
     g, eng = _engine(5, 13, rings.ModularRing(2**31 - 1))
     d = eng.diagonal((1, 2), (3, 4), 4, 1)
 
