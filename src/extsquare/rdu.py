@@ -16,9 +16,11 @@ is returned; a failed certificate raises instead of degrading, and
 Every word certificate is evaluated on the engine's own g, through one
 shared cache, so ConjWord.eval_matrix multiplies each run of core terms once
 per engine: the core certificates compute it, and `final-verified` and the
-system check reuse it for every target.  g is conjugated by each core's
-outer prefix once, too: the routed g1 that a core is built on is the base
-of its words' top-level run, and _build_core leaves it in g's run memo.
+system check reuse it for every target, inverting it where a core enters a
+word inverted.  Within a core, the eight-term word recalls the four-term z
+and z's last three terms, inverted.  g is conjugated by each core's outer
+prefix once, too: the routed g1 that a core is built on is the base of its
+words' top-level run, and _build_core leaves it in g's run memo.
 
 The eight-term core works at the fixed position ({1,3}, {1,2}):
 

@@ -19,13 +19,15 @@ own labels and evaluates itself.
 ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g,
-factored over the segments the conjugators share and memoizing, per g, the
-product of each top-level run of terms and g conjugated by each run's
-prefix.  ExtWord.eval keeps those segments in a caller's cache, each entry
-exactly the product of its key's letters, and builds a new segment by
-inverting the entry of its formal inverse or by extending its longest cached
-proper suffix.  Every pair is one int64 stack where matrices stores int64
-(see matrices.InvPair), so both of its sides multiply in one kernel call.
+factored over the segments the conjugators share.  It keeps, per g, the pair
+of every group of terms it multiplies, keyed by the group's terms from g on,
+so a group recurs for free and a group whose formal inverse is kept costs
+only a view; and g conjugated by each shared prefix.  ExtWord.eval keeps
+those segments in a caller's cache, each entry exactly the product of its
+key's letters, and builds a new segment by inverting the entry of its formal
+inverse or by extending its longest cached proper suffix.  Every pair is one
+int64 stack where matrices stores int64 (see matrices.InvPair), so both of
+its sides multiply in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices and the pair-indexed expansion in exterior read it.  Letter
@@ -70,16 +72,17 @@ def _letter_support(n: int, i: int, j: int):
     )
 
 
-# Each cap sits above the working set of a full level sweep at n <= 7, so
-# only wider moduli or larger ranks evict.  The letter cache is keyed by ring
-# and letter, so a wide modulus would grow it without end; it holds the whole
-# Z/97 working set for n <= 6 (about 4 800 letters).  A caller's segment cache
-# (ExtWord.eval) and the run memo of each g in it (ConjWord.eval_matrix) hold
-# about 1 700 segments and 530 runs after a full level sweep at n = 6, and
-# 3 050 and 1 020 at n = 7; the memo's top-level bases add one entry per core
-# built.  Nested bases are reused within one core or decomposition only: at
-# n = 6 a sweep takes 45.4 kernel calls per core with 32 of them, as with no
-# cap, and 5.8 per final certificate against 3.4.  So their cap is small.
+# Each cap but the nested one sits above the working set of a full level
+# sweep at n <= 7, so only wider moduli or larger ranks evict.  The letter
+# cache is keyed by ring and letter, so a wide modulus would grow it without
+# end; it holds the whole Z/97 working set for n <= 6 (about 4 800 letters).
+# After a full level sweep over Z/97 at n = 6 (targets (2, 3) and (1, 6),
+# then the system check), a caller's segment cache (ExtWord.eval) holds 615
+# segments and the run memo of g (ConjWord.eval_matrix) 539 runs and 235
+# bases, one per core built; at n = 7, 1 136 segments and 1 031 runs.  Runs
+# and bases below the top level recur within one core or decomposition only:
+# at n = 6 a core takes 30.4 kernel calls with the last 32 of them kept, as
+# with no cap, and a final certificate 0.8.  So their cap is small.
 _LETTER_CACHE: dict = {}
 _LETTER_CACHE_MAX = 8192
 _SEGMENT_CACHE_MAX = 8192
@@ -344,17 +347,22 @@ class ConjWord:
         `cache` is the caller's dict, shared across words, matrices and
         rings.  It keeps segments (ExtWord.eval, keyed by (ring.key(), n,
         letters)) and, under ("runs", id(g)), a triple (g, memo, nested).
-        The memo maps each top-level run -- the run's (eps, letters) terms
-        once S is stripped -- to its product against g, and ("base", P) to
-        the pair P^-1 g P for the letters P of each top-level run's shared
-        prefix (rdu seeds it with the routed g of every core it builds).
-        nested keeps the bases below the top level the same way, the last
-        _NESTED_BASE_MAX of them: a core's four-term z and its eight-term
-        word, evaluated one after the other, share three.  The triple holds
-        g, so its id is not reused while the entry lives.  A run that
-        recurs, in this word or a later one on the same g, is then
-        multiplied once, and g is conjugated by each top-level prefix once
-        per engine, both sides in one stacked product per factor.
+        Below the top level a prefix shared by every conjugator moves into
+        the base, a shared suffix is stripped and the rest conjugated by
+        it, and otherwise the terms are cut into groups: runs that share a
+        first letter, or blocks that share a last letter where that gives
+        fewer.  Each group's pair is kept under its terms with their
+        absolute conjugators (the letters from g on), whose product on g it
+        is: in the memo for top-level groups, once S is stripped, and among
+        the last _NESTED_BASE_MAX entries of nested below.  A group is
+        recalled from either, or inverted (a view, no product) from the
+        pair of its formal inverse.  So a core's eight-term word recalls
+        its four-term z and z's last three terms inverted.  The memo keeps
+        ("base", P) -> P^-1 g P for each top-level group's shared prefix P
+        (rdu seeds it with the routed g of every core it builds), nested
+        the bases below the top level.  The triple holds g, so its id is
+        not reused while the entry lives.  The top level multiplies forward
+        sides only.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -373,7 +381,7 @@ class ConjWord:
 
 
 def _run_memo(cache: dict, g: matrices.InvPair):
-    """g's (run memo, nested bases) in a caller's cache (see
+    """g's (run memo, nested store) in a caller's cache (see
     ConjWord.eval_matrix), moved to the newest place so that a full cache
     drops segments first."""
     key = ("runs", id(g))
@@ -397,42 +405,99 @@ def _segment(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
     return ExtWord._trusted(n, letters).eval(ring, cache)
 
 
-def _conj_product(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix=()) -> matrices.Matrix:
-    """Product of X^-1 b^eps X over nonempty `terms` of (eps, letters of X).
+def _groups(terms) -> list:
+    """`terms` cut into runs of consecutive terms whose conjugators share a
+    first letter, or into blocks of consecutive terms whose conjugators
+    share a last letter where that gives fewer groups.  Empty conjugators
+    group with each other only."""
+    runs = [tuple(run) for _, run in groupby(terms, key=lambda t: t[1][:1])]
+    blocks = [tuple(block) for _, block in groupby(terms, key=lambda t: t[1][-1:])]
+    return blocks if len(blocks) < len(runs) else runs
 
-    `base` is the pair of b = P^-1 g P for the letters `prefix` of P, the
-    prefixes stripped so far: none at the top level, where b is g.  `memos`
-    is g's (run memo, nested bases); runs are memoized at the top level only.
-    """
+
+def _recall(memos, key):
+    """The pair kept for the terms `key` in g's run memo or nested store,
+    else the inverse (a view) of the pair kept for their formal inverse,
+    else None."""
+    for store in memos:
+        hit = store.get(key)
+        if hit is not None:
+            return hit
+    inverse = tuple((-eps, h) for eps, h in reversed(key))
+    for store in memos:
+        hit = store.get(inverse)
+        if hit is not None:
+            return hit.invert()
+    return None
+
+
+def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) -> matrices.Matrix:
+    """Forward product of X^-1 g^eps X over nonempty `terms` of (eps,
+    letters of X), `memos` being g's (run memo, nested store): the common
+    suffix S stripped as S^-1 (...) S, then the forward side of each
+    group's pair, recalled from the memo or made by _level_pair and kept in
+    the memo under the group's terms."""
     k = _shared_prefix_len([h[::-1] for _, h in terms])
     if k:
         s = _segment(ring, n, terms[0][1][-k:], cache)
-        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache, memos, prefix)
+        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], g, cache, memos)
         return s.bwd.mul(inner).mul(s.fwd)
-    memo = None if prefix else memos[0]
     parts = []
-    for head, group in groupby(terms, key=lambda t: t[1][:1]):
-        run = tuple(group)
-        if not head:  # empty conjugators contribute b^eps directly
-            parts.extend(base.fwd if eps == 1 else base.bwd for eps, _ in run)
+    for group in _groups(terms):
+        if not group[0][1]:  # empty conjugators contribute g^eps directly
+            parts.extend(g.fwd if eps == 1 else g.bwd for eps, _ in group)
             continue
-        hit = None if memo is None else memo.get(run)
-        if hit is None:
-            p = _shared_prefix_len([h for _, h in run])
-            letters = prefix + run[0][1][:p]
-            run_base = _base(ring, n, base, letters, len(prefix), cache, memos)
-            hit = _conj_product(ring, n, [(eps, h[p:]) for eps, h in run], run_base, cache, memos, letters)
-            if memo is not None:
-                _bounded_put(memo, run, hit, _RUN_MEMO_MAX)
-        parts.append(hit)
+        pair = memos[0].get(group)
+        if pair is None:
+            pair = _recall(memos, group)
+            if pair is None:
+                pair = _level_pair(ring, n, group, g, cache, memos, ())
+            _bounded_put(memos[0], group, pair, _RUN_MEMO_MAX)
+        parts.append(pair.fwd)
     return matrices._product(ring, indexing.dim(n), parts)
+
+
+def _run_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
+    """_level_pair, recalled from g's stores or kept in its nested store
+    under the absolute terms (eps, prefix + X), whose product on g it is."""
+    key = tuple((eps, prefix + h) for eps, h in terms)
+    hit = _recall(memos, key)
+    if hit is None:
+        hit = _level_pair(ring, n, terms, base, cache, memos, prefix)
+        _bounded_put(memos[1], key, hit, _NESTED_BASE_MAX)
+    return hit
+
+
+def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
+    """The pair of the product of X^-1 b^eps X over nonempty `terms` of
+    (eps, letters of X), for the pair `base` of b = P^-1 g P and the letters
+    `prefix` of P.  A prefix Q shared by every X moves into the base
+    (P Q)^-1 g (P Q); else a shared suffix S is stripped and the pair of
+    the rest conjugated by S's; else each group's pair (_run_pair) and b^eps
+    for each empty X multiply out, both sides in one stacked product per
+    factor."""
+    p = _shared_prefix_len([h for _, h in terms])
+    if p:
+        letters = prefix + terms[0][1][:p]
+        run_base = _base(ring, n, base, letters, len(prefix), cache, memos)
+        return _level_pair(ring, n, [(eps, h[p:]) for eps, h in terms], run_base, cache, memos, letters)
+    k = _shared_prefix_len([h[::-1] for _, h in terms])
+    if k:
+        inner = _run_pair(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache, memos, prefix)
+        return matrices.conjugate(inner, _segment(ring, n, terms[0][1][-k:], cache))
+    parts = []
+    for group in _groups(terms):
+        if group[0][1]:
+            parts.append(_run_pair(ring, n, group, base, cache, memos, prefix))
+        else:
+            parts.extend(base if eps == 1 else base.invert() for eps, _ in group)
+    return matrices._pair_product(parts)
 
 
 def _base(ring, n: int, base: matrices.InvPair, letters: tuple, k: int, cache: dict, memos) -> matrices.InvPair:
     """The pair P^-1 g P for the letters of P, given the pair `base` of
     letters[:k]: base conjugated by letters[k:], kept under ("base",
-    letters) in g's run memo when k = 0 and among its last
-    _NESTED_BASE_MAX nested bases otherwise."""
+    letters) in g's run memo when k = 0 and in its nested store otherwise."""
     store, cap = (memos[0], _RUN_MEMO_MAX) if k == 0 else (memos[1], _NESTED_BASE_MAX)
     key = ("base", letters)
     hit = store.get(key)

@@ -372,6 +372,58 @@ def test_a_core_takes_at_most_46_kernel_calls(monkeypatch):
     assert sum(cores) / len(cores) <= 46
 
 
+def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch):
+    # the same sweep as above, with run products kept as pairs, recalled by
+    # inverse and by absolute letters, and split by shared suffix: a core
+    # multiplies 29.5 N x N products on average (44.4 before), and the
+    # eight-conjugate-core certificate 4 (17 before): z's pair conjugated
+    # by one letter, z's last three terms inverted, and two products
+    n = 5
+    g, eng = _engine(n, 11)
+    calls, cores, eights, finals = [], [], [], []
+    kernel = matrices._int64_matmul
+    build = rdu.ReverseDecomposer._build_core
+    finalize = rdu.ReverseDecomposer._finalize
+    evaluate = ConjWord.eval_matrix
+
+    def counted_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def counted_build(self, *args):
+        before = len(calls)
+        cores.append(None)
+        out = build(self, *args)
+        cores[-1] = len(calls) - before
+        return out
+
+    def counted_eval(self, *args):
+        before = len(calls)
+        out = evaluate(self, *args)
+        if cores and cores[-1] is None and len(self) == 8:  # the core's own word
+            eights.append(len(calls) - before)
+        return out
+
+    def counted_finalize(self, *args):
+        before = len(calls)
+        out = finalize(self, *args)
+        finals.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(matrices, "_int64_matmul", counted_kernel)
+    monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
+    monkeypatch.setattr(rdu.ReverseDecomposer, "_finalize", counted_finalize)
+    monkeypatch.setattr(ConjWord, "eval_matrix", counted_eval)
+    for gen in level.level_generators(g.fwd, n):
+        eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
+    assert len(cores) == len(eights) == 101
+    assert sum(cores) / len(cores) <= 34
+    assert max(eights) <= 8
+    # the final certificate recalls its cores' runs whole: 1.0 on average
+    # (6.9 before), where splitting the top level into blocks would take 6.6
+    assert sum(finals) / len(finals) <= 2
+
+
 def test_every_target_index(zmod97):
     g, eng = _engine(4, 8)
     n = 4

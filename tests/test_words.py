@@ -363,3 +363,53 @@ def test_bounded_put_drops_the_oldest_entries():
     store = {key: key for key in range(10)}  # already past a lowered cap
     words_mod._bounded_put(store, "new", 0, 4)
     assert list(store) == [7, 8, 9, "new"]
+
+
+# -- runs recalled by inverse and by absolute letters, on engine words ---------
+
+SEGMENT_RINGS = {name: RINGS[name] for name in ("zmod97", "zmod-wide", "int")}
+
+
+def _engine_words(eng, n):
+    """(word, whether its product is the identity) for engine words whose
+    runs the memo recalls in every way: core words of both orientations,
+    each after its formal inverse and followed by it, and an h0 entry and a
+    diagonal difference, whose second core enters inverted."""
+    slots = [((1, 3), (1, 2)), ((1, 2), (1, 3)), ((2, 3), (2, 4)), ((1, 4), (2, 4))]
+    assert {exterior.route_source(I, J, n)[1] for I, J in slots} == {1, -1}
+    out = []
+    for I, J in slots:
+        word = eng._core(I, J)[0]
+        out += [(word.inverse(), False), (word, False), (word + word.inverse(), True)]
+    out.append((eng.entry((1, 2), (3, 4), 2, 3).word, False))
+    out.append((eng.diagonal((1, 2), (1, 3), n, 1).word, False))
+    return out
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("ring_id", sorted(SEGMENT_RINGS))
+def test_engine_words_through_one_cache_equal_a_fresh_cache_and_the_naive_product(
+    monkeypatch, ring_id, n
+):
+    ring = SEGMENT_RINGS[ring_id]
+    g = generate.compound_of_random(n, ring, 3 * n, random.Random(23 + n))
+    eng = rdu.ReverseDecomposer(g, n)
+    recalled = []
+    recall = words_mod._recall
+
+    def kept(memos, key):
+        hit = recall(memos, key)
+        if hit is not None:
+            recalled.append("memo" if key in memos[0] else "nested" if key in memos[1] else "inverse")
+        return hit
+
+    monkeypatch.setattr(words_mod, "_recall", kept)
+    shared: dict = {}
+    for word, identity in _engine_words(eng, n):
+        got = word.eval_matrix(g, shared)
+        assert got == word.eval_matrix(g, {}) == rdu._naive_product(word, g)
+        assert got == word.eval_matrix(g, eng._cache)
+        if identity:
+            assert got.is_identity()
+    # runs were recalled from the memo, from the nested store and by inverse
+    assert {"memo", "nested", "inverse"} <= set(recalled)
