@@ -44,8 +44,8 @@ Matrix storage and every product above stay as _int64_kernel decides.
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
 multiplying the two sides together.  Where storage is int64 a pair is one
-(2, dim, dim) stack, so _pair_product and _chain_pair multiply both sides
-in one kernel call per factor, at _int64_kernel's answer.
+(2, dim, dim) stack, so _pair_product multiplies both sides in one kernel
+call per factor, at _int64_kernel's answer.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     """The dim x dim identity with payloads `values` at the off-diagonal
     positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides."""
     if _int64_kernel(ring, dim) is not None:
-        data = np.identity(dim, dtype=np.int64)
+        data = np.eye(dim, dtype=np.int64)
         data[rows, cols] = values
         return _from_residues(ring, data % ring.modulus)
     z, o = ring.zero, ring.one
@@ -432,8 +432,8 @@ class InvPair:
     read-only (2, dim, dim) int64 residue stack: fwd, then the transpose of
     bwd; fwd and bwd are Matrix views into it.  The inverse of a product
     ab is b^-1 a^-1, whose transpose is a^-T b^-T, so the stack of ab is
-    the stacked product of the stacks of a and b: compose, conjugate and
-    _chain_pair multiply both sides in one kernel call per factor, and
+    the stacked product of the stacks of a and b: compose and conjugate
+    multiply both sides in one kernel call per factor, and
     invert is a view, the stack reversed and transposed.  The views are
     made when first read, so a pair that only feeds a product makes none.
     Over other rings fwd and bwd are held as they are and multiplied side
@@ -450,7 +450,7 @@ class InvPair:
         if fwd._np is None:
             self.ring, self.dim, self._stack, self._fwd, self._bwd = fwd.ring, fwd.dim, None, fwd, bwd
         else:
-            _stacked(fwd.ring, np.stack((fwd._np, bwd._np.T)), self)
+            _stacked(fwd.ring, np.array((fwd._np, bwd._np.T)), self)
 
     @classmethod
     def _trusted(cls, fwd: Matrix, bwd: Matrix) -> "InvPair":
@@ -519,20 +519,6 @@ def _pair_product(pairs) -> InvPair:
     for p in pairs[1:]:
         acc = _int64_matmul(acc, p._stack, ring.modulus, s)
     return _stacked(ring, acc)
-
-
-def _chain_pair(ring, dim: int, factors, inverses) -> InvPair:
-    """The pair (f_1 ... f_k, f_k^-1 ... f_1^-1) for dim x dim matrices
-    factors[t] = f_t with inverses[t] = f_t^-1: the identity pair when
-    empty, else the _pair_product of the pairs (f_t, f_t^-1), whose k
-    stacks are views into one array where storage is int64."""
-    if not factors:
-        return identity_pair(ring, dim)
-    if _int64_kernel(ring, dim) is None:
-        return _pair_product([InvPair._trusted(f, b) for f, b in zip(factors, inverses)])
-    x = np.stack([f._np for f in factors] + [b._np.T for b in inverses])
-    x = x.reshape(2, len(factors), dim, dim)
-    return _pair_product([_stacked(ring, x[:, t]) for t in range(len(factors))])
 
 
 def identity_pair(ring, dim: int) -> InvPair:

@@ -148,6 +148,12 @@ class ReverseDecomposer:
     def _signed(self, payload, s: int):
         return payload if s == 1 else self.ring.neg(payload)
 
+    def _letter_sign(self, i: int, j: int, row) -> int:
+        """sign(a,i) sign(a,j), the sign of xi in row {a, i} = `row` of the
+        letter (i, j, xi), as words._letter_support gives it."""
+        rows, _, signs = words._letter_support(self.n, i, j)
+        return int(signs[rows.tolist().index(self._rank(row))])
+
     # -- the eight-conjugate core ----------------------------------------
 
     def _core(self, I, J, tau: ExtWord | None = None):
@@ -232,9 +238,8 @@ class ReverseDecomposer:
         z_val = reconjugate(z, outer).eval_matrix(self.g, self._cache)
 
         # Direct route from matrices: z = T [T^-1 h, s] T^-1 = h s h^-1 T s^-1 T^-1.
-        S = ext_letter_matrix(ring, n, 2, 3, ring.one)
-        Sinv = ext_letter_matrix(ring, n, 2, 3, ring.neg(ring.one))
-        z_direct = H.mul(S).mul(Hinv).mul(Tm.fwd).mul(Sinv).mul(Tm.bwd)
+        S = s_word.eval(ring, self._cache)
+        z_direct = H.mul(S.fwd).mul(Hinv).mul(Tm.fwd).mul(S.bwd).mul(Tm.bwd)
         certs.append(_require(z_val == z_direct, "four-conjugate-z"))
 
         u = z_val.mul(ext_letter_matrix(ring, n, 2, 1, ring.neg(c)))
@@ -337,16 +342,16 @@ class ReverseDecomposer:
 
         With A = {a1, a2}, B = {b1, b2} disjoint, conjugating by the letter
         (b1, a1, -1) puts the value kappa * g_{A,B} + g_{I0,B} at the
-        height-one position (I0, B), I0 = {b1, a2}; the word realizing it is
-        eight conjugates of g after absorbing the conjugating letter.
+        height-one position (I0, B), I0 = {b1, a2}, kappa being the letter's
+        sign at row I0; the word realizing it is eight conjugates of g after
+        absorbing the conjugating letter.
         """
         ring = self.ring
         a1, a2 = A
         b1 = B[0]
         tau = self._single(b1, a1, ring.neg(ring.one))
         I0 = tuple(sorted((b1, a2)))
-        kappa = indexing.sign(a2, b1) * indexing.sign(a2, a1)
-        return self._core(I0, B, tau), kappa, I0
+        return self._core(I0, B, tau), self._letter_sign(b1, a1, I0), I0
 
     def _entry_h0(self, A, B, k, l) -> Decomposition:
         ring = self.ring
@@ -378,15 +383,13 @@ class ReverseDecomposer:
 
         For height-one I = {i, h}, J = {j, h}, conjugating by the letter
         (i, j, +1) puts beta * (g_{I,I} - g_{J,J}) + g_{I,J} - g_{J,I} at
-        position (I, J).
+        position (I, J), beta being the letter's sign at row I.
         """
         ring = self.ring
-        common = (set(I) & set(J)).pop()
         i = (set(I) - set(J)).pop()
         j = (set(J) - set(I)).pop()
         tau = self._single(i, j, ring.one)
-        beta = indexing.sign(common, i) * indexing.sign(common, j)
-        return self._core(I, J, tau), beta
+        return self._core(I, J, tau), self._letter_sign(i, j, I)
 
     def _diag_h1(self, I, J, k, l) -> Decomposition:
         ring = self.ring
@@ -511,7 +514,8 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
     the next product would pass 2^53), else in int64 balanced residues
     where no sum can overflow, else in float64 limbs.  Over other rings it
     comes from _naive_product, letter by letter.  Neither calls the
-    factored `ConjWord.eval_matrix` that the engine's own certificates use.
+    factored `ConjWord.eval_matrix` that the engine's own certificates use,
+    and neither reads a cache the engine writes.
     """
     return first_difference(word, g, k, l, xi, n) is None
 
@@ -557,9 +561,11 @@ def first_difference(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n:
 
 
 def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
-    """Every conjugator multiplied out letter by letter, with no segment
-    cache (a cache would extend one term's conjugator from another's), and
-    the terms multiplied in one by one; the referee of _batched_product.
+    """Every conjugator multiplied out letter by letter, with no cache (a
+    cache would extend one term's conjugator from another's), each letter
+    built anew, and the terms multiplied in one by one; the referee of
+    _batched_product.  It shares no state with the engine, whose letters
+    sit in its own segment cache.
     """
     ring = g.ring
     acc = matrices.identity(ring, g.dim)

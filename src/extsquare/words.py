@@ -25,17 +25,20 @@ so a group recurs for free and a group whose formal inverse is kept costs
 only a view; and g conjugated by each shared prefix.  ExtWord.eval keeps
 those segments in a caller's cache, each entry exactly the product of its
 key's letters, and builds a new segment by inverting the entry of its formal
-inverse or by extending its longest cached proper suffix.  Every pair is one
-int64 stack where matrices stores int64 (see matrices.InvPair), so both of
-its sides multiply in one kernel call.
+inverse or by extending its longest cached proper suffix.  A letter is a
+segment of length one, so its pair sits in the same cache and the letters of
+a new segment are read from there.  Every pair is one int64 stack where
+matrices stores int64 (see matrices.InvPair), so both of its sides multiply
+in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
-matrices and the pair-indexed expansion in exterior read it.  Letter
-matrices, for every ring, sit in one bounded cache that ExtWord.eval and
-ext_letter_matrix share; every cache here drops its oldest entries past its
-cap through _bounded_put.  Words choose no kernel: matrices._identity_plus
-builds each letter and matrices._product multiplies each chain of letters
-and of conjugated segments.
+matrices, the pair-indexed expansion in exterior and the signs rdu reads off
+a conjugating letter come from it.  Letter matrices are built uncached
+(_letter, ext_letter_matrix); every cache here belongs to a caller and
+drops its oldest entries past its cap through _bounded_put.  Words choose no
+kernel: matrices._identity_plus builds each letter, matrices._pair_product
+multiplies letter pairs and conjugated segments, and matrices._product the
+forward sides of a top-level product.
 """
 
 from __future__ import annotations
@@ -73,18 +76,15 @@ def _letter_support(n: int, i: int, j: int):
 
 
 # Each cap but the nested one sits above the working set of a full level
-# sweep at n <= 7, so only wider moduli or larger ranks evict.  The letter
-# cache is keyed by ring and letter, so a wide modulus would grow it without
-# end; it holds the whole Z/97 working set for n <= 6 (about 4 800 letters).
-# After a full level sweep over Z/97 at n = 6 (targets (2, 3) and (1, 6),
-# then the system check), a caller's segment cache (ExtWord.eval) holds 615
-# segments and the run memo of g (ConjWord.eval_matrix) 539 runs and 235
-# bases, one per core built; at n = 7, 1 136 segments and 1 031 runs.  Runs
-# and bases below the top level recur within one core or decomposition only:
-# at n = 6 a core takes 30.4 kernel calls with the last 32 of them kept, as
-# with no cap, and a final certificate 0.8.  So their cap is small.
-_LETTER_CACHE: dict = {}
-_LETTER_CACHE_MAX = 8192
+# sweep at n <= 7, so an engine evicts only at larger ranks.  After a full
+# level sweep over Z/97 at n = 6 (targets (2, 3) and (1, 6), then the system
+# check), a caller's segment cache (ExtWord.eval) holds about 1 000
+# segments, 414 of them letters, and the run memo of g (ConjWord.eval_matrix)
+# 539 runs and 235 bases, one per core built; at n = 7, about 1 630
+# segments (2 300 over Z/(2^31 - 1)) and 1 031 runs.  Runs and bases below
+# the top level recur within one core or decomposition only: at n = 6 a core
+# takes 30.4 kernel calls with the last 32 of them kept, as with no cap, and
+# a final certificate 0.8.  So their cap is small.
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
 _NESTED_BASE_MAX = 32
@@ -100,16 +100,11 @@ def _bounded_put(store: dict, key, value, cap: int) -> None:
 
 
 def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
-    """ext_letter_matrix for valid indices and a ring payload xi, cached."""
-    key = (ring, n, i, j, xi)
-    hit = _LETTER_CACHE.get(key)
-    if hit is None:
-        rows, cols, signs = _letter_support(n, i, j)
-        neg = ring.neg(xi)
-        values = [xi if s == 1 else neg for s in signs.tolist()]
-        hit = matrices._identity_plus(ring, indexing.dim(n), rows, cols, values)
-        _bounded_put(_LETTER_CACHE, key, hit, _LETTER_CACHE_MAX)
-    return hit
+    """ext_letter_matrix for valid indices and a ring payload xi."""
+    rows, cols, signs = _letter_support(n, i, j)
+    neg = ring.neg(xi)
+    values = [xi if s == 1 else neg for s in signs.tolist()]
+    return matrices._identity_plus(ring, indexing.dim(n), rows, cols, values)
 
 
 def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
@@ -119,7 +114,7 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
     sign(a,i) * sign(a,j) * xi at row {a,i}, column {a,j} (sorted labels),
     at the positions and signs of _letter_support.  All touched positions
     are independent, so this closed form equals the product of the letter's
-    elementary-transvection expansion.
+    elementary-transvection expansion.  Nothing is cached.
     """
     if not indexing._is_pair(i, j, n):
         raise ValueError("bad index")
@@ -128,17 +123,17 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
 
 def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
     """The product of letter(i, j, xi) over `letters`, with its inverse as the
-    product over the formal inverse: each letter goes to
-    matrices._chain_pair with its inverse letter(i, j, -xi), and both sides
-    multiply in one chain.  Payloads are coerced once, here, so `letter`
-    receives ring payloads."""
-    fwd = [(i, j, ring.coerce(xi)) for i, j, xi in letters]
-    return matrices._chain_pair(
-        ring,
-        dim,
-        [letter(*t) for t in fwd],
-        [letter(i, j, ring.neg(xi)) for i, j, xi in fwd],
-    )
+    product over the formal inverse: each letter is paired with its inverse
+    letter(i, j, -xi), and the pairs multiply by matrices._pair_product,
+    both sides in one kernel call per factor.  Payloads are coerced here,
+    so `letter` receives ring payloads."""
+    if not letters:
+        return matrices.identity_pair(ring, dim)
+    pairs = []
+    for i, j, xi in letters:
+        xi = ring.coerce(xi)
+        pairs.append(matrices.InvPair._trusted(letter(i, j, xi), letter(i, j, ring.neg(xi))))
+    return pairs[0] if len(pairs) == 1 else matrices._pair_product(pairs)
 
 
 class _LetterWord:
@@ -256,13 +251,16 @@ class ExtWord(_LetterWord):
         may serve several rings.  On a miss the pair is the cached pair of
         the word's formal inverse, inverted (a view of its stack; a letter's
         inverse is the letter with -xi, so this is the product of the
-        letters too), when that is there.  Otherwise the word extends its
-        longest cached proper suffix letters[p:]: the head letters[:p] is
-        read from the cache when it is there and multiplied out letter by
-        letter (and not stored) otherwise, and the pair is the head composed
-        with the tail.  Either is stored under the word's own key only.
-        Without a cached suffix, or without a cache, the word is multiplied
-        out letter by letter, both sides in one chain of stacked products.
+        letters too), when that is there.  Otherwise a word of at most one
+        letter is built from the letter and its inverse letter, and a
+        longer word extends its longest cached proper suffix letters[p:]:
+        the head letters[:p] is read from the cache when it is there and
+        multiplied out (and not stored) otherwise, and the pair is the head
+        composed with the tail.  Without a cached suffix the word is
+        multiplied out.  Either is stored under the word's own key only.
+        Multiplying out takes each letter's one-letter segment from the
+        cache, storing it there when new.  Without a cache the word is
+        multiplied out from letters built anew, and nothing is stored.
         """
         n, letters = self.n, self.letters
         letter = partial(_letter, ring, n)
@@ -277,17 +275,19 @@ class ExtWord(_LetterWord):
         inverse = cache.get((rk, n, self.inverse(ring).letters))
         if inverse is not None:
             pair = inverse.invert()
+        elif len(letters) < 2:
+            pair = _eval_letters(ring, dim, letters, letter)
         else:
             for p in range(1, len(letters)):
                 tail = cache.get((rk, n, letters[p:]))
                 if tail is not None:
                     head = cache.get((rk, n, letters[:p]))
                     if head is None:
-                        head = _eval_letters(ring, dim, letters[:p], letter)
+                        head = _letter_product(ring, n, letters[:p], cache)
                     pair = head.compose(tail)
                     break
             else:
-                pair = _eval_letters(ring, dim, letters, letter)
+                pair = _letter_product(ring, n, letters, cache)
         _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
         return pair
 
@@ -403,6 +403,12 @@ def _shared_prefix_len(words) -> int:
 
 def _segment(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
     return ExtWord._trusted(n, letters).eval(ring, cache)
+
+
+def _letter_product(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
+    """The pair of nonempty `letters`: the product of their one-letter
+    segments in `cache`."""
+    return matrices._pair_product([_segment(ring, n, (x,), cache) for x in letters])
 
 
 def _groups(terms) -> list:

@@ -400,7 +400,10 @@ def test_ext_word_pairs_equal_their_letters_multiplied_out(ring, dim, kernel):
     cache = {}
     inverse.eval(ring, cache)
     _assert_pair(word.eval(ring, cache), fwd, bwd)
-    assert len(cache) == 2
+    # the inverse's entry was inverted: the word added only its own entry
+    # to the inverse's and its letters' (one-letter segments)
+    keys = [inverse.letters, word.letters] + [(x,) for x in inverse.letters]
+    assert set(cache) == {(ring.key(), n, letters) for letters in keys}
     cache = {}
     ExtWord(n, word.letters[2:]).eval(ring, cache)
     _assert_pair(word.eval(ring, cache), fwd, bwd)

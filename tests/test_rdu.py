@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -241,16 +242,15 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
     n = 5
     g, eng = _engine(n, 12)
     want = _sweep(eng, g, n)
-    caps = {"_LETTER_CACHE_MAX": 7, "_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2, "_NESTED_BASE_MAX": 2}
+    caps = {"_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2, "_NESTED_BASE_MAX": 2}
     for name, cap in caps.items():
         monkeypatch.setattr(words, name, cap)
     monkeypatch.setattr(rdu, "_CORE_CACHE_MAX", 3)
-    words._LETTER_CACHE.clear()
     small = rdu.ReverseDecomposer(g, n)
     memo_sizes, nested_sizes, memo_keys = [], [], set()
 
     def check():
-        assert len(words._LETTER_CACHE) <= 7
+        # letters are one-letter segments, so this bounds them too
         assert len(small._cache) <= 24
         assert len(small._core_cache) <= 3
         for key, slot in small._cache.items():
@@ -264,7 +264,6 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
     # the memo was used, up to its cap, by runs and by top-level bases
     assert max(memo_sizes) == 2 and max(nested_sizes) == 2
     assert "base" in memo_keys and len(memo_keys) > 1
-    words._LETTER_CACHE.clear()
 
 
 SEGMENT_RINGS = {
@@ -272,6 +271,60 @@ SEGMENT_RINGS = {
     "zmod-wide": rings.ModularRing(2**31 - 1),  # two limbs at N = 10
     "int": rings.IntegerRing(),  # pure python
 }
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("ring_id", sorted(SEGMENT_RINGS))
+def test_each_letter_in_the_engine_cache_is_its_letter_matrix_pair(ring_id, n):
+    # a letter is the one-letter segment of the engine's own cache: after a
+    # sweep each such entry is the letter and its inverse letter as
+    # ext_letter_matrix builds them, and the cache holds them under its cap
+    ring = SEGMENT_RINGS[ring_id]
+    g, eng = _engine(n, 13, ring)
+    _sweep(eng, g, n, targets=((2, 3),))
+    letters = {
+        key[2][0]: pair for key, pair in _segments(eng).items() if len(key[2]) == 1
+    }
+    assert len(letters) >= n
+    for (i, j, xi), pair in letters.items():
+        inverse = ring.neg(ring.coerce(xi))
+        assert (pair.fwd, pair.bwd) == (
+            ext_letter_matrix(ring, n, i, j, xi),
+            ext_letter_matrix(ring, n, i, j, inverse),
+        ), (i, j, xi)
+    assert len(eng._cache) <= words._SEGMENT_CACHE_MAX
+
+
+def _holds_a_matrix(value, depth: int = 0) -> bool:
+    if isinstance(value, (matrices.Matrix, matrices.InvPair)):
+        return True
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = value
+    else:
+        return False
+    return depth < 4 and any(_holds_a_matrix(x, depth + 1) for x in items)
+
+
+def test_no_module_level_store_holds_a_matrix_after_a_sweep():
+    # engine state lives in the engine and the caller's cache, and is freed
+    # with them; no module-level dict, list or set keeps a matrix or pair
+    n = 5
+    for ring in (rings.ModularRing(97), rings.ModularRing(2**31 - 1)):
+        g, eng = _engine(n, 14, ring)
+        _sweep(eng, g, n, targets=((2, 3),))
+    found = [
+        f"{name}.{attr}"
+        for name, module in sorted(sys.modules.items())
+        if name == "extsquare" or name.startswith("extsquare.")
+        for attr, value in vars(module).items()
+        if not attr.startswith("__")
+        and isinstance(value, (dict, list, set))
+        and _holds_a_matrix(value)
+    ]
+    assert eng._cache  # the last engine's state is still alive
+    assert not found, found
 
 
 def _segments(eng):

@@ -229,31 +229,15 @@ def test_factored_eval_matrix_named_shapes(ring_id):
         ), name
 
 
-def test_letter_cache_keeps_each_ring_apart():
-    # 5 is the same payload in Z/97, Z/101 and Z, so only the ring in the
-    # cache key tells their letters apart
-    n, i, j = 5, 4, 2
-    domains = [
-        rings.ModularRing(97),
-        rings.ModularRing(101),
-        rings.IntegerRing(),
-        rings.PolynomialRing(("xi",)),
-    ]
-    words_mod._LETTER_CACHE.clear()
-    for _ in range(2):  # the second round reads the cache
-        for ring in domains:
-            got = ext_letter_matrix(ring, n, i, j, 5)
-            oracle = exterior.cauchy_binet(matrices.transvection(ring, n, i, j, 5), n)
-            assert got.ring == ring and got == oracle, ring
-    words_mod._LETTER_CACHE.clear()
-
-
 def test_one_segment_cache_keeps_each_ring_apart():
     # the same letters over Z/97, Z/101, Z and Z[x] through one cache dict:
     # a segment of one ring must not answer for another, neither in
-    # ExtWord.eval nor in ConjWord.eval_matrix
+    # ExtWord.eval nor in ConjWord.eval_matrix.  5 is the same payload in
+    # every ring, so only the ring in the key tells the one-letter segment
+    # (4, 2, 5) of one ring, a letter, from another's
     n = 4
     word = ExtWord(n, ((1, 2, 5), (3, 4, 7), (2, 3, 1)))
+    letter = ExtWord(n, ((4, 2, 5),))
     conj = ConjWord(n, ((1, word), (-1, word + ExtWord(n, ((4, 1, 2),)))))
     domains = [
         rings.ModularRing(97),
@@ -264,37 +248,37 @@ def test_one_segment_cache_keeps_each_ring_apart():
     cache: dict = {}
     for _ in range(2):  # the second round reads the cache
         for ring in domains:
-            pair = word.eval(ring, cache)
-            assert pair.ring == ring and pair == word.eval(ring), ring
+            for w in (word, letter, letter.inverse(ring)):
+                pair = w.eval(ring, cache)
+                assert pair.ring == ring and pair == w.eval(ring), (ring, w.letters)
+            oracle = exterior.cauchy_binet(matrices.transvection(ring, n, 4, 2, 5), n)
+            assert letter.eval(ring, cache).fwd == oracle, ring
             g = generate.compound_of_random(n, ring, 6, random.Random(22))
             assert conj.eval_matrix(g, cache) == _naive_eval_matrix(conj, g), ring
 
 
-def test_letter_cache_is_bounded_on_a_wide_modulus():
+def test_one_segment_cache_is_bounded_on_a_wide_modulus():
     # every letter argument of a modulus near 2^20 is a new key, so a sweep
-    # past the cap must evict; the evicting int64 path stays exact
+    # and its referee over Z, through one cache dict, pass the cap and
+    # evict; the evicting int64 path stays exact
     ring = rings.ModularRing(2**20 - 3)
+    integers = rings.IntegerRing()
     n = 6
-    words_mod._LETTER_CACHE.clear()
     rng = random.Random(20)
     sweep = [generate.random_ext_word(n, ring, 6, rng) for _ in range(720)]
-    fast = [w.eval(ring) for w in sweep]
-    assert len(words_mod._LETTER_CACHE) == words_mod._LETTER_CACHE_MAX
-    again = sweep[0].eval(ring)  # its letters were evicted and are rebuilt
-    assert len(words_mod._LETTER_CACHE) == words_mod._LETTER_CACHE_MAX
-    assert again == fast[0]
+    cache: dict = {}
+    fast = [w.eval(ring, cache) for w in sweep]
     # referee: the same letters multiplied over Z, then reduced mod m
-    integers = rings.IntegerRing()
-    N = indexing.dim(n)
-    for w, pair in zip(sweep, fast):
-        slow = matrices.identity(integers, N)
-        for i, j, xi in w.letters:
-            slow = slow.mul(ext_letter_matrix(integers, n, i, j, xi))
+    slow = [w.eval(integers, cache) for w in sweep]
+    assert len(cache) == words_mod._SEGMENT_CACHE_MAX
+    again = sweep[0].eval(ring, cache)  # it and its letters were evicted
+    assert len(cache) == words_mod._SEGMENT_CACHE_MAX
+    assert again == fast[0] and again is not fast[0]
+    for pair, referee in zip(fast, slow):
         assert pair.fwd.rows == tuple(
-            tuple(x % ring.modulus for x in row) for row in slow.rows
+            tuple(x % ring.modulus for x in row) for row in referee.fwd.rows
         )
     assert all(p.fwd.mul(p.bwd).is_identity() for p in fast)
-    words_mod._LETTER_CACHE.clear()
 
 
 # -- the run memo: products of top-level runs, kept per matrix g --------------
