@@ -178,8 +178,10 @@ class ReverseDecomposer:
         from the source route is absorbed by formal inversion.  Word
         certificates are evaluated on self.g, so later products on g reuse
         their runs; g1 is left in g's run memo as the base P^-1 g P of their
-        top-level run, and h = g1^-1 T g1 comes with its inverse from one
-        conjugation of T's pair.
+        top-level run.  T's pair is written in one step
+        (words._column_stabilizer), h = g1^-1 T g1 and h^-1 come from one
+        conjugation of it, and the core's word is checked in place
+        (_is_letter).
         """
         ring, n = self.ring, self.n
         pair = self.g if tau is None else matrices.conjugate(self.g, tau.eval(ring, self._cache))
@@ -200,14 +202,8 @@ class ReverseDecomposer:
 
         # Column stabilizer at j = 1 built from the routed first column; for
         # j = 1 every orientation sign is the same, so the plain entries work.
-        T = ExtWord(
-            n,
-            tuple(
-                (s, 1, g1.fwd.at(self._rank(tuple(sorted((1, s)))), r12))
-                for s in range(2, n + 1)
-            ),
-        )
-        Tm = T.eval(ring, self._cache)
+        T = ExtWord(n, tuple((s, 1, g1.fwd.at(self._rank((1, s)), r12)) for s in range(2, n + 1)))
+        Tm = words._column_stabilizer(ring, n, T.letters, self._cache)
         col = g1.fwd.column(r12)
         certs.append(
             _require(matrices.mat_vec(Tm.fwd, col) == tuple(col), "column-fixed")
@@ -243,7 +239,7 @@ class ReverseDecomposer:
         certs.append(_require(z_val == z_direct, "four-conjugate-z"))
 
         u = z_val.mul(ext_letter_matrix(ring, n, 2, 1, ring.neg(c)))
-        certs.append(_require(self._in_radical(u), "radical-factor"))
+        certs.append(_require(u._equals_at(*_radical_complement(n, ring)), "radical-factor"))
 
         a_inv = self._single(1, 3, ring.one)  # inverse of letter (1,3,-1)
         final = ConjWord(
@@ -256,17 +252,11 @@ class ReverseDecomposer:
         # the word itself, flip absorbed: letter (2,3, c)^sigma = letter (2,3, param)
         certs.append(
             _require(
-                word.eval_matrix(self.g, self._cache)
-                == ext_letter_matrix(ring, n, 2, 3, param),
+                _is_letter(word.eval_matrix(self.g, self._cache), n, 2, 3, param),
                 "eight-conjugate-core",
             )
         )
         return word, param, tuple(certs)
-
-    def _in_radical(self, u: matrices.Matrix) -> bool:
-        """Identity outside the strictly block-upper positions (see
-        _radical_complement)."""
-        return u._equals_at(*_radical_complement(self.n, self.ring))
 
     # -- public cases ------------------------------------------------------
 
@@ -318,7 +308,7 @@ class ReverseDecomposer:
         """Certificate `name`: word multiplies out on self.g to the letter at
         (k, l) with argument param; a length other than `length` names `what`."""
         cert = _require(
-            word.eval_matrix(self.g, self._cache) == ext_letter_matrix(self.ring, self.n, k, l, param),
+            _is_letter(word.eval_matrix(self.g, self._cache), self.n, k, l, param),
             name,
         )
         if len(word) != length:
@@ -470,11 +460,20 @@ class ReverseDecomposer:
         return results
 
 
+def _identity_at(ring, mask):
+    """(the 0-based row-major positions where the square `mask` is true, the
+    identity's payloads there as matrices._payloads makes them)."""
+    rows, cols = np.nonzero(mask)
+    eye = matrices._payloads(ring, [ring.one if d else ring.zero for d in (rows == cols).tolist()])
+    flat = rows * len(mask) + cols
+    flat.flags.writeable = False
+    return flat, eye
+
+
 @lru_cache(maxsize=64)
 def _radical_complement(n: int, ring):
     """Positions where a matrix in the parabolic's unipotent radical equals
-    the identity: (the 0-based row-major positions, the identity's payloads
-    there over `ring` as matrices._payloads makes them).
+    the identity, as _identity_at gives them.
 
     Blocks grade the pair labels by their overlap with {1, 2}: the pair
     {1,2} itself, then pairs meeting it in one index, then the rest.  The
@@ -482,11 +481,24 @@ def _radical_complement(n: int, ring):
     grading, so it is the identity wherever grade(row) >= grade(col).
     """
     grade = np.array([2 - len(set(p) & {1, 2}) for p in indexing.pairs(n)])
-    rows, cols = np.nonzero(grade[:, None] >= grade[None, :])
-    eye = matrices._payloads(ring, [ring.one if d else ring.zero for d in (rows == cols).tolist()])
-    flat = rows * len(grade) + cols
-    flat.flags.writeable = False
-    return flat, eye
+    return _identity_at(ring, grade[:, None] >= grade[None, :])
+
+
+@lru_cache(maxsize=64)
+def _letter_complement(n: int, ring, i: int, j: int):
+    """The positions off the letter (i, j, xi)'s support, as _identity_at."""
+    rows, cols, _ = words._letter_support(n, i, j)
+    mask = np.ones((indexing.dim(n),) * 2, dtype=bool)
+    mask[rows, cols] = False
+    return _identity_at(ring, mask)
+
+
+def _is_letter(product: matrices.Matrix, n: int, i: int, j: int, xi) -> bool:
+    """Whether `product` is the letter (i, j, xi), read in place: its signed
+    payloads at the support, the identity elsewhere.  No letter is built."""
+    ring = product.ring
+    rows, cols, values = words._signed_support(ring, n, i, j, ring.coerce(xi))
+    return product._gather(rows, cols) == values and product._equals_at(*_letter_complement(n, ring, i, j))
 
 
 def height_one_path(n: int):

@@ -27,13 +27,14 @@ those segments in a caller's cache, each entry exactly the product of its
 key's letters, and builds a new segment by inverting the entry of its formal
 inverse or by extending its longest cached proper suffix.  A letter is a
 segment of length one, so its pair sits in the same cache and the letters of
-a new segment are read from there.  Every pair is one int64 stack where
+a new segment are read from there (a core's column stabilizer is written
+in one step, _column_stabilizer).  Every pair is one int64 stack where
 matrices stores int64 (see matrices.InvPair), so both of its sides multiply
 in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices, the pair-indexed expansion in exterior and the signs rdu reads off
-a conjugating letter come from it.  Letter matrices are built uncached
+a letter come from it.  Letter matrices are built uncached
 (_letter, ext_letter_matrix); every cache here belongs to a caller and
 drops its oldest entries past its cap through _bounded_put.  Words choose no
 kernel: matrices._identity_plus builds each letter, matrices._pair_product
@@ -77,14 +78,14 @@ def _letter_support(n: int, i: int, j: int):
 
 # Each cap but the nested one sits above the working set of a full level
 # sweep at n <= 7, so an engine evicts only at larger ranks.  After a full
-# level sweep over Z/97 at n = 6 (targets (2, 3) and (1, 6), then the system
-# check), a caller's segment cache (ExtWord.eval) holds about 1 000
-# segments, 414 of them letters, and the run memo of g (ConjWord.eval_matrix)
-# 539 runs and 235 bases, one per core built; at n = 7, about 1 630
-# segments (2 300 over Z/(2^31 - 1)) and 1 031 runs.  Runs and bases below
-# the top level recur within one core or decomposition only: at n = 6 a core
-# takes 30.4 kernel calls with the last 32 of them kept, as with no cap, and
-# a final certificate 0.8.  So their cap is small.
+# level sweep over Z/97 at n = 6 (seed 1, a 24-letter source, targets (2, 3)
+# and (1, 6), then the system check), a caller's segment cache
+# (ExtWord.eval) holds 636 segments, 54 of them letters, and the run memo of
+# g (ConjWord.eval_matrix) 539 runs and 235 bases, one per core built; at
+# n = 7, 1 163 segments (1 189 over Z/(2^31 - 1)) and 1 031 runs.  Runs and
+# bases below the top level recur within one core or decomposition only: at
+# n = 6 a core takes 26.5 kernel calls with the last 32 of them kept, as
+# with no cap, and a final certificate 0.8 at (2, 3).  So their cap is small.
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
 _NESTED_BASE_MAX = 32
@@ -99,12 +100,16 @@ def _bounded_put(store: dict, key, value, cap: int) -> None:
     store[key] = value
 
 
-def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
-    """ext_letter_matrix for valid indices and a ring payload xi."""
+def _signed_support(ring, n: int, i: int, j: int, xi):
+    """_letter_support with the payloads, xi or -xi by sign, for a ring payload xi."""
     rows, cols, signs = _letter_support(n, i, j)
     neg = ring.neg(xi)
-    values = [xi if s == 1 else neg for s in signs.tolist()]
-    return matrices._identity_plus(ring, indexing.dim(n), rows, cols, values)
+    return rows, cols, [xi if s == 1 else neg for s in signs.tolist()]
+
+
+def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
+    """ext_letter_matrix for valid indices and a ring payload xi."""
+    return matrices._identity_plus(ring, indexing.dim(n), *_signed_support(ring, n, i, j, xi))
 
 
 def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
@@ -390,12 +395,13 @@ def _run_memo(cache: dict, g: matrices.InvPair):
     return slot[1:]
 
 
-def _shared_prefix_len(words) -> int:
+def _shared_len(words, suffix: bool = False) -> int:
+    """The length of the prefix, or suffix, that all `words` share."""
     first = words[0]
     k = min(len(w) for w in words)
     for w in words[1:]:
         i = 0
-        while i < k and w[i] == first[i]:
+        while i < k and (w[~i] == first[~i] if suffix else w[i] == first[i]):
             i += 1
         k = i
     return k
@@ -409,6 +415,24 @@ def _letter_product(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPa
     """The pair of nonempty `letters`: the product of their one-letter
     segments in `cache`."""
     return matrices._pair_product([_segment(ring, n, (x,), cache) for x in letters])
+
+
+def _column_stabilizer(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
+    """The pair of `letters` (s, 1, x_s) of distinct s, in `cache` as
+    ExtWord.eval keeps it, written in one step: a letter is I + A_s, A_s at
+    rows {a,s} and columns {a,1}, and no column {a,1} is a row {b,r} of A_r
+    (1 is not in {b, r}), so A_s A_r = 0 and the pair is I +- sum A_s."""
+    key = (ring.key(), n, letters)
+    pair = cache.get(key)
+    if pair is None:
+        rows, cols, values = zip(*(_signed_support(ring, n, i, j, x) for i, j, x in letters))
+        at = (ring, indexing.dim(n), np.concatenate(rows), np.concatenate(cols))
+        values = sum(values, [])
+        pair = matrices.InvPair._trusted(
+            matrices._identity_plus(*at, values), matrices._identity_plus(*at, [ring.neg(v) for v in values])
+        )
+        _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
+    return pair
 
 
 def _groups(terms) -> list:
@@ -443,7 +467,7 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) 
     suffix S stripped as S^-1 (...) S, then the forward side of each
     group's pair, recalled from the memo or made by _level_pair and kept in
     the memo under the group's terms."""
-    k = _shared_prefix_len([h[::-1] for _, h in terms])
+    k = _shared_len([h for _, h in terms], suffix=True)
     if k:
         s = _segment(ring, n, terms[0][1][-k:], cache)
         inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], g, cache, memos)
@@ -482,12 +506,13 @@ def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos,
     the rest conjugated by S's; else each group's pair (_run_pair) and b^eps
     for each empty X multiply out, both sides in one stacked product per
     factor."""
-    p = _shared_prefix_len([h for _, h in terms])
+    hs = [h for _, h in terms]
+    p = _shared_len(hs)
     if p:
         letters = prefix + terms[0][1][:p]
         run_base = _base(ring, n, base, letters, len(prefix), cache, memos)
         return _level_pair(ring, n, [(eps, h[p:]) for eps, h in terms], run_base, cache, memos, letters)
-    k = _shared_prefix_len([h[::-1] for _, h in terms])
+    k = _shared_len(hs, suffix=True)
     if k:
         inner = _run_pair(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache, memos, prefix)
         return matrices.conjugate(inner, _segment(ring, n, terms[0][1][-k:], cache))
