@@ -124,9 +124,13 @@ def cmd_verify(args) -> int:
     word, k, l, param, n, ring = jsonio.decomposition_parts_from_json(
         _read_json(args.input)
     )
-    pair = jsonio.pair_from_json(_read_json(args.g))
+    g_obj = _read_json(args.g)
+    pair = jsonio.pair_from_json(g_obj)
     if pair.ring != ring:
         raise ValueError(f"ring mismatch: --in is over {ring!r}, --g over {pair.ring!r}")
+    # --g must have the word's size, and its own "n", if any, must fit it
+    if pair.dim != indexing.dim(word.n) or jsonio.pair_ambient_rank(g_obj, pair.dim) != word.n:
+        raise ValueError("dimension mismatch")
     found = rdu.first_difference(word, pair, k, l, param, n)
     if found is not None:
         I, J, got, want = found

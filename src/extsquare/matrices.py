@@ -132,14 +132,12 @@ def _float64_kernel(ring, dim: int):
 
 
 def _float64_matmul(a, b, m: int, s: int):
-    """a @ b mod m for float64 residues, s from _float64_kernel (not None):
-    one BLAS product, or Horner's rule over the s-bit limbs b_k of b from
-    the top limb down, acc = (acc 2^s + a @ b_k) mod m, every product
-    reduced by _float64_reduce.  b_k is floor(b / 2^(ks)) minus
+    """a @ b mod m for float64 residues, at a limb width s >= 1 from
+    _float64_kernel: Horner's rule over the s-bit limbs b_k of b from the
+    top limb down, acc = (acc 2^s + a @ b_k) mod m, every product reduced
+    by _float64_reduce.  b_k is floor(b / 2^(ks)) minus
     2^s floor(b / 2^((k+1)s)), each floor exact: a power-of-two scaling of
     an integer, rounded down to an integer."""
-    if s == ONE_LIMB:
-        return _float64_reduce(a @ b, m)
     k = ((m - 1).bit_length() - 1) // s
     high = np.floor(b * 2.0 ** (-k * s))
     acc = _float64_reduce(a @ high, m)
@@ -210,8 +208,8 @@ def _balance(c, m: int):
 
 
 def _referee_matmul(a, b, m: int, kind):
-    """a @ b mod m at the answer `kind` of _referee_kernel (not None):
-    balanced int64 residues at BALANCED, float64 residues otherwise."""
+    """a @ b mod m at the answer `kind` of _referee_kernel, BALANCED or a
+    limb width: balanced int64 residues at BALANCED, float64 limbs else."""
     if kind == BALANCED:
         return _balance(a @ b, m)
     return _float64_matmul(a, b, m, kind)
@@ -232,7 +230,7 @@ class Matrix:
         if _int64_kernel(ring, self.dim) is None:
             self._rows = rows
         else:
-            self._np = np.array(rows, dtype=np.int64) % ring.modulus
+            self._np = np.array(rows, dtype=np.int64).reshape(self.dim, self.dim) % ring.modulus
             self._np.flags.writeable = False
 
     @property

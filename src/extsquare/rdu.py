@@ -178,8 +178,8 @@ class ReverseDecomposer:
         from the source route is absorbed by formal inversion.  Word
         certificates are evaluated on self.g, so later products on g reuse
         their runs; g1 is left in g's run memo as the base P^-1 g P of their
-        top-level run.  T's pair is written in one step
-        (words._column_stabilizer), h = g1^-1 T g1 and h^-1 come from one
+        top-level run.  T's pair is a segment of the engine's cache, written
+        in one step (ExtWord.eval), h = g1^-1 T g1 and h^-1 come from one
         conjugation of it, and the core's word is checked in place
         (_is_letter).
         """
@@ -203,7 +203,7 @@ class ReverseDecomposer:
         # Column stabilizer at j = 1 built from the routed first column; for
         # j = 1 every orientation sign is the same, so the plain entries work.
         T = ExtWord(n, tuple((s, 1, g1.fwd.at(self._rank((1, s)), r12)) for s in range(2, n + 1)))
-        Tm = words._column_stabilizer(ring, n, T.letters, self._cache)
+        Tm = T.eval(ring, self._cache)
         col = g1.fwd.column(r12)
         certs.append(
             _require(matrices.mat_vec(Tm.fwd, col) == tuple(col), "column-fixed")

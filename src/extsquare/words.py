@@ -22,13 +22,14 @@ decomposition engine counts, and eval_matrix multiplies it out against g,
 factored over the segments the conjugators share.  It keeps, per g, the pair
 of every group of terms it multiplies, keyed by the group's terms from g on,
 so a group recurs for free and a group whose formal inverse is kept costs
-only a view; and g conjugated by each shared prefix.  ExtWord.eval keeps
-those segments in a caller's cache, each entry exactly the product of its
-key's letters, and builds a new segment by inverting the entry of its formal
-inverse or by extending its longest cached proper suffix.  A letter is a
-segment of length one, so its pair sits in the same cache and the letters of
-a new segment are read from there (a core's column stabilizer is written
-in one step, _column_stabilizer).  Every pair is one int64 stack where
+only a view; g conjugated by a shared prefix P is kept the same way, as the
+one-term group (1, P).  ExtWord.eval keeps those segments in a caller's
+cache, each entry exactly the product of its key's letters, and builds a
+new segment by inverting the entry of its formal inverse, by writing it in
+one step when its letters share one j and have distinct i (a letter, or a
+core's column stabilizer), or by extending its longest cached proper
+suffix.  The letters of a new segment are read from the same cache, as
+one-letter segments.  Every pair is one int64 stack where
 matrices stores int64 (see matrices.InvPair), so both of its sides multiply
 in one kernel call.
 
@@ -80,15 +81,16 @@ def _letter_support(n: int, i: int, j: int):
 # sweep at n <= 7, so an engine evicts only at larger ranks.  After a full
 # level sweep over Z/97 at n = 6 (seed 1, a 24-letter source, targets (2, 3)
 # and (1, 6), then the system check), a caller's segment cache
-# (ExtWord.eval) holds 636 segments, 54 of them letters, and the run memo of
-# g (ConjWord.eval_matrix) 539 runs and 235 bases, one per core built; at
-# n = 7, 1 163 segments (1 189 over Z/(2^31 - 1)) and 1 031 runs.  Runs and
-# bases below the top level recur within one core or decomposition only: at
-# n = 6 a core takes 26.5 kernel calls with the last 32 of them kept, as
-# with no cap, and a final certificate 0.8 at (2, 3).  So their cap is small.
+# (ExtWord.eval) holds 634 segments, 54 of them letters, and the run memo of
+# g (ConjWord.eval_matrix) 773 runs, 235 of them bases, one per core built;
+# at n = 7 (a 28-letter source), 1 161 segments (1 187 over Z/(2^31 - 1))
+# and 1 483 runs, 453 of them bases.  Runs below the top level recur within
+# one core or decomposition only: at n = 6 a core takes 26.5 kernel calls
+# with the last 32 of them kept, as with no cap, and a final certificate 0.8
+# at (2, 3) (1.7 with (1, 6) as well).  So their cap is small.
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
-_NESTED_BASE_MAX = 32
+_NESTED_RUN_MAX = 32
 
 
 def _bounded_put(store: dict, key, value, cap: int) -> None:
@@ -256,22 +258,22 @@ class ExtWord(_LetterWord):
         may serve several rings.  On a miss the pair is the cached pair of
         the word's formal inverse, inverted (a view of its stack; a letter's
         inverse is the letter with -xi, so this is the product of the
-        letters too), when that is there.  Otherwise a word of at most one
-        letter is built from the letter and its inverse letter, and a
-        longer word extends its longest cached proper suffix letters[p:]:
-        the head letters[:p] is read from the cache when it is there and
+        letters too), when that is there.  Otherwise a word whose letters
+        share one j and have distinct i, a single letter or a core's column
+        stabilizer, is written in one step (_one_column_pair), and any other
+        extends its longest cached proper suffix letters[p:]: the head
+        letters[:p] is read from the cache when it is there and
         multiplied out (and not stored) otherwise, and the pair is the head
         composed with the tail.  Without a cached suffix the word is
         multiplied out.  Either is stored under the word's own key only.
         Multiplying out takes each letter's one-letter segment from the
         cache, storing it there when new.  Without a cache the word is
-        multiplied out from letters built anew, and nothing is stored.
+        multiplied out from letters built anew, and nothing is stored; nor
+        is the empty word, the identity.
         """
         n, letters = self.n, self.letters
-        letter = partial(_letter, ring, n)
-        dim = indexing.dim(n)
-        if cache is None:
-            return _eval_letters(ring, dim, letters, letter)
+        if cache is None or not letters:
+            return _eval_letters(ring, indexing.dim(n), letters, partial(_letter, ring, n))
         rk = ring.key()
         key = (rk, n, letters)
         hit = cache.get(key)
@@ -280,8 +282,8 @@ class ExtWord(_LetterWord):
         inverse = cache.get((rk, n, self.inverse(ring).letters))
         if inverse is not None:
             pair = inverse.invert()
-        elif len(letters) < 2:
-            pair = _eval_letters(ring, dim, letters, letter)
+        elif len({j for _, j, _ in letters}) == 1 and len({i for i, _, _ in letters}) == len(letters):
+            pair = _one_column_pair(ring, n, letters)
         else:
             for p in range(1, len(letters)):
                 tail = cache.get((rk, n, letters[p:]))
@@ -356,18 +358,19 @@ class ConjWord:
         the base, a shared suffix is stripped and the rest conjugated by
         it, and otherwise the terms are cut into groups: runs that share a
         first letter, or blocks that share a last letter where that gives
-        fewer.  Each group's pair is kept under its terms with their
-        absolute conjugators (the letters from g on), whose product on g it
-        is: in the memo for top-level groups, once S is stripped, and among
-        the last _NESTED_BASE_MAX entries of nested below.  A group is
-        recalled from either, or inverted (a view, no product) from the
-        pair of its formal inverse.  So a core's eight-term word recalls
-        its four-term z and z's last three terms inverted.  The memo keeps
-        ("base", P) -> P^-1 g P for each top-level group's shared prefix P
-        (rdu seeds it with the routed g of every core it builds), nested
-        the bases below the top level.  The triple holds g, so its id is
-        not reused while the entry lives.  The top level multiplies forward
-        sides only.
+        fewer.  A base P^-1 g P is the one-term run (1, P).  Every run and
+        base is kept under its terms with their absolute conjugators (the
+        letters from g on), whose product on g it is: in the memo for
+        top-level groups, once S is stripped, and for the bases of their
+        shared prefixes (rdu seeds it with the routed g of every core it
+        builds), and among the last _NESTED_RUN_MAX entries of nested
+        below.  Each is recalled from either, or inverted (a view, no
+        product) from the pair of its formal inverse, and kept at its
+        level through one step, _kept.  So a core's eight-term word recalls
+        its four-term z and z's last three terms inverted, and a term
+        (-1, P) is the inverted base of P.  The triple holds g, so its id
+        is not reused while the entry lives.  The top level multiplies
+        forward sides only.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -417,22 +420,18 @@ def _letter_product(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPa
     return matrices._pair_product([_segment(ring, n, (x,), cache) for x in letters])
 
 
-def _column_stabilizer(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
-    """The pair of `letters` (s, 1, x_s) of distinct s, in `cache` as
-    ExtWord.eval keeps it, written in one step: a letter is I + A_s, A_s at
-    rows {a,s} and columns {a,1}, and no column {a,1} is a row {b,r} of A_r
-    (1 is not in {b, r}), so A_s A_r = 0 and the pair is I +- sum A_s."""
-    key = (ring.key(), n, letters)
-    pair = cache.get(key)
-    if pair is None:
-        rows, cols, values = zip(*(_signed_support(ring, n, i, j, x) for i, j, x in letters))
-        at = (ring, indexing.dim(n), np.concatenate(rows), np.concatenate(cols))
-        values = sum(values, [])
-        pair = matrices.InvPair._trusted(
-            matrices._identity_plus(*at, values), matrices._identity_plus(*at, [ring.neg(v) for v in values])
-        )
-        _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
-    return pair
+def _one_column_pair(ring, n: int, letters: tuple) -> matrices.InvPair:
+    """The pair of nonempty `letters` that share one j and have distinct i,
+    written in one step.  A letter (i, j, x) is I + A_i, A_i at rows {a,i}
+    and columns {a,j}.  No column {a,j} is a row {b,r} of A_r (j is not in
+    {b, r}), so A_i A_r = 0, and the A_i sit at distinct positions (at
+    column {a,j} their rows {a,i} differ): the pair is I +- sum A_i."""
+    rows, cols, values = zip(*(_signed_support(ring, n, i, j, ring.coerce(xi)) for i, j, xi in letters))
+    at = (ring, indexing.dim(n), np.concatenate(rows), np.concatenate(cols))
+    values = sum(values, [])
+    return matrices.InvPair._trusted(
+        matrices._identity_plus(*at, values), matrices._identity_plus(*at, [ring.neg(v) for v in values])
+    )
 
 
 def _groups(terms) -> list:
@@ -461,14 +460,27 @@ def _recall(memos, key):
     return None
 
 
+def _kept(memos, level: int, key, make) -> matrices.InvPair:
+    """The pair of the terms `key` in memos[level], g's run memo at the top
+    level (0) and its nested store below (1); on a miss it is recalled from
+    g's stores (_recall) or made by make(), and kept there, so that a pair
+    recalled by its formal inverse is found directly next time."""
+    store = memos[level]
+    pair = store.get(key)
+    if pair is None:
+        pair = _recall(memos, key) or make()
+        _bounded_put(store, key, pair, _NESTED_RUN_MAX if level else _RUN_MEMO_MAX)
+    return pair
+
+
 def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) -> matrices.Matrix:
     """Forward product of X^-1 g^eps X over nonempty `terms` of (eps,
     letters of X), `memos` being g's (run memo, nested store): the common
-    suffix S stripped as S^-1 (...) S, then the forward side of each
-    group's pair, recalled from the memo or made by _level_pair and kept in
-    the memo under the group's terms."""
+    suffix S stripped as S^-1 (...) S unless every X is S (a kept base then
+    answers a one-term word), then the forward side of each group's pair
+    (_kept in the memo under the group's terms, made by _level_pair)."""
     k = _shared_len([h for _, h in terms], suffix=True)
-    if k:
+    if k and any(len(h) > k for _, h in terms):
         s = _segment(ring, n, terms[0][1][-k:], cache)
         inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], g, cache, memos)
         return s.bwd.mul(inner).mul(s.fwd)
@@ -477,32 +489,24 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) 
         if not group[0][1]:  # empty conjugators contribute g^eps directly
             parts.extend(g.fwd if eps == 1 else g.bwd for eps, _ in group)
             continue
-        pair = memos[0].get(group)
-        if pair is None:
-            pair = _recall(memos, group)
-            if pair is None:
-                pair = _level_pair(ring, n, group, g, cache, memos, ())
-            _bounded_put(memos[0], group, pair, _RUN_MEMO_MAX)
+        pair = _kept(memos, 0, group, lambda: _level_pair(ring, n, group, g, cache, memos, ()))
         parts.append(pair.fwd)
     return matrices._product(ring, indexing.dim(n), parts)
 
 
 def _run_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
-    """_level_pair, recalled from g's stores or kept in its nested store
-    under the absolute terms (eps, prefix + X), whose product on g it is."""
+    """_level_pair, recalled or kept in g's nested store under the absolute
+    terms (eps, prefix + X), whose product on g it is (_kept)."""
     key = tuple((eps, prefix + h) for eps, h in terms)
-    hit = _recall(memos, key)
-    if hit is None:
-        hit = _level_pair(ring, n, terms, base, cache, memos, prefix)
-        _bounded_put(memos[1], key, hit, _NESTED_BASE_MAX)
-    return hit
+    return _kept(memos, 1, key, lambda: _level_pair(ring, n, terms, base, cache, memos, prefix))
 
 
 def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
     """The pair of the product of X^-1 b^eps X over nonempty `terms` of
     (eps, letters of X), for the pair `base` of b = P^-1 g P and the letters
     `prefix` of P.  A prefix Q shared by every X moves into the base
-    (P Q)^-1 g (P Q); else a shared suffix S is stripped and the pair of
+    (P Q)^-1 g (P Q), the one-term run (1, P Q), kept in g's run memo when P
+    is empty (_kept); else a shared suffix S is stripped and the pair of
     the rest conjugated by S's; else each group's pair (_run_pair) and b^eps
     for each empty X multiply out, both sides in one stacked product per
     factor."""
@@ -510,7 +514,10 @@ def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos,
     p = _shared_len(hs)
     if p:
         letters = prefix + terms[0][1][:p]
-        run_base = _base(ring, n, base, letters, len(prefix), cache, memos)
+        run_base = _kept(
+            memos, 1 if prefix else 0, ((1, letters),),
+            lambda: matrices.conjugate(base, _segment(ring, n, letters[len(prefix) :], cache)),
+        )
         return _level_pair(ring, n, [(eps, h[p:]) for eps, h in terms], run_base, cache, memos, letters)
     k = _shared_len(hs, suffix=True)
     if k:
@@ -525,20 +532,8 @@ def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos,
     return matrices._pair_product(parts)
 
 
-def _base(ring, n: int, base: matrices.InvPair, letters: tuple, k: int, cache: dict, memos) -> matrices.InvPair:
-    """The pair P^-1 g P for the letters of P, given the pair `base` of
-    letters[:k]: base conjugated by letters[k:], kept under ("base",
-    letters) in g's run memo when k = 0 and in its nested store otherwise."""
-    store, cap = (memos[0], _RUN_MEMO_MAX) if k == 0 else (memos[1], _NESTED_BASE_MAX)
-    key = ("base", letters)
-    hit = store.get(key)
-    if hit is None:
-        hit = matrices.conjugate(base, _segment(ring, n, letters[k:], cache))
-        _bounded_put(store, key, hit, cap)
-    return hit
-
-
 def _keep_base(cache: dict, g: matrices.InvPair, prefix: tuple, pair: matrices.InvPair) -> None:
     """Record `pair` as P^-1 g P, for the letters `prefix` of P, in g's run
-    memo, where ConjWord.eval_matrix looks for the base of a top-level run."""
-    _bounded_put(_run_memo(cache, g)[0], ("base", prefix), pair, _RUN_MEMO_MAX)
+    memo as the one-term run (1, P), where ConjWord.eval_matrix looks for
+    the base of a top-level run."""
+    _bounded_put(_run_memo(cache, g)[0], ((1, prefix),), pair, _RUN_MEMO_MAX)

@@ -311,6 +311,45 @@ def test_verify_rejects_an_n_that_disagrees_with_the_word(tmp_path, capsys):
     assert captured.out == "" and "rank mismatch" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command,message",
+    [("decompose", "0 is not a binomial coefficient C(n, 2)"),
+     ("member", "0 is not a binomial coefficient C(n, 2)"),
+     ("level", "0 is not a binomial coefficient C(n, 2)"),
+     ("verify", "dimension mismatch")],
+    ids=["decompose", "member", "level", "verify"],
+)
+def test_an_empty_pair_is_refused_as_an_empty_matrix(tmp_path, capsys, command, message):
+    # "fwd": [] and "bwd": [] read as 0 x 0 matrices, refused as a plain
+    # matrix with "rows": [] is, and not with numpy's error text
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ring": {"type": "zmod", "modulus": 97}, "fwd": [], "bwd": []}))
+    if command == "verify":
+        _decomposition(tmp_path)
+        argv = ["verify", "--in", str(tmp_path / "d.json"), "--g", str(path)]
+    else:
+        argv = [command, "--in", str(path)]
+    if command == "decompose":
+        argv += ["--target", "entry:1,3:1,2", "--k", "2", "--l", "3"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_verify_rejects_a_g_whose_n_disagrees_with_its_dimension(tmp_path, capsys):
+    # --g is read as decompose reads --in: a 6 x 6 pair with "n": 3 is refused
+    g_path, _ = _decomposition(tmp_path)
+    obj = json.loads(g_path.read_text())
+    obj["n"] = 3
+    bad = tmp_path / "g3.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(tmp_path / "d.json"), "--g", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: dimension mismatch\n"
+
+
 def test_member_rejects_non_list_rows(tmp_path, capsys):
     path = tmp_path / "rows.json"
     path.write_text(

@@ -242,7 +242,7 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
     n = 5
     g, eng = _engine(n, 12)
     want = _sweep(eng, g, n)
-    caps = {"_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2, "_NESTED_BASE_MAX": 2}
+    caps = {"_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2, "_NESTED_RUN_MAX": 2}
     for name, cap in caps.items():
         monkeypatch.setattr(words, name, cap)
     monkeypatch.setattr(rdu, "_CORE_CACHE_MAX", 3)
@@ -258,12 +258,52 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
                 _, memo, nested = slot
                 memo_sizes.append(len(memo))
                 nested_sizes.append(len(nested))
-                memo_keys.update(k[0] for k in memo)
+                memo_keys.update(memo)
 
     assert _sweep(small, g, n, check) == want
-    # the memo was used, up to its cap, by runs and by top-level bases
+    # the memo was used, up to its cap, by runs and by top-level bases, the
+    # one-term runs (1, P)
     assert max(memo_sizes) == 2 and max(nested_sizes) == 2
-    assert "base" in memo_keys and len(memo_keys) > 1
+    assert any(len(k) == 1 and k[0][0] == 1 for k in memo_keys)
+    assert any(len(k) > 1 for k in memo_keys)
+
+
+def test_a_kept_base_answers_its_inverse_term_without_a_product(monkeypatch):
+    # a base P^-1 g P is the one-term run (1, P): once _build_core keeps the
+    # routed g1 as the base of its outer prefix P, the word of the one term
+    # (-1, P) is that pair inverted, a view, and (1, P) the pair itself
+    n = 5
+    g, eng = _engine(n, 11)
+    eng._core((1, 2), (2, 4))
+    memo = eng._cache[("runs", id(g))][1]
+    bases = [key for key in memo if len(key) == 1 and key[0][0] == 1]
+    assert bases
+    found = [
+        ConjWord(n, ((eps, words.ExtWord(n, P)),)) for ((_, P),) in bases for eps in (-1, 1)
+    ]
+    want = [rdu._naive_product(word, g) for word in found]
+    calls = []
+    matmul = matrices._int64_matmul
+    monkeypatch.setattr(matrices, "_int64_matmul", lambda *a: calls.append(1) or matmul(*a))
+    assert [word.eval_matrix(g, eng._cache) for word in found] == want
+    assert calls == []
+
+
+def test_every_run_memo_key_is_a_tuple_of_terms():
+    # one entry kind: runs and bases alike are kept under their terms
+    # (eps, letters from g on), in the memo and in the nested store
+    n = 5
+    g, eng = _engine(n, 12)
+    _sweep(eng, g, n)
+    _, memo, nested = eng._cache[("runs", id(g))]
+    assert memo and nested
+    for key in [*memo, *nested]:
+        assert isinstance(key, tuple) and key, key
+        for term in key:
+            assert isinstance(term, tuple) and len(term) == 2, key
+            eps, letters = term
+            assert eps in (1, -1) and isinstance(letters, tuple), key
+            assert all(len(letter) == 3 for letter in letters), key
 
 
 SEGMENT_RINGS = {

@@ -414,3 +414,37 @@ def test_engine_words_through_one_cache_equal_a_fresh_cache_and_the_naive_produc
             assert got.is_identity()
     # runs were recalled from the memo, from the nested store and by inverse
     assert {"memo", "nested", "inverse"} <= set(recalled)
+
+
+@pytest.mark.parametrize("ring_id", ("zmod97", "zmod-wide", "int", "poly"))
+def test_a_segment_of_one_j_is_written_without_a_product(monkeypatch, ring_id):
+    # letters that share one j and have distinct i annihilate pairwise, so a
+    # fresh cached segment of them, a core's column stabilizer T or a single
+    # letter, is written in one step: no kernel call, both sides equal to
+    # the letters multiplied out, and T's inverse recalled from T
+    ring, n = RINGS[ring_id], 6
+    rng = random.Random(29)
+    pay = lambda: ring.coerce(rng.randrange(-50, 50))  # noqa: E731
+    segments = [
+        tuple((s, 1, pay()) for s in range(2, n + 1)),  # T
+        ((4, 2, pay()), (1, 2, pay()), (6, 2, pay())),  # one j, i unsorted
+        ((3, 5, pay()),),  # a single letter
+    ]
+    want = [ExtWord(n, letters).eval(ring) for letters in segments]
+    calls = []
+    matmul = matrices._int64_matmul
+    monkeypatch.setattr(matrices, "_int64_matmul", lambda *a: calls.append(1) or matmul(*a))
+    cache: dict = {}
+    for letters, pair in zip(segments, want):
+        word = ExtWord(n, letters)
+        got = word.eval(ring, cache)
+        assert (got.fwd, got.bwd) == (pair.fwd, pair.bwd), letters
+        back = word.inverse(ring).eval(ring, cache)
+        assert (back.fwd, back.bwd) == (pair.bwd, pair.fwd), letters
+    assert calls == []
+    assert len(cache) == 2 * len(segments)
+    # a repeated i, or a second j, is no such segment: it is multiplied out
+    five, seven = ring.coerce(5), ring.coerce(7)
+    for letters in (((3, 1, five), (3, 1, seven)), ((2, 1, five), (1, 3, seven))):
+        got, pair = ExtWord(n, letters).eval(ring, cache), ExtWord(n, letters).eval(ring)
+        assert (got.fwd, got.bwd) == (pair.fwd, pair.bwd), letters
