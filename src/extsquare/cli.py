@@ -5,6 +5,10 @@ Exit codes: 0 when the requested property holds or the artifact was
 produced, 1 when a checked property fails, 2 on usage or parse errors.
 All output is JSON (or line-oriented pass/fail for identities), UTF-8,
 newline terminated, and deterministic for a fixed seed and flags.
+
+Each command imports the modules it runs inside its own function, so a
+command loads (and, without a bytecode cache, compiles) only those: member
+reads jsonio, indexing, rings, matrices and plucker, and never rdu.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import json
 import re
 import sys
 
-from . import certify, generate, indexing, jsonio, level, plucker, rdu, rings, stabilizer
-from .matrices import mat_vec, vec_mat
+from . import rings
 
 
 def _parse_ring(text: str):
@@ -61,6 +64,8 @@ def _write_text(text: str, path: str | None):
 
 
 def cmd_identities(args) -> int:
+    from . import certify
+
     if not 3 <= args.max_n <= 6:
         raise ValueError(f"--max-n: must be between 3 and 6, got {args.max_n}")
     results = certify.run_all(args.max_n)
@@ -74,6 +79,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import generate, jsonio, plucker
+
     ring = _parse_ring(args.ring)
     if ring.kind not in ("int", "zmod"):
         raise ValueError("gen supports the int and zmod rings")
@@ -99,6 +106,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import indexing, jsonio, rdu
+
     obj = _read_json(args.input)
     pair = jsonio.pair_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, pair.dim)
@@ -121,6 +130,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import indexing, jsonio, rdu
+
     word, k, l, param, n, ring = jsonio.decomposition_parts_from_json(
         _read_json(args.input)
     )
@@ -148,11 +159,15 @@ def _label(pair) -> str:
 
 
 def _value(ring, payload) -> str:
+    from . import jsonio
+
     value = jsonio.elem_to_json(ring, payload)
     return value if isinstance(value, str) else json.dumps(value)
 
 
 def cmd_member(args) -> int:
+    from . import jsonio, plucker
+
     obj = _read_json(args.input)
     m = jsonio.matrix_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, m.dim)
@@ -163,6 +178,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_level(args) -> int:
+    from . import jsonio, level
+
     obj = _read_json(args.input)
     m = jsonio.matrix_from_json(obj)
     n = jsonio.pair_ambient_rank(obj, m.dim)
@@ -177,6 +194,9 @@ def cmd_level(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
+    from . import jsonio, stabilizer
+    from .matrices import mat_vec, vec_mat
+
     v = jsonio.vector_from_json(_read_json(args.input))
     ring = v.ring
     for flag, index in (("--col", args.col), ("--row", args.row)):
@@ -252,15 +272,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _property_failures() -> tuple:
+    """rdu's DecompositionError and CertificateError once rdu is loaded; only
+    rdu raises them, and the commands that call it import it."""
+    rdu = sys.modules.get(f"{__package__}.rdu")
+    return () if rdu is None else (rdu.DecompositionError, rdu.CertificateError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (rdu.DecompositionError, rdu.CertificateError) as exc:
-        print(f"property failure: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, RuntimeError) as exc:
+        # property failures first: DecompositionError is a ValueError and
+        # CertificateError a RuntimeError
+        if isinstance(exc, _property_failures()):
+            print(f"property failure: {exc}", file=sys.stderr)
+            return 1
+        if isinstance(exc, RuntimeError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

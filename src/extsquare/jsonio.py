@@ -4,14 +4,22 @@ All emitters are deterministic (sorted keys, fixed separators, trailing
 newline) so that identical inputs produce byte-identical files.  Element
 encodings follow the ring: decimal strings for integer and modular values,
 monomial lists in canonical order for polynomials.
+
+level and rdu appear in annotations only, and plucker and words are
+imported by the readers that build their objects, so reading a matrix
+loads neither the engine nor the word calculus.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from . import indexing, level, matrices, plucker, rdu, rings
-from .words import ConjWord, ExtWord
+from . import indexing, matrices, rings
+
+if TYPE_CHECKING:
+    from . import level, plucker, rdu
+    from .words import ConjWord, ExtWord
 
 
 def dumps(obj) -> str:
@@ -183,6 +191,8 @@ def vector_to_json(v: plucker.PairVector) -> dict:
 
 
 def vector_from_json(obj: dict) -> plucker.PairVector:
+    from . import plucker
+
     _object(obj, "vector")
     ring = ring_from_json(_field(obj, "ring"))
     entries = _list(obj, "entries")
@@ -221,6 +231,8 @@ def ext_word_from_json(obj: dict, ring, path: str = "word", rank: int | None = N
     """An ExtWord; `rank`, when given, is the n the word must have (that of
     the ConjWord holding it).  A malformed word raises ValueError naming
     the path of the bad field."""
+    from .words import ExtWord
+
     _object(obj, path)
     n = _int_field(obj, "n", path)
     if rank is not None and n != rank:
@@ -245,6 +257,8 @@ def conj_word_to_json(w: ConjWord, ring) -> dict:
 
 
 def conj_word_from_json(obj: dict, ring, path: str = "word") -> ConjWord:
+    from .words import ConjWord
+
     _object(obj, path)
     n = _int_field(obj, "n", path)
     terms = []

@@ -5,8 +5,9 @@ decides per (ring, dim) how a product runs, and with it how entries are
 stored: a read-only int64 numpy array exactly when the product runs in
 int64, payload tuples multiplied out in pure python otherwise.  Callers
 choose no kernel: _identity_plus builds identities, transvections and
-exterior letters, _product multiplies chains (Matrix.mul and every word
-evaluation), and mat_vec and vec_mat take vectors; each asks it once:
+exterior letters, _unipotent_pair the pair of I + A and I - A for A^2 = 0,
+_product multiplies chains (Matrix.mul and every word evaluation), and
+mat_vec and vec_mat take vectors; each asks it once:
 
 * one limb, when dim (m-1)^2 < 2^62: one int64 matmul, then % m;
 * k limbs, when m < 2^62 but one limb could overflow: the right factor is
@@ -334,16 +335,35 @@ def _payloads(ring, values):
 
 def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     """The dim x dim identity with payloads `values` at the off-diagonal
-    positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides."""
+    positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides.
+    The values are ring payloads (ring.coerce's answers, residues in [0, m)
+    over Z/m), so int64 storage takes them as they are, unreduced."""
     if _int64_kernel(ring, dim) is not None:
         data = np.eye(dim, dtype=np.int64)
         data[rows, cols] = values
-        return _from_residues(ring, data % ring.modulus)
+        return _from_residues(ring, data)
     z, o = ring.zero, ring.one
     out = [[o if r == c else z for c in range(dim)] for r in range(dim)]
     for r, c, v in zip(rows, cols, values):
         out[r][c] = v
     return Matrix(ring, out)
+
+
+def _unipotent_pair(ring, dim: int, rows, cols, values) -> "InvPair":
+    """The pair (I + A, I - A) for the dim x dim matrix A with ring payloads
+    `values` at the off-diagonal positions (rows[k], cols[k]), 0-based.  The
+    caller vouches that A^2 = 0, so that I - A is the inverse of I + A; it
+    is not checked.  Where storage is int64 both sides are written into one
+    stack (see InvPair), else each is an _identity_plus."""
+    neg = [ring.neg(v) for v in values]
+    if _int64_kernel(ring, dim) is None:
+        at = (ring, dim, rows, cols)
+        return InvPair._trusted(_identity_plus(*at, values), _identity_plus(*at, neg))
+    stack = np.zeros((2, dim, dim), dtype=np.int64)
+    stack.reshape(2, -1)[:, :: dim + 1] = 1
+    stack[0, rows, cols] = values
+    stack[1, cols, rows] = neg  # the transpose of I - A
+    return _stacked(ring, stack)
 
 
 def _product(ring, dim: int, factors) -> Matrix:
@@ -499,11 +519,14 @@ def _stacked(ring, stack, pair: InvPair | None = None) -> InvPair:
 def _pair_product(pairs) -> InvPair:
     """The product of a nonempty sequence of pairs of one ring and dim, left
     to right: one stacked kernel call per factor where pairs are stacks,
-    else each side multiplied out, the backward one in reverse order."""
+    else each side multiplied out, the backward one in reverse order.  A
+    single pair is its own product."""
     first = pairs[0]
+    if len(pairs) == 1:
+        return first
     ring, dim = first.ring, first.dim
     for p in pairs[1:]:
-        if p.ring != ring:
+        if p.ring is not ring and p.ring != ring:
             raise rings.RingMismatchError("ring mismatch")
         if p.dim != dim:
             raise ValueError("dimension mismatch")

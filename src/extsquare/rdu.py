@@ -105,18 +105,39 @@ def _require(ok: bool, name: str):
     return (name, True)
 
 
+def _checked_rank(word: ConjWord, w: ExtWord) -> None:
+    """Refuse a prefix or suffix w that is not an ExtWord of word's rank."""
+    if not isinstance(w, ExtWord) or w.n != word.n:
+        raise ValueError("conjugator rank mismatch")
+
+
 def reconjugate(word: ConjWord, prefix: ExtWord) -> ConjWord:
     """Rewrite conjugates of (prefix-related g) as conjugates of g itself.
 
     If each term of word is x^-1 b^eps x and b = P^-1 g P with P = eval of
-    prefix, the same product is (prefix + x)-conjugates of g.
+    prefix, the same product is (prefix + x)-conjugates of g.  Both words
+    are validated already, so only prefix's rank is checked.
     """
-    return ConjWord(word.n, tuple((eps, prefix + h) for eps, h in word.terms))
+    _checked_rank(word, prefix)
+    n, p = word.n, prefix.letters
+    return ConjWord._trusted(n, tuple((eps, ExtWord._trusted(n, p + h.letters)) for eps, h in word.terms))
 
 
 def retarget(word: ConjWord, suffix: ExtWord) -> ConjWord:
-    """Conjugate the whole product by the inverse of suffix's evaluation."""
-    return ConjWord(word.n, tuple((eps, h + suffix) for eps, h in word.terms))
+    """Conjugate the whole product by the inverse of suffix's evaluation
+    (only suffix's rank is checked, as in reconjugate)."""
+    _checked_rank(word, suffix)
+    n, s = word.n, suffix.letters
+    return ConjWord._trusted(n, tuple((eps, ExtWord._trusted(n, h.letters + s)) for eps, h in word.terms))
+
+
+@lru_cache(maxsize=1024)
+def _route_inverse(route: ExtWord, ring) -> ExtWord:
+    """route.inverse(ring), kept per route word and ring: a route (of
+    exterior.route_source or route_target, themselves cached) enters every
+    core or word it serves inverted.  Keyed on the word, not its indices,
+    so a route rebuilt after those caches are cleared is inverted anew."""
+    return route.inverse(ring)
 
 
 class ReverseDecomposer:
@@ -143,7 +164,9 @@ class ReverseDecomposer:
         return indexing.rank(tuple(pair), self.n)
 
     def _single(self, i: int, j: int, payload) -> ExtWord:
-        return ExtWord(self.n, ((i, j, payload),))
+        """The one-letter word (i, j, payload) for a valid pair i, j and a
+        ring payload."""
+        return ExtWord._trusted(self.n, ((i, j, payload),))
 
     def _signed(self, payload, s: int):
         return payload if s == 1 else self.ring.neg(payload)
@@ -188,7 +211,7 @@ class ReverseDecomposer:
         certs = []
 
         src, sigma = exterior.route_source(I, J, n)
-        outer = src.inverse(ring) if tau is None else tau + src.inverse(ring)
+        outer = _route_inverse(src, ring) if tau is None else tau + _route_inverse(src, ring)
         g1 = matrices.conjugate(pair, src.eval(ring, self._cache), "left")
         words._keep_base(self._cache, self.g, outer.letters, g1)
         r13, r12 = self._rank((1, 3)), self._rank((1, 2))
@@ -202,9 +225,10 @@ class ReverseDecomposer:
 
         # Column stabilizer at j = 1 built from the routed first column; for
         # j = 1 every orientation sign is the same, so the plain entries work.
-        T = ExtWord(n, tuple((s, 1, g1.fwd.at(self._rank((1, s)), r12)) for s in range(2, n + 1)))
-        Tm = T.eval(ring, self._cache)
+        # {1, s} has rank s - 2.
         col = g1.fwd.column(r12)
+        T = ExtWord._trusted(n, tuple((s, 1, col[s - 2]) for s in range(2, n + 1)))
+        Tm = T.eval(ring, self._cache)
         certs.append(
             _require(matrices.mat_vec(Tm.fwd, col) == tuple(col), "column-fixed")
         )
@@ -222,10 +246,10 @@ class ReverseDecomposer:
         s_word = self._single(2, 3, ring.one)
         t_inv = T.inverse(ring)
         s_inv = s_word.inverse(ring)
-        z = ConjWord(
+        z = ConjWord._trusted(
             n,
             (
-                (-1, ExtWord(n)),
+                (-1, ExtWord._trusted(n, ())),
                 (1, t_inv),
                 (-1, s_inv + t_inv),
                 (1, T + s_inv + t_inv),
@@ -235,17 +259,14 @@ class ReverseDecomposer:
 
         # Direct route from matrices: z = T [T^-1 h, s] T^-1 = h s h^-1 T s^-1 T^-1.
         S = s_word.eval(ring, self._cache)
-        z_direct = H.mul(S.fwd).mul(Hinv).mul(Tm.fwd).mul(S.bwd).mul(Tm.bwd)
+        z_direct = matrices._product(ring, g1.dim, (H, S.fwd, Hinv, Tm.fwd, S.bwd, Tm.bwd))
         certs.append(_require(z_val == z_direct, "four-conjugate-z"))
 
         u = z_val.mul(ext_letter_matrix(ring, n, 2, 1, ring.neg(c)))
         certs.append(_require(u._equals_at(*_radical_complement(n, ring)), "radical-factor"))
 
         a_inv = self._single(1, 3, ring.one)  # inverse of letter (1,3,-1)
-        final = ConjWord(
-            n, tuple((eps, h + a_inv) for eps, h in z.terms)
-        ) + z.inverse()
-        word = reconjugate(final, outer)
+        word = reconjugate(retarget(z, a_inv) + z.inverse(), outer)
         if sigma == -1:
             word = word.inverse()
         param = pair.fwd.at(self._rank(I), self._rank(J))
@@ -302,7 +323,7 @@ class ReverseDecomposer:
             raise DecompositionError("bad transvection target")
 
     def _with_target(self, word: ConjWord, k: int, l: int) -> ConjWord:
-        return retarget(word, exterior.route_target(k, l, self.n).inverse(self.ring))
+        return retarget(word, _route_inverse(exterior.route_target(k, l, self.n), self.ring))
 
     def _verified(self, word: ConjWord, param, k: int, l: int, name: str, length: int, what: str):
         """Certificate `name`: word multiplies out on self.g to the letter at

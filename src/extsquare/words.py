@@ -38,7 +38,9 @@ matrices, the pair-indexed expansion in exterior and the signs rdu reads off
 a letter come from it.  Letter matrices are built uncached
 (_letter, ext_letter_matrix); every cache here belongs to a caller and
 drops its oldest entries past its cap through _bounded_put.  Words choose no
-kernel: matrices._identity_plus builds each letter, matrices._pair_product
+kernel: matrices._identity_plus builds each letter matrix,
+matrices._unipotent_pair each cached segment of one j (a letter, or a
+core's column stabilizer) with its inverse, matrices._pair_product
 multiplies letter pairs and conjugated segments, and matrices._product the
 forward sides of a top-level product.
 """
@@ -46,7 +48,6 @@ forward sides of a top-level product.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import groupby
 
 import numpy as np
 
@@ -85,9 +86,12 @@ def _letter_support(n: int, i: int, j: int):
 # g (ConjWord.eval_matrix) 773 runs, 235 of them bases, one per core built;
 # at n = 7 (a 28-letter source), 1 161 segments (1 187 over Z/(2^31 - 1))
 # and 1 483 runs, 453 of them bases.  Runs below the top level recur within
-# one core or decomposition only: at n = 6 a core takes 26.5 kernel calls
-# with the last 32 of them kept, as with no cap, and a final certificate 0.8
-# at (2, 3) (1.7 with (1, 6) as well).  So their cap is small.
+# one core or decomposition only, so their cap is small.  It costs the
+# final certificates a little, and the cores nothing: over the sweep at
+# (2, 3) alone (n = 6, seed 1, a 24-letter source) a core takes 26.51 kernel
+# calls with the last 32 runs kept, as with no cap, and a `final-verified`
+# certificate 0.77 with the nested cap at 32 and 0.64 uncapped (1.7 at 32
+# in a sweep at (1, 6) as well).
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
 _NESTED_RUN_MAX = 32
@@ -140,7 +144,7 @@ def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
     for i, j, xi in letters:
         xi = ring.coerce(xi)
         pairs.append(matrices.InvPair._trusted(letter(i, j, xi), letter(i, j, ring.neg(xi))))
-    return pairs[0] if len(pairs) == 1 else matrices._pair_product(pairs)
+    return matrices._pair_product(pairs)
 
 
 class _LetterWord:
@@ -324,13 +328,22 @@ class ConjWord:
             out.append((eps, h))
         self.terms = tuple(out)
 
+    @classmethod
+    def _trusted(cls, n: int, terms: tuple) -> "ConjWord":
+        """A word on a tuple of terms (eps, h) built from validated words, each
+        h an ExtWord of rank n, unchecked."""
+        word = object.__new__(cls)
+        word.n = n
+        word.terms = terms
+        return word
+
     def __len__(self):
         return len(self.terms)
 
     def __add__(self, other: "ConjWord") -> "ConjWord":
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return ConjWord(self.n, self.terms + other.terms)
+        return ConjWord._trusted(self.n, self.terms + other.terms)
 
     def __eq__(self, other):
         if not isinstance(other, ConjWord):
@@ -339,7 +352,7 @@ class ConjWord:
 
     def inverse(self) -> "ConjWord":
         """Formal inverse: reversed terms with flipped exponents, same length."""
-        return ConjWord(self.n, tuple((-eps, h) for eps, h in reversed(self.terms)))
+        return ConjWord._trusted(self.n, tuple((-eps, h) for eps, h in reversed(self.terms)))
 
     def eval_matrix(self, g: matrices.InvPair, cache: dict | None = None) -> matrices.Matrix:
         """Forward product, factored over the segments the conjugators share.
@@ -384,7 +397,7 @@ class ConjWord:
             return matrices.identity(g.ring, N)
         if cache is None:
             cache = {}
-        terms = [(eps, h.letters) for eps, h in self.terms]
+        terms = tuple((eps, h.letters) for eps, h in self.terms)
         return _conj_product(g.ring, self.n, terms, g, cache, _run_memo(cache, g))
 
 
@@ -399,10 +412,16 @@ def _run_memo(cache: dict, g: matrices.InvPair):
 
 
 def _shared_len(words, suffix: bool = False) -> int:
-    """The length of the prefix, or suffix, that all `words` share."""
+    """The length of the prefix, or suffix, that all `words` share: each
+    word is compared whole at the length shared so far (one tuple
+    comparison), and letter by letter only where that differs."""
     first = words[0]
-    k = min(len(w) for w in words)
+    k = min(map(len, words))
     for w in words[1:]:
+        if not k:
+            break
+        if (w[len(w) - k :] == first[len(first) - k :]) if suffix else (w[:k] == first[:k]):
+            continue
         i = 0
         while i < k and (w[~i] == first[~i] if suffix else w[i] == first[i]):
             i += 1
@@ -412,6 +431,11 @@ def _shared_len(words, suffix: bool = False) -> int:
 
 def _segment(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
     return ExtWord._trusted(n, letters).eval(ring, cache)
+
+
+def _conjugated(ring, n: int, base: matrices.InvPair, letters: tuple, cache: dict) -> matrices.InvPair:
+    """base conjugated by the segment of `letters`, X^-1 base X."""
+    return matrices.conjugate(base, _segment(ring, n, letters, cache))
 
 
 def _letter_product(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
@@ -427,21 +451,25 @@ def _one_column_pair(ring, n: int, letters: tuple) -> matrices.InvPair:
     {b, r}), so A_i A_r = 0, and the A_i sit at distinct positions (at
     column {a,j} their rows {a,i} differ): the pair is I +- sum A_i."""
     rows, cols, values = zip(*(_signed_support(ring, n, i, j, ring.coerce(xi)) for i, j, xi in letters))
-    at = (ring, indexing.dim(n), np.concatenate(rows), np.concatenate(cols))
-    values = sum(values, [])
-    return matrices.InvPair._trusted(
-        matrices._identity_plus(*at, values), matrices._identity_plus(*at, [ring.neg(v) for v in values])
-    )
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return matrices._unipotent_pair(ring, indexing.dim(n), rows, cols, sum(values, []))
 
 
-def _groups(terms) -> list:
-    """`terms` cut into runs of consecutive terms whose conjugators share a
-    first letter, or into blocks of consecutive terms whose conjugators
-    share a last letter where that gives fewer groups.  Empty conjugators
-    group with each other only."""
-    runs = [tuple(run) for _, run in groupby(terms, key=lambda t: t[1][:1])]
-    blocks = [tuple(block) for _, block in groupby(terms, key=lambda t: t[1][-1:])]
-    return blocks if len(blocks) < len(runs) else runs
+def _groups(terms: tuple) -> list:
+    """The tuple `terms` cut into runs of consecutive terms whose conjugators
+    share a first letter, or into blocks of consecutive terms whose
+    conjugators share a last letter where that gives fewer groups.  Empty
+    conjugators group with each other only."""
+    runs, blocks = [0], [0]
+    for t in range(1, len(terms)):
+        prev, h = terms[t - 1][1], terms[t][1]
+        if prev[:1] != h[:1]:
+            runs.append(t)
+        if prev[-1:] != h[-1:]:
+            blocks.append(t)
+    cuts = blocks if len(blocks) < len(runs) else runs
+    cuts.append(len(terms))
+    return [terms[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _recall(memos, key):
@@ -460,15 +488,15 @@ def _recall(memos, key):
     return None
 
 
-def _kept(memos, level: int, key, make) -> matrices.InvPair:
+def _kept(memos, level: int, key, make, *args) -> matrices.InvPair:
     """The pair of the terms `key` in memos[level], g's run memo at the top
     level (0) and its nested store below (1); on a miss it is recalled from
-    g's stores (_recall) or made by make(), and kept there, so that a pair
-    recalled by its formal inverse is found directly next time."""
+    g's stores (_recall) or made by make(*args), and kept there, so that a
+    pair recalled by its formal inverse is found directly next time."""
     store = memos[level]
     pair = store.get(key)
     if pair is None:
-        pair = _recall(memos, key) or make()
+        pair = _recall(memos, key) or make(*args)
         _bounded_put(store, key, pair, _NESTED_RUN_MAX if level else _RUN_MEMO_MAX)
     return pair
 
@@ -482,14 +510,14 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) 
     k = _shared_len([h for _, h in terms], suffix=True)
     if k and any(len(h) > k for _, h in terms):
         s = _segment(ring, n, terms[0][1][-k:], cache)
-        inner = _conj_product(ring, n, [(eps, h[:-k]) for eps, h in terms], g, cache, memos)
-        return s.bwd.mul(inner).mul(s.fwd)
+        inner = _conj_product(ring, n, tuple((eps, h[:-k]) for eps, h in terms), g, cache, memos)
+        return matrices._product(ring, inner.dim, (s.bwd, inner, s.fwd))
     parts = []
     for group in _groups(terms):
         if not group[0][1]:  # empty conjugators contribute g^eps directly
             parts.extend(g.fwd if eps == 1 else g.bwd for eps, _ in group)
             continue
-        pair = _kept(memos, 0, group, lambda: _level_pair(ring, n, group, g, cache, memos, ()))
+        pair = _kept(memos, 0, group, _level_pair, ring, n, group, g, cache, memos, ())
         parts.append(pair.fwd)
     return matrices._product(ring, indexing.dim(n), parts)
 
@@ -498,7 +526,7 @@ def _run_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, p
     """_level_pair, recalled or kept in g's nested store under the absolute
     terms (eps, prefix + X), whose product on g it is (_kept)."""
     key = tuple((eps, prefix + h) for eps, h in terms)
-    return _kept(memos, 1, key, lambda: _level_pair(ring, n, terms, base, cache, memos, prefix))
+    return _kept(memos, 1, key, _level_pair, ring, n, terms, base, cache, memos, prefix)
 
 
 def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
@@ -514,14 +542,12 @@ def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos,
     p = _shared_len(hs)
     if p:
         letters = prefix + terms[0][1][:p]
-        run_base = _kept(
-            memos, 1 if prefix else 0, ((1, letters),),
-            lambda: matrices.conjugate(base, _segment(ring, n, letters[len(prefix) :], cache)),
-        )
-        return _level_pair(ring, n, [(eps, h[p:]) for eps, h in terms], run_base, cache, memos, letters)
+        level = 1 if prefix else 0
+        run_base = _kept(memos, level, ((1, letters),), _conjugated, ring, n, base, terms[0][1][:p], cache)
+        return _level_pair(ring, n, tuple((eps, h[p:]) for eps, h in terms), run_base, cache, memos, letters)
     k = _shared_len(hs, suffix=True)
     if k:
-        inner = _run_pair(ring, n, [(eps, h[:-k]) for eps, h in terms], base, cache, memos, prefix)
+        inner = _run_pair(ring, n, tuple((eps, h[:-k]) for eps, h in terms), base, cache, memos, prefix)
         return matrices.conjugate(inner, _segment(ring, n, terms[0][1][-k:], cache))
     parts = []
     for group in _groups(terms):

@@ -708,3 +708,36 @@ def test_gen_at_rank_one_exits_2_instead_of_looping():
         generate.random_transv_word(1, ring, 3, rng)
     with pytest.raises(ValueError):
         generate.random_ext_word(5, ring, -1, rng)
+
+
+def _fresh_interpreter(code, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # member reads a matrix and checks it: in a fresh interpreter it must
+    # leave the engine and the identity suites unloaded; decompose loads the
+    # engine, and a matrix outside the group is still a property failure
+    g_path = _gen(tmp_path)
+    bad = {"dim": 6, "n": 4, "ring": {"type": "zmod", "modulus": 97},
+           "fwd": [[str(int(r == c) + (r == c == 0)) for c in range(6)] for r in range(6)],
+           "bwd": [[str(49 if r == c == 0 else int(r == c)) for c in range(6)] for r in range(6)]}
+    bad_path = tmp_path / "outside.json"
+    bad_path.write_text(json.dumps(bad))
+    code = ("import json, sys\n"
+            "from extsquare import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('extsquare'))]))\n")
+    done = _fresh_interpreter(code, "member", "--in", str(g_path))
+    code_, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code_ == 0 and done.stdout.startswith("member")
+    assert "extsquare.plucker" in loaded
+    assert "extsquare.rdu" not in loaded and "extsquare.certify" not in loaded, loaded
+    done = _fresh_interpreter(code, "decompose", "--in", str(bad_path), "--target", "entry:1,3:1,2",
+                              "--k", "2", "--l", "3")
+    code_, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code_ == 1 and "extsquare.rdu" in loaded
+    assert done.stderr.startswith("property failure: ") and "Traceback" not in done.stderr

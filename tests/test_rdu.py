@@ -335,6 +335,62 @@ def test_each_letter_in_the_engine_cache_is_its_letter_matrix_pair(ring_id, n):
     assert len(eng._cache) <= words._SEGMENT_CACHE_MAX
 
 
+def _validated(n, terms):
+    """ConjWord(n, ...) on ExtWord(n, letters) for (eps, letters) terms."""
+    return ConjWord(n, [(eps, words.ExtWord(n, letters)) for eps, letters in terms])
+
+
+def test_trusted_words_equal_their_validated_construction():
+    # reconjugate, retarget, ConjWord.__add__ and ConjWord.inverse build on
+    # validated words and check only the rank of what they add; each word
+    # must equal the one built through ConjWord(n, ...) and ExtWord(n, ...)
+    ring, n = rings.ModularRing(97), 5
+    rng = generate.rng_for(3, "trusted")
+    word = ConjWord(n, [((-1) ** t, generate.random_ext_word(n, ring, k, rng)) for t, k in enumerate((0, 3, 1, 4))])
+    other = ConjWord(n, [(1, generate.random_ext_word(n, ring, 2, rng))])
+    fix = generate.random_ext_word(n, ring, 3, rng)
+    terms = [(eps, h.letters) for eps, h in word.terms]
+    assert rdu.reconjugate(word, fix) == _validated(n, [(eps, fix.letters + h) for eps, h in terms])
+    assert rdu.retarget(word, fix) == _validated(n, [(eps, h + fix.letters) for eps, h in terms])
+    assert word + other == _validated(n, terms + [(eps, h.letters) for eps, h in other.terms])
+    assert word.inverse() == _validated(n, [(-eps, h) for eps, h in reversed(terms)])
+    # a prefix or suffix of another rank, or of another species, is refused
+    for bad in (generate.random_ext_word(n + 1, ring, 2, rng), words.PairWord(n)):
+        for build in (rdu.reconjugate, rdu.retarget):
+            with pytest.raises(ValueError):
+                build(word, bad)
+    with pytest.raises(ValueError):
+        word + ConjWord(n + 1)
+
+
+@pytest.mark.parametrize("ring_id", sorted(SEGMENT_RINGS))
+def test_core_words_equal_their_validated_construction(monkeypatch, ring_id):
+    # _build_core writes T, z and the eight-term word unchecked; over a sweep
+    # each must equal the word built the long way: T read entry by entry from
+    # g1 = P^-1 g P for the outer prefix P, and z and the eight-term word
+    # [a, z] = (z conjugated by a^-1) z^-1 through ConjWord(n, ...)
+    ring, n = SEGMENT_RINGS[ring_id], 5
+    g, eng = _engine(n, 17, ring)
+    built = []
+    reconjugate = rdu.reconjugate
+    monkeypatch.setattr(rdu, "reconjugate", lambda w, p: built.append((w, p)) or reconjugate(w, p))
+    _sweep(eng, g, n, targets=((2, 3),))
+    assert len(built) == 2 * len(eng._core_cache)
+    s_inv = (2, 3, ring.neg(ring.one))
+    r12 = indexing.rank((1, 2), n)
+    for (z, outer), (word, again) in zip(built[::2], built[1::2]):
+        assert again is outer
+        g1 = matrices.conjugate(g, words.ExtWord(n, outer.letters).eval(ring))
+        T = tuple((s, 1, g1.fwd.at(indexing.rank((1, s), n), r12)) for s in range(2, n + 1))
+        t_inv = words.ExtWord(n, T).inverse(ring).letters
+        z_terms = [(-1, ()), (1, t_inv), (-1, (s_inv,) + t_inv), (1, T + (s_inv,) + t_inv)]
+        assert z == _validated(n, z_terms)
+        a_inv = ((1, 3, ring.one),)
+        assert word == _validated(
+            n, [(eps, h + a_inv) for eps, h in z_terms] + [(-eps, h) for eps, h in reversed(z_terms)]
+        )
+
+
 def _holds_a_matrix(value, depth: int = 0) -> bool:
     if isinstance(value, (matrices.Matrix, matrices.InvPair)):
         return True

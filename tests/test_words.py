@@ -448,3 +448,29 @@ def test_a_segment_of_one_j_is_written_without_a_product(monkeypatch, ring_id):
     for letters in (((3, 1, five), (3, 1, seven)), ((2, 1, five), (1, 3, seven))):
         got, pair = ExtWord(n, letters).eval(ring, cache), ExtWord(n, letters).eval(ring)
         assert (got.fwd, got.bwd) == (pair.fwd, pair.bwd), letters
+
+
+@pytest.mark.parametrize("modulus", [97, 2**31 - 1])
+def test_letters_store_canonical_residues_from_unreduced_payloads(modulus):
+    # matrices._identity_plus stores its values as they are, ring payloads;
+    # every public way to a letter coerces first, so the unreduced payloads
+    # -1 and m + 5 still give residues in [0, m), equal to the reduced ones
+    ring, n = rings.ModularRing(modulus), 5
+    N = indexing.dim(n)
+
+    def canonical(m):
+        residues = m._residues()
+        return 0 <= residues.min() and residues.max() < modulus
+
+    for x in (-1, modulus + 5):
+        x_mod = x % modulus
+        t = matrices.transvection(ring, N, 2, 7, x)
+        assert canonical(t) and t == matrices.transvection(ring, N, 2, 7, x_mod)
+        letter = ext_letter_matrix(ring, n, 2, 4, x)
+        assert canonical(letter) and letter == ext_letter_matrix(ring, n, 2, 4, x_mod)
+        for letters in (((2, 4, x),), ((3, 1, x), (5, 1, x)), ((2, 4, x), (1, 3, x))):
+            want = ExtWord(n, [(i, j, x_mod) for i, j, _ in letters]).eval(ring)
+            for cache in (None, {}):
+                pair = ExtWord(n, letters).eval(ring, cache)
+                assert canonical(pair.fwd) and canonical(pair.bwd), letters
+                assert (pair.fwd, pair.bwd) == (want.fwd, want.bwd), letters

@@ -16,6 +16,12 @@ from the src/ directory beside this script.  Two things are hashed:
   stabilize --col 2, --row 3 and plain on column {1,3}, and identities.
   Each command's exit code, stdout and stderr are hashed, and at the end
   every file it wrote, by name, in a fresh working directory.
+
+A line before the digest, outside it, gives the number of
+matrices._int64_matmul calls of each sweep (the engine's membership check,
+decompositions and system check; 0 over Z, which has no int64 kernel).  So
+a change to bookkeeping alone can show the same products beside the same
+digest.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from extsquare import cli, generate, indexing, jsonio, level, rdu, rings  # noqa: E402
+from extsquare import cli, generate, indexing, jsonio, level, matrices, rdu, rings  # noqa: E402
 
 SWEEPS = [
     (rings.ModularRing(97), 5),
@@ -49,11 +55,20 @@ def _word(word, ring) -> list:
     return [[eps, jsonio.ext_word_to_json(h, ring)] for eps, h in word.terms]
 
 
-def sweep_records():
-    """One JSON-ready record per decomposition and per system word."""
+def sweep_records(kernel_calls: list):
+    """One JSON-ready record per decomposition and per system word; appends
+    to `kernel_calls` the _int64_matmul calls of each sweep."""
+    matmul = matrices._int64_matmul
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return matmul(*args)
+
     for ring, n in SWEEPS:
         for seed in SEEDS:
             g = generate.compound_of_random(n, ring, 4 * n, generate.rng_for(seed, "rdu", n))
+            matrices._int64_matmul, calls[0] = counted, 0
             eng = rdu.ReverseDecomposer(g, n)
             for gen in level.level_generators(g.fwd, n):
                 for k, l in ((2, 3), (1, n)):
@@ -64,7 +79,10 @@ def sweep_records():
                         _word(d.word, ring),
                         [name for name, _ in d.certificates],
                     ]
-            for kind, I, J, word, param in eng.eight_conjugate_system():
+            system = eng.eight_conjugate_system()
+            matrices._int64_matmul = matmul
+            kernel_calls.append(f"{ring!r} n={n} seed {seed}: {calls[0]}")
+            for kind, I, J, word, param in system:
                 yield [repr(ring), n, seed, kind, I, J, jsonio.elem_to_json(ring, param), _word(word, ring)]
 
 
@@ -114,7 +132,8 @@ def commands():
 def main() -> int:
     digest = hashlib.sha256()
     count = 0
-    for record in sweep_records():
+    kernel_calls: list = []
+    for record in sweep_records(kernel_calls):
         digest.update(json.dumps(record).encode())
         count += 1
     here = os.getcwd()
@@ -131,6 +150,7 @@ def main() -> int:
         finally:
             os.chdir(here)
     print(f"{count} sweep records, {runs} commands")
+    print("_int64_matmul calls per sweep: " + "; ".join(kernel_calls))
     print(digest.hexdigest())
     return 0
 
