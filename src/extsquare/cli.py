@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _property_failures() -> tuple:
     """rdu's DecompositionError and CertificateError once rdu is loaded; only
-    rdu raises them, and the commands that call it import it."""
+    rdu raises them, and the commands that call it import it.  main's except
+    clause calls this only when an exception reaches it; an empty tuple
+    matches nothing."""
     rdu = sys.modules.get(f"{__package__}.rdu")
     return () if rdu is None else (rdu.DecompositionError, rdu.CertificateError)
 
@@ -284,14 +286,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, RuntimeError) as exc:
-        # property failures first: DecompositionError is a ValueError and
-        # CertificateError a RuntimeError
-        if isinstance(exc, _property_failures()):
-            print(f"property failure: {exc}", file=sys.stderr)
-            return 1
-        if isinstance(exc, RuntimeError):
-            raise
+    except _property_failures() as exc:  # first: DecompositionError is a ValueError
+        print(f"property failure: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -337,11 +337,11 @@ def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     """The dim x dim identity with payloads `values` at the off-diagonal
     positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides.
     The values are ring payloads (ring.coerce's answers, residues in [0, m)
-    over Z/m), so int64 storage takes them as they are, unreduced."""
+    over Z/m); int64 storage still reduces them mod m."""
     if _int64_kernel(ring, dim) is not None:
         data = np.eye(dim, dtype=np.int64)
         data[rows, cols] = values
-        return _from_residues(ring, data)
+        return _from_residues(ring, data % ring.modulus)
     z, o = ring.zero, ring.one
     out = [[o if r == c else z for c in range(dim)] for r in range(dim)]
     for r, c, v in zip(rows, cols, values):
@@ -351,10 +351,11 @@ def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
 
 def _unipotent_pair(ring, dim: int, rows, cols, values) -> "InvPair":
     """The pair (I + A, I - A) for the dim x dim matrix A with ring payloads
-    `values` at the off-diagonal positions (rows[k], cols[k]), 0-based.  The
-    caller vouches that A^2 = 0, so that I - A is the inverse of I + A; it
-    is not checked.  Where storage is int64 both sides are written into one
-    stack (see InvPair), else each is an _identity_plus."""
+    `values` (ring.coerce's answers) at the off-diagonal positions
+    (rows[k], cols[k]), 0-based, stored as they are.  The caller vouches
+    that A^2 = 0, so that I - A is the inverse of I + A; it is not checked.
+    Where storage is int64 both sides are written into one stack (see
+    InvPair), else each is an _identity_plus."""
     neg = [ring.neg(v) for v in values]
     if _int64_kernel(ring, dim) is None:
         at = (ring, dim, rows, cols)
@@ -519,14 +520,11 @@ def _stacked(ring, stack, pair: InvPair | None = None) -> InvPair:
 def _pair_product(pairs) -> InvPair:
     """The product of a nonempty sequence of pairs of one ring and dim, left
     to right: one stacked kernel call per factor where pairs are stacks,
-    else each side multiplied out, the backward one in reverse order.  A
-    single pair is its own product."""
+    else each side multiplied out, the backward one in reverse order."""
     first = pairs[0]
-    if len(pairs) == 1:
-        return first
     ring, dim = first.ring, first.dim
     for p in pairs[1:]:
-        if p.ring is not ring and p.ring != ring:
+        if p.ring != ring:
             raise rings.RingMismatchError("ring mismatch")
         if p.dim != dim:
             raise ValueError("dimension mismatch")

@@ -133,10 +133,10 @@ def retarget(word: ConjWord, suffix: ExtWord) -> ConjWord:
 
 @lru_cache(maxsize=1024)
 def _route_inverse(route: ExtWord, ring) -> ExtWord:
-    """route.inverse(ring), kept per route word and ring: a route (of
-    exterior.route_source or route_target, themselves cached) enters every
-    core or word it serves inverted.  Keyed on the word, not its indices,
-    so a route rebuilt after those caches are cleared is inverted anew."""
+    """route.inverse(ring), kept per route word and ring: a target route (of
+    exterior.route_target, itself cached) enters every decomposition to its
+    target inverted.  Keyed on the word, not its indices, so a route rebuilt
+    after that cache is cleared is inverted anew."""
     return route.inverse(ring)
 
 
@@ -211,7 +211,7 @@ class ReverseDecomposer:
         certs = []
 
         src, sigma = exterior.route_source(I, J, n)
-        outer = _route_inverse(src, ring) if tau is None else tau + _route_inverse(src, ring)
+        outer = src.inverse(ring) if tau is None else tau + src.inverse(ring)
         g1 = matrices.conjugate(pair, src.eval(ring, self._cache), "left")
         words._keep_base(self._cache, self.g, outer.letters, g1)
         r13, r12 = self._rank((1, 3)), self._rank((1, 2))

@@ -40,11 +40,13 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def coerce(self, value):
-        """Accept a RingElement, a python int, or a raw payload."""
+        """Accept a RingElement, a python int, or a raw payload; the answer
+        is canonical (a RingElement's payload is canonicalised too, since
+        the dataclass does not check it)."""
         if isinstance(value, RingElement):
             if value.ring != self:
                 raise RingMismatchError("ring mismatch")
-            return value.payload
+            return self.canon(value.payload)
         if isinstance(value, int):
             return self.from_int(value)
         return self.canon(value)

@@ -144,7 +144,7 @@ def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
     for i, j, xi in letters:
         xi = ring.coerce(xi)
         pairs.append(matrices.InvPair._trusted(letter(i, j, xi), letter(i, j, ring.neg(xi))))
-    return matrices._pair_product(pairs)
+    return pairs[0] if len(pairs) == 1 else matrices._pair_product(pairs)
 
 
 class _LetterWord:

@@ -452,9 +452,11 @@ def test_a_segment_of_one_j_is_written_without_a_product(monkeypatch, ring_id):
 
 @pytest.mark.parametrize("modulus", [97, 2**31 - 1])
 def test_letters_store_canonical_residues_from_unreduced_payloads(modulus):
-    # matrices._identity_plus stores its values as they are, ring payloads;
+    # matrices._unipotent_pair stores its values as they are, ring payloads;
     # every public way to a letter coerces first, so the unreduced payloads
-    # -1 and m + 5 still give residues in [0, m), equal to the reduced ones
+    # -1 and m + 5, and a RingElement built around m + 7 (the dataclass
+    # does not reduce it), still give residues in [0, m), equal to the
+    # reduced ones
     ring, n = rings.ModularRing(modulus), 5
     N = indexing.dim(n)
 
@@ -462,8 +464,7 @@ def test_letters_store_canonical_residues_from_unreduced_payloads(modulus):
         residues = m._residues()
         return 0 <= residues.min() and residues.max() < modulus
 
-    for x in (-1, modulus + 5):
-        x_mod = x % modulus
+    for x, x_mod in ((-1, modulus - 1), (modulus + 5, 5), (rings.RingElement(ring, modulus + 7), 7)):
         t = matrices.transvection(ring, N, 2, 7, x)
         assert canonical(t) and t == matrices.transvection(ring, N, 2, 7, x_mod)
         letter = ext_letter_matrix(ring, n, 2, 4, x)

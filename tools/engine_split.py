@@ -1,21 +1,20 @@
 """Split the operation time of the benchmark's engine stream by layer.
 
-    python3 tools/engine_split.py [--workload engine-zmod97] [--units 4000] [--seed 1]
+    python3 tools/engine_split.py
 
-Runs the first UNITS units of a perfbench engine workload in process, on the
-benchmark's own inputs and order, and prints where the operation time went:
-decompose and verify as the benchmark times them, and, within decompose,
-every core build (rdu.ReverseDecomposer._build_core), every
-ConjWord.eval_matrix call with the matrices._int64_matmul calls inside it,
-and all of decompose's _int64_matmul calls.  Timers wrap those callables,
-so each figure includes their small cost.  The package is
+Runs the first UNITS units of the perfbench workload WORKLOAD (seed SEED) in
+process, on the benchmark's own inputs and order, and prints where the
+operation time went: decompose and verify as the benchmark times them, and,
+within decompose, every core build (rdu.ReverseDecomposer._build_core),
+every ConjWord.eval_matrix call with the matrices._int64_matmul calls inside
+it, and all of decompose's _int64_matmul calls.  Timers wrap those
+callables, so each figure includes their small cost.  The package is
 imported from the src/ directory beside this script, the workload from
 perfbench/.  Run it from two checkouts to compare them.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -25,6 +24,10 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
 from extsquare import matrices, rdu, words  # noqa: E402
+
+WORKLOAD = "engine-zmod97"
+UNITS = 4000
+SEED = 1
 
 
 class Split:
@@ -60,27 +63,22 @@ class Split:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="engine-zmod97")
-    parser.add_argument("--units", type=int, default=4000)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-    workload = workloads.WORKLOADS[args.workload]
-    inputs = workload.inputs(args.seed, False, {"level": 0.0})
+    workload = workloads.WORKLOADS[WORKLOAD]
+    inputs = workload.inputs(SEED, False, {"level": 0.0})
     split = Split()
     split.wrap(rdu.ReverseDecomposer, "decompose")
     split.wrap(rdu.ReverseDecomposer, "_build_core")
     split.wrap(words.ConjWord, "eval_matrix")
     split.wrap(matrices, "_int64_matmul")
     out = workloads.Outcome()
-    workload.run(inputs, lambda done: done >= args.units, out, True, os.getcwd())
+    workload.run(inputs, lambda done: done >= UNITS, out, True, os.getcwd())
     if out.failed:
         print(f"{out.failed} operations failed", file=sys.stderr)
         return 1
     decompose = sum(op.parts[0] for op in out.ops)
     verify = sum(op.parts[1] for op in out.ops)
     total = decompose + verify
-    print(f"{args.workload}, seed {args.seed}, {args.units} units, {len(out.ops)} operations")
+    print(f"{WORKLOAD}, seed {SEED}, {UNITS} units, {len(out.ops)} operations")
     print(f"op time {total:.2f} s: decompose {decompose:.2f} s ({decompose / total:.0%}), "
           f"verify {verify:.2f} s ({verify / total:.0%})")
     for name, what in (("_build_core", "core builds"), ("eval_matrix", "ConjWord.eval_matrix"),
