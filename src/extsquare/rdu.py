@@ -14,13 +14,15 @@ is returned; a failed certificate raises instead of degrading, and
 `decompose` names the target it failed on.
 
 Every word certificate is evaluated on the engine's own g, through one
-shared cache, so ConjWord.eval_matrix multiplies each run of core terms once
-per engine: the core certificates compute it, and `final-verified` and the
-system check reuse it for every target, inverting it where a core enters a
-word inverted.  Within a core, the eight-term word recalls the four-term z
-and z's last three terms, inverted.  g is conjugated by each core's outer
-prefix once, too: the routed g1 that a core is built on is the base of its
-words' top-level run, and _build_core leaves it in g's run memo.
+shared cache, so each run of core terms is multiplied once per engine: the
+core certificates compute it, and `final-verified` and the system check
+reuse it for every target, inverting it where a core enters a word
+inverted.  Within a core, z is made in one pass over its telescoped chain on
+the routed g1 (words._chain), which keeps z's pair and the pair of z's last
+three terms, and the eight-term word (ConjWord.eval_matrix) recalls the
+first and the second inverted.  g is conjugated by each core's outer prefix
+once, too: the routed g1 that a core is built on is the base of its words'
+top-level run, and _build_core leaves it in g's run memo.
 
 The eight-term core works at the fixed position ({1,3}, {1,2}):
 
@@ -204,7 +206,12 @@ class ReverseDecomposer:
         top-level run.  T's pair is a segment of the engine's cache, written
         in one step (ExtWord.eval), h = g1^-1 T g1 and h^-1 come from one
         conjugation of it, and the core's word is checked in place
-        (_is_letter).
+        (_is_letter).  z, written on g as reconjugate(z, P), is multiplied
+        in one pass over g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1
+        (words._chain: 9 products, each factor g1 or a segment of the
+        cache, or one of them inverted), which keeps z's pair in g's run
+        memo and the pair of z's last three terms in g's nested store; the
+        eight-term word recalls both, the second inverted.
         """
         ring, n = self.ring, self.n
         pair = self.g if tau is None else matrices.conjugate(self.g, tau.eval(ring, self._cache))
@@ -255,7 +262,7 @@ class ReverseDecomposer:
                 (1, T + s_inv + t_inv),
             ),
         )
-        z_val = reconjugate(z, outer).eval_matrix(self.g, self._cache)
+        z_val = words._chain(ring, n, reconjugate(z, outer), g1, self._cache, self.g, len(outer))
 
         # Direct route from matrices: z = T [T^-1 h, s] T^-1 = h s h^-1 T s^-1 T^-1.
         S = s_word.eval(ring, self._cache)

@@ -23,15 +23,18 @@ factored over the segments the conjugators share.  It keeps, per g, the pair
 of every group of terms it multiplies, keyed by the group's terms from g on,
 so a group recurs for free and a group whose formal inverse is kept costs
 only a view; g conjugated by a shared prefix P is kept the same way, as the
-one-term group (1, P).  ExtWord.eval keeps those segments in a caller's
-cache, each entry exactly the product of its key's letters, and builds a
-new segment by inverting the entry of its formal inverse, by writing it in
-one step when its letters share one j and have distinct i (a letter, or a
-core's column stabilizer), or by extending its longest cached proper
-suffix.  The letters of a new segment are read from the same cache, as
-one-letter segments.  Every pair is one int64 stack where
-matrices stores int64 (see matrices.InvPair), so both of its sides multiply
-in one kernel call.
+one-term group (1, P).  A core's z is not cut into groups: its terms all
+conjugate the routed g1 = P^-1 g P, and its conjugators past P telescope,
+so _chain makes it in one pass over g1 and the segments between its terms,
+and keeps the two runs of z that the core's commutator word recalls.
+ExtWord.eval keeps those segments in a caller's cache, each entry exactly
+the product of its key's letters, and builds a new segment by inverting
+the entry of its formal inverse, by writing it in one step when its
+letters share one j and have distinct i (a letter, or a core's column
+stabilizer), or by extending its longest cached proper suffix.  The
+letters of a new segment are read from the same cache, as one-letter
+segments.  Every pair is one int64 stack where matrices stores int64 (see
+matrices.InvPair), so both of its sides multiply in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices, the pair-indexed expansion in exterior and the signs rdu reads off
@@ -83,15 +86,16 @@ def _letter_support(n: int, i: int, j: int):
 # level sweep over Z/97 at n = 6 (seed 1, a 24-letter source, targets (2, 3)
 # and (1, 6), then the system check), a caller's segment cache
 # (ExtWord.eval) holds 634 segments, 54 of them letters, and the run memo of
-# g (ConjWord.eval_matrix) 773 runs, 235 of them bases, one per core built;
+# g (ConjWord.eval_matrix) 772 runs, 234 of them bases, one per core built;
 # at n = 7 (a 28-letter source), 1 161 segments (1 187 over Z/(2^31 - 1))
-# and 1 483 runs, 453 of them bases.  Runs below the top level recur within
+# and 1 482 runs, 452 of them bases.  Runs below the top level recur within
 # one core or decomposition only, so their cap is small.  It costs the
 # final certificates a little, and the cores nothing: over the sweep at
-# (2, 3) alone (n = 6, seed 1, a 24-letter source) a core takes 26.51 kernel
-# calls with the last 32 runs kept, as with no cap, and a `final-verified`
-# certificate 0.77 with the nested cap at 32 and 0.64 uncapped (1.7 at 32
-# in a sweep at (1, 6) as well).
+# (2, 3) alone (n = 6, seed 1, a 24-letter source) a core keeps 3.7 runs
+# below the top level, one of them z's last three terms (_chain), takes
+# 26.50 kernel calls with the last 32 runs kept, as with no cap, and a
+# `final-verified` certificate 0.77 with the nested cap at 32 and 0.64
+# uncapped (1.7 at 32 in a sweep at (1, 6) as well).
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
 _NESTED_RUN_MAX = 32
@@ -380,7 +384,8 @@ class ConjWord:
         below.  Each is recalled from either, or inverted (a view, no
         product) from the pair of its formal inverse, and kept at its
         level through one step, _kept.  So a core's eight-term word recalls
-        its four-term z and z's last three terms inverted, and a term
+        its four-term z and z's last three terms inverted (both kept by
+        _chain, which makes z), and a term
         (-1, P) is the inverted base of P.  The triple holds g, so its id
         is not reused while the entry lives.  The top level multiplies
         forward sides only.
@@ -524,8 +529,12 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) 
 
 def _run_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
     """_level_pair, recalled or kept in g's nested store under the absolute
-    terms (eps, prefix + X), whose product on g it is (_kept)."""
+    terms (eps, prefix + X), whose product on g it is (_kept).  A one-term
+    run (1, X) is the base (P X)^-1 g (P X): it is looked up and kept once,
+    where _level_pair keeps the bases of prefix P + X."""
     key = tuple((eps, prefix + h) for eps, h in terms)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return _kept(memos, 1 if prefix else 0, key, _conjugated, ring, n, base, terms[0][1], cache)
     return _kept(memos, 1, key, _level_pair, ring, n, terms, base, cache, memos, prefix)
 
 
@@ -556,6 +565,47 @@ def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos,
         else:
             parts.extend(base if eps == 1 else base.invert() for eps, _ in group)
     return matrices._pair_product(parts)
+
+
+def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, g: matrices.InvPair, p: int) -> matrices.Matrix:
+    """The forward product of `word` on g, as eval_matrix gives it, for a
+    word whose conjugators all begin with the same p letters P and whose
+    first term is (eps, P), a core's z, with `base` the pair of b = P^-1 g P.
+
+    Past P the conjugators X_1 = (), X_2, ..., X_m telescope: the product is
+    b^e1 (X_1 X_2^-1) b^e2 (X_2 X_3^-1) ... b^em X_m, and each X_t X_t+1^-1
+    is taken once the suffix the two share cancels.  X_m is cut into pieces
+    where such a suffix was cut, so each factor is b, b^-1 (a view), a
+    segment of `cache` or one inverted (a view), and one pass multiplies
+    them: for z, g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1 in 9 stacked
+    products.  The pass goes through the run of the last m - 1 terms whole;
+    that pair is kept in g's nested store and the word's in g's run memo,
+    each under its absolute terms, where the commutator word of a core
+    recalls them (the first inverted, the second as z's terms with a^-1
+    appended).
+    """
+    terms = tuple((eps, h.letters) for eps, h in word.terms)
+    xs = [h[p:] for _, h in terms]
+    shared = [_shared_len(pair, suffix=True) for pair in zip(xs, xs[1:])]
+    powers = {1: base, -1: base.invert()}
+    factors = []  # the run of terms 2..m: (X_1 X_2^-1) b^e2 ... b^em X_m
+    for t in range(1, len(xs)):
+        k = shared[t - 1]
+        left, right = xs[t - 1][: len(xs[t - 1]) - k], xs[t][: len(xs[t]) - k]
+        if left:
+            factors.append(_segment(ring, n, left, cache))
+        if right:
+            factors.append(_segment(ring, n, right, cache).invert())
+        factors.append(powers[terms[t][0]])
+    last = xs[-1]
+    cuts = sorted({len(last) - min(shared[t:]) for t in range(len(shared))})  # shared[0] is 0
+    factors += [_segment(ring, n, last[a:b], cache) for a, b in zip([0] + cuts, cuts) if a < b]
+    run = matrices._pair_product(factors)
+    pair = matrices._pair_product((powers[terms[0][0]], run))
+    memo, nested = _run_memo(cache, g)
+    _bounded_put(nested, terms[1:], run, _NESTED_RUN_MAX)
+    _bounded_put(memo, terms, pair, _RUN_MEMO_MAX)
+    return pair.fwd
 
 
 def _keep_base(cache: dict, g: matrices.InvPair, prefix: tuple, pair: matrices.InvPair) -> None:

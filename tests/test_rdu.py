@@ -648,6 +648,112 @@ def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch
     assert sum(finals) / len(finals) <= 2
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [pytest.param(SEGMENT_RINGS[ring_id], id=ring_id) for ring_id in sorted(SEGMENT_RINGS)]
+    + [pytest.param(rings.PolynomialRing(("x",)), id="poly")],
+)
+def test_z_keeps_its_pair_and_the_run_of_its_last_three_terms(monkeypatch, ring):
+    # _build_core makes z in one pass over the telescoped chain on g1
+    # (words._chain), which keeps z's pair in g's run memo and the pair of
+    # z's last three terms in g's nested store, each under its absolute
+    # terms; for every core of a sweep both must be those words multiplied
+    # out, on both sides, and z's matrix the memo pair's forward side
+    n = 5
+    g, eng = _engine(n, 13, ring, length=2 * n)
+    chain = words._chain
+    checked = []
+
+    def spy(ring_, n_, word, base, cache, g_, p):
+        out = chain(ring_, n_, word, base, cache, g_, p)
+        _, memo, nested = cache[("runs", id(g_))]
+        terms = tuple((eps, h.letters) for eps, h in word.terms)
+        assert memo[terms].fwd == out
+        for store, key in ((memo, terms), (nested, terms[1:])):
+            run = _validated(n, key)
+            pair = store[key]
+            assert pair.fwd == rdu._naive_product(run, g), key
+            assert pair.bwd == rdu._naive_product(run.inverse(), g), key
+        checked.append(len(terms))
+        return out
+
+    monkeypatch.setattr(words, "_chain", spy)
+    for gen in level.level_generators(g.fwd, n):
+        eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
+    assert checked == [4] * len(eng._core_cache)
+
+
+def test_z_takes_at_most_9_kernel_calls_and_its_commutator_word_at_most_4(monkeypatch):
+    # the same sweep as the guards above: z's chain is 9 stacked products,
+    # and it keeps what the eight-term word recalls (z's pair, conjugated
+    # by one letter, and z's last three terms inverted, a view), so that
+    # word takes 4 more on average
+    n = 5
+    g, eng = _engine(n, 11)
+    calls, zs, eights = [], [], []
+    kernel = matrices._int64_matmul
+    chain = words._chain
+    build = rdu.ReverseDecomposer._build_core
+    evaluate = ConjWord.eval_matrix
+    building = []
+
+    def counted_kernel(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def counted_chain(*args):
+        before = len(calls)
+        out = chain(*args)
+        zs.append(len(calls) - before)
+        return out
+
+    def counted_build(self, *args):
+        building.append(1)
+        try:
+            return build(self, *args)
+        finally:
+            building.pop()
+
+    def counted_eval(self, *args):
+        before = len(calls)
+        out = evaluate(self, *args)
+        if building and len(self) == 8:
+            eights.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(matrices, "_int64_matmul", counted_kernel)
+    monkeypatch.setattr(words, "_chain", counted_chain)
+    monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
+    monkeypatch.setattr(ConjWord, "eval_matrix", counted_eval)
+    for gen in level.level_generators(g.fwd, n):
+        eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
+    assert len(zs) == len(eights) == 101
+    assert max(zs) <= 9
+    assert sum(eights) / len(eights) <= 4
+
+
+def test_a_changed_letter_of_z_fails_four_conjugate_z(monkeypatch):
+    # z's pass reads its segments by the word's own letters: with one
+    # payload of z's last conjugator changed, z's product no longer equals
+    # the direct h s h^-1 T s^-1 T^-1, and the core names that certificate
+    n = 5
+    g, eng = _engine(n, 11)
+    ring = g.ring
+    reconjugate = rdu.reconjugate
+
+    def changed(word, prefix):
+        if len(word) == 4:  # z; the eight-term word is built after it
+            eps, h = word.terms[-1]
+            (i, j, xi), rest = h.letters[0], h.letters[1:]
+            h = words.ExtWord(n, ((i, j, ring.add(xi, ring.one)),) + rest)
+            word = ConjWord(n, word.terms[:-1] + ((eps, h),))
+        return reconjugate(word, prefix)
+
+    monkeypatch.setattr(rdu, "reconjugate", changed)
+    with pytest.raises(rdu.CertificateError, match="four-conjugate-z"):
+        eng.decompose(rdu.GeneratorTarget("entry", (1, 2), (2, 4), 2, 3))
+
+
 def test_every_target_index(zmod97):
     g, eng = _engine(4, 8)
     n = 4
