@@ -135,9 +135,7 @@ def matrix_from_json(obj: dict) -> matrices.Matrix:
         return pair_from_json(obj).fwd
     ring = ring_from_json(_field(obj, "ring"))
     rows = _matrix_rows_from_json(ring, obj, "rows")
-    dim = obj.get("dim", len(rows))
-    if dim != len(rows):
-        raise ValueError("dim field disagrees with row count")
+    _check_dim(obj, len(rows))
     return matrices.Matrix(ring, rows)
 
 
@@ -157,6 +155,7 @@ def pair_from_json(obj: dict) -> matrices.InvPair:
     _object(obj, "matrix pair")
     ring = ring_from_json(_field(obj, "ring"))
     fwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "fwd"))
+    _check_dim(obj, fwd.dim)
     bwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "bwd"))
     return matrices.InvPair(fwd, bwd)  # certified on load
 
@@ -166,6 +165,13 @@ def _int_field(obj: dict, field: str, path: str = "") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{_name(path, field)}: expected an integer, got {json.dumps(value)}")
     return value
+
+
+def _check_dim(obj: dict, rows: int) -> None:
+    """Refuse a "dim", when the artifact has one, that is not an integer or
+    not its row count."""
+    if "dim" in obj and _int_field(obj, "dim") != rows:
+        raise ValueError(f"dim: expected {rows}, the row count, got {obj['dim']}")
 
 
 def pair_ambient_rank(obj: dict, dim: int) -> int:

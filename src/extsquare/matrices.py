@@ -333,6 +333,17 @@ def _payloads(ring, values):
     return tuple(values)
 
 
+def _identity_at(ring, mask):
+    """(the 0-based row-major positions where the square boolean `mask` is
+    true, the identity's payloads there as _payloads makes them), the
+    arguments of Matrix._equals_at that ask for the identity there."""
+    rows, cols = np.nonzero(mask)
+    eye = _payloads(ring, [ring.one if d else ring.zero for d in (rows == cols).tolist()])
+    flat = rows * len(mask) + cols
+    flat.flags.writeable = False
+    return flat, eye
+
+
 def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     """The dim x dim identity with payloads `values` at the off-diagonal
     positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides.

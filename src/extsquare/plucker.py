@@ -271,13 +271,13 @@ def parabolic_zero_check(g: matrices.Matrix, I, n: int | None = None) -> bool:
 
 @lru_cache(maxsize=64)
 def _zero_block(I, n: int, ring):
-    """The zero block of parabolic_zero_check as 0-based row-major
-    positions, with ring zeros there as matrices._payloads makes them: every
-    rank of a pair K avoiding the sorted pair I against every rank of a
-    pair J meeting it in exactly one index."""
+    """The zero block of parabolic_zero_check, as matrices._identity_at
+    gives it (the block is off the diagonal, so its payloads are zeros):
+    every rank of a pair K avoiding the sorted pair I against every rank of
+    a pair J meeting it in exactly one index."""
     ps = indexing.pairs(n)
     K = [indexing.rank(K, n) for K in ps if not set(K) & set(I)]
     J = [indexing.rank(J, n) for J in ps if indexing.height(I, J) == 1]
-    flat = (np.array(K, dtype=np.intp)[:, None] * len(ps) + np.array(J, dtype=np.intp)).ravel()
-    flat.flags.writeable = False
-    return flat, matrices._payloads(ring, [ring.zero] * len(flat))
+    mask = np.zeros((len(ps),) * 2, dtype=bool)
+    mask[np.ix_(K, J)] = True
+    return matrices._identity_at(ring, mask)

@@ -18,11 +18,12 @@ shared cache, so each run of core terms is multiplied once per engine: the
 core certificates compute it, and `final-verified` and the system check
 reuse it for every target, inverting it where a core enters a word
 inverted.  Within a core, z is made in one pass over its telescoped chain on
-the routed g1 (words._chain), which keeps z's pair and the pair of z's last
-three terms, and the eight-term word (ConjWord.eval_matrix) recalls the
-first and the second inverted.  g is conjugated by each core's outer prefix
-once, too: the routed g1 that a core is built on is the base of its words'
-top-level run, and _build_core leaves it in g's run memo.
+the routed g1 (words._chain), which keeps g1, z's pair and the pair of z's
+last three terms, and the eight-term word (ConjWord.eval_matrix) recalls
+them, the third inverted; only that word's pair stays in g's run memo.
+Cores are cached per slot, at most N (N - 1 + 2 (n - 2)) for N = C(n, 2):
+a plain and a combined-diagonal core per ordered pair of height one, and a
+combined-entry core per ordered pair of height zero.
 
 The eight-term core works at the fixed position ({1,3}, {1,2}):
 
@@ -74,10 +75,6 @@ class CertificateError(RuntimeError):
 
 
 CASE_LENGTHS = {"h1-entry": 8, "h0-entry": 16, "h1-diag": 24, "h0-diag": 48}
-
-# Above the 452 cores of a full level sweep at n = 7; the oldest go first.
-_CORE_CACHE_MAX = 1024
-
 
 @dataclass(frozen=True)
 class GeneratorTarget:
@@ -189,8 +186,7 @@ class ReverseDecomposer:
         key = (I, J, None if tau is None else tau.letters)
         hit = self._core_cache.get(key)
         if hit is None:
-            hit = self._build_core(I, J, tau)
-            words._bounded_put(self._core_cache, key, hit, _CORE_CACHE_MAX)
+            hit = self._core_cache[key] = self._build_core(I, J, tau)
         return hit
 
     def _build_core(self, I, J, tau: ExtWord | None):
@@ -202,16 +198,16 @@ class ReverseDecomposer:
         the outer prefix P = tau + src^-1 (g1 = P^-1 g P); an orientation flip
         from the source route is absorbed by formal inversion.  Word
         certificates are evaluated on self.g, so later products on g reuse
-        their runs; g1 is left in g's run memo as the base P^-1 g P of their
-        top-level run.  T's pair is a segment of the engine's cache, written
+        their runs.  T's pair is a segment of the engine's cache, written
         in one step (ExtWord.eval), h = g1^-1 T g1 and h^-1 come from one
         conjugation of it, and the core's word is checked in place
         (_is_letter).  z, written on g as reconjugate(z, P), is multiplied
         in one pass over g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1
         (words._chain: 9 products, each factor g1 or a segment of the
-        cache, or one of them inverted), which keeps z's pair in g's run
-        memo and the pair of z's last three terms in g's nested store; the
-        eight-term word recalls both, the second inverted.
+        cache, or one of them inverted), which keeps g1 as the base
+        P^-1 g P, z's pair and the pair of z's last three terms in g's
+        nested store; the eight-term word recalls all three, the third
+        inverted, and only its own pair stays in g's run memo.
         """
         ring, n = self.ring, self.n
         pair = self.g if tau is None else matrices.conjugate(self.g, tau.eval(ring, self._cache))
@@ -220,7 +216,6 @@ class ReverseDecomposer:
         src, sigma = exterior.route_source(I, J, n)
         outer = src.inverse(ring) if tau is None else tau + src.inverse(ring)
         g1 = matrices.conjugate(pair, src.eval(ring, self._cache), "left")
-        words._keep_base(self._cache, self.g, outer.letters, g1)
         r13, r12 = self._rank((1, 3)), self._rank((1, 2))
         c = g1.fwd.at(r13, r12)
         certs.append(
@@ -488,20 +483,10 @@ class ReverseDecomposer:
         return results
 
 
-def _identity_at(ring, mask):
-    """(the 0-based row-major positions where the square `mask` is true, the
-    identity's payloads there as matrices._payloads makes them)."""
-    rows, cols = np.nonzero(mask)
-    eye = matrices._payloads(ring, [ring.one if d else ring.zero for d in (rows == cols).tolist()])
-    flat = rows * len(mask) + cols
-    flat.flags.writeable = False
-    return flat, eye
-
-
 @lru_cache(maxsize=64)
 def _radical_complement(n: int, ring):
     """Positions where a matrix in the parabolic's unipotent radical equals
-    the identity, as _identity_at gives them.
+    the identity, as matrices._identity_at gives them.
 
     Blocks grade the pair labels by their overlap with {1, 2}: the pair
     {1,2} itself, then pairs meeting it in one index, then the rest.  The
@@ -509,16 +494,17 @@ def _radical_complement(n: int, ring):
     grading, so it is the identity wherever grade(row) >= grade(col).
     """
     grade = np.array([2 - len(set(p) & {1, 2}) for p in indexing.pairs(n)])
-    return _identity_at(ring, grade[:, None] >= grade[None, :])
+    return matrices._identity_at(ring, grade[:, None] >= grade[None, :])
 
 
 @lru_cache(maxsize=64)
 def _letter_complement(n: int, ring, i: int, j: int):
-    """The positions off the letter (i, j, xi)'s support, as _identity_at."""
+    """The positions off the letter (i, j, xi)'s support, as
+    matrices._identity_at gives them."""
     rows, cols, _ = words._letter_support(n, i, j)
     mask = np.ones((indexing.dim(n),) * 2, dtype=bool)
     mask[rows, cols] = False
-    return _identity_at(ring, mask)
+    return matrices._identity_at(ring, mask)
 
 
 def _is_letter(product: matrices.Matrix, n: int, i: int, j: int, xi) -> bool:

@@ -23,10 +23,11 @@ factored over the segments the conjugators share.  It keeps, per g, the pair
 of every group of terms it multiplies, keyed by the group's terms from g on,
 so a group recurs for free and a group whose formal inverse is kept costs
 only a view; g conjugated by a shared prefix P is kept the same way, as the
-one-term group (1, P).  A core's z is not cut into groups: its terms all
+one-term group (1, P): top-level groups in g's run memo, all else in a
+small nested store.  A core's z is not cut into groups: its terms all
 conjugate the routed g1 = P^-1 g P, and its conjugators past P telescope,
 so _chain makes it in one pass over g1 and the segments between its terms,
-and keeps the two runs of z that the core's commutator word recalls.
+and keeps g1 and the two runs of z that the core's commutator word recalls.
 ExtWord.eval keeps those segments in a caller's cache, each entry exactly
 the product of its key's letters, and builds a new segment by inverting
 the entry of its formal inverse, by writing it in one step when its
@@ -85,17 +86,18 @@ def _letter_support(n: int, i: int, j: int):
 # sweep at n <= 7, so an engine evicts only at larger ranks.  After a full
 # level sweep over Z/97 at n = 6 (seed 1, a 24-letter source, targets (2, 3)
 # and (1, 6), then the system check), a caller's segment cache
-# (ExtWord.eval) holds 634 segments, 54 of them letters, and the run memo of
-# g (ConjWord.eval_matrix) 772 runs, 234 of them bases, one per core built;
-# at n = 7 (a 28-letter source), 1 161 segments (1 187 over Z/(2^31 - 1))
-# and 1 482 runs, 452 of them bases.  Runs below the top level recur within
-# one core or decomposition only, so their cap is small.  It costs the
-# final certificates a little, and the cores nothing: over the sweep at
-# (2, 3) alone (n = 6, seed 1, a 24-letter source) a core keeps 3.7 runs
-# below the top level, one of them z's last three terms (_chain), takes
-# 26.50 kernel calls with the last 32 runs kept, as with no cap, and a
-# `final-verified` certificate 0.77 with the nested cap at 32 and 0.64
-# uncapped (1.7 at 32 in a sweep at (1, 6) as well).
+# (ExtWord.eval) holds 643 segments, 58 of them letters, and the run memo of
+# g (ConjWord.eval_matrix) 305 top-level groups, one of them a single term;
+# at n = 7 (a 28-letter source), 1 172 segments (1 198 over Z/(2^31 - 1))
+# and 579 groups; at n = 10 (a 40-letter source, targets (2, 3) only)
+# 2 548 groups.  Runs and bases below the top level (a core's g1 and z
+# among them) recur within one core or decomposition only, so their cap is
+# small.  It costs the final certificates a little, and the cores nothing:
+# over the sweep at (2, 3) alone (n = 6, seed 1, a 24-letter source) a core
+# keeps 5.0 entries below the top level, takes 26.50 kernel calls with the
+# last 32 kept, as with no cap, and a `final-verified` certificate 0.88
+# with the nested cap at 32 and 0.64 uncapped (1.73 and 1.61 in a sweep at
+# (1, 6) as well).
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
 _NESTED_RUN_MAX = 32
@@ -378,14 +380,14 @@ class ConjWord:
         fewer.  A base P^-1 g P is the one-term run (1, P).  Every run and
         base is kept under its terms with their absolute conjugators (the
         letters from g on), whose product on g it is: in the memo for
-        top-level groups, once S is stripped, and for the bases of their
-        shared prefixes (rdu seeds it with the routed g of every core it
-        builds), and among the last _NESTED_RUN_MAX entries of nested
-        below.  Each is recalled from either, or inverted (a view, no
-        product) from the pair of its formal inverse, and kept at its
-        level through one step, _kept.  So a core's eight-term word recalls
-        its four-term z and z's last three terms inverted (both kept by
-        _chain, which makes z), and a term
+        top-level groups, once S is stripped, and among the last
+        _NESTED_RUN_MAX entries of nested for everything below them, the
+        bases of their shared prefixes included.  Each is recalled from
+        either, or inverted (a view, no product) from the pair of its
+        formal inverse, and kept at its level through one step, _kept.  So
+        a core's eight-term word recalls the routed g1 as the base of its
+        shared prefix, its four-term z and z's last three terms inverted
+        (all three kept in nested by _chain, which makes z), and a term
         (-1, P) is the inverted base of P.  The triple holds g, so its id
         is not reused while the entry lives.  The top level multiplies
         forward sides only.
@@ -530,11 +532,10 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) 
 def _run_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
     """_level_pair, recalled or kept in g's nested store under the absolute
     terms (eps, prefix + X), whose product on g it is (_kept).  A one-term
-    run (1, X) is the base (P X)^-1 g (P X): it is looked up and kept once,
-    where _level_pair keeps the bases of prefix P + X."""
+    run (1, X) is the base (P X)^-1 g (P X), made by one conjugation."""
     key = tuple((eps, prefix + h) for eps, h in terms)
     if len(terms) == 1 and terms[0][0] == 1:
-        return _kept(memos, 1 if prefix else 0, key, _conjugated, ring, n, base, terms[0][1], cache)
+        return _kept(memos, 1, key, _conjugated, ring, n, base, terms[0][1], cache)
     return _kept(memos, 1, key, _level_pair, ring, n, terms, base, cache, memos, prefix)
 
 
@@ -542,8 +543,8 @@ def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos,
     """The pair of the product of X^-1 b^eps X over nonempty `terms` of
     (eps, letters of X), for the pair `base` of b = P^-1 g P and the letters
     `prefix` of P.  A prefix Q shared by every X moves into the base
-    (P Q)^-1 g (P Q), the one-term run (1, P Q), kept in g's run memo when P
-    is empty (_kept); else a shared suffix S is stripped and the pair of
+    (P Q)^-1 g (P Q), the one-term run (1, P Q), kept in g's nested store
+    (_kept); else a shared suffix S is stripped and the pair of
     the rest conjugated by S's; else each group's pair (_run_pair) and b^eps
     for each empty X multiply out, both sides in one stacked product per
     factor."""
@@ -551,8 +552,7 @@ def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos,
     p = _shared_len(hs)
     if p:
         letters = prefix + terms[0][1][:p]
-        level = 1 if prefix else 0
-        run_base = _kept(memos, level, ((1, letters),), _conjugated, ring, n, base, terms[0][1][:p], cache)
+        run_base = _kept(memos, 1, ((1, letters),), _conjugated, ring, n, base, terms[0][1][:p], cache)
         return _level_pair(ring, n, tuple((eps, h[p:]) for eps, h in terms), run_base, cache, memos, letters)
     k = _shared_len(hs, suffix=True)
     if k:
@@ -578,11 +578,11 @@ def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, g:
     where such a suffix was cut, so each factor is b, b^-1 (a view), a
     segment of `cache` or one inverted (a view), and one pass multiplies
     them: for z, g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1 in 9 stacked
-    products.  The pass goes through the run of the last m - 1 terms whole;
-    that pair is kept in g's nested store and the word's in g's run memo,
-    each under its absolute terms, where the commutator word of a core
-    recalls them (the first inverted, the second as z's terms with a^-1
-    appended).
+    products.  The pass goes through the run of the last m - 1 terms whole.
+    The base, as the one-term run (1, P), that run and the word's pair are
+    kept in g's nested store, each under its absolute terms, where the
+    commutator word of a core recalls them (the base as that of its shared
+    prefix P, the run inverted, the word as z's terms with a^-1 appended).
     """
     terms = tuple((eps, h.letters) for eps, h in word.terms)
     xs = [h[p:] for _, h in terms]
@@ -602,14 +602,7 @@ def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, g:
     factors += [_segment(ring, n, last[a:b], cache) for a, b in zip([0] + cuts, cuts) if a < b]
     run = matrices._pair_product(factors)
     pair = matrices._pair_product((powers[terms[0][0]], run))
-    memo, nested = _run_memo(cache, g)
-    _bounded_put(nested, terms[1:], run, _NESTED_RUN_MAX)
-    _bounded_put(memo, terms, pair, _RUN_MEMO_MAX)
+    nested = _run_memo(cache, g)[1]
+    for key, value in ((((1, terms[0][1]),), base), (terms[1:], run), (terms, pair)):
+        _bounded_put(nested, key, value, _NESTED_RUN_MAX)
     return pair.fwd
-
-
-def _keep_base(cache: dict, g: matrices.InvPair, prefix: tuple, pair: matrices.InvPair) -> None:
-    """Record `pair` as P^-1 g P, for the letters `prefix` of P, in g's run
-    memo as the one-term run (1, P), where ConjWord.eval_matrix looks for
-    the base of a top-level run."""
-    _bounded_put(_run_memo(cache, g)[0], ((1, prefix),), pair, _RUN_MEMO_MAX)

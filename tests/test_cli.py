@@ -337,6 +337,38 @@ def test_an_empty_pair_is_refused_as_an_empty_matrix(tmp_path, capsys, command, 
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "dim,message",
+    [(99, "dim: expected 6, the row count, got 99"),
+     (True, "dim: expected an integer, got true"),
+     (6.0, "dim: expected an integer, got 6.0")],
+    ids=["dim-99", "dim-true", "dim-float"],
+)
+@pytest.mark.parametrize(
+    "command", ["decompose", "member", "level", "verify-g", "member-matrix", "level-matrix"]
+)
+def test_a_dim_that_is_not_the_row_count_is_refused(tmp_path, capsys, command, dim, message):
+    # every reader of a 6 x 6 pair or plain matrix reads "dim" when it is
+    # there, as an integer equal to the row count
+    g_path, _ = _decomposition(tmp_path)
+    obj = json.loads(g_path.read_text())
+    if command.endswith("-matrix"):
+        obj = {"dim": obj["dim"], "n": 4, "ring": obj["ring"], "rows": obj["fwd"]}
+    obj["dim"] = dim
+    bad = tmp_path / "dim.json"
+    bad.write_text(json.dumps(obj))
+    if command == "verify-g":
+        argv = ["verify", "--in", str(tmp_path / "d.json"), "--g", str(bad)]
+    else:
+        argv = [command.split("-")[0], "--in", str(bad)]
+    if command == "decompose":
+        argv += ["--target", "entry:1,3:1,2", "--k", "2", "--l", "3", "--out", str(tmp_path / "o.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_verify_rejects_a_g_whose_n_disagrees_with_its_dimension(tmp_path, capsys):
     # --g is read as decompose reads --in: a 6 x 6 pair with "n": 3 is refused
     g_path, _ = _decomposition(tmp_path)

@@ -245,14 +245,21 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
     caps = {"_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2, "_NESTED_RUN_MAX": 2}
     for name, cap in caps.items():
         monkeypatch.setattr(words, name, cap)
-    monkeypatch.setattr(rdu, "_CORE_CACHE_MAX", 3)
     small = rdu.ReverseDecomposer(g, n)
-    memo_sizes, nested_sizes, memo_keys = [], [], set()
+    memo_sizes, nested_sizes, memo_keys, nested_keys = [], [], set(), set()
+    put = words._bounded_put
+
+    def recording_put(store, key, value, cap):
+        # a base is soon evicted from a nested store of 2, so its keys are
+        # recorded as they go in
+        put(store, key, value, cap)
+        slot = small._cache.get(("runs", id(g)))
+        if slot is not None and store is slot[2]:
+            nested_keys.add(key)
 
     def check():
         # letters are one-letter segments, so this bounds them too
         assert len(small._cache) <= 24
-        assert len(small._core_cache) <= 3
         for key, slot in small._cache.items():
             if key[0] == "runs":
                 _, memo, nested = slot
@@ -260,11 +267,12 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
                 nested_sizes.append(len(nested))
                 memo_keys.update(memo)
 
+    monkeypatch.setattr(words, "_bounded_put", recording_put)
     assert _sweep(small, g, n, check) == want
-    # the memo was used, up to its cap, by runs and by top-level bases, the
-    # one-term runs (1, P)
+    # the memo was used, up to its cap, by top-level runs, and the nested
+    # store by bases, the one-term runs (1, P)
     assert max(memo_sizes) == 2 and max(nested_sizes) == 2
-    assert any(len(k) == 1 and k[0][0] == 1 for k in memo_keys)
+    assert any(len(k) == 1 and k[0][0] == 1 for k in nested_keys)
     assert any(len(k) > 1 for k in memo_keys)
 
 
@@ -275,8 +283,8 @@ def test_a_kept_base_answers_its_inverse_term_without_a_product(monkeypatch):
     n = 5
     g, eng = _engine(n, 11)
     eng._core((1, 2), (2, 4))
-    memo = eng._cache[("runs", id(g))][1]
-    bases = [key for key in memo if len(key) == 1 and key[0][0] == 1]
+    nested = eng._cache[("runs", id(g))][2]
+    bases = [key for key in nested if len(key) == 1 and key[0][0] == 1]
     assert bases
     found = [
         ConjWord(n, ((eps, words.ExtWord(n, P)),)) for ((_, P),) in bases for eps in (-1, 1)
@@ -648,6 +656,47 @@ def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch
     assert sum(finals) / len(finals) <= 2
 
 
+def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
+    # g's run memo keeps the top-level groups of _conj_product only: a base
+    # (1, P) or a z made inside a core stays in the nested store, and the
+    # core cache holds at most one core per slot, N (N - 1 + 2 (n - 2)) in
+    # all (plain and combined-diagonal cores of each ordered height-one pair,
+    # a combined-entry core of each ordered height-zero pair), so a second
+    # system check builds none
+    n = 5
+    N = indexing.dim(n)
+    g, eng = _engine(n, 1, length=4 * n)
+    # one core leaves one memo entry, its eight-term word
+    word = eng._core((1, 2), (2, 4))[0]
+    memo = eng._cache[("runs", id(g))][1]
+    assert list(memo) == [tuple((eps, h.letters) for eps, h in word.terms)]
+    kept, zs = set(), set()
+    keep, chain = words._kept, words._chain
+
+    def top_level(memos, level, key, make, *args):
+        if level == 0:
+            kept.add(key)
+        return keep(memos, level, key, make, *args)
+
+    def spy(ring_, n_, word, *args):
+        zs.add(tuple((eps, h.letters) for eps, h in word.terms))
+        return chain(ring_, n_, word, *args)
+
+    monkeypatch.setattr(words, "_kept", top_level)
+    monkeypatch.setattr(words, "_chain", spy)
+    _sweep(eng, g, n, targets=((2, 3),))
+    assert zs and set(memo) <= kept
+    assert not zs & set(memo)
+    assert len(eng._core_cache) <= N * (N - 1 + 2 * (n - 2))
+    builds = []
+    build = rdu.ReverseDecomposer._build_core
+    monkeypatch.setattr(
+        rdu.ReverseDecomposer, "_build_core", lambda self, *a: builds.append(a) or build(self, *a)
+    )
+    eng.eight_conjugate_system()
+    assert builds == []
+
+
 @pytest.mark.parametrize(
     "ring",
     [pytest.param(SEGMENT_RINGS[ring_id], id=ring_id) for ring_id in sorted(SEGMENT_RINGS)]
@@ -655,10 +704,11 @@ def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch
 )
 def test_z_keeps_its_pair_and_the_run_of_its_last_three_terms(monkeypatch, ring):
     # _build_core makes z in one pass over the telescoped chain on g1
-    # (words._chain), which keeps z's pair in g's run memo and the pair of
-    # z's last three terms in g's nested store, each under its absolute
-    # terms; for every core of a sweep both must be those words multiplied
-    # out, on both sides, and z's matrix the memo pair's forward side
+    # (words._chain), which keeps z's pair, the pair of z's last three terms
+    # and the base g1 = P^-1 g P in g's nested store, each under its
+    # absolute terms; for every core of a sweep all three must be those
+    # words multiplied out, on both sides, and z's matrix the kept pair's
+    # forward side
     n = 5
     g, eng = _engine(n, 13, ring, length=2 * n)
     chain = words._chain
@@ -666,12 +716,12 @@ def test_z_keeps_its_pair_and_the_run_of_its_last_three_terms(monkeypatch, ring)
 
     def spy(ring_, n_, word, base, cache, g_, p):
         out = chain(ring_, n_, word, base, cache, g_, p)
-        _, memo, nested = cache[("runs", id(g_))]
+        nested = cache[("runs", id(g_))][2]
         terms = tuple((eps, h.letters) for eps, h in word.terms)
-        assert memo[terms].fwd == out
-        for store, key in ((memo, terms), (nested, terms[1:])):
+        assert nested[terms].fwd == out
+        for key in (terms, terms[1:], ((1, terms[0][1]),)):
             run = _validated(n, key)
-            pair = store[key]
+            pair = nested[key]
             assert pair.fwd == rdu._naive_product(run, g), key
             assert pair.bwd == rdu._naive_product(run.inverse(), g), key
         checked.append(len(terms))

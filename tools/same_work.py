@@ -19,9 +19,11 @@ from the src/ directory beside this script.  Two things are hashed:
 
 A line before the digest, outside it, gives the number of
 matrices._int64_matmul calls of each sweep (the engine's membership check,
-decompositions and system check; 0 over Z, which has no int64 kernel).  So
-a change to bookkeeping alone can show the same products beside the same
-digest.
+decompositions and system check; 0 over Z, which has no int64 kernel), and
+the next the sizes of the engine's stores after the system check: g's run
+memo and nested store, the segments of the engine's cache and its cores.
+So a change to bookkeeping alone, or to what the engine keeps, can show
+the same products, or what it changes, beside the same digest.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ def _word(word, ring) -> list:
     return [[eps, jsonio.ext_word_to_json(h, ring)] for eps, h in word.terms]
 
 
-def sweep_records(kernel_calls: list):
+def sweep_records(kernel_calls: list, store_sizes: list):
     """One JSON-ready record per decomposition and per system word; appends
-    to `kernel_calls` the _int64_matmul calls of each sweep."""
+    to `kernel_calls` the _int64_matmul calls of each sweep, and to
+    `store_sizes` the sizes of its engine's stores after the system check."""
     matmul = matrices._int64_matmul
     calls = [0]
 
@@ -82,6 +85,12 @@ def sweep_records(kernel_calls: list):
             system = eng.eight_conjugate_system()
             matrices._int64_matmul = matmul
             kernel_calls.append(f"{ring!r} n={n} seed {seed}: {calls[0]}")
+            _, memo, nested = eng._cache[("runs", id(g))]
+            segments = sum(key[0] != "runs" for key in eng._cache)
+            store_sizes.append(
+                f"{ring!r} n={n} seed {seed}: memo {len(memo)}, nested {len(nested)}, "
+                f"segments {segments}, cores {len(eng._core_cache)}"
+            )
             for kind, I, J, word, param in system:
                 yield [repr(ring), n, seed, kind, I, J, jsonio.elem_to_json(ring, param), _word(word, ring)]
 
@@ -133,7 +142,8 @@ def main() -> int:
     digest = hashlib.sha256()
     count = 0
     kernel_calls: list = []
-    for record in sweep_records(kernel_calls):
+    store_sizes: list = []
+    for record in sweep_records(kernel_calls, store_sizes):
         digest.update(json.dumps(record).encode())
         count += 1
     here = os.getcwd()
@@ -151,6 +161,7 @@ def main() -> int:
             os.chdir(here)
     print(f"{count} sweep records, {runs} commands")
     print("_int64_matmul calls per sweep: " + "; ".join(kernel_calls))
+    print("stores after the system check: " + "; ".join(store_sizes))
     print(digest.hexdigest())
     return 0
 
