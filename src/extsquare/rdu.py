@@ -17,10 +17,11 @@ Every word certificate is evaluated on the engine's own g, through one
 shared cache, so each run of core terms is multiplied once per engine: the
 core certificates compute it, and `final-verified` and the system check
 reuse it for every target, inverting it where a core enters a word
-inverted.  Within a core, z is made in one pass over its telescoped chain on
-the routed g1 (words._chain), which keeps g1, z's pair and the pair of z's
-last three terms, and the eight-term word (ConjWord.eval_matrix) recalls
-them, the third inverted; only that word's pair stays in g's run memo.
+inverted.  Within a core, z's pair is made in one pass over its telescoped
+chain on the routed g1 (words._chain), and the eight-term word's pair,
+the commutator A^-1 Z A Z^-1 of z's pair Z and a^-1's segment A, is kept in
+g's run memo (words._keep_commutator), where ConjWord.eval_matrix recalls it
+whole.
 Cores are cached per slot, at most N (N - 1 + 2 (n - 2)) for N = C(n, 2):
 a plain and a combined-diagonal core per ordered pair of height one, and a
 combined-entry core per ordered pair of height zero.
@@ -204,10 +205,11 @@ class ReverseDecomposer:
         (_is_letter).  z, written on g as reconjugate(z, P), is multiplied
         in one pass over g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1
         (words._chain: 9 products, each factor g1 or a segment of the
-        cache, or one of them inverted), which keeps g1 as the base
-        P^-1 g P, z's pair and the pair of z's last three terms in g's
-        nested store; the eight-term word recalls all three, the third
-        inverted, and only its own pair stays in g's run memo.
+        cache, or one of them inverted) to z's pair Z.  The eight-term
+        word's pair A^-1 Z A Z^-1, for a^-1's segment A, takes 3 more and
+        is kept in g's run memo only if the word's terms are exactly those
+        built from z's (words._keep_commutator), so the eight-conjugate-core
+        certificate recalls it, or multiplies a word written otherwise.
         """
         ring, n = self.ring, self.n
         pair = self.g if tau is None else matrices.conjugate(self.g, tau.eval(ring, self._cache))
@@ -257,20 +259,22 @@ class ReverseDecomposer:
                 (1, T + s_inv + t_inv),
             ),
         )
-        z_val = words._chain(ring, n, reconjugate(z, outer), g1, self._cache, self.g, len(outer))
+        z_word = reconjugate(z, outer)
+        z_pair = words._chain(ring, n, z_word, g1, self._cache, len(outer))
 
         # Direct route from matrices: z = T [T^-1 h, s] T^-1 = h s h^-1 T s^-1 T^-1.
         S = s_word.eval(ring, self._cache)
         z_direct = matrices._product(ring, g1.dim, (H, S.fwd, Hinv, Tm.fwd, S.bwd, Tm.bwd))
-        certs.append(_require(z_val == z_direct, "four-conjugate-z"))
+        certs.append(_require(z_pair.fwd == z_direct, "four-conjugate-z"))
 
-        u = z_val.mul(ext_letter_matrix(ring, n, 2, 1, ring.neg(c)))
+        u = z_pair.fwd.mul(ext_letter_matrix(ring, n, 2, 1, ring.neg(c)))
         certs.append(_require(u._equals_at(*_radical_complement(n, ring)), "radical-factor"))
 
         a_inv = self._single(1, 3, ring.one)  # inverse of letter (1,3,-1)
         word = reconjugate(retarget(z, a_inv) + z.inverse(), outer)
         if sigma == -1:
             word = word.inverse()
+        words._keep_commutator(z_word, z_pair, a_inv.letters, sigma, word, self._cache, self.g)
         param = pair.fwd.at(self._rank(I), self._rank(J))
         # the word itself, flip absorbed: letter (2,3, c)^sigma = letter (2,3, param)
         certs.append(

@@ -19,16 +19,17 @@ own labels and evaluates itself.
 ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g,
-factored over the segments the conjugators share.  It keeps, per g, the pair
-of every group of terms it multiplies, keyed by the group's terms from g on,
-so a group recurs for free and a group whose formal inverse is kept costs
-only a view; g conjugated by a shared prefix P is kept the same way, as the
-one-term group (1, P): top-level groups in g's run memo, all else in a
-small nested store.  A core's z is not cut into groups: its terms all
-conjugate the routed g1 = P^-1 g P, and its conjugators past P telescope,
-so _chain makes it in one pass over g1 and the segments between its terms,
-and keeps g1 and the two runs of z that the core's commutator word recalls.
-ExtWord.eval keeps those segments in a caller's cache, each entry exactly
+factored over the segments the conjugators share.  It keeps, per g, one
+run memo: the pair of every top-level group of terms it multiplies, keyed
+by the group's terms from g on, so a group recurs for free and a group
+whose formal inverse is kept costs only a view; below the top level it
+recalls groups from that memo and keeps nothing.  A core's z is not cut
+into groups: its terms all conjugate the routed g1 = P^-1 g P, and its
+conjugators past P telescope, so _chain makes its pair in one pass over g1
+and the segments between its terms.  The core's commutator word [a, z]
+then has the pair A^-1 Z A Z^-1 for z's pair Z and the segment A of a^-1,
+which _keep_commutator keeps in the memo if the word's terms are exactly
+those it builds from z's.  ExtWord.eval keeps the segments in a caller's cache, each entry exactly
 the product of its key's letters, and builds a new segment by inverting
 the entry of its formal inverse, by writing it in one step when its
 letters share one j and have distinct i (a letter, or a core's column
@@ -82,25 +83,20 @@ def _letter_support(n: int, i: int, j: int):
     )
 
 
-# Each cap but the nested one sits above the working set of a full level
-# sweep at n <= 7, so an engine evicts only at larger ranks.  After a full
-# level sweep over Z/97 at n = 6 (seed 1, a 24-letter source, targets (2, 3)
-# and (1, 6), then the system check), a caller's segment cache
-# (ExtWord.eval) holds 643 segments, 58 of them letters, and the run memo of
-# g (ConjWord.eval_matrix) 305 top-level groups, one of them a single term;
-# at n = 7 (a 28-letter source), 1 172 segments (1 198 over Z/(2^31 - 1))
-# and 579 groups; at n = 10 (a 40-letter source, targets (2, 3) only)
-# 2 548 groups.  Runs and bases below the top level (a core's g1 and z
-# among them) recur within one core or decomposition only, so their cap is
-# small.  It costs the final certificates a little, and the cores nothing:
-# over the sweep at (2, 3) alone (n = 6, seed 1, a 24-letter source) a core
-# keeps 5.0 entries below the top level, takes 26.50 kernel calls with the
-# last 32 kept, as with no cap, and a `final-verified` certificate 0.88
-# with the nested cap at 32 and 0.64 uncapped (1.73 and 1.61 in a sweep at
-# (1, 6) as well).
+# Each cap sits above the working set of a full level sweep at n <= 7, so
+# an engine evicts only at larger ranks.  After a full level sweep over Z/97
+# at n = 6 (seed 1, a 24-letter source, targets (2, 3) and (1, 6), then the
+# system check), a caller's segment cache (ExtWord.eval) holds 644
+# segments, 58 of them letters, and the run memo of g (ConjWord.eval_matrix)
+# 306 entries: the commutator words of the 234 cores and 72 top-level
+# groups, two of them a single term; at n = 7 (a 28-letter source), 1 173
+# segments (1 199 over Z/(2^31 - 1)) and 580 entries, 452 of them cores';
+# at n = 10 (a 40-letter source, targets (2, 3) only) 2 549 entries, 2 052
+# of them cores'.  Nothing made below the top level is kept: over the sweep
+# at (2, 3) alone (n = 6) a core takes 25.50 kernel calls and a
+# `final-verified` certificate 1.23 (1.90 in a sweep at (1, 6) as well).
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
-_NESTED_RUN_MAX = 32
 
 
 def _bounded_put(store: dict, key, value, cap: int) -> None:
@@ -358,7 +354,7 @@ class ConjWord:
 
     def inverse(self) -> "ConjWord":
         """Formal inverse: reversed terms with flipped exponents, same length."""
-        return ConjWord._trusted(self.n, tuple((-eps, h) for eps, h in reversed(self.terms)))
+        return ConjWord._trusted(self.n, _inverse_terms(self.terms))
 
     def eval_matrix(self, g: matrices.InvPair, cache: dict | None = None) -> matrices.Matrix:
         """Forward product, factored over the segments the conjugators share.
@@ -372,25 +368,24 @@ class ConjWord:
 
         `cache` is the caller's dict, shared across words, matrices and
         rings.  It keeps segments (ExtWord.eval, keyed by (ring.key(), n,
-        letters)) and, under ("runs", id(g)), a triple (g, memo, nested).
-        Below the top level a prefix shared by every conjugator moves into
-        the base, a shared suffix is stripped and the rest conjugated by
-        it, and otherwise the terms are cut into groups: runs that share a
-        first letter, or blocks that share a last letter where that gives
-        fewer.  A base P^-1 g P is the one-term run (1, P).  Every run and
-        base is kept under its terms with their absolute conjugators (the
-        letters from g on), whose product on g it is: in the memo for
-        top-level groups, once S is stripped, and among the last
-        _NESTED_RUN_MAX entries of nested for everything below them, the
-        bases of their shared prefixes included.  Each is recalled from
-        either, or inverted (a view, no product) from the pair of its
-        formal inverse, and kept at its level through one step, _kept.  So
-        a core's eight-term word recalls the routed g1 as the base of its
-        shared prefix, its four-term z and z's last three terms inverted
-        (all three kept in nested by _chain, which makes z), and a term
-        (-1, P) is the inverted base of P.  The triple holds g, so its id
-        is not reused while the entry lives.  The top level multiplies
-        forward sides only.
+        letters)) and, under ("runs", id(g)), a pair (g, memo): g's run
+        memo, which keeps pairs under their terms with their absolute
+        conjugators (the letters from g on), whose product on g each is.
+        Once S is stripped the whole word is recalled from the memo, or
+        inverted (a view, no product) from the pair of its formal inverse;
+        so a core's commutator word, which _keep_commutator keeps under its
+        terms, is recalled whole, and so is a final word that is one core
+        with a target route.  Otherwise the terms are cut into groups: runs
+        that share a first letter, or blocks that share a last letter where
+        that gives fewer.  Each group is recalled or made and kept in the
+        memo through one step, _kept.  Below the top level (_level_pair) a
+        prefix shared by every conjugator moves into the base P^-1 g P, a
+        shared suffix is stripped and the rest conjugated by it, and
+        otherwise the terms are cut into groups; the rest and each group is
+        recalled from the memo in the same two ways, or made, and nothing
+        made there is kept.  The slot holds g, so its id is not reused
+        while the entry lives.  The top level multiplies forward sides
+        only.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -408,14 +403,13 @@ class ConjWord:
         return _conj_product(g.ring, self.n, terms, g, cache, _run_memo(cache, g))
 
 
-def _run_memo(cache: dict, g: matrices.InvPair):
-    """g's (run memo, nested store) in a caller's cache (see
-    ConjWord.eval_matrix), moved to the newest place so that a full cache
-    drops segments first."""
+def _run_memo(cache: dict, g: matrices.InvPair) -> dict:
+    """g's run memo in a caller's cache (see ConjWord.eval_matrix), moved to
+    the newest place so that a full cache drops segments first."""
     key = ("runs", id(g))
-    slot = cache.pop(key, None) or (g, {}, {})
+    slot = cache.pop(key, None) or (g, {})
     _bounded_put(cache, key, slot, _SEGMENT_CACHE_MAX)
-    return slot[1:]
+    return slot[1]
 
 
 def _shared_len(words, suffix: bool = False) -> int:
@@ -479,98 +473,88 @@ def _groups(terms: tuple) -> list:
     return [terms[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _recall(memos, key):
-    """The pair kept for the terms `key` in g's run memo or nested store,
-    else the inverse (a view) of the pair kept for their formal inverse,
-    else None."""
-    for store in memos:
-        hit = store.get(key)
-        if hit is not None:
-            return hit
-    inverse = tuple((-eps, h) for eps, h in reversed(key))
-    for store in memos:
-        hit = store.get(inverse)
-        if hit is not None:
-            return hit.invert()
-    return None
+def _inverse_terms(terms: tuple) -> tuple:
+    """The terms of the formal inverse: reversed, exponents flipped."""
+    return tuple((-eps, h) for eps, h in reversed(terms))
 
 
-def _kept(memos, level: int, key, make, *args) -> matrices.InvPair:
-    """The pair of the terms `key` in memos[level], g's run memo at the top
-    level (0) and its nested store below (1); on a miss it is recalled from
-    g's stores (_recall) or made by make(*args), and kept there, so that a
+def _recall(memo: dict, key):
+    """The pair kept for the terms `key` in g's run memo, else the inverse (a
+    view) of the pair kept for their formal inverse, else None."""
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    hit = memo.get(_inverse_terms(key))
+    return None if hit is None else hit.invert()
+
+
+def _kept(memo: dict, key, make, *args) -> matrices.InvPair:
+    """The pair of the top-level group `key`, recalled from g's run memo
+    (_recall) or made by make(*args), and kept there under `key`, so that a
     pair recalled by its formal inverse is found directly next time."""
-    store = memos[level]
-    pair = store.get(key)
+    pair = memo.get(key)
     if pair is None:
-        pair = _recall(memos, key) or make(*args)
-        _bounded_put(store, key, pair, _NESTED_RUN_MAX if level else _RUN_MEMO_MAX)
+        pair = _recall(memo, key) or make(*args)
+        _bounded_put(memo, key, pair, _RUN_MEMO_MAX)
     return pair
 
 
-def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memos) -> matrices.Matrix:
+def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memo: dict) -> matrices.Matrix:
     """Forward product of X^-1 g^eps X over nonempty `terms` of (eps,
-    letters of X), `memos` being g's (run memo, nested store): the common
-    suffix S stripped as S^-1 (...) S unless every X is S (a kept base then
-    answers a one-term word), then the forward side of each group's pair
+    letters of X), `memo` being g's run memo: the common suffix S stripped
+    as S^-1 (...) S, then the whole word's pair recalled from the memo
+    (_recall) when it is there, else the forward side of each group's pair
     (_kept in the memo under the group's terms, made by _level_pair)."""
     k = _shared_len([h for _, h in terms], suffix=True)
-    if k and any(len(h) > k for _, h in terms):
+    if k:
         s = _segment(ring, n, terms[0][1][-k:], cache)
-        inner = _conj_product(ring, n, tuple((eps, h[:-k]) for eps, h in terms), g, cache, memos)
+        inner = _conj_product(ring, n, tuple((eps, h[:-k]) for eps, h in terms), g, cache, memo)
         return matrices._product(ring, inner.dim, (s.bwd, inner, s.fwd))
+    whole = _recall(memo, terms)
+    if whole is not None:
+        return whole.fwd
     parts = []
     for group in _groups(terms):
         if not group[0][1]:  # empty conjugators contribute g^eps directly
             parts.extend(g.fwd if eps == 1 else g.bwd for eps, _ in group)
             continue
-        pair = _kept(memos, 0, group, _level_pair, ring, n, group, g, cache, memos, ())
+        pair = _kept(memo, group, _level_pair, ring, n, group, g, cache, memo, ())
         parts.append(pair.fwd)
     return matrices._product(ring, indexing.dim(n), parts)
 
 
-def _run_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
-    """_level_pair, recalled or kept in g's nested store under the absolute
-    terms (eps, prefix + X), whose product on g it is (_kept).  A one-term
-    run (1, X) is the base (P X)^-1 g (P X), made by one conjugation."""
-    key = tuple((eps, prefix + h) for eps, h in terms)
-    if len(terms) == 1 and terms[0][0] == 1:
-        return _kept(memos, 1, key, _conjugated, ring, n, base, terms[0][1], cache)
-    return _kept(memos, 1, key, _level_pair, ring, n, terms, base, cache, memos, prefix)
-
-
-def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memos, prefix: tuple) -> matrices.InvPair:
+def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memo: dict, prefix: tuple) -> matrices.InvPair:
     """The pair of the product of X^-1 b^eps X over nonempty `terms` of
     (eps, letters of X), for the pair `base` of b = P^-1 g P and the letters
     `prefix` of P.  A prefix Q shared by every X moves into the base
-    (P Q)^-1 g (P Q), the one-term run (1, P Q), kept in g's nested store
-    (_kept); else a shared suffix S is stripped and the pair of
-    the rest conjugated by S's; else each group's pair (_run_pair) and b^eps
-    for each empty X multiply out, both sides in one stacked product per
-    factor."""
+    (P Q)^-1 g (P Q), one conjugation, passed down and not kept; else a
+    shared suffix S is stripped and the pair of the rest conjugated by S's;
+    else each group's pair and b^eps for each empty X multiply out, both
+    sides in one stacked product per factor.  The rest, and each group, is
+    recalled from g's run memo under its absolute terms (eps, prefix + X),
+    directly or by its formal inverse (_recall), or made by _level_pair;
+    nothing made here is kept."""
     hs = [h for _, h in terms]
     p = _shared_len(hs)
     if p:
-        letters = prefix + terms[0][1][:p]
-        run_base = _kept(memos, 1, ((1, letters),), _conjugated, ring, n, base, terms[0][1][:p], cache)
-        return _level_pair(ring, n, tuple((eps, h[p:]) for eps, h in terms), run_base, cache, memos, letters)
+        run_base = _conjugated(ring, n, base, hs[0][:p], cache)
+        return _level_pair(ring, n, tuple((eps, h[p:]) for eps, h in terms), run_base, cache, memo, prefix + hs[0][:p])
     k = _shared_len(hs, suffix=True)
-    if k:
-        inner = _run_pair(ring, n, tuple((eps, h[:-k]) for eps, h in terms), base, cache, memos, prefix)
-        return matrices.conjugate(inner, _segment(ring, n, terms[0][1][-k:], cache))
     parts = []
-    for group in _groups(terms):
-        if group[0][1]:
-            parts.append(_run_pair(ring, n, group, base, cache, memos, prefix))
+    for group in [tuple((eps, h[:-k]) for eps, h in terms)] if k else _groups(terms):
+        if any(h for _, h in group):
+            key = tuple((eps, prefix + h) for eps, h in group)
+            parts.append(_recall(memo, key) or _level_pair(ring, n, group, base, cache, memo, prefix))
         else:
             parts.extend(base if eps == 1 else base.invert() for eps, _ in group)
-    return matrices._pair_product(parts)
+    pair = matrices._pair_product(parts)
+    return matrices.conjugate(pair, _segment(ring, n, hs[0][-k:], cache)) if k else pair
 
 
-def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, g: matrices.InvPair, p: int) -> matrices.Matrix:
-    """The forward product of `word` on g, as eval_matrix gives it, for a
-    word whose conjugators all begin with the same p letters P and whose
-    first term is (eps, P), a core's z, with `base` the pair of b = P^-1 g P.
+def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, p: int) -> matrices.InvPair:
+    """The pair of `word` on g, the product eval_matrix gives, for a word
+    whose conjugators all begin with the same p letters P and whose first
+    term is (eps, P), a core's z, with `base` the pair of b = P^-1 g P.
 
     Past P the conjugators X_1 = (), X_2, ..., X_m telescope: the product is
     b^e1 (X_1 X_2^-1) b^e2 (X_2 X_3^-1) ... b^em X_m, and each X_t X_t+1^-1
@@ -578,17 +562,13 @@ def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, g:
     where such a suffix was cut, so each factor is b, b^-1 (a view), a
     segment of `cache` or one inverted (a view), and one pass multiplies
     them: for z, g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1 in 9 stacked
-    products.  The pass goes through the run of the last m - 1 terms whole.
-    The base, as the one-term run (1, P), that run and the word's pair are
-    kept in g's nested store, each under its absolute terms, where the
-    commutator word of a core recalls them (the base as that of its shared
-    prefix P, the run inverted, the word as z's terms with a^-1 appended).
+    products.  Nothing is kept.
     """
     terms = tuple((eps, h.letters) for eps, h in word.terms)
     xs = [h[p:] for _, h in terms]
     shared = [_shared_len(pair, suffix=True) for pair in zip(xs, xs[1:])]
     powers = {1: base, -1: base.invert()}
-    factors = []  # the run of terms 2..m: (X_1 X_2^-1) b^e2 ... b^em X_m
+    factors = [powers[terms[0][0]]]  # b^e1 (X_1 X_2^-1) b^e2 ... b^em X_m
     for t in range(1, len(xs)):
         k = shared[t - 1]
         left, right = xs[t - 1][: len(xs[t - 1]) - k], xs[t][: len(xs[t]) - k]
@@ -600,9 +580,22 @@ def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, g:
     last = xs[-1]
     cuts = sorted({len(last) - min(shared[t:]) for t in range(len(shared))})  # shared[0] is 0
     factors += [_segment(ring, n, last[a:b], cache) for a, b in zip([0] + cuts, cuts) if a < b]
-    run = matrices._pair_product(factors)
-    pair = matrices._pair_product((powers[terms[0][0]], run))
-    nested = _run_memo(cache, g)[1]
-    for key, value in ((((1, terms[0][1]),), base), (terms[1:], run), (terms, pair)):
-        _bounded_put(nested, key, value, _NESTED_RUN_MAX)
-    return pair.fwd
+    return matrices._pair_product(factors)
+
+
+def _keep_commutator(z_word: ConjWord, z: matrices.InvPair, a_inv: tuple, sigma: int, word: ConjWord, cache: dict, g: matrices.InvPair) -> None:
+    """Keep in g's run memo the pair of a core's commutator word [a, z],
+    `word`, if its terms are exactly those built here: z's terms (of
+    `z_word`, conjugators from g on) with the letters `a_inv` of a^-1
+    appended, then z's formal inverse, all formally inverted when sigma is
+    -1.  The pair is A^-1 Z A Z^-1 for z's pair Z = `z` and the segment A
+    of `a_inv`, three stacked products (inverted, a view, when sigma is
+    -1).  A word written otherwise keeps nothing, so eval_matrix multiplies
+    it out as written."""
+    terms = tuple((eps, h.letters) for eps, h in z_word.terms)
+    built = tuple((eps, h + a_inv) for eps, h in terms) + _inverse_terms(terms)
+    key = tuple((eps, h.letters) for eps, h in word.terms)
+    if key != (built if sigma == 1 else _inverse_terms(built)):
+        return
+    pair = matrices.commutator(_segment(z.ring, word.n, a_inv, cache).invert(), z)
+    _bounded_put(_run_memo(cache, g), key, pair if sigma == 1 else pair.invert(), _RUN_MEMO_MAX)

@@ -242,70 +242,36 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
     n = 5
     g, eng = _engine(n, 12)
     want = _sweep(eng, g, n)
-    caps = {"_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2, "_NESTED_RUN_MAX": 2}
+    caps = {"_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2}
     for name, cap in caps.items():
         monkeypatch.setattr(words, name, cap)
     small = rdu.ReverseDecomposer(g, n)
-    memo_sizes, nested_sizes, memo_keys, nested_keys = [], [], set(), set()
-    put = words._bounded_put
-
-    def recording_put(store, key, value, cap):
-        # a base is soon evicted from a nested store of 2, so its keys are
-        # recorded as they go in
-        put(store, key, value, cap)
-        slot = small._cache.get(("runs", id(g)))
-        if slot is not None and store is slot[2]:
-            nested_keys.add(key)
+    memo_sizes, memo_keys = [], set()
 
     def check():
         # letters are one-letter segments, so this bounds them too
         assert len(small._cache) <= 24
         for key, slot in small._cache.items():
             if key[0] == "runs":
-                _, memo, nested = slot
+                _, memo = slot
                 memo_sizes.append(len(memo))
-                nested_sizes.append(len(nested))
                 memo_keys.update(memo)
 
-    monkeypatch.setattr(words, "_bounded_put", recording_put)
     assert _sweep(small, g, n, check) == want
-    # the memo was used, up to its cap, by top-level runs, and the nested
-    # store by bases, the one-term runs (1, P)
-    assert max(memo_sizes) == 2 and max(nested_sizes) == 2
-    assert any(len(k) == 1 and k[0][0] == 1 for k in nested_keys)
+    # the memo was used, up to its cap, by runs of several terms
+    assert max(memo_sizes) == 2
     assert any(len(k) > 1 for k in memo_keys)
 
 
-def test_a_kept_base_answers_its_inverse_term_without_a_product(monkeypatch):
-    # a base P^-1 g P is the one-term run (1, P): once _build_core keeps the
-    # routed g1 as the base of its outer prefix P, the word of the one term
-    # (-1, P) is that pair inverted, a view, and (1, P) the pair itself
-    n = 5
-    g, eng = _engine(n, 11)
-    eng._core((1, 2), (2, 4))
-    nested = eng._cache[("runs", id(g))][2]
-    bases = [key for key in nested if len(key) == 1 and key[0][0] == 1]
-    assert bases
-    found = [
-        ConjWord(n, ((eps, words.ExtWord(n, P)),)) for ((_, P),) in bases for eps in (-1, 1)
-    ]
-    want = [rdu._naive_product(word, g) for word in found]
-    calls = []
-    matmul = matrices._int64_matmul
-    monkeypatch.setattr(matrices, "_int64_matmul", lambda *a: calls.append(1) or matmul(*a))
-    assert [word.eval_matrix(g, eng._cache) for word in found] == want
-    assert calls == []
-
-
 def test_every_run_memo_key_is_a_tuple_of_terms():
-    # one entry kind: runs and bases alike are kept under their terms
-    # (eps, letters from g on), in the memo and in the nested store
+    # one entry kind: top-level groups and kept commutator words alike are
+    # kept under their terms (eps, letters from g on)
     n = 5
     g, eng = _engine(n, 12)
     _sweep(eng, g, n)
-    _, memo, nested = eng._cache[("runs", id(g))]
-    assert memo and nested
-    for key in [*memo, *nested]:
+    _, memo = eng._cache[("runs", id(g))]
+    assert memo
+    for key in memo:
         assert isinstance(key, tuple) and key, key
         for term in key:
             assert isinstance(term, tuple) and len(term) == 2, key
@@ -657,12 +623,12 @@ def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch
 
 
 def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
-    # g's run memo keeps the top-level groups of _conj_product only: a base
-    # (1, P) or a z made inside a core stays in the nested store, and the
-    # core cache holds at most one core per slot, N (N - 1 + 2 (n - 2)) in
-    # all (plain and combined-diagonal cores of each ordered height-one pair,
-    # a combined-entry core of each ordered height-zero pair), so a second
-    # system check builds none
+    # g's run memo keeps the top-level groups of _conj_product and the
+    # cores' commutator words only, so no z pair: every core's word, as
+    # written, is kept; and the core cache holds at most one core per slot,
+    # N (N - 1 + 2 (n - 2)) in all (plain and combined-diagonal cores of
+    # each ordered height-one pair, a combined-entry core of each ordered
+    # height-zero pair), so a second system check builds none
     n = 5
     N = indexing.dim(n)
     g, eng = _engine(n, 1, length=4 * n)
@@ -673,10 +639,9 @@ def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
     kept, zs = set(), set()
     keep, chain = words._kept, words._chain
 
-    def top_level(memos, level, key, make, *args):
-        if level == 0:
-            kept.add(key)
-        return keep(memos, level, key, make, *args)
+    def top_level(memo_, key, make, *args):
+        kept.add(key)
+        return keep(memo_, key, make, *args)
 
     def spy(ring_, n_, word, *args):
         zs.add(tuple((eps, h.letters) for eps, h in word.terms))
@@ -685,7 +650,9 @@ def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
     monkeypatch.setattr(words, "_kept", top_level)
     monkeypatch.setattr(words, "_chain", spy)
     _sweep(eng, g, n, targets=((2, 3),))
-    assert zs and set(memo) <= kept
+    cores = {tuple((eps, h.letters) for eps, h in core[0].terms) for core in eng._core_cache.values()}
+    assert zs and kept
+    assert cores <= set(memo) <= kept | cores
     assert not zs & set(memo)
     assert len(eng._core_cache) <= N * (N - 1 + 2 * (n - 2))
     builds = []
@@ -702,35 +669,75 @@ def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
     [pytest.param(SEGMENT_RINGS[ring_id], id=ring_id) for ring_id in sorted(SEGMENT_RINGS)]
     + [pytest.param(rings.PolynomialRing(("x",)), id="poly")],
 )
-def test_z_keeps_its_pair_and_the_run_of_its_last_three_terms(monkeypatch, ring):
-    # _build_core makes z in one pass over the telescoped chain on g1
-    # (words._chain), which keeps z's pair, the pair of z's last three terms
-    # and the base g1 = P^-1 g P in g's nested store, each under its
-    # absolute terms; for every core of a sweep all three must be those
-    # words multiplied out, on both sides, and z's matrix the kept pair's
-    # forward side
+def test_z_and_the_kept_commutator_pair_are_their_words_multiplied_out(monkeypatch, ring):
+    # _build_core makes z's pair in one pass over the telescoped chain on g1
+    # (words._chain), and keeps the commutator word's pair A^-1 Z A Z^-1,
+    # made from it, in g's run memo (words._keep_commutator) under the
+    # core's word; for every core of a sweep both pairs must be their words
+    # multiplied out, on both sides, and every core's word must be kept
     n = 5
     g, eng = _engine(n, 13, ring, length=2 * n)
-    chain = words._chain
-    checked = []
+    chain, keep = words._chain, words._keep_commutator
+    zs, commutators = [], set()
 
-    def spy(ring_, n_, word, base, cache, g_, p):
-        out = chain(ring_, n_, word, base, cache, g_, p)
-        nested = cache[("runs", id(g_))][2]
-        terms = tuple((eps, h.letters) for eps, h in word.terms)
-        assert nested[terms].fwd == out
-        for key in (terms, terms[1:], ((1, terms[0][1]),)):
-            run = _validated(n, key)
-            pair = nested[key]
-            assert pair.fwd == rdu._naive_product(run, g), key
-            assert pair.bwd == rdu._naive_product(run.inverse(), g), key
-        checked.append(len(terms))
-        return out
+    def spy_chain(ring_, n_, word, *args):
+        pair = chain(ring_, n_, word, *args)
+        assert pair.fwd == rdu._naive_product(word, g)
+        assert pair.bwd == rdu._naive_product(word.inverse(), g)
+        zs.append(len(word))
+        return pair
 
-    monkeypatch.setattr(words, "_chain", spy)
+    def spy_keep(*args):
+        keep(*args)
+        memo = eng._cache[("runs", id(g))][1]
+        key = next(reversed(memo))
+        word = _validated(n, key)
+        assert memo[key].fwd == rdu._naive_product(word, g), key
+        assert memo[key].bwd == rdu._naive_product(word.inverse(), g), key
+        commutators.add(key)
+
+    monkeypatch.setattr(words, "_chain", spy_chain)
+    monkeypatch.setattr(words, "_keep_commutator", spy_keep)
     for gen in level.level_generators(g.fwd, n):
         eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
-    assert checked == [4] * len(eng._core_cache)
+    assert zs == [4] * len(eng._core_cache)
+    assert commutators == {
+        tuple((eps, h.letters) for eps, h in core[0].terms) for core in eng._core_cache.values()
+    }
+
+
+def test_a_core_word_is_recalled_whole_without_a_product(monkeypatch):
+    # the guard sweep below: the eight-conjugate-core certificate recalls
+    # the kept commutator pair whole, so its eval_matrix takes no kernel
+    # call (4 when the word was made from z's runs)
+    n = 5
+    g, eng = _engine(n, 11)
+    calls, eights, building = [], [], []
+    kernel = matrices._int64_matmul
+    build = rdu.ReverseDecomposer._build_core
+    evaluate = ConjWord.eval_matrix
+
+    def counted_build(self, *args):
+        building.append(1)
+        try:
+            return build(self, *args)
+        finally:
+            building.pop()
+
+    def counted_eval(self, *args):
+        before = len(calls)
+        out = evaluate(self, *args)
+        if building:
+            eights.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(matrices, "_int64_matmul", lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
+    monkeypatch.setattr(ConjWord, "eval_matrix", counted_eval)
+    for gen in level.level_generators(g.fwd, n):
+        eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
+    assert len(eights) == 101
+    assert set(eights) == {0}
 
 
 def test_z_takes_at_most_9_kernel_calls_and_its_commutator_word_at_most_4(monkeypatch):
@@ -802,6 +809,34 @@ def test_a_changed_letter_of_z_fails_four_conjugate_z(monkeypatch):
     monkeypatch.setattr(rdu, "reconjugate", changed)
     with pytest.raises(rdu.CertificateError, match="four-conjugate-z"):
         eng.decompose(rdu.GeneratorTarget("entry", (1, 2), (2, 4), 2, 3))
+
+
+@pytest.mark.parametrize("slot", [((1, 2), (2, 4)), ((1, 3), (1, 2))])
+def test_a_changed_letter_of_the_commutator_word_fails_eight_conjugate_core(monkeypatch, slot):
+    # the commutator pair is kept only for a word whose terms are z's with
+    # a^-1 appended, then z's formal inverse: with one payload of its last
+    # a^-1-conjugated term changed (through rdu.retarget, which appends
+    # a^-1), the word is multiplied out as written and is no longer the
+    # letter; at ((1, 3), (1, 2)) the outer prefix is empty, and the word's
+    # top level cuts into three groups
+    n = 5
+    g, eng = _engine(n, 11)
+    ring = g.ring
+    retarget = rdu.retarget
+    assert (len(exterior.route_source(*slot, n)[0]) == 0) == (slot == ((1, 3), (1, 2)))
+
+    def changed(word, suffix):
+        word = retarget(word, suffix)
+        if len(word) == 4:  # z with a^-1 appended; final words are longer
+            eps, h = word.terms[-1]
+            (i, j, xi), rest = h.letters[0], h.letters[1:]
+            h = words.ExtWord(n, ((i, j, ring.add(xi, ring.one)),) + rest)
+            word = ConjWord(n, word.terms[:-1] + ((eps, h),))
+        return word
+
+    monkeypatch.setattr(rdu, "retarget", changed)
+    with pytest.raises(rdu.CertificateError, match="eight-conjugate-core"):
+        eng._core(*slot)
 
 
 def test_every_target_index(zmod97):

@@ -6,12 +6,13 @@ Runs the first UNITS units of the perfbench workload WORKLOAD (seed SEED) in
 process, on the benchmark's own inputs and order, and prints where the
 operation time went: decompose and verify as the benchmark times them, and,
 within decompose, every core build (rdu.ReverseDecomposer._build_core) split
-into z's pass (words._chain), its commutator word (the eight-term word's
-ConjWord.eval_matrix) and the rest, every ConjWord.eval_matrix call with the
-matrices._int64_matmul calls inside it, and all of decompose's _int64_matmul
-calls.  Timers wrap those callables, so each figure includes their small
-cost.  The package is imported from the src/ directory beside this script,
-the workload from perfbench/.  Run it from two checkouts to compare them.
+into z's pass (words._chain), its commutator pair (words._keep_commutator,
+A^-1 Z A Z^-1 from z's pair) and the rest, every ConjWord.eval_matrix call
+with the matrices._int64_matmul calls inside it, and all of decompose's
+_int64_matmul calls.  Timers wrap those callables, so each figure includes
+their small cost.  The package is imported from the src/ directory beside
+this script, the workload from perfbench/.  Run it from two checkouts to
+compare them.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ SEED = 1
 class Split:
     """Calls and seconds of wrapped callables, counted only while
     ReverseDecomposer.decompose runs (so engine set-up, the system check and
-    the referee stay out), products apart by whether eval_matrix is running,
-    and eval_matrix apart by whether a core is being built."""
+    the referee stay out), and products apart by whether eval_matrix is
+    running."""
 
     def __init__(self):
         self.active: list = []
@@ -57,8 +58,6 @@ class Split:
                     keys = [name]
                     if name == "_int64_matmul" and "eval_matrix" in self.active:
                         keys.append("_int64_matmul in eval_matrix")
-                    if name == "eval_matrix" and "_build_core" in self.active:
-                        keys.append("eval_matrix in _build_core")
                     for key in keys:
                         self.calls[key] = self.calls.get(key, 0) + 1
                         self.seconds[key] = self.seconds.get(key, 0.0) + spent
@@ -73,6 +72,7 @@ def main() -> int:
     split.wrap(rdu.ReverseDecomposer, "decompose")
     split.wrap(rdu.ReverseDecomposer, "_build_core")
     split.wrap(words, "_chain")
+    split.wrap(words, "_keep_commutator")
     split.wrap(words.ConjWord, "eval_matrix")
     split.wrap(matrices, "_int64_matmul")
     out = workloads.Outcome()
@@ -87,10 +87,10 @@ def main() -> int:
     print(f"op time {total:.2f} s: decompose {decompose:.2f} s ({decompose / total:.0%}), "
           f"verify {verify:.2f} s ({verify / total:.0%})")
     core = split.seconds.get("_build_core", 0.0)
-    core -= split.seconds.get("_chain", 0.0) + split.seconds.get("eval_matrix in _build_core", 0.0)
+    core -= split.seconds.get("_chain", 0.0) + split.seconds.get("_keep_commutator", 0.0)
     split.seconds["rest of _build_core"] = core
     for name, what in (("_build_core", "core builds"), ("_chain", "  z's pass"),
-                       ("eval_matrix in _build_core", "  the commutator word"),
+                       ("_keep_commutator", "  the commutator pair"),
                        ("rest of _build_core", "  the rest"),
                        ("eval_matrix", "ConjWord.eval_matrix"),
                        ("_int64_matmul in eval_matrix", "  its products"),

@@ -21,7 +21,7 @@ A line before the digest, outside it, gives the number of
 matrices._int64_matmul calls of each sweep (the engine's membership check,
 decompositions and system check; 0 over Z, which has no int64 kernel), and
 the next the sizes of the engine's stores after the system check: g's run
-memo and nested store, the segments of the engine's cache and its cores.
+memo, the segments of the engine's cache and its cores.
 So a change to bookkeeping alone, or to what the engine keeps, can show
 the same products, or what it changes, beside the same digest.
 """
@@ -85,10 +85,10 @@ def sweep_records(kernel_calls: list, store_sizes: list):
             system = eng.eight_conjugate_system()
             matrices._int64_matmul = matmul
             kernel_calls.append(f"{ring!r} n={n} seed {seed}: {calls[0]}")
-            _, memo, nested = eng._cache[("runs", id(g))]
+            _, memo = eng._cache[("runs", id(g))]
             segments = sum(key[0] != "runs" for key in eng._cache)
             store_sizes.append(
-                f"{ring!r} n={n} seed {seed}: memo {len(memo)}, nested {len(nested)}, "
+                f"{ring!r} n={n} seed {seed}: memo {len(memo)}, "
                 f"segments {segments}, cores {len(eng._core_cache)}"
             )
             for kind, I, J, word, param in system:
