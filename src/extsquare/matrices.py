@@ -1,52 +1,47 @@
 """Exact dense square matrices over a ring, and invertible pairs.
 
-Matrices are immutable after construction.  One function, _int64_kernel,
-decides per (ring, dim) how a product runs, and with it how entries are
-stored: a read-only int64 numpy array exactly when the product runs in
-int64, payload tuples multiplied out in pure python otherwise.  Callers
-choose no kernel: _identity_plus builds identities, transvections and
-exterior letters, _unipotent_pair the pair of I + A and I - A for A^2 = 0,
-_product multiplies chains (Matrix.mul and every word evaluation), and
-mat_vec and vec_mat take vectors; each asks it once:
+Matrices are immutable after construction.  One function, _kernel, decides
+per (ring, dim) how an engine product runs, and with it how entries are
+stored.  Callers choose no kernel: _identity_plus builds identities,
+transvections and exterior letters, _unipotent_pair the pair of I + A and
+I - A for A^2 = 0, _product and _pair_product multiply chains (Matrix.mul
+and every word evaluation), and mat_vec and vec_mat take vectors; each
+asks it once:
 
-* one limb, when dim (m-1)^2 < 2^62: one int64 matmul, then % m;
-* k limbs, when m < 2^62 but one limb could overflow: the right factor is
-  split into s-bit limbs and the limb products are combined mod m by
-  Horner's rule (Z/(2^31 - 1) takes two limbs at dim 10, 15 and 45);
+* FLOAT64, when dim (m-1)^2 + m <= 2^53 (Z/97 up to dim 9.8 * 10^11):
+  canonical residues as float64, one BLAS product per factor, and a chain
+  reduced only where the bound _chain_matmul proves would pass 2^53 - m,
+  and once at the end (four products run between reductions at dim 15).  A
+  stacked (2, 15, 15) product takes 1.5 us, against 7.2 us in int64 then
+  % m, and a reduction 2.7 us (numpy 2.4 on OpenBLAS, a 2-CPU Xeon);
+* one int64 limb, when dim (m-1)^2 < 2^62: one int64 matmul, then % m;
+* k int64 limbs, when m < 2^62 but one limb could overflow: the right
+  factor is split into s-bit limbs and the limb products are combined mod
+  m by Horner's rule (Z/(2^31 - 1) takes two limbs at dim 10, 15 and 45,
+  where float64 limbs measured slower: 9.6 against 6.6 us at dim 6);
 * pure python otherwise: Z, Z[x...], m >= 2^62, and moduli so wide that no
   limb width fits, such as 2^61 - 1 at dim 6.  That product, _ring_product,
-  serves matrices and vectors alike and is the referee of both int64 paths.
+  serves matrices and vectors alike and is the referee of the numpy paths.
 
-No other module reads the storage.  They use at, column and rows, and
-four package-internal accessors: Matrix._gather (payloads at paired
-positions), Matrix._equals_at (whether the payloads at given positions are
-given ones, in numpy for int64 storage, the payloads as _payloads makes
-them), Matrix._residues (an int64 array) and _from_residues.
+Every engine product of two arrays is one call of _kernel_matmul, whatever
+the dtype (plucker's int64 blocks call it too).  No other module reads the
+storage.  They use at, column and rows, and four package-internal
+accessors: Matrix._gather (payloads at paired positions), Matrix._equals_at
+(whether the payloads at given positions are given ones, in numpy for
+array storage, the payloads as _payloads makes them), Matrix._residues
+(an int64 array, or the storage in the dtype asked for) and
+_from_residues.  Reads hand out python ints or int64 arrays, never floats.
 
-_referee_kernel answers the same question for batched residue stacks only
-(the referee rdu._batched_product), and _referee_matmul multiplies at its
-answer:
-
-* one float64 BLAS product, when dim (m-1)^2 + m <= 2^53 (Z/97).  These
-  products are not reduced one by one: rdu._pairwise_product carries exact
-  bounds on the row sums and entries of every level, multiplies unreduced
-  while the next product's entries stay within 2^53 - m, and reduces by
-  _float64_reduce only before a level that could pass that, and once at
-  the end (delayed modular reduction);
-* else one int64 product of balanced residues, in [-floor(m/2),
-  m-1-floor(m/2)], reduced by _balance, when dim floor(m/2)^2 + floor(m/2)
-  < 2^63 (every m <= 2^31 up to dim 7: Z/(2^31 - 1) at n <= 7 and N = 6);
-* else s-bit float64 limbs of the right factor combined by Horner's rule in
-  _float64_matmul at _float64_kernel's width, with every sum an exact
-  integer (Z/(2^31 - 1) at N = 10 and 15).
-
-Matrix storage and every product above stay as _int64_kernel decides.
+_referee_kernel answers the same question for the batched stacks of the
+referee rdu._batched_product, and _referee_matmul multiplies at its
+answer: one float64 BLAS product with delayed reduction where FLOAT64
+holds, else balanced int64 residues, else float64 limbs.
 
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
-multiplying the two sides together.  Where storage is int64 a pair is one
-(2, dim, dim) stack, so _pair_product multiplies both sides in one kernel
-call per factor, at _int64_kernel's answer.
+multiplying the two sides together.  Where storage is an array a pair is
+one (2, dim, dim) stack, so _pair_product multiplies both sides in one
+kernel call per factor, at _kernel's answer.
 """
 
 from __future__ import annotations
@@ -56,6 +51,7 @@ import numpy as np
 from . import indexing, rings
 
 ONE_LIMB = 0
+FLOAT64 = -2
 
 
 def _int64_kernel(ring, dim: int):
@@ -95,11 +91,63 @@ def _limb_matmul(a, b, m: int, s: int):
     return acc
 
 
-def _int64_matmul(a, b, m: int, s: int):
-    """a @ b mod m for int64 residues, s from _int64_kernel (not None)."""
+def _kernel(ring, dim: int):
+    """How the engine multiplies dim x dim matrices over `ring`, and so how
+    they are stored: FLOAT64 (float64 residues) where _float64_kernel gives
+    ONE_LIMB, a stronger bound than _int64_kernel's; else _int64_kernel's
+    answer (int64 residues, or payload tuples at None)."""
+    s = _int64_kernel(ring, dim)
+    return FLOAT64 if s == ONE_LIMB and _float64_kernel(ring, dim) == ONE_LIMB else s
+
+
+def _dtype(s):
+    """The storage dtype at an array answer s of _kernel."""
+    return np.float64 if s == FLOAT64 else np.int64
+
+
+def _kernel_matmul(a, b, m: int, s):
+    """a @ b for arrays of residues at an answer s of _kernel, one call per
+    engine product: unreduced at FLOAT64 (_chain_matmul reduces), else mod
+    m in int64, in one limb or by _limb_matmul."""
+    if s == FLOAT64:
+        return a @ b
     if s == ONE_LIMB:
         return (a @ b) % m
     return _limb_matmul(a, b, m, s)
+
+
+def _chain_matmul(acc, factors, m: int, s):
+    """acc @ factors[0] @ factors[1] ... mod m, left to right, for arrays
+    (or stacks) of canonical residues at the answer s of _kernel (not
+    None): one _kernel_matmul per factor.
+
+    At FLOAT64 the reduction is delayed, as in FFLAS-FFPACK (Dumas, Giorgi
+    and Pernet, ACM TOMS 35(3), 2008).  For non-negative integer matrices,
+    an entry of AB is at most r(A) e(B) and a row sum at most r(A) r(B),
+    for r the largest row sum and e the largest entry.  A canonical factor
+    has e = m - 1 and r <= w = dim (m-1), so acc @ f, for acc with row sums
+    up to r, has entries up to r (m-1) and row sums up to r w.  BLAS may
+    sum in any order, fused or not, but every partial sum of non-negative
+    integer terms is an integer no larger than the entry, so the product
+    is exact while r (m-1) + m <= 2^53, as _float64_reduce needs.  acc is
+    reduced in place before any product that could pass that, to entries
+    in [0, m), so r <= w, where w (m-1) + m <= 2^53 is the FLOAT64
+    condition itself (a canonical first acc, the caller's storage, is
+    never reduced), and once at the end, so the result is canonical.
+    """
+    if s != FLOAT64:
+        for f in factors:
+            acc = _kernel_matmul(acc, f, m, s)
+        return acc
+    wide = acc.shape[-1] * (m - 1)
+    rows = wide
+    for f in factors:
+        if rows * (m - 1) + m > 2**53:
+            _float64_reduce(acc, m)
+            rows = wide
+        acc = _kernel_matmul(acc, f, m, s)
+        rows *= wide
+    return _float64_reduce(acc, m) if factors else acc
 
 
 def _float64_kernel(ring, dim: int):
@@ -109,10 +157,9 @@ def _float64_kernel(ring, dim: int):
     the widest with (m-1) ((dim+1) 2^s - dim) + m <= 2^53; else None (every
     ring other than Z/m, and moduli near 2^53 or above).
 
-    Every integer up to 2^53 in absolute value is a float64.  BLAS may add
-    the products of a sum in any order or fuse them (FMA), but when every
-    term is a non-negative integer each partial sum is an integer no larger
-    than the total, so a total up to 2^53 is exact.  One limb: each product
+    Every integer up to 2^53 in absolute value is a float64, and a sum of
+    non-negative integer terms up to 2^53 is exact in any order BLAS adds
+    them (see _chain_matmul).  One limb: each product
     of residues in [0, m) is at most (m-1)^2, a sum of dim of them at most
     dim (m-1)^2.  Limbs: Horner's rule forms acc 2^s + a @ b_k with acc in
     [0, m) and b_k in [0, 2^s), so acc 2^s <= (m-1) 2^s (exact: a power of
@@ -228,16 +275,18 @@ class Matrix:
         if any(len(r) != self.dim for r in rows):
             raise ValueError("matrix must be square")
         self._np = self._rows = None
-        if _int64_kernel(ring, self.dim) is None:
+        s = _kernel(ring, self.dim)
+        if s is None:
             self._rows = rows
         else:
-            self._np = np.array(rows, dtype=np.int64).reshape(self.dim, self.dim) % ring.modulus
+            data = np.array(rows, dtype=np.int64).reshape(self.dim, self.dim) % ring.modulus
+            self._np = data.astype(_dtype(s), copy=False)
             self._np.flags.writeable = False
 
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = tuple(tuple(row) for row in self._np.tolist())
+            self._rows = tuple(tuple(row) for row in self._residues().tolist())
         return self._rows
 
     def at(self, r: int, c: int):
@@ -248,7 +297,7 @@ class Matrix:
 
     def column(self, c: int):
         if self._np is not None:
-            return tuple(self._np[:, c].tolist())
+            return tuple(self._np[:, c].astype(np.int64, copy=False).tolist())
         return tuple(row[c] for row in self._rows)
 
     def _gather(self, rows, cols) -> list:
@@ -256,26 +305,29 @@ class Matrix:
         two integer index arrays of one length, as a list (which compares
         faster than a tuple)."""
         if self._np is not None:
-            return self._np[rows, cols].tolist()
+            return self._np[rows, cols].astype(np.int64, copy=False).tolist()
         data = self._rows
         return [data[r][c] for r, c in zip(rows.tolist(), cols.tolist())]
 
     def _equals_at(self, flat, payloads) -> bool:
         """Whether the payload at each 0-based row-major position flat[k]
         (row r, column c at r dim + c) is payloads[k], for an integer index
-        array and payloads from _payloads of one length.  int64 storage is
-        compared in numpy, as the bytes of the entries there against those
-        of the int64 payload array, with nothing converted per call."""
+        array and payloads from _payloads of one length.  Array storage is
+        compared in numpy, as the bytes of the entries there, as int64,
+        against those of the int64 payload array."""
         if self._np is not None:
-            return self._np.take(flat).tobytes() == payloads.tobytes()
+            return self._np.take(flat).astype(np.int64, copy=False).tobytes() == payloads.tobytes()
         if isinstance(payloads, np.ndarray):
             payloads = payloads.tolist()
         return self._gather(*np.divmod(flat, self.dim)) == list(payloads)
 
-    def _residues(self):
-        """The entries as an int64 array of residues, Z/m with m <= 2^63: the
-        storage, read-only, else a copy of the payload rows."""
-        return self._np if self._np is not None else np.array(self._rows, dtype=np.int64)
+    def _residues(self, dtype=np.int64):
+        """The entries as an array of residues of `dtype`, int64 for Z/m with
+        m <= 2^63, float64 where they are below 2^53: the storage,
+        read-only, when it has that dtype, else a copy."""
+        if self._np is not None:
+            return self._np.astype(dtype, copy=False)
+        return np.array(self._rows, dtype=dtype)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
@@ -314,8 +366,13 @@ class Matrix:
 
 
 def _from_residues(ring, data) -> Matrix:
-    """The matrix stored as `data`, a square int64 array of residues, made
-    read-only; only where _int64_kernel(ring, dim) gives a kernel."""
+    """The matrix of `data`, a square int64 or float64 array of residues in
+    [0, m), stored as _kernel decides (a copy where the dtype differs)."""
+    return _matrix(ring, data.astype(_dtype(_kernel(ring, len(data))), copy=False))
+
+
+def _matrix(ring, data) -> Matrix:
+    """The matrix stored as `data`, an array of _kernel's dtype, read-only."""
     data.flags.writeable = False
     out = object.__new__(Matrix)
     out.ring, out.dim, out._np, out._rows = ring, data.shape[0], data, None
@@ -346,13 +403,14 @@ def _identity_at(ring, mask):
 
 def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     """The dim x dim identity with payloads `values` at the off-diagonal
-    positions (rows[k], cols[k]), 0-based, stored as _int64_kernel decides.
+    positions (rows[k], cols[k]), 0-based, stored as _kernel decides.
     The values are ring payloads (ring.coerce's answers, residues in [0, m)
-    over Z/m); int64 storage still reduces them mod m."""
-    if _int64_kernel(ring, dim) is not None:
-        data = np.eye(dim, dtype=np.int64)
+    over Z/m), stored as they are."""
+    s = _kernel(ring, dim)
+    if s is not None:
+        data = np.eye(dim, dtype=_dtype(s))
         data[rows, cols] = values
-        return _from_residues(ring, data % ring.modulus)
+        return _matrix(ring, data)
     z, o = ring.zero, ring.one
     out = [[o if r == c else z for c in range(dim)] for r in range(dim)]
     for r, c, v in zip(rows, cols, values):
@@ -365,13 +423,14 @@ def _unipotent_pair(ring, dim: int, rows, cols, values) -> "InvPair":
     `values` (ring.coerce's answers) at the off-diagonal positions
     (rows[k], cols[k]), 0-based, stored as they are.  The caller vouches
     that A^2 = 0, so that I - A is the inverse of I + A; it is not checked.
-    Where storage is int64 both sides are written into one stack (see
+    Where storage is an array both sides are written into one stack (see
     InvPair), else each is an _identity_plus."""
     neg = [ring.neg(v) for v in values]
-    if _int64_kernel(ring, dim) is None:
+    s = _kernel(ring, dim)
+    if s is None:
         at = (ring, dim, rows, cols)
         return InvPair._trusted(_identity_plus(*at, values), _identity_plus(*at, neg))
-    stack = np.zeros((2, dim, dim), dtype=np.int64)
+    stack = np.zeros((2, dim, dim), dtype=_dtype(s))
     stack.reshape(2, -1)[:, :: dim + 1] = 1
     stack[0, rows, cols] = values
     stack[1, cols, rows] = neg  # the transpose of I - A
@@ -383,13 +442,9 @@ def _product(ring, dim: int, factors) -> Matrix:
     right (the identity when it is empty), with the kernel chosen once."""
     if not factors:
         return identity(ring, dim)
-    s = _int64_kernel(ring, dim)
+    s = _kernel(ring, dim)
     if s is not None:
-        m = ring.modulus
-        acc = factors[0]._np
-        for f in factors[1:]:
-            acc = _int64_matmul(acc, f._np, m, s)
-        return _from_residues(ring, acc)
+        return _matrix(ring, _chain_matmul(factors[0]._np, [f._np for f in factors[1:]], ring.modulus, s))
     acc = factors[0].rows
     for f in factors[1:]:
         acc = _ring_product(ring, acc, tuple(zip(*f.rows)))
@@ -398,7 +453,8 @@ def _product(ring, dim: int, factors) -> Matrix:
 
 def _ring_product(ring, rows, cols) -> list:
     """out[r][c] = the sum over k of rows[r][k] cols[c][k] in ring
-    arithmetic: the one pure-python product, and the int64 kernels' referee."""
+    arithmetic: the one pure-python product, and the referee of the
+    kernels of _kernel."""
     add, mul, zero = ring.add, ring.mul, ring.zero
     out = []
     for ra in rows:
@@ -445,11 +501,11 @@ def _vector_product(m: Matrix, vec, column: bool) -> tuple:
     ring = m.ring
     if len(vec) != m.dim:
         raise ValueError("dimension mismatch")
-    s = _int64_kernel(ring, m.dim)
+    s = _kernel(ring, m.dim)
     if s is not None:
-        v = np.array(vec, dtype=np.int64)
+        v = (np.array(vec, dtype=np.int64) % ring.modulus).astype(_dtype(s), copy=False)
         a, b = (m._np, v) if column else (v, m._np)
-        return tuple(_int64_matmul(a, b, ring.modulus, s).tolist())
+        return tuple(_chain_matmul(a, [b], ring.modulus, s).astype(np.int64, copy=False).tolist())
     if column:
         return tuple(row[0] for row in _ring_product(ring, m.rows, (vec,)))
     return _ring_product(ring, (vec,), tuple(zip(*m.rows)))[0]
@@ -458,8 +514,8 @@ def _vector_product(m: Matrix, vec, column: bool) -> tuple:
 class InvPair:
     """A matrix with a certified inverse.
 
-    Where _int64_kernel gives a kernel, a pair is stored once, as a
-    read-only (2, dim, dim) int64 residue stack: fwd, then the transpose of
+    Where _kernel gives a kernel, a pair is stored once, as a read-only
+    (2, dim, dim) residue stack of its dtype: fwd, then the transpose of
     bwd; fwd and bwd are Matrix views into it.  The inverse of a product
     ab is b^-1 a^-1, whose transpose is a^-T b^-T, so the stack of ab is
     the stacked product of the stacks of a and b: compose and conjugate
@@ -489,13 +545,13 @@ class InvPair:
     @property
     def fwd(self) -> Matrix:
         if self._fwd is None:
-            self._fwd = _from_residues(self.ring, self._stack[0])
+            self._fwd = _matrix(self.ring, self._stack[0])
         return self._fwd
 
     @property
     def bwd(self) -> Matrix:
         if self._bwd is None:
-            self._bwd = _from_residues(self.ring, self._stack[1].T)
+            self._bwd = _matrix(self.ring, self._stack[1].T)
         return self._bwd
 
     def compose(self, other: "InvPair") -> "InvPair":
@@ -539,16 +595,13 @@ def _pair_product(pairs) -> InvPair:
             raise rings.RingMismatchError("ring mismatch")
         if p.dim != dim:
             raise ValueError("dimension mismatch")
-    s = _int64_kernel(ring, dim)
+    s = _kernel(ring, dim)
     if s is None:
         return InvPair._trusted(
             _product(ring, dim, [p.fwd for p in pairs]),
             _product(ring, dim, [p.bwd for p in reversed(pairs)]),
         )
-    acc = first._stack
-    for p in pairs[1:]:
-        acc = _int64_matmul(acc, p._stack, ring.modulus, s)
-    return _stacked(ring, acc)
+    return _stacked(ring, _chain_matmul(first._stack, [p._stack for p in pairs[1:]], ring.modulus, s))
 
 
 def identity_pair(ring, dim: int) -> InvPair:

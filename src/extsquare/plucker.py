@@ -236,7 +236,7 @@ def _is_member_int64(data, m: int, n: int, s) -> bool:
     Q, N = len(sign), len(data)
     block = max(1, _BLOCK_ENTRIES // (N * N + 6 * Q))
     for lo in range(0, Q, block):
-        M = matrices._int64_matmul(left[lo : lo + block], right[lo : lo + block], m, s)
+        M = matrices._kernel_matmul(left[lo : lo + block], right[lo : lo + block], m, s)
         if M[:, overlap].any():
             return False
         # for every S, sign(A, C) * a^H_{A,C} over the six splittings (A, C)

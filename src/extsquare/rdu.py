@@ -14,14 +14,11 @@ is returned; a failed certificate raises instead of degrading, and
 `decompose` names the target it failed on.
 
 Every word certificate is evaluated on the engine's own g, through one
-shared cache, so each run of core terms is multiplied once per engine: the
-core certificates compute it, and `final-verified` and the system check
-reuse it for every target, inverting it where a core enters a word
-inverted.  Within a core, z's pair is made in one pass over its telescoped
-chain on the routed g1 (words._chain), and the eight-term word's pair,
-the commutator A^-1 Z A Z^-1 of z's pair Z and a^-1's segment A, is kept in
-g's run memo (words._keep_commutator), where ConjWord.eval_matrix recalls it
-whole.
+shared cache, so each core's word is multiplied once per engine, and
+`final-verified` and the system check recall it for every target
+(inverted where a core enters a word inverted).  z's pair is made in one
+pass over its telescoped chain on the routed g1 (words._chain), and the
+eight-term word's pair from it (words._keep_commutator).
 Cores are cached per slot, at most N (N - 1 + 2 (n - 2)) for N = C(n, 2):
 a plain and a combined-diagonal core per ordered pair of height one, and a
 combined-entry core per ordered pair of height zero.
@@ -197,19 +194,14 @@ class ReverseDecomposer:
         Returns (word, param, certificates), param = pair_{I,J}.  The core is
         built on g1, the source-routed pair, and written on self.g through
         the outer prefix P = tau + src^-1 (g1 = P^-1 g P); an orientation flip
-        from the source route is absorbed by formal inversion.  Word
-        certificates are evaluated on self.g, so later products on g reuse
-        their runs.  T's pair is a segment of the engine's cache, written
-        in one step (ExtWord.eval), h = g1^-1 T g1 and h^-1 come from one
-        conjugation of it, and the core's word is checked in place
-        (_is_letter).  z, written on g as reconjugate(z, P), is multiplied
-        in one pass over g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1
-        (words._chain: 9 products, each factor g1 or a segment of the
-        cache, or one of them inverted) to z's pair Z.  The eight-term
-        word's pair A^-1 Z A Z^-1, for a^-1's segment A, takes 3 more and
-        is kept in g's run memo only if the word's terms are exactly those
-        built from z's (words._keep_commutator), so the eight-conjugate-core
-        certificate recalls it, or multiplies a word written otherwise.
+        from the source route is absorbed by formal inversion.  T's pair is
+        written in one step (ExtWord.eval) and kept inverted as t^-1's
+        (ExtWord._keep); h = g1^-1 T g1 and h^-1 are one conjugation of it.
+        z's pair Z takes 9 products (words._chain, on g1), and the word's
+        pair A^-1 Z A Z^-1, for a^-1's segment A, 3 more; it is kept in g's
+        run memo only if the word's terms are exactly those built from z's
+        (words._keep_commutator), so the eight-conjugate-core certificate
+        recalls it, and reads it in place (_is_letter).
         """
         ring, n = self.ring, self.n
         pair = self.g if tau is None else matrices.conjugate(self.g, tau.eval(ring, self._cache))
@@ -249,6 +241,7 @@ class ReverseDecomposer:
 
         s_word = self._single(2, 3, ring.one)
         t_inv = T.inverse(ring)
+        t_inv._keep(ring, Tm.invert(), self._cache)
         s_inv = s_word.inverse(ring)
         z = ConjWord._trusted(
             n,
@@ -666,7 +659,7 @@ def _batched_product(word: ConjWord, g: matrices.InvPair):
     eps = np.array([eps for eps, _ in word.terms])[:, None, None]
     chain = np.empty((2 * T + 1, N, N), np.int64 if balanced else np.float64)
     chain[0::2] = X
-    chain[1::2] = np.where(eps == 1, g.fwd._residues(), g.bwd._residues())
+    chain[1::2] = np.where(eps == 1, g.fwd._residues(chain.dtype), g.bwd._residues(chain.dtype))
     if balanced:
         matrices._balance(chain, m)
     out = _pairwise_product(chain, m, s, N * (m - 1))
@@ -729,22 +722,17 @@ def _pairwise_product(stack, m: int, s, rows: int):
     stack's kind: canonical for float64, balanced for BALANCED.
 
     At BALANCED and at limb widths matrices._referee_matmul reduces every
-    product.  At ONE_LIMB the reduction is delayed, as in FFLAS-FFPACK
-    (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  The entries are
+    product.  At ONE_LIMB the reduction is delayed, on the bounds that
+    matrices._chain_matmul proves for the engine's chains: the entries are
     canonical residues, so non-negative integers at most e = m - 1, and
-    `rows` bounds every row sum by r.  For non-negative integer matrices A
-    and B, an entry of AB is at most r(A) e(B) and a row sum at most
-    r(A) r(B) (the norm inequality ||AB|| <= ||A|| ||B||), so a level takes
-    r -> r^2 and e -> r e, and the odd one out, at r and e, stays within
-    them.  Every entry of AB is a sum of non-negative integer terms, so
-    each partial sum BLAS forms, in any order and fused or not, is an
-    integer no larger than the entry.  A level is therefore multiplied
-    unreduced while r e + m <= 2^53: every entry is exact and within the
-    |c| + m <= 2^53 that matrices._float64_reduce needs.  Otherwise the
-    stack is reduced first, which maps each entry c to c mod m <= c in
-    [0, m), so to e = m - 1 and r = min(r, dim (m-1)), where
-    r e + m <= dim (m-1)^2 + m <= 2^53 is the ONE_LIMB condition itself.
-    The product is reduced once at the end unless e < m already.
+    `rows` bounds every row sum by r; a product's entries are at most
+    r(A) e(B) and its row sums r(A) r(B), so a level takes r -> r^2 and
+    e -> r e, and the odd one out, at r and e, stays within them.  A level
+    is multiplied unreduced while r e + m <= 2^53, which keeps every entry
+    exact and reducible.  Otherwise the stack is reduced first, to e = m - 1
+    and r = min(r, dim (m-1)), where r e + m <= dim (m-1)^2 + m <= 2^53 is
+    the ONE_LIMB condition itself.  The product is reduced once at the end
+    unless e < m already.
     """
     top = m - 1
     dim = stack.shape[-1]

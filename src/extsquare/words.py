@@ -19,24 +19,17 @@ own labels and evaluates itself.
 ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g,
-factored over the segments the conjugators share.  It keeps, per g, one
-run memo: the pair of every top-level group of terms it multiplies, keyed
-by the group's terms from g on, so a group recurs for free and a group
-whose formal inverse is kept costs only a view; below the top level it
-recalls groups from that memo and keeps nothing.  A core's z is not cut
-into groups: its terms all conjugate the routed g1 = P^-1 g P, and its
-conjugators past P telescope, so _chain makes its pair in one pass over g1
-and the segments between its terms.  The core's commutator word [a, z]
-then has the pair A^-1 Z A Z^-1 for z's pair Z and the segment A of a^-1,
-which _keep_commutator keeps in the memo if the word's terms are exactly
-those it builds from z's.  ExtWord.eval keeps the segments in a caller's cache, each entry exactly
-the product of its key's letters, and builds a new segment by inverting
-the entry of its formal inverse, by writing it in one step when its
+factored over the segments the conjugators share and over g's run memo of
+the top-level groups it has multiplied.  A core's z is made in one pass
+over its telescoped chain on the routed g1 = P^-1 g P (_chain), and its
+commutator word's pair A^-1 Z A Z^-1 from z's pair Z and a^-1's segment A
+(_keep_commutator).  ExtWord.eval keeps the segments in a caller's cache,
+each entry exactly the product of its key's letters: a new segment
+inverts its formal inverse's entry, is written in one step when its
 letters share one j and have distinct i (a letter, or a core's column
-stabilizer), or by extending its longest cached proper suffix.  The
-letters of a new segment are read from the same cache, as one-letter
-segments.  Every pair is one int64 stack where matrices stores int64 (see
-matrices.InvPair), so both of its sides multiply in one kernel call.
+stabilizer), or extends its longest cached proper suffix.  Every pair is
+one stack where matrices stores arrays (see matrices.InvPair), so both of
+its sides multiply in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices, the pair-indexed expansion in exterior and the signs rdu reads off
@@ -86,15 +79,12 @@ def _letter_support(n: int, i: int, j: int):
 # Each cap sits above the working set of a full level sweep at n <= 7, so
 # an engine evicts only at larger ranks.  After a full level sweep over Z/97
 # at n = 6 (seed 1, a 24-letter source, targets (2, 3) and (1, 6), then the
-# system check), a caller's segment cache (ExtWord.eval) holds 644
-# segments, 58 of them letters, and the run memo of g (ConjWord.eval_matrix)
-# 306 entries: the commutator words of the 234 cores and 72 top-level
-# groups, two of them a single term; at n = 7 (a 28-letter source), 1 173
-# segments (1 199 over Z/(2^31 - 1)) and 580 entries, 452 of them cores';
-# at n = 10 (a 40-letter source, targets (2, 3) only) 2 549 entries, 2 052
-# of them cores'.  Nothing made below the top level is kept: over the sweep
-# at (2, 3) alone (n = 6) a core takes 25.50 kernel calls and a
-# `final-verified` certificate 1.23 (1.90 in a sweep at (1, 6) as well).
+# system check), a caller's segment cache (ExtWord.eval) holds 634
+# segments, 54 of them letters, and the run memo of g (ConjWord.eval_matrix)
+# 234 entries, the commutator words of the 234 cores: every final word is
+# recalled as its cores' words, so no top-level group is kept; at n = 7 (a
+# 28-letter source), 1 161 segments (1 187 over Z/(2^31 - 1)) and 452
+# entries; at n = 10 (a 40-letter source, targets (2, 3) only) 2 052.
 _SEGMENT_CACHE_MAX = 8192
 _RUN_MEMO_MAX = 4096
 
@@ -304,6 +294,10 @@ class ExtWord(_LetterWord):
         _bounded_put(cache, key, pair, _SEGMENT_CACHE_MAX)
         return pair
 
+    def _keep(self, ring, pair: matrices.InvPair, cache: dict) -> None:
+        """Keep `pair`, the word's own pair over `ring`, as eval keeps it."""
+        _bounded_put(cache, (ring.key(), self.n, self.letters), pair, _SEGMENT_CACHE_MAX)
+
     def expand(self) -> PairWord:
         """Expansion into elementary transvections of the pair-indexed group."""
         from . import exterior
@@ -370,22 +364,15 @@ class ConjWord:
         rings.  It keeps segments (ExtWord.eval, keyed by (ring.key(), n,
         letters)) and, under ("runs", id(g)), a pair (g, memo): g's run
         memo, which keeps pairs under their terms with their absolute
-        conjugators (the letters from g on), whose product on g each is.
-        Once S is stripped the whole word is recalled from the memo, or
-        inverted (a view, no product) from the pair of its formal inverse;
-        so a core's commutator word, which _keep_commutator keeps under its
-        terms, is recalled whole, and so is a final word that is one core
-        with a target route.  Otherwise the terms are cut into groups: runs
-        that share a first letter, or blocks that share a last letter where
-        that gives fewer.  Each group is recalled or made and kept in the
-        memo through one step, _kept.  Below the top level (_level_pair) a
-        prefix shared by every conjugator moves into the base P^-1 g P, a
-        shared suffix is stripped and the rest conjugated by it, and
-        otherwise the terms are cut into groups; the rest and each group is
-        recalled from the memo in the same two ways, or made, and nothing
-        made there is kept.  The slot holds g, so its id is not reused
-        while the entry lives.  The top level multiplies forward sides
-        only.
+        conjugators (the letters from g on), whose product on g each is;
+        the slot holds g, so its id is not reused while the entry lives.
+        Once S is stripped the word is recalled whole (a core's commutator
+        word, kept by _keep_commutator, or a final word of one core), or
+        as its cores' kept words (_core_words), or cut into groups, each
+        recalled or made and kept (_conj_product); below the top level
+        groups are recalled or made and nothing is kept (_level_pair).  A
+        pair is recalled directly or inverted (a view, no product) from
+        its formal inverse's.  The top level multiplies forward sides only.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -499,12 +486,23 @@ def _kept(memo: dict, key, make, *args) -> matrices.InvPair:
     return pair
 
 
+def _core_words(memo: dict, terms) -> list:
+    """The forward sides of the several eight-term words `terms` is made of,
+    as a final word is of its cores' words, each recalled from g's run memo
+    (_recall), if every one is there; else []."""
+    if len(terms) <= 8 or len(terms) % 8:
+        return []
+    cores = [_recall(memo, terms[a : a + 8]) for a in range(0, len(terms), 8)]
+    return [core.fwd for core in cores] if all(cores) else []
+
+
 def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memo: dict) -> matrices.Matrix:
     """Forward product of X^-1 g^eps X over nonempty `terms` of (eps,
     letters of X), `memo` being g's run memo: the common suffix S stripped
     as S^-1 (...) S, then the whole word's pair recalled from the memo
-    (_recall) when it is there, else the forward side of each group's pair
-    (_kept in the memo under the group's terms, made by _level_pair)."""
+    (_recall) when it is there, else those of its eight-term core words
+    (_core_words), else the forward side of each group's pair (_kept in
+    the memo under the group's terms, made by _level_pair)."""
     k = _shared_len([h for _, h in terms], suffix=True)
     if k:
         s = _segment(ring, n, terms[0][1][-k:], cache)
@@ -513,8 +511,8 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memo: d
     whole = _recall(memo, terms)
     if whole is not None:
         return whole.fwd
-    parts = []
-    for group in _groups(terms):
+    parts = _core_words(memo, terms)
+    for group in () if parts else _groups(terms):
         if not group[0][1]:  # empty conjugators contribute g^eps directly
             parts.extend(g.fwd if eps == 1 else g.bwd for eps, _ in group)
             continue

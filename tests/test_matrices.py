@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from extsquare import generate, indexing, jsonio, matrices, rings
+from extsquare import generate, indexing, jsonio, matrices, plucker, rings
 from extsquare.words import ExtWord, ext_letter_matrix
 
 
@@ -407,3 +407,102 @@ def test_ext_word_pairs_equal_their_letters_multiplied_out(ring, dim, kernel):
     cache = {}
     ExtWord(n, word.letters[2:]).eval(ring, cache)
     _assert_pair(word.eval(ring, cache), fwd, bwd)
+
+
+# -- the float64 kernel: canonical residues on BLAS, reduced once per chain ---
+
+
+def _last_float64_modulus(dim):
+    """The largest m with dim (m-1)^2 + m <= 2^53."""
+    t = math.isqrt(2**53 // dim)
+    while dim * t * t + t + 1 > 2**53:
+        t -= 1
+    while dim * (t + 1) ** 2 + t + 2 <= 2**53:
+        t += 1
+    return t + 1
+
+
+FLOAT64_EDGES = [
+    pytest.param(dim, _last_float64_modulus(dim) + past, id=f"{dim}-{'past' if past else 'last'}")
+    for dim in (1, 6, 10, 15, 28, 45)
+    for past in (0, 1)
+]
+
+
+def _ring_chain(ring, factors):
+    """The product of a list of rows-tuples by _ring_product alone."""
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = matrices._ring_product(ring, acc, tuple(zip(*f)))
+    return tuple(map(tuple, acc))
+
+
+@pytest.mark.parametrize("dim,modulus", FLOAT64_EDGES)
+def test_float64_kernel_matches_the_ring_product_at_its_bound(monkeypatch, dim, modulus):
+    # chains of four factors, the first all m - 1: at the last modulus the
+    # product runs in float64 and its bound makes _chain_matmul reduce before
+    # the second and third products and at the end; past it, in one int64 limb
+    ring = rings.ModularRing(modulus)
+    inside = modulus == _last_float64_modulus(dim)
+    assert matrices._kernel(ring, dim) == (matrices.FLOAT64 if inside else matrices.ONE_LIMB)
+    reductions = []
+    reduce = matrices._float64_reduce
+    monkeypatch.setattr(matrices, "_float64_reduce", lambda c, m: reductions.append(c.shape) or reduce(c, m))
+    rng = random.Random(dim + modulus)
+    top = matrices.Matrix(ring, [[modulus - 1] * dim for _ in range(dim)])
+    fwd = [top] + [_random_matrix(ring, dim, rng) for _ in range(3)]
+    bwd = [_random_matrix(ring, dim, rng) for _ in range(3)] + [top]
+    assert matrices._product(ring, dim, fwd).rows == _ring_chain(ring, [f.rows for f in fwd])
+    assert reductions == ([(dim, dim)] * 3 if inside else [])
+    pairs = [matrices.InvPair._trusted(f, b) for f, b in zip(fwd, bwd)]
+    pair = matrices._pair_product(pairs)
+    assert pair.fwd.rows == _ring_chain(ring, [f.rows for f in fwd])
+    assert pair.bwd.rows == _ring_chain(ring, [b.rows for b in reversed(bwd)])
+    assert reductions == ([(dim, dim)] * 3 + [(2, dim, dim)] * 3 if inside else [])
+    for v in ([modulus - 1] * dim, [ring.random(rng) for _ in range(dim)]):
+        assert matrices.mat_vec(top, v) == tuple(row[0] for row in _ring_chain(ring, [top.rows, [[x] for x in v]]))
+        assert matrices.vec_mat(v, top) == _ring_chain(ring, [[v], top.rows])[0]
+
+
+def _numbers(obj):
+    """Every number in a JSON-ready object."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in _numbers(item)]
+    return [obj] if isinstance(obj, (int, float)) else []
+
+
+def test_zmod97_reads_hand_out_ints_never_floats():
+    ring, n = rings.ModularRing(97), 6
+    dim = indexing.dim(n)
+    assert matrices._kernel(ring, dim) == matrices.FLOAT64
+    pair = generate.source_pair(dim, ring, 2 * dim, random.Random(5))
+    reads = []
+    for a in (pair.fwd, pair.bwd, pair.fwd.mul(pair.bwd.mul(pair.fwd))):
+        assert a._residues().dtype == np.int64
+        reads += [a.at(2, 3), *a.column(4), *(x for row in a.rows for x in row)]
+        reads += a._gather(np.arange(dim), np.arange(dim)[::-1])
+        reads += matrices.mat_vec(a, a.column(1)) + matrices.vec_mat(a.rows[0], a)
+    reads += _numbers(jsonio.pair_to_json(pair, n=n)) + _numbers(jsonio.matrix_to_json(pair.bwd, n=n))
+    reads += _numbers(jsonio.vector_to_json(plucker.PairVector.column_of(pair.fwd, n, (1, 2))))
+    assert reads and {type(x) for x in reads} == {int}
+
+
+def test_the_two_storage_kinds_of_one_matrix_are_equal_and_hash_equally(monkeypatch):
+    # the same residues stored in float64 (as _kernel decides over Z/97) and
+    # in int64 (as it decided while patched); _from_residues stores as
+    # _kernel decides, whatever dtype it is given
+    ring, dim = rings.ModularRing(97), 10
+    rng = random.Random(8)
+    rows = [[[ring.random(rng) for _ in range(dim)] for _ in range(dim)] for _ in range(2)]
+    fwd, bwd = (matrices.Matrix(ring, r) for r in rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_kernel", lambda ring, dim: matrices.ONE_LIMB)
+        fwd64, bwd64 = (matrices.Matrix(ring, r) for r in rows)
+    assert (fwd._np.dtype, fwd64._np.dtype) == (np.float64, np.int64)
+    assert fwd == fwd64 and fwd64 == fwd and hash(fwd) == hash(fwd64)
+    pair, pair64 = matrices.InvPair._trusted(fwd, bwd), matrices.InvPair._trusted(fwd64, bwd64)
+    assert pair == pair64 and hash(pair) == hash(pair64)
+    assert matrices._from_residues(ring, fwd64._residues())._np.dtype == np.float64
+    assert matrices._from_residues(ring, fwd64._residues()) == fwd

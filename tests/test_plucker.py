@@ -290,13 +290,13 @@ def test_int64_path_decides_inside_the_guard(monkeypatch, m):
     monkeypatch.setattr(plucker, "_first_violation", _refuse)
     monkeypatch.setattr(plucker, "a_sum", _refuse)
     widths = set()
-    product = matrices._int64_matmul
+    product = matrices._kernel_matmul
 
     def spy(a, b, modulus, s):
         widths.add(s)
         return product(a, b, modulus, s)
 
-    monkeypatch.setattr(matrices, "_int64_matmul", spy)
+    monkeypatch.setattr(matrices, "_kernel_matmul", spy)
     for n, g in found:
         assert plucker.is_member(g, n)
         assert not plucker.is_member(_near_member(g, 3, 4, 1), n)

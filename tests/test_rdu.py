@@ -549,7 +549,7 @@ def test_a_core_takes_at_most_27_kernel_calls(monkeypatch):
     n = 5
     g, eng = _engine(n, 11)
     calls, cores = [], []
-    kernel = matrices._int64_matmul
+    kernel = matrices._kernel_matmul
     build = rdu.ReverseDecomposer._build_core
 
     def counted_kernel(*args):
@@ -562,7 +562,7 @@ def test_a_core_takes_at_most_27_kernel_calls(monkeypatch):
         cores.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(matrices, "_int64_matmul", counted_kernel)
+    monkeypatch.setattr(matrices, "_kernel_matmul", counted_kernel)
     monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
     for gen in level.level_generators(g.fwd, n):
         eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
@@ -571,15 +571,15 @@ def test_a_core_takes_at_most_27_kernel_calls(monkeypatch):
 
 
 def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch):
-    # the same sweep as above, with run products kept as pairs, recalled by
-    # inverse and by absolute letters, and split by shared suffix: a core
-    # multiplies 29.5 N x N products on average (44.4 before), and the
-    # eight-conjugate-core certificate 4 (17 before): z's pair conjugated
-    # by one letter, z's last three terms inverted, and two products
+    # the same sweep as above: a core multiplies 25.6 N x N products on
+    # average (44.4 before run pairs), and the eight-conjugate-core
+    # certificate none (17 before run pairs, 4 before the commutator pair
+    # was kept): it recalls the pair A^-1 Z A Z^-1 that
+    # words._keep_commutator made from z's pair
     n = 5
     g, eng = _engine(n, 11)
     calls, cores, eights, finals = [], [], [], []
-    kernel = matrices._int64_matmul
+    kernel = matrices._kernel_matmul
     build = rdu.ReverseDecomposer._build_core
     finalize = rdu.ReverseDecomposer._finalize
     evaluate = ConjWord.eval_matrix
@@ -608,7 +608,7 @@ def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch
         finals.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(matrices, "_int64_matmul", counted_kernel)
+    monkeypatch.setattr(matrices, "_kernel_matmul", counted_kernel)
     monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
     monkeypatch.setattr(rdu.ReverseDecomposer, "_finalize", counted_finalize)
     monkeypatch.setattr(ConjWord, "eval_matrix", counted_eval)
@@ -617,15 +617,17 @@ def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch
     assert len(cores) == len(eights) == 101
     assert sum(cores) / len(cores) <= 34
     assert max(eights) <= 8
-    # the final certificate recalls its cores' runs whole: 1.0 on average
-    # (6.9 before), where splitting the top level into blocks would take 6.6
+    # the final certificate recalls its cores' words whole: 0.60 on average
+    # (1.91 when a word of several cores was cut into groups)
     assert sum(finals) / len(finals) <= 2
 
 
 def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
     # g's run memo keeps the top-level groups of _conj_product and the
     # cores' commutator words only, so no z pair: every core's word, as
-    # written, is kept; and the core cache holds at most one core per slot,
+    # written, is kept, and every final word of this sweep is recalled as
+    # its cores' words (words._core_words), so no group is made or kept;
+    # and the core cache holds at most one core per slot,
     # N (N - 1 + 2 (n - 2)) in all (plain and combined-diagonal cores of
     # each ordered height-one pair, a combined-entry core of each ordered
     # height-zero pair), so a second system check builds none
@@ -651,8 +653,8 @@ def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
     monkeypatch.setattr(words, "_chain", spy)
     _sweep(eng, g, n, targets=((2, 3),))
     cores = {tuple((eps, h.letters) for eps, h in core[0].terms) for core in eng._core_cache.values()}
-    assert zs and kept
-    assert cores <= set(memo) <= kept | cores
+    assert zs and not kept
+    assert set(memo) == cores
     assert not zs & set(memo)
     assert len(eng._core_cache) <= N * (N - 1 + 2 * (n - 2))
     builds = []
@@ -706,6 +708,50 @@ def test_z_and_the_kept_commutator_pair_are_their_words_multiplied_out(monkeypat
     }
 
 
+def _guard_sweep_calls(monkeypatch):
+    """The kernel calls of each core build and of each final certificate
+    over the guard sweep (Z/97, n = 5, seed 11, targets (2, 3))."""
+    n = 5
+    g, eng = _engine(n, 11)
+    calls, cores, finals = [], [], []
+    kernel = matrices._kernel_matmul
+    build, finalize = rdu.ReverseDecomposer._build_core, rdu.ReverseDecomposer._finalize
+
+    def counted(store, method):
+        def wrapper(self, *args):
+            before = len(calls)
+            out = method(self, *args)
+            store.append(len(calls) - before)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(matrices, "_kernel_matmul", lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted(cores, build))
+    monkeypatch.setattr(rdu.ReverseDecomposer, "_finalize", counted(finals, finalize))
+    for gen in level.level_generators(g.fwd, n):
+        eng.decompose(rdu.GeneratorTarget(gen.kind, gen.I, gen.J, 2, 3))
+    return cores, finals
+
+
+def test_the_guard_sweep_counts_products_in_every_core(monkeypatch):
+    # the guards count matrices._kernel_matmul calls, so every engine product
+    # must pass through it whatever its dtype (float64 over Z/97): a core
+    # that multiplied past it would count 0 and pass them vacuously
+    cores, _ = _guard_sweep_calls(monkeypatch)
+    assert len(cores) == 101
+    assert min(cores) >= 1
+
+
+def test_every_final_certificate_takes_at_most_6_kernel_calls(monkeypatch):
+    # a final word of several cores is recalled as its cores' kept words
+    # (words._core_words): 0.60 calls on average and 5 at most, where
+    # cutting a 24-term h1-diag word into groups took up to 72
+    _, finals = _guard_sweep_calls(monkeypatch)
+    assert len(finals) == 103
+    assert max(finals) <= 6
+
+
 def test_a_core_word_is_recalled_whole_without_a_product(monkeypatch):
     # the guard sweep below: the eight-conjugate-core certificate recalls
     # the kept commutator pair whole, so its eval_matrix takes no kernel
@@ -713,7 +759,7 @@ def test_a_core_word_is_recalled_whole_without_a_product(monkeypatch):
     n = 5
     g, eng = _engine(n, 11)
     calls, eights, building = [], [], []
-    kernel = matrices._int64_matmul
+    kernel = matrices._kernel_matmul
     build = rdu.ReverseDecomposer._build_core
     evaluate = ConjWord.eval_matrix
 
@@ -731,7 +777,7 @@ def test_a_core_word_is_recalled_whole_without_a_product(monkeypatch):
             eights.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(matrices, "_int64_matmul", lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(matrices, "_kernel_matmul", lambda *a: calls.append(1) or kernel(*a))
     monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
     monkeypatch.setattr(ConjWord, "eval_matrix", counted_eval)
     for gen in level.level_generators(g.fwd, n):
@@ -741,14 +787,14 @@ def test_a_core_word_is_recalled_whole_without_a_product(monkeypatch):
 
 
 def test_z_takes_at_most_9_kernel_calls_and_its_commutator_word_at_most_4(monkeypatch):
-    # the same sweep as the guards above: z's chain is 9 stacked products,
-    # and it keeps what the eight-term word recalls (z's pair, conjugated
-    # by one letter, and z's last three terms inverted, a view), so that
-    # word takes 4 more on average
+    # the same sweep as the guards above: z's chain is 9 stacked products
+    # and keeps nothing; the eight-term word recalls the commutator pair
+    # that words._keep_commutator made from z's pair (3 products, outside
+    # eval_matrix), so that word takes none
     n = 5
     g, eng = _engine(n, 11)
     calls, zs, eights = [], [], []
-    kernel = matrices._int64_matmul
+    kernel = matrices._kernel_matmul
     chain = words._chain
     build = rdu.ReverseDecomposer._build_core
     evaluate = ConjWord.eval_matrix
@@ -778,7 +824,7 @@ def test_z_takes_at_most_9_kernel_calls_and_its_commutator_word_at_most_4(monkey
             eights.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(matrices, "_int64_matmul", counted_kernel)
+    monkeypatch.setattr(matrices, "_kernel_matmul", counted_kernel)
     monkeypatch.setattr(words, "_chain", counted_chain)
     monkeypatch.setattr(rdu.ReverseDecomposer, "_build_core", counted_build)
     monkeypatch.setattr(ConjWord, "eval_matrix", counted_eval)
@@ -1564,7 +1610,7 @@ def test_verify_rejects_a_bad_target_on_both_paths(ring, k, l):
 
 
 def test_verify_over_the_mersenne_prime_multiplies_no_int64_product(monkeypatch):
-    # what this refuses is the engine's int64 kernels, _int64_matmul and
+    # what this refuses is the engine's int64 kernels, _kernel_matmul and
     # _limb_matmul: the referee's own balanced int64 products (through
     # matrices._referee_matmul) do run here, at n = 5 on every n x n stack
     g, eng = _engine(5, 13, rings.ModularRing(2**31 - 1))
@@ -1573,7 +1619,7 @@ def test_verify_over_the_mersenne_prime_multiplies_no_int64_product(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("the referee multiplied in int64")
 
-    monkeypatch.setattr(matrices, "_int64_matmul", refuse)
+    monkeypatch.setattr(matrices, "_kernel_matmul", refuse)
     monkeypatch.setattr(matrices, "_limb_matmul", refuse)
     assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
     assert rdu.first_difference(d.word, g, d.k, d.l, g.ring.add(d.param, 1), 5) is not None

@@ -432,8 +432,8 @@ def test_a_segment_of_one_j_is_written_without_a_product(monkeypatch, ring_id):
     ]
     want = [ExtWord(n, letters).eval(ring) for letters in segments]
     calls = []
-    matmul = matrices._int64_matmul
-    monkeypatch.setattr(matrices, "_int64_matmul", lambda *a: calls.append(1) or matmul(*a))
+    matmul = matrices._kernel_matmul
+    monkeypatch.setattr(matrices, "_kernel_matmul", lambda *a: calls.append(1) or matmul(*a))
     cache: dict = {}
     for letters, pair in zip(segments, want):
         word = ExtWord(n, letters)

@@ -8,9 +8,11 @@ operation time went: decompose and verify as the benchmark times them, and,
 within decompose, every core build (rdu.ReverseDecomposer._build_core) split
 into z's pass (words._chain), its commutator pair (words._keep_commutator,
 A^-1 Z A Z^-1 from z's pair) and the rest, every ConjWord.eval_matrix call
-with the matrices._int64_matmul calls inside it, and all of decompose's
-_int64_matmul calls.  Timers wrap those callables, so each figure includes
-their small cost.  The package is imported from the src/ directory beside
+with the matrices._kernel_matmul calls inside it (the entry point of every
+engine product, float64 or int64), all of decompose's _kernel_matmul
+calls, and its matrices._float64_reduce calls, the delayed reductions of
+its float64 products (Z/97).  Timers wrap those callables, so each figure
+includes their small cost.  The package is imported from the src/ directory beside
 this script, the workload from perfbench/.  Run it from two checkouts to
 compare them.
 """
@@ -56,8 +58,8 @@ class Split:
                 self.active.pop()
                 if "decompose" in self.active:
                     keys = [name]
-                    if name == "_int64_matmul" and "eval_matrix" in self.active:
-                        keys.append("_int64_matmul in eval_matrix")
+                    if name == "_kernel_matmul" and "eval_matrix" in self.active:
+                        keys.append("_kernel_matmul in eval_matrix")
                     for key in keys:
                         self.calls[key] = self.calls.get(key, 0) + 1
                         self.seconds[key] = self.seconds.get(key, 0.0) + spent
@@ -74,7 +76,8 @@ def main() -> int:
     split.wrap(words, "_chain")
     split.wrap(words, "_keep_commutator")
     split.wrap(words.ConjWord, "eval_matrix")
-    split.wrap(matrices, "_int64_matmul")
+    split.wrap(matrices, "_kernel_matmul")
+    split.wrap(matrices, "_float64_reduce")
     out = workloads.Outcome()
     workload.run(inputs, lambda done: done >= UNITS, out, True, os.getcwd())
     if out.failed:
@@ -93,8 +96,9 @@ def main() -> int:
                        ("_keep_commutator", "  the commutator pair"),
                        ("rest of _build_core", "  the rest"),
                        ("eval_matrix", "ConjWord.eval_matrix"),
-                       ("_int64_matmul in eval_matrix", "  its products"),
-                       ("_int64_matmul", "all products of decompose")):
+                       ("_kernel_matmul in eval_matrix", "  its products"),
+                       ("_kernel_matmul", "all products of decompose"),
+                       ("_float64_reduce", "their float64 reductions")):
         seconds = split.seconds.get(name, 0.0)
         count = f"{split.calls[name]} calls, " if name in split.calls else ""
         print(f"{what}: {count}{seconds:.2f} s ({seconds / total:.0%} of op time)")

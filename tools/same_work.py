@@ -18,8 +18,9 @@ from the src/ directory beside this script.  Two things are hashed:
   every file it wrote, by name, in a fresh working directory.
 
 A line before the digest, outside it, gives the number of
-matrices._int64_matmul calls of each sweep (the engine's membership check,
-decompositions and system check; 0 over Z, which has no int64 kernel), and
+matrices._kernel_matmul calls of each sweep (the entry point of every
+engine product, float64 or int64: the engine's membership check,
+decompositions and system check; 0 over Z, which has no array kernel), and
 the next the sizes of the engine's stores after the system check: g's run
 memo, the segments of the engine's cache and its cores.
 So a change to bookkeeping alone, or to what the engine keeps, can show
@@ -59,9 +60,9 @@ def _word(word, ring) -> list:
 
 def sweep_records(kernel_calls: list, store_sizes: list):
     """One JSON-ready record per decomposition and per system word; appends
-    to `kernel_calls` the _int64_matmul calls of each sweep, and to
+    to `kernel_calls` the _kernel_matmul calls of each sweep, and to
     `store_sizes` the sizes of its engine's stores after the system check."""
-    matmul = matrices._int64_matmul
+    matmul = matrices._kernel_matmul
     calls = [0]
 
     def counted(*args):
@@ -71,7 +72,7 @@ def sweep_records(kernel_calls: list, store_sizes: list):
     for ring, n in SWEEPS:
         for seed in SEEDS:
             g = generate.compound_of_random(n, ring, 4 * n, generate.rng_for(seed, "rdu", n))
-            matrices._int64_matmul, calls[0] = counted, 0
+            matrices._kernel_matmul, calls[0] = counted, 0
             eng = rdu.ReverseDecomposer(g, n)
             for gen in level.level_generators(g.fwd, n):
                 for k, l in ((2, 3), (1, n)):
@@ -83,7 +84,7 @@ def sweep_records(kernel_calls: list, store_sizes: list):
                         [name for name, _ in d.certificates],
                     ]
             system = eng.eight_conjugate_system()
-            matrices._int64_matmul = matmul
+            matrices._kernel_matmul = matmul
             kernel_calls.append(f"{ring!r} n={n} seed {seed}: {calls[0]}")
             _, memo = eng._cache[("runs", id(g))]
             segments = sum(key[0] != "runs" for key in eng._cache)
@@ -160,7 +161,7 @@ def main() -> int:
         finally:
             os.chdir(here)
     print(f"{count} sweep records, {runs} commands")
-    print("_int64_matmul calls per sweep: " + "; ".join(kernel_calls))
+    print("_kernel_matmul calls per sweep: " + "; ".join(kernel_calls))
     print("stores after the system check: " + "; ".join(store_sizes))
     print(digest.hexdigest())
     return 0
