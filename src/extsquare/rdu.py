@@ -18,7 +18,8 @@ shared cache, so each core's word is multiplied once per engine, and
 `final-verified` and the system check recall it for every target
 (inverted where a core enters a word inverted).  z's pair is made in one
 pass over its telescoped chain on the routed g1 (words._chain), and the
-eight-term word's pair from it (words._keep_commutator).
+eight-term word's pair from it (words._keep_commutator), which keeps it
+in g's run memo; the memo holds those words alone, one per core.
 Cores are cached per slot, at most N (N - 1 + 2 (n - 2)) for N = C(n, 2):
 a plain and a combined-diagonal core per ordered pair of height one, and a
 combined-entry core per ordered pair of height zero.

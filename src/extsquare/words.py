@@ -18,15 +18,16 @@ own labels and evaluates itself.
 
 ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
-decomposition engine counts, and eval_matrix multiplies it out against g,
-factored over the segments the conjugators share and over g's run memo of
-the top-level groups it has multiplied.  A core's z is made in one pass
-over its telescoped chain on the routed g1 = P^-1 g P (_chain), and its
-commutator word's pair A^-1 Z A Z^-1 from z's pair Z and a^-1's segment A
-(_keep_commutator).  ExtWord.eval keeps the segments in a caller's cache,
-each entry exactly the product of its key's letters: a new segment
-inverts its formal inverse's entry, is written in one step when its
-letters share one j and have distinct i (a letter, or a core's column
+decomposition engine counts, and eval_matrix multiplies it out against g:
+the common suffix of its conjugators stripped, then recalled as its
+eight-term core words from g's run memo, or else in one pass over its
+telescoped chain (_chain).  The run memo holds the cores' commutator words
+alone: a core's z is made in one such pass on the routed g1 = P^-1 g P,
+and its commutator word's pair A^-1 Z A Z^-1 from z's pair Z and a^-1's
+segment A (_keep_commutator).  ExtWord.eval keeps the segments in a
+caller's cache, each entry exactly the product of its key's letters: a new
+segment inverts its formal inverse's entry, is written in one step when
+its letters share one j and have distinct i (a letter, or a core's column
 stabilizer), or extends its longest cached proper suffix.  Every pair is
 one stack where matrices stores arrays (see matrices.InvPair), so both of
 its sides multiply in one kernel call.
@@ -34,13 +35,15 @@ its sides multiply in one kernel call.
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices, the pair-indexed expansion in exterior and the signs rdu reads off
 a letter come from it.  Letter matrices are built uncached
-(_letter, ext_letter_matrix); every cache here belongs to a caller and
-drops its oldest entries past its cap through _bounded_put.  Words choose no
+(_letter, ext_letter_matrix); every cache here belongs to a caller.  The
+segment cache drops its oldest entries past its cap through _bounded_put;
+g's run memo, a slot of it, grows by one entry per core built, and the
+engine's core cache, which never evicts, bounds it.  Words choose no
 kernel: matrices._identity_plus builds each letter matrix,
 matrices._unipotent_pair each cached segment of one j (a letter, or a
 core's column stabilizer) with its inverse, matrices._pair_product
-multiplies letter pairs and conjugated segments, and matrices._product the
-forward sides of a top-level product.
+multiplies letter pairs and a word's telescoped chain, and
+matrices._product the forward sides of recalled core words.
 """
 
 from __future__ import annotations
@@ -76,17 +79,15 @@ def _letter_support(n: int, i: int, j: int):
     )
 
 
-# Each cap sits above the working set of a full level sweep at n <= 7, so
-# an engine evicts only at larger ranks.  After a full level sweep over Z/97
-# at n = 6 (seed 1, a 24-letter source, targets (2, 3) and (1, 6), then the
-# system check), a caller's segment cache (ExtWord.eval) holds 634
-# segments, 54 of them letters, and the run memo of g (ConjWord.eval_matrix)
-# 234 entries, the commutator words of the 234 cores: every final word is
-# recalled as its cores' words, so no top-level group is kept; at n = 7 (a
-# 28-letter source), 1 161 segments (1 187 over Z/(2^31 - 1)) and 452
-# entries; at n = 10 (a 40-letter source, targets (2, 3) only) 2 052.
+# The cap sits above the working set of a full level sweep at n <= 7, so
+# an engine evicts segments only at larger ranks.  After a full level sweep
+# over Z/97 at n = 6 (seed 1, a 24-letter source, targets (2, 3) and
+# (1, 6), then the system check), a caller's segment cache (ExtWord.eval)
+# holds 634 segments, 54 of them letters, and the run memo of g 234
+# entries, the commutator words of the 234 cores; at n = 7 (a 28-letter
+# source), 1 161 segments (1 187 over Z/(2^31 - 1)) and 452 entries; at
+# n = 10 (a 40-letter source, targets (2, 3) only), 4 875 and 2 052.
 _SEGMENT_CACHE_MAX = 8192
-_RUN_MEMO_MAX = 4096
 
 
 def _bounded_put(store: dict, key, value, cap: int) -> None:
@@ -356,23 +357,20 @@ class ConjWord:
         Conjugators are built as route prefix + core segment + target
         suffix, so the terms share long runs of letters.  By associativity
         the product is S^-1 (prod of the terms stripped of S) S for the
-        common suffix S, and a run of consecutive terms whose conjugators
-        share a prefix P is evaluated against P^-1 g^{+-1} P.  Every letter
-        still multiplies in against g.
+        common suffix S.  The rest is recalled as its eight-term core words
+        (_core_words) when g's run memo holds every one, else multiplied
+        out in one pass over its telescoped chain (_chain), where each
+        factor is g^{+-1} or a segment.  Nothing is kept in the memo here.
 
         `cache` is the caller's dict, shared across words, matrices and
         rings.  It keeps segments (ExtWord.eval, keyed by (ring.key(), n,
         letters)) and, under ("runs", id(g)), a pair (g, memo): g's run
-        memo, which keeps pairs under their terms with their absolute
-        conjugators (the letters from g on), whose product on g each is;
-        the slot holds g, so its id is not reused while the entry lives.
-        Once S is stripped the word is recalled whole (a core's commutator
-        word, kept by _keep_commutator, or a final word of one core), or
-        as its cores' kept words (_core_words), or cut into groups, each
-        recalled or made and kept (_conj_product); below the top level
-        groups are recalled or made and nothing is kept (_level_pair).  A
-        pair is recalled directly or inverted (a view, no product) from
-        its formal inverse's.  The top level multiplies forward sides only.
+        memo, which keeps each core's commutator word's pair under its
+        terms with their absolute conjugators (the letters from g on),
+        written by _keep_commutator only; the slot holds g, so its id is
+        not reused while the entry lives.  A core word is recalled
+        directly or inverted (a view, no product) from its formal
+        inverse's.
 
         `rdu.verify` does not use this evaluator: over Z/m with
         (m-1)^2 < 2^62 it multiplies each conjugator out as n x n
@@ -392,26 +390,27 @@ class ConjWord:
 
 def _run_memo(cache: dict, g: matrices.InvPair) -> dict:
     """g's run memo in a caller's cache (see ConjWord.eval_matrix), moved to
-    the newest place so that a full cache drops segments first."""
+    the newest place so that a full cache drops segments first.  It holds
+    the cores' commutator words alone, one per core built."""
     key = ("runs", id(g))
     slot = cache.pop(key, None) or (g, {})
     _bounded_put(cache, key, slot, _SEGMENT_CACHE_MAX)
     return slot[1]
 
 
-def _shared_len(words, suffix: bool = False) -> int:
-    """The length of the prefix, or suffix, that all `words` share: each
-    word is compared whole at the length shared so far (one tuple
-    comparison), and letter by letter only where that differs."""
+def _shared_len(words) -> int:
+    """The length of the suffix that all `words` share: each word is
+    compared whole at the length shared so far (one tuple comparison), and
+    letter by letter only where that differs."""
     first = words[0]
     k = min(map(len, words))
     for w in words[1:]:
         if not k:
             break
-        if (w[len(w) - k :] == first[len(first) - k :]) if suffix else (w[:k] == first[:k]):
+        if w[len(w) - k :] == first[len(first) - k :]:
             continue
         i = 0
-        while i < k and (w[~i] == first[~i] if suffix else w[i] == first[i]):
+        while i < k and w[~i] == first[~i]:
             i += 1
         k = i
     return k
@@ -419,11 +418,6 @@ def _shared_len(words, suffix: bool = False) -> int:
 
 def _segment(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
     return ExtWord._trusted(n, letters).eval(ring, cache)
-
-
-def _conjugated(ring, n: int, base: matrices.InvPair, letters: tuple, cache: dict) -> matrices.InvPair:
-    """base conjugated by the segment of `letters`, X^-1 base X."""
-    return matrices.conjugate(base, _segment(ring, n, letters, cache))
 
 
 def _letter_product(ring, n: int, letters: tuple, cache: dict) -> matrices.InvPair:
@@ -443,23 +437,6 @@ def _one_column_pair(ring, n: int, letters: tuple) -> matrices.InvPair:
     return matrices._unipotent_pair(ring, indexing.dim(n), rows, cols, sum(values, []))
 
 
-def _groups(terms: tuple) -> list:
-    """The tuple `terms` cut into runs of consecutive terms whose conjugators
-    share a first letter, or into blocks of consecutive terms whose
-    conjugators share a last letter where that gives fewer groups.  Empty
-    conjugators group with each other only."""
-    runs, blocks = [0], [0]
-    for t in range(1, len(terms)):
-        prev, h = terms[t - 1][1], terms[t][1]
-        if prev[:1] != h[:1]:
-            runs.append(t)
-        if prev[-1:] != h[-1:]:
-            blocks.append(t)
-    cuts = blocks if len(blocks) < len(runs) else runs
-    cuts.append(len(terms))
-    return [terms[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
 def _inverse_terms(terms: tuple) -> tuple:
     """The terms of the formal inverse: reversed, exponents flipped."""
     return tuple((-eps, h) for eps, h in reversed(terms))
@@ -475,22 +452,11 @@ def _recall(memo: dict, key):
     return None if hit is None else hit.invert()
 
 
-def _kept(memo: dict, key, make, *args) -> matrices.InvPair:
-    """The pair of the top-level group `key`, recalled from g's run memo
-    (_recall) or made by make(*args), and kept there under `key`, so that a
-    pair recalled by its formal inverse is found directly next time."""
-    pair = memo.get(key)
-    if pair is None:
-        pair = _recall(memo, key) or make(*args)
-        _bounded_put(memo, key, pair, _RUN_MEMO_MAX)
-    return pair
-
-
 def _core_words(memo: dict, terms) -> list:
-    """The forward sides of the several eight-term words `terms` is made of,
-    as a final word is of its cores' words, each recalled from g's run memo
-    (_recall), if every one is there; else []."""
-    if len(terms) <= 8 or len(terms) % 8:
+    """The forward sides of the eight-term words `terms` is made of, one or
+    several, as a core's word or a final word of its cores' words, each
+    recalled from g's run memo (_recall), if every one is there; else []."""
+    if len(terms) % 8:
         return []
     cores = [_recall(memo, terms[a : a + 8]) for a in range(0, len(terms), 8)]
     return [core.fwd for core in cores] if all(cores) else []
@@ -499,74 +465,42 @@ def _core_words(memo: dict, terms) -> list:
 def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memo: dict) -> matrices.Matrix:
     """Forward product of X^-1 g^eps X over nonempty `terms` of (eps,
     letters of X), `memo` being g's run memo: the common suffix S stripped
-    as S^-1 (...) S, then the whole word's pair recalled from the memo
-    (_recall) when it is there, else those of its eight-term core words
-    (_core_words), else the forward side of each group's pair (_kept in
-    the memo under the group's terms, made by _level_pair)."""
-    k = _shared_len([h for _, h in terms], suffix=True)
+    as S^-1 (...) S, then the rest recalled as its core words
+    (_core_words), else the forward side of one pass over its telescoped
+    chain (_chain on g)."""
+    k = _shared_len([h for _, h in terms])
     if k:
         s = _segment(ring, n, terms[0][1][-k:], cache)
         inner = _conj_product(ring, n, tuple((eps, h[:-k]) for eps, h in terms), g, cache, memo)
         return matrices._product(ring, inner.dim, (s.bwd, inner, s.fwd))
-    whole = _recall(memo, terms)
-    if whole is not None:
-        return whole.fwd
     parts = _core_words(memo, terms)
-    for group in () if parts else _groups(terms):
-        if not group[0][1]:  # empty conjugators contribute g^eps directly
-            parts.extend(g.fwd if eps == 1 else g.bwd for eps, _ in group)
-            continue
-        pair = _kept(memo, group, _level_pair, ring, n, group, g, cache, memo, ())
-        parts.append(pair.fwd)
-    return matrices._product(ring, indexing.dim(n), parts)
-
-
-def _level_pair(ring, n: int, terms, base: matrices.InvPair, cache: dict, memo: dict, prefix: tuple) -> matrices.InvPair:
-    """The pair of the product of X^-1 b^eps X over nonempty `terms` of
-    (eps, letters of X), for the pair `base` of b = P^-1 g P and the letters
-    `prefix` of P.  A prefix Q shared by every X moves into the base
-    (P Q)^-1 g (P Q), one conjugation, passed down and not kept; else a
-    shared suffix S is stripped and the pair of the rest conjugated by S's;
-    else each group's pair and b^eps for each empty X multiply out, both
-    sides in one stacked product per factor.  The rest, and each group, is
-    recalled from g's run memo under its absolute terms (eps, prefix + X),
-    directly or by its formal inverse (_recall), or made by _level_pair;
-    nothing made here is kept."""
-    hs = [h for _, h in terms]
-    p = _shared_len(hs)
-    if p:
-        run_base = _conjugated(ring, n, base, hs[0][:p], cache)
-        return _level_pair(ring, n, tuple((eps, h[p:]) for eps, h in terms), run_base, cache, memo, prefix + hs[0][:p])
-    k = _shared_len(hs, suffix=True)
-    parts = []
-    for group in [tuple((eps, h[:-k]) for eps, h in terms)] if k else _groups(terms):
-        if any(h for _, h in group):
-            key = tuple((eps, prefix + h) for eps, h in group)
-            parts.append(_recall(memo, key) or _level_pair(ring, n, group, base, cache, memo, prefix))
-        else:
-            parts.extend(base if eps == 1 else base.invert() for eps, _ in group)
-    pair = matrices._pair_product(parts)
-    return matrices.conjugate(pair, _segment(ring, n, hs[0][-k:], cache)) if k else pair
+    if parts:
+        return matrices._product(ring, indexing.dim(n), parts)
+    word = ConjWord._trusted(n, tuple((eps, ExtWord._trusted(n, h)) for eps, h in terms))
+    return _chain(ring, n, word, g, cache, 0).fwd
 
 
 def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, p: int) -> matrices.InvPair:
     """The pair of `word` on g, the product eval_matrix gives, for a word
-    whose conjugators all begin with the same p letters P and whose first
-    term is (eps, P), a core's z, with `base` the pair of b = P^-1 g P.
+    whose conjugators all begin with the same p letters P, with `base` the
+    pair of b = P^-1 g P: a core's z on g1, or with p = 0 on g itself any
+    word eval_matrix does not recall.
 
-    Past P the conjugators X_1 = (), X_2, ..., X_m telescope: the product is
-    b^e1 (X_1 X_2^-1) b^e2 (X_2 X_3^-1) ... b^em X_m, and each X_t X_t+1^-1
-    is taken once the suffix the two share cancels.  X_m is cut into pieces
-    where such a suffix was cut, so each factor is b, b^-1 (a view), a
-    segment of `cache` or one inverted (a view), and one pass multiplies
-    them: for z, g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1 in 9 stacked
-    products.  Nothing is kept.
+    Past P the conjugators X_1, X_2, ..., X_m telescope: the product is
+    X_1^-1 b^e1 (X_1 X_2^-1) b^e2 (X_2 X_3^-1) ... b^em X_m, and each
+    X_t X_t+1^-1 is taken once the suffix the two share cancels.  X_m is
+    cut into pieces where such a suffix was cut, so each factor is b, b^-1
+    (a view), a segment of `cache` or one inverted (a view), and one pass
+    multiplies them: for z, whose X_1 is empty,
+    g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1 in 9 stacked products.  Nothing
+    is kept.
     """
     terms = tuple((eps, h.letters) for eps, h in word.terms)
     xs = [h[p:] for _, h in terms]
-    shared = [_shared_len(pair, suffix=True) for pair in zip(xs, xs[1:])]
+    shared = [_shared_len(pair) for pair in zip(xs, xs[1:])]
     powers = {1: base, -1: base.invert()}
-    factors = [powers[terms[0][0]]]  # b^e1 (X_1 X_2^-1) b^e2 ... b^em X_m
+    factors = [_segment(ring, n, xs[0], cache).invert()] if xs[0] else []
+    factors.append(powers[terms[0][0]])  # X_1^-1 b^e1 (X_1 X_2^-1) b^e2 ... b^em X_m
     for t in range(1, len(xs)):
         k = shared[t - 1]
         left, right = xs[t - 1][: len(xs[t - 1]) - k], xs[t][: len(xs[t]) - k]
@@ -576,7 +510,7 @@ def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, p:
             factors.append(_segment(ring, n, right, cache).invert())
         factors.append(powers[terms[t][0]])
     last = xs[-1]
-    cuts = sorted({len(last) - min(shared[t:]) for t in range(len(shared))})  # shared[0] is 0
+    cuts = sorted({len(last)} | {len(last) - min(shared[t:]) for t in range(len(shared))})
     factors += [_segment(ring, n, last[a:b], cache) for a, b in zip([0] + cuts, cuts) if a < b]
     return matrices._pair_product(factors)
 
@@ -588,12 +522,13 @@ def _keep_commutator(z_word: ConjWord, z: matrices.InvPair, a_inv: tuple, sigma:
     appended, then z's formal inverse, all formally inverted when sigma is
     -1.  The pair is A^-1 Z A Z^-1 for z's pair Z = `z` and the segment A
     of `a_inv`, three stacked products (inverted, a view, when sigma is
-    -1).  A word written otherwise keeps nothing, so eval_matrix multiplies
-    it out as written."""
+    -1).  This is the memo's one writer, run once per core built.  A word
+    written otherwise keeps nothing, so eval_matrix multiplies it out as
+    written."""
     terms = tuple((eps, h.letters) for eps, h in z_word.terms)
     built = tuple((eps, h + a_inv) for eps, h in terms) + _inverse_terms(terms)
     key = tuple((eps, h.letters) for eps, h in word.terms)
     if key != (built if sigma == 1 else _inverse_terms(built)):
         return
     pair = matrices.commutator(_segment(z.ring, word.n, a_inv, cache).invert(), z)
-    _bounded_put(_run_memo(cache, g), key, pair if sigma == 1 else pair.invert(), _RUN_MEMO_MAX)
+    _run_memo(cache, g)[key] = pair if sigma == 1 else pair.invert()

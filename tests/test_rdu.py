@@ -236,13 +236,13 @@ def _sweep(eng, g, n, after_each=lambda: None, targets=None):
 
 
 def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch):
-    # a full n = 5 sweep with every cap at a few entries evicts all the time;
-    # words, params and certificates must not change, and no cache may grow
-    # past its cap at any point
+    # a full n = 5 sweep with the segment cap at a few entries evicts all
+    # the time; words, params and certificates must not change, and no
+    # cache may grow past its cap at any point
     n = 5
     g, eng = _engine(n, 12)
     want = _sweep(eng, g, n)
-    caps = {"_SEGMENT_CACHE_MAX": 24, "_RUN_MEMO_MAX": 2}
+    caps = {"_SEGMENT_CACHE_MAX": 24}
     for name, cap in caps.items():
         monkeypatch.setattr(words, name, cap)
     small = rdu.ReverseDecomposer(g, n)
@@ -254,18 +254,19 @@ def test_engine_caches_stay_under_their_caps_with_identical_results(monkeypatch)
         for key, slot in small._cache.items():
             if key[0] == "runs":
                 _, memo = slot
-                memo_sizes.append(len(memo))
+                memo_sizes.append((len(memo), len(small._core_cache)))
                 memo_keys.update(memo)
 
     assert _sweep(small, g, n, check) == want
-    # the memo was used, up to its cap, by runs of several terms
-    assert max(memo_sizes) == 2
+    # the memo was used, by the cores' words, and never held more entries
+    # than the cores built so far
+    assert memo_sizes and all(size <= cores for size, cores in memo_sizes)
     assert any(len(k) > 1 for k in memo_keys)
 
 
 def test_every_run_memo_key_is_a_tuple_of_terms():
-    # one entry kind: top-level groups and kept commutator words alike are
-    # kept under their terms (eps, letters from g on)
+    # one entry kind: the cores' commutator words, kept under their terms
+    # (eps, letters from g on)
     n = 5
     g, eng = _engine(n, 12)
     _sweep(eng, g, n)
@@ -623,10 +624,10 @@ def test_a_core_takes_at_most_34_kernel_calls_and_its_word_at_most_8(monkeypatch
 
 
 def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
-    # g's run memo keeps the top-level groups of _conj_product and the
-    # cores' commutator words only, so no z pair: every core's word, as
-    # written, is kept, and every final word of this sweep is recalled as
-    # its cores' words (words._core_words), so no group is made or kept;
+    # g's run memo keeps the cores' commutator words only, so no z pair:
+    # every core's word, as written, is kept, and every final word of this
+    # sweep is recalled as its cores' words (words._core_words), so the
+    # memo holds one entry per core and nothing else;
     # and the core cache holds at most one core per slot,
     # N (N - 1 + 2 (n - 2)) in all (plain and combined-diagonal cores of
     # each ordered height-one pair, a combined-entry core of each ordered
@@ -638,23 +639,19 @@ def test_each_engine_store_keeps_one_kind_of_entry(monkeypatch):
     word = eng._core((1, 2), (2, 4))[0]
     memo = eng._cache[("runs", id(g))][1]
     assert list(memo) == [tuple((eps, h.letters) for eps, h in word.terms)]
-    kept, zs = set(), set()
-    keep, chain = words._kept, words._chain
-
-    def top_level(memo_, key, make, *args):
-        kept.add(key)
-        return keep(memo_, key, make, *args)
+    zs = set()
+    chain = words._chain
 
     def spy(ring_, n_, word, *args):
         zs.add(tuple((eps, h.letters) for eps, h in word.terms))
         return chain(ring_, n_, word, *args)
 
-    monkeypatch.setattr(words, "_kept", top_level)
     monkeypatch.setattr(words, "_chain", spy)
     _sweep(eng, g, n, targets=((2, 3),))
     cores = {tuple((eps, h.letters) for eps, h in core[0].terms) for core in eng._core_cache.values()}
-    assert zs and not kept
+    assert zs
     assert set(memo) == cores
+    assert len(memo) == len(eng._core_cache)
     assert not zs & set(memo)
     assert len(eng._core_cache) <= N * (N - 1 + 2 * (n - 2))
     builds = []

@@ -219,6 +219,8 @@ def test_factored_eval_matrix_named_shapes(ring_id):
         "singleton runs": [(1, h), (-1, k), (1, h + k), (-1, k + h)],
         "all equal": [(1, h + k)] * 3 + [(-1, h + k)] * 2,
         "mixed exponents": [(1, h), (-1, h + k), (-1, h), (1, h + k + h), (1, e)],
+        "one term": [(-1, h)],
+        "shared prefix, no suffix": [(1, h + k), (-1, h), (1, h + k + h)],
     }
     cache: dict = {}
     for name, terms in shapes.items():
@@ -298,7 +300,7 @@ def test_one_segment_cache_is_bounded_on_a_wide_modulus():
     assert all(p.fwd.mul(p.bwd).is_identity() for p in fast)
 
 
-# -- the run memo: products of top-level runs, kept per matrix g --------------
+# -- the run memo: the cores' words, kept per matrix g -----------------------
 
 
 def test_one_cache_keeps_each_matrix_apart():
@@ -353,6 +355,37 @@ def test_warm_cache_variants_equal_naive_product(ring_id, seed, shape):
     ]
     for variant in variants:
         assert variant.eval_matrix(g, cache) == _naive_eval_matrix(variant, g)
+
+
+def test_words_not_made_of_kept_core_words_leave_the_run_memo_as_it_was():
+    # g's run memo holds the cores' words alone, written as each core is
+    # built: eval_matrix multiplies any other word out and keeps nothing,
+    # on a fresh cache and through an engine's cache alike
+    ring = RINGS["zmod97"]
+    n = 4
+    rng = random.Random(24)
+    g = generate.compound_of_random(n, ring, 6, rng)
+    cache: dict = {}
+    for shape in ([1, 2, "same", 0], ["empty", 3, "same"], [2] * 8, [1]):
+        word = _shared_segment_word(ring, n, rng, shape)
+        for w in (word, word.inverse()):
+            assert w.eval_matrix(g, cache) == _naive_eval_matrix(w, g), shape
+    assert cache[("runs", id(g))][1] == {}
+    # a core's word with one letter changed, through the engine's cache
+    n = 5
+    g = generate.compound_of_random(n, ring, 3 * n, random.Random(25))
+    eng = rdu.ReverseDecomposer(g, n)
+    word = eng._core((1, 3), (1, 2))[0]
+    memo = eng._cache[("runs", id(g))][1]
+    before = dict(memo)
+    eps, h = word.terms[3]
+    (i, j, xi), *rest = h.letters
+    changed = ExtWord(n, ((i, j, ring.add(xi, 1)), *rest))
+    bad = ConjWord(n, word.terms[:3] + ((eps, changed),) + word.terms[4:])
+    assert bad.eval_matrix(g, eng._cache) == rdu._naive_product(bad, g)
+    assert eng._cache[("runs", id(g))][1] is memo
+    assert list(memo) == list(before)
+    assert all(memo[key] is pair for key, pair in before.items())
 
 
 def test_bounded_put_drops_the_oldest_entries():
