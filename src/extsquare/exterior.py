@@ -1,14 +1,13 @@
 """The second compound (Cauchy-Binet) map and its transvection calculus.
 
 cauchy_binet sends an n x n matrix to the C(n,2) x C(n,2) matrix of its
-2 x 2 minors.  Over Z/m with (m-1)^2 < 2^62 (the one-limb answer of
-matrices._int64_kernel at dim 1) all minors come from _residue_minors, one
-int64 expression over the pair index arrays that serves any stack of n x n
-matrices (rdu.verify lifts the telescoped conjugators of a word through it
-at once, in the dtype of its n x n products: float64 where
-matrices._referee_kernel(ring, n) is ONE_LIMB, balanced int64 residues
-where it is BALANCED);
-elsewhere from ring arithmetic, entry by entry.
+2 x 2 minors.  Over Z/m with (m-1)^2 < 2^62 (_int64_minors) all minors
+come from _residue_minors, one int64 expression over the pair index arrays
+that serves any stack of n x n matrices (rdu.verify lifts the telescoped
+conjugators of a word through it at once, in the dtype of its n x n
+products: float64 where matrices._referee_kernel(ring, n) is ONE_LIMB,
+balanced int64 residues where it is BALANCED); elsewhere from ring
+arithmetic, entry by entry.
 ext_transvection expands the compound image of a single elementary
 transvection into explicit elementary transvections of the pair-indexed
 group, at the positions and signs of words._letter_support; the expansion
@@ -45,7 +44,7 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
     if x.dim != n:
         raise ValueError("dimension mismatch")
     ring = x.ring
-    if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
+    if _int64_minors(ring):
         return matrices._from_residues(ring, _residue_minors(x._residues(), ring.modulus))
     ps = indexing.pairs(n)
     out = []
@@ -59,19 +58,25 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
     return matrices.Matrix(ring, out)
 
 
+def _int64_minors(ring) -> bool:
+    """Whether _residue_minors takes int64 residues over `ring`: Z/m with
+    (m-1)^2 < 2^62, the gate of cauchy_binet and of the referee
+    rdu.first_difference."""
+    return ring.kind == "zmod" and (ring.modulus - 1) ** 2 < 2**62
+
+
 def _residue_minors(x, m: int):
     """2 x 2 minors of a stack (..., n, n) of residues mod m, as the stack
     (..., C(n,2), C(n,2)) of their residues in x's dtype, pairs in
     lexicographic order.
 
-    int64 needs (m-1)^2 < 2^62, the one-limb answer of
-    matrices._int64_kernel at dim 1: every product is then below 2^62 and
-    every minor above -2^62.  It also takes balanced residues, in
-    [-floor(m/2), m-1-floor(m/2)], whose minors are at most
+    int64 needs (m-1)^2 < 2^62 (_int64_minors): every product is then
+    below 2^62 and every minor above -2^62.  It also takes balanced
+    residues, in [-floor(m/2), m-1-floor(m/2)], whose minors are at most
     2 floor(m/2)^2 <= 2^61 in absolute value for m <= 2^31; the result is
     canonical either way.  float64 takes non-negative integers up to e,
     not only residues, where e^2 + m <= 2^53 (for residues, e = m - 1, the
-    ONE_LIMB answer of matrices._float64_kernel at dim 1): every product is
+    ONE_LIMB answer of matrices._kernel at dim 1): every product is
     then an exact float64 in [0, e^2] and every minor one in [-e^2, e^2],
     reduced by the floor quotient of matrices._float64_reduce."""
     n = x.shape[-1]

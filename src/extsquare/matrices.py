@@ -1,41 +1,44 @@
 """Exact dense square matrices over a ring, and invertible pairs.
 
 Matrices are immutable after construction.  One function, _kernel, decides
-per (ring, dim) how an engine product runs, and with it how entries are
-stored.  Callers choose no kernel: _identity_plus builds identities,
-transvections and exterior letters, _unipotent_pair the pair of I + A and
-I - A for A^2 = 0, _product and _pair_product multiply chains (Matrix.mul
-and every word evaluation), and mat_vec and vec_mat take vectors; each
-asks it once:
+per (ring, dim) how a product of dim x dim matrices runs, for the engine and
+for membership alike, and with it how entries are stored: float64 residues
+wherever it gives a kernel, payload tuples elsewhere.  Callers choose no
+kernel: _identity_plus builds identities, transvections and exterior
+letters, _unipotent_pair the pair of I + A and I - A for A^2 = 0, _product
+and _pair_product multiply chains (Matrix.mul and every word evaluation),
+and mat_vec and vec_mat take vectors; each asks it once:
 
-* FLOAT64, when dim (m-1)^2 + m <= 2^53 (Z/97 up to dim 9.8 * 10^11):
-  canonical residues as float64, one BLAS product per factor, and a chain
-  reduced only where the bound _chain_matmul proves would pass 2^53 - m,
-  and once at the end (four products run between reductions at dim 15).  A
-  stacked (2, 15, 15) product takes 1.5 us, against 7.2 us in int64 then
-  % m, and a reduction 2.7 us (numpy 2.4 on OpenBLAS, a 2-CPU Xeon);
-* one int64 limb, when dim (m-1)^2 < 2^62: one int64 matmul, then % m;
-* k int64 limbs, when m < 2^62 but one limb could overflow: the right
-  factor is split into s-bit limbs and the limb products are combined mod
-  m by Horner's rule (Z/(2^31 - 1) takes two limbs at dim 10, 15 and 45,
-  where float64 limbs measured slower: 9.6 against 6.6 us at dim 6);
-* pure python otherwise: Z, Z[x...], m >= 2^62, and moduli so wide that no
-  limb width fits, such as 2^61 - 1 at dim 6.  That product, _ring_product,
-  serves matrices and vectors alike and is the referee of the numpy paths.
+* ONE_LIMB, when dim (m-1)^2 + m <= 2^53 (Z/97 up to dim 9.8 * 10^11):
+  one BLAS product per factor, and a chain reduced only where the bound
+  _chain_matmul proves would pass 2^53 - m, and once at the end (four
+  products run between reductions at dim 15).  A stacked (2, 15, 15)
+  product takes 1.5 us, against 7.2 us in int64 then % m, and a reduction
+  2.7 us (numpy 2.4 on OpenBLAS, a 2-CPU Xeon);
+* a limb width s >= 1, when one limb could pass 2^53 but s-bit limbs fit:
+  _float64_matmul splits the right factor into s-bit limbs and combines the
+  limb products mod m by Horner's rule (Z/(2^31 - 1) takes two limbs at
+  every dim up to 45);
+* None, pure python, otherwise: Z, Z[x...], and every modulus from about
+  2^53 / (dim + 3) up (2^49.8 at dim 6, 2^47.4 at dim 45), where no limb
+  width fits.  That product, _ring_product, serves matrices and vectors
+  alike and is the referee of the numpy paths.
 
-Every engine product of two arrays is one call of _kernel_matmul, whatever
-the dtype (plucker's int64 blocks call it too).  No other module reads the
-storage.  They use at, column and rows, and four package-internal
-accessors: Matrix._gather (payloads at paired positions), Matrix._equals_at
-(whether the payloads at given positions are given ones, in numpy for
-array storage, the payloads as _payloads makes them), Matrix._residues
-(an int64 array, or the storage in the dtype asked for) and
-_from_residues.  Reads hand out python ints or int64 arrays, never floats.
+Every engine and membership product of two arrays is one call of
+_kernel_matmul (plucker's a-sum blocks through _chain_matmul too).  No
+other module reads the storage.  They use at, column and rows, and four
+package-internal accessors: Matrix._gather (payloads at paired positions),
+Matrix._equals_at (whether the payloads at given positions are given ones,
+in numpy for array storage, the payloads as _payloads makes them),
+Matrix._residues (an int64 array, or the storage in the dtype asked for)
+and _from_residues.  Reads hand out python ints or int64 arrays, never
+floats.
 
 _referee_kernel answers the same question for the batched stacks of the
 referee rdu._batched_product, and _referee_matmul multiplies at its
-answer: one float64 BLAS product with delayed reduction where FLOAT64
-holds, else balanced int64 residues, else float64 limbs.
+answer: balanced int64 residues where _kernel gives limbs and their
+products cannot overflow, else _kernel's own answer.  The referee shares
+_float64_matmul and _float64_reduce with the engine, never _kernel_matmul.
 
 No general inversion over a ring is attempted.  Every invertible matrix in
 the system is carried as an InvPair, a (g, g_inverse) bundle certified by
@@ -51,91 +54,74 @@ import numpy as np
 from . import indexing, rings
 
 ONE_LIMB = 0
-FLOAT64 = -2
-
-
-def _int64_kernel(ring, dim: int):
-    """How a product of dim x dim matrices over `ring` runs.
-
-    ONE_LIMB when dim (m-1)^2 < 2^62; else the limb width s >= 1 of
-    _limb_matmul, the widest with max(dim, 2) (m-1) (2^s - 1) < 2^62; else
-    None, the pure-python product, which every ring other than Z/m takes
-    too (for m >= 2^62 no width s >= 1 fits).  The max keeps acc * 2^s of
-    _limb_matmul in bound at dim 1.
-    """
-    if ring.kind != "zmod":
-        return None
-    top = ring.modulus - 1
-    if dim * top * top < 2**62:
-        return ONE_LIMB
-    s = ((2**62 - 1) // (max(dim, 2) * top) + 1).bit_length() - 1
-    return s or None
-
-
-def _limb_matmul(a, b, m: int, s: int):
-    """a @ b mod m for int64 residues, b split into s-bit limbs b_k.
-
-    Horner's rule from the top limb down: acc = (acc * 2^s + a @ b_k) % m.
-    With s from _int64_kernel, a @ b_k <= dim (m-1) (2^s - 1) < 2^62 and
-    acc * 2^s <= 2 (m-1) (2^s - 1) < 2^62, so no sum reaches 2^63.
-    """
-    mask = (1 << s) - 1
-    k = ((m - 1).bit_length() - 1) // s
-    acc = a @ (b >> (k * s))
-    acc %= m
-    while k:
-        k -= 1
-        acc <<= s
-        acc += a @ ((b >> (k * s) if k else b) & mask)
-        acc %= m
-    return acc
 
 
 def _kernel(ring, dim: int):
-    """How the engine multiplies dim x dim matrices over `ring`, and so how
-    they are stored: FLOAT64 (float64 residues) where _float64_kernel gives
-    ONE_LIMB, a stronger bound than _int64_kernel's; else _int64_kernel's
-    answer (int64 residues, or payload tuples at None)."""
-    s = _int64_kernel(ring, dim)
-    return FLOAT64 if s == ONE_LIMB and _float64_kernel(ring, dim) == ONE_LIMB else s
+    """How a product of dim x dim matrices over `ring` runs, and so how they
+    are stored: ONE_LIMB when dim (m-1)^2 + m <= 2^53; else the limb width
+    s >= 1 of _float64_matmul, the widest with
+    (m-1) ((dim+1) 2^s - dim) + m <= 2^53; else None, the pure-python
+    product (every ring other than Z/m, and moduli from about
+    2^53 / (dim + 3) up).  Entries are float64 residues wherever the answer
+    is not None.
 
-
-def _dtype(s):
-    """The storage dtype at an array answer s of _kernel."""
-    return np.float64 if s == FLOAT64 else np.int64
+    Every integer up to 2^53 in absolute value is a float64, and a sum of
+    integer terms is exact in any order BLAS adds them while the absolute
+    values of the terms sum to at most 2^53 (see _chain_matmul).  The right
+    factor holds canonical residues; the left one may be signed, with
+    entries in (-m, m) (plucker's sign-weighted rows), so every bound below
+    is on absolute values.  One limb: each product of two entries is at
+    most (m-1)^2, a sum of dim of them at most dim (m-1)^2.  Limbs: Horner's
+    rule forms acc 2^s + a @ b_k with acc in [0, m) and b_k in [0, 2^s), so
+    acc 2^s <= (m-1) 2^s (exact: a power of two times an exact integer) and
+    |a @ b_k| <= dim (m-1) (2^s - 1), whose sum is (m-1) ((dim+1) 2^s - dim).
+    Both leave |c| + m <= 2^53, which _float64_reduce needs; a 2 x 2 minor
+    ad - bc of residues, in (-(m-1)^2, (m-1)^2), is exact and reducible at
+    ONE_LIMB for dim 1.
+    """
+    if ring.kind != "zmod":
+        return None
+    m = ring.modulus
+    top = m - 1
+    if dim * top * top + m <= 2**53:
+        return ONE_LIMB
+    # (dim+1) 2^s <= floor((2^53 - m) / (m-1)) + dim, an integer inequality
+    widest = ((2**53 - m) // top + dim) // (dim + 1)
+    return widest.bit_length() - 1 if widest >= 2 else None
 
 
 def _kernel_matmul(a, b, m: int, s):
-    """a @ b for arrays of residues at an answer s of _kernel, one call per
-    engine product: unreduced at FLOAT64 (_chain_matmul reduces), else mod
-    m in int64, in one limb or by _limb_matmul."""
-    if s == FLOAT64:
-        return a @ b
+    """a @ b for float64 residue arrays at an answer s of _kernel, one call
+    per engine or membership product: unreduced at ONE_LIMB (_chain_matmul
+    reduces), else mod m by _float64_matmul."""
     if s == ONE_LIMB:
-        return (a @ b) % m
-    return _limb_matmul(a, b, m, s)
+        return a @ b
+    return _float64_matmul(a, b, m, s)
 
 
 def _chain_matmul(acc, factors, m: int, s):
-    """acc @ factors[0] @ factors[1] ... mod m, left to right, for arrays
-    (or stacks) of canonical residues at the answer s of _kernel (not
-    None): one _kernel_matmul per factor.
+    """acc @ factors[0] @ factors[1] ... mod m, left to right, for float64
+    arrays (or stacks) of canonical residues at the answer s of _kernel (not
+    None): one _kernel_matmul per factor.  The first acc may be signed, with
+    entries in (-m, m); the result is canonical.
 
-    At FLOAT64 the reduction is delayed, as in FFLAS-FFPACK (Dumas, Giorgi
-    and Pernet, ACM TOMS 35(3), 2008).  For non-negative integer matrices,
-    an entry of AB is at most r(A) e(B) and a row sum at most r(A) r(B),
-    for r the largest row sum and e the largest entry.  A canonical factor
-    has e = m - 1 and r <= w = dim (m-1), so acc @ f, for acc with row sums
-    up to r, has entries up to r (m-1) and row sums up to r w.  BLAS may
-    sum in any order, fused or not, but every partial sum of non-negative
-    integer terms is an integer no larger than the entry, so the product
-    is exact while r (m-1) + m <= 2^53, as _float64_reduce needs.  acc is
-    reduced in place before any product that could pass that, to entries
-    in [0, m), so r <= w, where w (m-1) + m <= 2^53 is the FLOAT64
-    condition itself (a canonical first acc, the caller's storage, is
-    never reduced), and once at the end, so the result is canonical.
+    At ONE_LIMB the reduction is delayed, as in FFLAS-FFPACK (Dumas, Giorgi
+    and Pernet, ACM TOMS 35(3), 2008).  For integer matrices, an entry of AB
+    is at most r(A) e(B) in absolute value and a row sum of absolute values
+    at most r(A) r(B), for r the largest row sum of absolute values and e
+    the largest absolute entry.  A factor, and the first acc, have
+    e <= m - 1 and r <= w = dim (m-1), so acc @ f, for acc with row sums up
+    to r, has entries up to r (m-1) and row sums up to r w.  BLAS may sum in
+    any order, fused or not, but every partial sum of integer terms is an
+    integer no larger in absolute value than the sum of the terms' absolute
+    values, so the product is exact while r (m-1) + m <= 2^53, as
+    _float64_reduce needs.  acc is reduced in place before any product that
+    could pass that, to entries in [0, m), so r <= w, where w (m-1) + m <=
+    2^53 is the ONE_LIMB condition itself (the first acc, the caller's
+    storage, is never reduced), and once at the end, so the result is
+    canonical.
     """
-    if s != FLOAT64:
+    if s != ONE_LIMB:
         for f in factors:
             acc = _kernel_matmul(acc, f, m, s)
         return acc
@@ -150,40 +136,11 @@ def _chain_matmul(acc, factors, m: int, s):
     return _float64_reduce(acc, m) if factors else acc
 
 
-def _float64_kernel(ring, dim: int):
-    """How a product of dim x dim float64 residue matrices over `ring` runs
-    exactly, shaped like _int64_kernel: ONE_LIMB when
-    dim (m-1)^2 + m <= 2^53; else the limb width s >= 1 of _float64_matmul,
-    the widest with (m-1) ((dim+1) 2^s - dim) + m <= 2^53; else None (every
-    ring other than Z/m, and moduli near 2^53 or above).
-
-    Every integer up to 2^53 in absolute value is a float64, and a sum of
-    non-negative integer terms up to 2^53 is exact in any order BLAS adds
-    them (see _chain_matmul).  One limb: each product
-    of residues in [0, m) is at most (m-1)^2, a sum of dim of them at most
-    dim (m-1)^2.  Limbs: Horner's rule forms acc 2^s + a @ b_k with acc in
-    [0, m) and b_k in [0, 2^s), so acc 2^s <= (m-1) 2^s (exact: a power of
-    two times an exact integer) and a @ b_k <= dim (m-1) (2^s - 1), whose
-    sum is (m-1) ((dim+1) 2^s - dim).  Both leave |c| + m <= 2^53, which
-    _float64_reduce needs; a 2 x 2 minor ad - bc of residues, in
-    (-(m-1)^2, (m-1)^2), is exact and reducible at ONE_LIMB for dim 1.
-    """
-    if ring.kind != "zmod":
-        return None
-    m = ring.modulus
-    top = m - 1
-    if dim * top * top + m <= 2**53:
-        return ONE_LIMB
-    # (dim+1) 2^s <= floor((2^53 - m) / (m-1)) + dim, an integer inequality
-    widest = ((2**53 - m) // top + dim) // (dim + 1)
-    return widest.bit_length() - 1 if widest >= 2 else None
-
-
 def _float64_matmul(a, b, m: int, s: int):
     """a @ b mod m for float64 residues, at a limb width s >= 1 from
-    _float64_kernel: Horner's rule over the s-bit limbs b_k of b from the
-    top limb down, acc = (acc 2^s + a @ b_k) mod m, every product reduced
-    by _float64_reduce.  b_k is floor(b / 2^(ks)) minus
+    _kernel: Horner's rule over the s-bit limbs b_k of b from the top limb
+    down, acc = (acc 2^s + a @ b_k) mod m, every product reduced by
+    _float64_reduce.  b_k is floor(b / 2^(ks)) minus
     2^s floor(b / 2^((k+1)s)), each floor exact: a power-of-two scaling of
     an integer, rounded down to an integer."""
     k = ((m - 1).bit_length() - 1) // s
@@ -207,7 +164,7 @@ def _float64_reduce(c, m: int):
     |c| 2^-53 / m < 1/m; a c / m that is not an integer is at least 1/m
     from either neighbouring integer, so the floor q is exact.  Then
     |q m| <= |c| + m and c - q m in [0, m) are exact too.  floor, not
-    trunc: minors can be negative.
+    trunc: minors and signed products can be negative.
     """
     q = c / m
     np.floor(q, out=q)
@@ -221,12 +178,11 @@ BALANCED = -1
 
 def _referee_kernel(ring, dim: int):
     """How a batched stack of dim x dim residue matrices over `ring` runs
-    (the referee rdu._batched_product): ONE_LIMB, one float64 BLAS product,
-    when _float64_kernel gives it (dim (m-1)^2 + m <= 2^53, Z/97); else
-    BALANCED, one int64 product of balanced residues, when
-    dim h^2 + h < 2^63 for h = floor(m/2); else _float64_kernel's limb
-    width s for _float64_matmul; else None (every ring other than Z/m,
-    and moduli near 2^53 or above).
+    (the referee rdu._batched_product): BALANCED, one int64 product of
+    balanced residues, where _kernel gives a limb width and
+    dim h^2 + h < 2^63 for h = floor(m/2); else _kernel's answer: ONE_LIMB,
+    one float64 BLAS product (Z/97), a limb width s for _float64_matmul, or
+    None.
 
     A balanced residue lies in [-h, m-1-h], so in absolute value it is at
     most h, a product of two at most h^2 and a sum of dim of them, with
@@ -238,7 +194,7 @@ def _referee_kernel(ring, dim: int):
     also at dim 8, and for no m above 1 920 767 767 at dim 10.  Z/97 stays
     on float64, where one BLAS product is faster than numpy's int64 matmul.
     """
-    s = _float64_kernel(ring, dim)
+    s = _kernel(ring, dim)
     if s is None or s == ONE_LIMB:
         return s
     h = ring.modulus // 2
@@ -275,12 +231,11 @@ class Matrix:
         if any(len(r) != self.dim for r in rows):
             raise ValueError("matrix must be square")
         self._np = self._rows = None
-        s = _kernel(ring, self.dim)
-        if s is None:
+        if _kernel(ring, self.dim) is None:
             self._rows = rows
         else:
             data = np.array(rows, dtype=np.int64).reshape(self.dim, self.dim) % ring.modulus
-            self._np = data.astype(_dtype(s), copy=False)
+            self._np = data.astype(np.float64)
             self._np.flags.writeable = False
 
     @property
@@ -297,7 +252,7 @@ class Matrix:
 
     def column(self, c: int):
         if self._np is not None:
-            return tuple(self._np[:, c].astype(np.int64, copy=False).tolist())
+            return tuple(self._np[:, c].astype(np.int64).tolist())
         return tuple(row[c] for row in self._rows)
 
     def _gather(self, rows, cols) -> list:
@@ -305,7 +260,7 @@ class Matrix:
         two integer index arrays of one length, as a list (which compares
         faster than a tuple)."""
         if self._np is not None:
-            return self._np[rows, cols].astype(np.int64, copy=False).tolist()
+            return self._np[rows, cols].astype(np.int64).tolist()
         data = self._rows
         return [data[r][c] for r, c in zip(rows.tolist(), cols.tolist())]
 
@@ -316,7 +271,7 @@ class Matrix:
         compared in numpy, as the bytes of the entries there, as int64,
         against those of the int64 payload array."""
         if self._np is not None:
-            return self._np.take(flat).astype(np.int64, copy=False).tobytes() == payloads.tobytes()
+            return self._np.take(flat).astype(np.int64).tobytes() == payloads.tobytes()
         if isinstance(payloads, np.ndarray):
             payloads = payloads.tolist()
         return self._gather(*np.divmod(flat, self.dim)) == list(payloads)
@@ -367,12 +322,13 @@ class Matrix:
 
 def _from_residues(ring, data) -> Matrix:
     """The matrix of `data`, a square int64 or float64 array of residues in
-    [0, m), stored as _kernel decides (a copy where the dtype differs)."""
-    return _matrix(ring, data.astype(_dtype(_kernel(ring, len(data))), copy=False))
+    [0, m), for a ring and dim where _kernel gives a kernel: stored as
+    float64 (a copy where the dtype differs)."""
+    return _matrix(ring, data.astype(np.float64, copy=False))
 
 
 def _matrix(ring, data) -> Matrix:
-    """The matrix stored as `data`, an array of _kernel's dtype, read-only."""
+    """The matrix stored as `data`, a float64 array of residues, read-only."""
     data.flags.writeable = False
     out = object.__new__(Matrix)
     out.ring, out.dim, out._np, out._rows = ring, data.shape[0], data, None
@@ -406,9 +362,8 @@ def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     positions (rows[k], cols[k]), 0-based, stored as _kernel decides.
     The values are ring payloads (ring.coerce's answers, residues in [0, m)
     over Z/m), stored as they are."""
-    s = _kernel(ring, dim)
-    if s is not None:
-        data = np.eye(dim, dtype=_dtype(s))
+    if _kernel(ring, dim) is not None:
+        data = np.eye(dim)
         data[rows, cols] = values
         return _matrix(ring, data)
     z, o = ring.zero, ring.one
@@ -426,11 +381,10 @@ def _unipotent_pair(ring, dim: int, rows, cols, values) -> "InvPair":
     Where storage is an array both sides are written into one stack (see
     InvPair), else each is an _identity_plus."""
     neg = [ring.neg(v) for v in values]
-    s = _kernel(ring, dim)
-    if s is None:
+    if _kernel(ring, dim) is None:
         at = (ring, dim, rows, cols)
         return InvPair._trusted(_identity_plus(*at, values), _identity_plus(*at, neg))
-    stack = np.zeros((2, dim, dim), dtype=_dtype(s))
+    stack = np.zeros((2, dim, dim))
     stack.reshape(2, -1)[:, :: dim + 1] = 1
     stack[0, rows, cols] = values
     stack[1, cols, rows] = neg  # the transpose of I - A
@@ -503,9 +457,9 @@ def _vector_product(m: Matrix, vec, column: bool) -> tuple:
         raise ValueError("dimension mismatch")
     s = _kernel(ring, m.dim)
     if s is not None:
-        v = (np.array(vec, dtype=np.int64) % ring.modulus).astype(_dtype(s), copy=False)
+        v = (np.array(vec, dtype=np.int64) % ring.modulus).astype(np.float64)
         a, b = (m._np, v) if column else (v, m._np)
-        return tuple(_chain_matmul(a, [b], ring.modulus, s).astype(np.int64, copy=False).tolist())
+        return tuple(_chain_matmul(a, [b], ring.modulus, s).astype(np.int64).tolist())
     if column:
         return tuple(row[0] for row in _ring_product(ring, m.rows, (vec,)))
     return _ring_product(ring, (vec,), tuple(zip(*m.rows)))[0]
@@ -515,7 +469,7 @@ class InvPair:
     """A matrix with a certified inverse.
 
     Where _kernel gives a kernel, a pair is stored once, as a read-only
-    (2, dim, dim) residue stack of its dtype: fwd, then the transpose of
+    (2, dim, dim) float64 residue stack: fwd, then the transpose of
     bwd; fwd and bwd are Matrix views into it.  The inverse of a product
     ab is b^-1 a^-1, whose transpose is a^-T b^-T, so the stack of ab is
     the stacked product of the stacks of a and b: compose and conjugate

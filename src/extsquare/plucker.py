@@ -7,10 +7,10 @@ N x N matrix in the compound group is decided by the bilinear sums
 a^H_{A,C}: they must vanish whenever A and C overlap, and be equal (after
 an orientation weight) across all disjoint splittings of a common support.
 
-Over Z/m where matrices._int64_kernel(ring, 6) gives an int64 kernel,
-is_member decides with batched int64 products that hold every a^H_{A,C};
+Over Z/m where matrices._kernel(ring, 6) gives a kernel, is_member
+decides with batched float64 products that hold every a^H_{A,C};
 elsewhere the a_sum loop of _first_violation decides.  That loop is also
-the referee the int64 path is tested against, and the check behind
+the referee the float64 path is tested against, and the check behind
 certify.criterion_suite.
 """
 
@@ -133,27 +133,27 @@ def is_member(g: matrices.Matrix, n: int | None = None) -> bool:
     disjoint ordered splittings (A, C) of each 4-subset.  Invertibility of g
     is the caller's responsibility.
 
-    Where matrices._int64_kernel(ring, 6) gives an int64 kernel (one limb
-    or several) the int64 path decides, comparing every sum of both families
-    exactly; elsewhere the a_sum loop of _first_violation, the referee of
-    the int64 path, decides.
+    Where matrices._kernel(ring, 6) gives a kernel (one limb or several)
+    the float64 path decides, comparing every sum of both families exactly;
+    elsewhere the a_sum loop of _first_violation, the referee of the
+    float64 path, decides.
     """
     if n is None:
         n = indexing.ambient_rank(g.dim)
     if g.dim != indexing.dim(n):
         raise ValueError("dimension mismatch")
     ring = g.ring
-    s = matrices._int64_kernel(ring, 6)
+    s = matrices._kernel(ring, 6)
     if s is None:
         return _first_violation(g, n) is None
-    return _is_member_int64(g._residues(), ring.modulus, n, s)
+    return _is_member_float64(g._residues(np.float64), ring.modulus, n, s)
 
 
 def _first_violation(g: matrices.Matrix, n: int):
     """The first failed membership relation in scan order, or None.
 
     One a_sum call per (H, A, C): the naive form of the criterion, and the
-    only one over Z, polynomial rings and moduli with no int64 product.
+    only one over Z, polynomial rings and moduli with no float64 product.
     """
     ring = g.ring
     ps = indexing.pairs(n)
@@ -176,7 +176,7 @@ def _first_violation(g: matrices.Matrix, n: int):
     return None
 
 
-# int64 entries per block of _is_member_int64: 64 KiB.  Every per-block
+# float64 entries per block of _is_member_float64: 64 KiB.  Every per-block
 # array then stays below glibc's 128 KiB mmap threshold, so repeated calls
 # reuse heap memory instead of mapping fresh pages, whatever state earlier
 # allocations left the allocator in.
@@ -206,13 +206,15 @@ def _overlap_mask(n: int):
     return mask
 
 
-def _is_member_int64(data, m: int, n: int, s) -> bool:
-    """Both criterion families for a residue matrix mod m, by blocks of H.
+def _is_member_float64(data, m: int, n: int, s) -> bool:
+    """Both criterion families for a float64 residue matrix mod m, by
+    blocks of H.
 
     M[h, a, c] = a^H_{A,C} for the h-th 4-subset H and pairs of rank a, c,
     built as a batched product of the signed B rows and the D rows, of inner
-    dimension 6, at the kernel s of matrices._int64_kernel(ring, 6), whose
-    bounds hold for a left factor in (-m, m).  Shuffle signs are read afresh
+    dimension 6, by matrices._chain_matmul at the kernel s of
+    matrices._kernel(ring, 6), whose bounds hold for a left factor in
+    (-m, m), and made canonical there.  Shuffle signs are read afresh
     on every call, so a replaced indexing.shuffle_sign takes effect at once;
     only the index combinatorics is cached.  A block's (block, N, N) and
     (block, Q, 6) arrays hold at most _BLOCK_ENTRIES entries together (a
@@ -226,7 +228,7 @@ def _is_member_int64(data, m: int, n: int, s) -> bool:
             for H in indexing.quads(n)
             for B, D in indexing.splittings(H)
         ],
-        dtype=np.int64,
+        dtype=np.float64,
     ).reshape(-1, 6)
     overlap = _overlap_mask(n)
     left = data[rB]  # (Q, 6, N)
@@ -236,14 +238,14 @@ def _is_member_int64(data, m: int, n: int, s) -> bool:
     Q, N = len(sign), len(data)
     block = max(1, _BLOCK_ENTRIES // (N * N + 6 * Q))
     for lo in range(0, Q, block):
-        M = matrices._kernel_matmul(left[lo : lo + block], right[lo : lo + block], m, s)
+        M = matrices._chain_matmul(left[lo : lo + block], [right[lo : lo + block]], m, s)
         if M[:, overlap].any():
             return False
         # for every S, sign(A, C) * a^H_{A,C} over the six splittings (A, C)
-        # of S must be one value
+        # of S must be one value; the signed values lie in (-m, m)
         split = M[:, rB, rD]  # (block, Q, 6)
         split *= sign
-        split %= m
+        matrices._float64_reduce(split, m)
         if not (split == split[:, :, :1]).all():
             return False
     return True

@@ -562,7 +562,7 @@ def first_difference(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n:
         raise ValueError(f"bad index (k = {k}, l = {l} at n = {n})")
     ring = g.ring
     xi = ring.coerce(xi)
-    if matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB:
+    if exterior._int64_minors(ring):
         t = np.identity(n, dtype=np.int64)
         t[k - 1, l - 1] = xi
         got, want = _batched_product(word, g), exterior._residue_minors(t, ring.modulus)

@@ -20,9 +20,10 @@ ConjWord records a product of elementary conjugates h^-1 g^{+-1} h of a fixed
 matrix g, with h an ExtWord; its length (number of terms) is the quantity the
 decomposition engine counts, and eval_matrix multiplies it out against g:
 the common suffix of its conjugators stripped, then recalled as its
-eight-term core words from g's run memo, or else in one pass over its
-telescoped chain (_chain).  The run memo holds the cores' commutator words
-alone: a core's z is made in one such pass on the routed g1 = P^-1 g P,
+eight-term core words from g's run memo, or else as the forward sides of
+its telescoped chain (_chain_factors).  The run memo holds the cores'
+commutator words alone: a core's z is made as the pair of such a chain on
+the routed g1 = P^-1 g P (_chain),
 and its commutator word's pair A^-1 Z A Z^-1 from z's pair Z and a^-1's
 segment A (_keep_commutator).  ExtWord.eval keeps the segments in a
 caller's cache, each entry exactly the product of its key's letters: a new
@@ -42,8 +43,8 @@ engine's core cache, which never evicts, bounds it.  Words choose no
 kernel: matrices._identity_plus builds each letter matrix,
 matrices._unipotent_pair each cached segment of one j (a letter, or a
 core's column stabilizer) with its inverse, matrices._pair_product
-multiplies letter pairs and a word's telescoped chain, and
-matrices._product the forward sides of recalled core words.
+multiplies letter pairs and z's telescoped chain, and matrices._product
+the forward sides of recalled core words and of any other word's chain.
 """
 
 from __future__ import annotations
@@ -358,9 +359,10 @@ class ConjWord:
         suffix, so the terms share long runs of letters.  By associativity
         the product is S^-1 (prod of the terms stripped of S) S for the
         common suffix S.  The rest is recalled as its eight-term core words
-        (_core_words) when g's run memo holds every one, else multiplied
-        out in one pass over its telescoped chain (_chain), where each
-        factor is g^{+-1} or a segment.  Nothing is kept in the memo here.
+        (_core_words) when g's run memo holds every one, else as the
+        forward sides of its telescoped chain (_chain_factors), where each
+        factor is g^{+-1} or a segment, multiplied out.  Nothing is kept in
+        the memo here.
 
         `cache` is the caller's dict, shared across words, matrices and
         rings.  It keeps segments (ExtWord.eval, keyed by (ring.key(), n,
@@ -466,8 +468,8 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memo: d
     """Forward product of X^-1 g^eps X over nonempty `terms` of (eps,
     letters of X), `memo` being g's run memo: the common suffix S stripped
     as S^-1 (...) S, then the rest recalled as its core words
-    (_core_words), else the forward side of one pass over its telescoped
-    chain (_chain on g)."""
+    (_core_words), else the forward sides of its telescoped chain on g
+    (_chain_factors) multiplied out, one product per factor."""
     k = _shared_len([h for _, h in terms])
     if k:
         s = _segment(ring, n, terms[0][1][-k:], cache)
@@ -476,26 +478,32 @@ def _conj_product(ring, n: int, terms, g: matrices.InvPair, cache: dict, memo: d
     parts = _core_words(memo, terms)
     if parts:
         return matrices._product(ring, indexing.dim(n), parts)
-    word = ConjWord._trusted(n, tuple((eps, ExtWord._trusted(n, h)) for eps, h in terms))
-    return _chain(ring, n, word, g, cache, 0).fwd
+    factors = _chain_factors(ring, n, terms, g, cache, 0)
+    return matrices._product(ring, indexing.dim(n), [f.fwd for f in factors])
 
 
 def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, p: int) -> matrices.InvPair:
-    """The pair of `word` on g, the product eval_matrix gives, for a word
-    whose conjugators all begin with the same p letters P, with `base` the
-    pair of b = P^-1 g P: a core's z on g1, or with p = 0 on g itself any
-    word eval_matrix does not recall.
+    """The pair of `word` on g (see _chain_factors): a core's z on g1, one
+    stacked product per factor."""
+    terms = tuple((eps, h.letters) for eps, h in word.terms)
+    return matrices._pair_product(_chain_factors(ring, n, terms, base, cache, p))
+
+
+def _chain_factors(ring, n: int, terms, base: matrices.InvPair, cache: dict, p: int) -> list:
+    """The pairs whose product, left to right, is the pair on g of the word
+    of `terms`, (eps, letters of X), whose conjugators all begin with the
+    same p letters P, with `base` the pair of b = P^-1 g P: a core's z on
+    g1 (_chain), or with p = 0 on g itself any word eval_matrix does not
+    recall (_conj_product, which multiplies the forward sides alone).
 
     Past P the conjugators X_1, X_2, ..., X_m telescope: the product is
     X_1^-1 b^e1 (X_1 X_2^-1) b^e2 (X_2 X_3^-1) ... b^em X_m, and each
     X_t X_t+1^-1 is taken once the suffix the two share cancels.  X_m is
     cut into pieces where such a suffix was cut, so each factor is b, b^-1
-    (a view), a segment of `cache` or one inverted (a view), and one pass
-    multiplies them: for z, whose X_1 is empty,
-    g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1 in 9 stacked products.  Nothing
-    is kept.
+    (a view), a segment of `cache` or one inverted (a view): for z, whose
+    X_1 is empty, g1^-1 T g1 s g1^-1 T^-1 g1 T s^-1 t^-1, which _chain
+    multiplies in 9 stacked products.  Nothing is kept.
     """
-    terms = tuple((eps, h.letters) for eps, h in word.terms)
     xs = [h[p:] for _, h in terms]
     shared = [_shared_len(pair) for pair in zip(xs, xs[1:])]
     powers = {1: base, -1: base.invert()}
@@ -512,7 +520,7 @@ def _chain(ring, n: int, word: ConjWord, base: matrices.InvPair, cache: dict, p:
     last = xs[-1]
     cuts = sorted({len(last)} | {len(last) - min(shared[t:]) for t in range(len(shared))})
     factors += [_segment(ring, n, last[a:b], cache) for a, b in zip([0] + cuts, cuts) if a < b]
-    return matrices._pair_product(factors)
+    return factors
 
 
 def _keep_commutator(z_word: ConjWord, z: matrices.InvPair, a_inv: tuple, sigma: int, word: ConjWord, cache: dict, g: matrices.InvPair) -> None:

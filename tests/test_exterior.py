@@ -50,9 +50,9 @@ def test_compound_is_multiplicative(zmod97):
     ids=["97", "2^31", "2^31+1"],
 )
 def test_minors_over_zmod_equal_the_integer_minors_reduced(n, modulus, int64):
-    # the int64 branch up to the dim-1 one-limb bound, the ring loop past it
+    # the int64 branch up to (m-1)^2 < 2^62, the ring loop past it
     ring = rings.ModularRing(modulus)
-    assert (matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB) is int64
+    assert exterior._int64_minors(ring) is int64
     rng = random.Random(n)
     integers = rings.IntegerRing()
     top = modulus - 1

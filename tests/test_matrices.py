@@ -142,26 +142,54 @@ def test_compose_multiplies_both_sides(zmod97):
     assert p.compose(q).bwd == q.bwd.mul(p.bwd)
 
 
-# -- the int64 kernels on both sides of their bounds --------------------------
+# -- the float64 kernels on both sides of their bounds ------------------------
+
+
+def _last_float64_modulus(dim):
+    """The largest m with dim (m-1)^2 + m <= 2^53."""
+    t = math.isqrt(2**53 // dim)
+    while dim * t * t + t + 1 > 2**53:
+        t -= 1
+    while dim * (t + 1) ** 2 + t + 2 <= 2**53:
+        t += 1
+    return t + 1
+
+
+def _last_limb_modulus(dim, s):
+    """The largest m with (m-1) ((dim+1) 2^s - dim) + m <= 2^53: the last m
+    with limbs of width s or wider at this dim."""
+    c = (dim + 1) * 2**s - dim
+    return (2**53 + c) // (c + 1)
 
 
 def _edges(dim):
     """(label, modulus, kernel) on both sides of each bound at this dim."""
-    one = math.isqrt((2**62 - 1) // dim) + 1  # largest m with dim (m-1)^2 < 2^62
-    fits = (2**62 - 1) // dim + 1  # largest m with dim (m-1) (2^1 - 1) < 2^62
+    one = _last_float64_modulus(dim)
+    fits = _last_limb_modulus(dim, 1)  # the largest m with any limb
     return [
         ("one-limb-last", one, "one limb"),
         ("one-limb-past", one + 1, "limbs"),
         ("mersenne-31", 2**31 - 1, "limbs"),
         ("limbs-last", fits, "limbs"),
         ("limbs-past", fits + 1, "python"),
-        ("store-last", 2**62 - 1, "python"),  # fits int64, still python entries
-        ("store-past", 2**62, "python"),
+        ("store-last", 2**53, "python"),  # every residue is a float64, still python entries
+        ("store-past", 2**53 + 1, "python"),
     ]
 
 
+def _limb_edges(dim):
+    """(modulus, width) at the last m of each limb width s that serves some
+    m past one limb, and at the next m, whose width is s - 1 (no limb past
+    s = 1)."""
+    out, s = [], 1
+    while (last := _last_limb_modulus(dim, s)) > _last_float64_modulus(dim):
+        out += [(last, s), (last + 1, s - 1 or None)]
+        s += 1
+    return out
+
+
 def _kernel_name(ring, dim):
-    s = matrices._int64_kernel(ring, dim)
+    s = matrices._kernel(ring, dim)
     return {None: "python", matrices.ONE_LIMB: "one limb"}.get(s, "limbs")
 
 
@@ -169,10 +197,17 @@ def _reduce(m, modulus):
     return tuple(tuple(x % modulus for x in row) for row in m.rows)
 
 
+def _int_product(a_rows, b_rows, modulus):
+    """The product of two lists of rows over Z, reduced mod m, as rows."""
+    out = (np.array(a_rows, dtype=object) @ np.array(b_rows, dtype=object)) % modulus
+    return tuple(map(tuple, out.tolist()))
+
+
 INTEGERS = rings.IntegerRing()
+KERNEL_DIMS = (6, 10, 15, 28, 45)
 EDGES = [
     pytest.param(dim, m, kernel, id=f"{dim}-{label}")
-    for dim in (15, 45)
+    for dim in KERNEL_DIMS
     for label, m, kernel in _edges(dim)
 ]
 
@@ -181,8 +216,10 @@ EDGES = [
 def test_int64_kernels_match_the_integer_product_at_their_bounds(dim, modulus, kernel):
     ring = rings.ModularRing(modulus)
     assert _kernel_name(ring, dim) == kernel
-    # entries are int64 exactly when products run in int64
-    assert (matrices.identity(ring, dim)._np is not None) == (kernel != "python")
+    # entries are float64 exactly when products run in float64
+    storage = matrices.identity(ring, dim)._np
+    assert (storage is not None) == (kernel != "python")
+    assert storage is None or storage.dtype == np.float64
     rng = random.Random(dim * 7 + modulus)
     top = [[modulus - 1] * dim for _ in range(dim)]
     cases = [
@@ -193,19 +230,52 @@ def test_int64_kernels_match_the_integer_product_at_their_bounds(dim, modulus, k
     for a_rows, b_rows in cases:
         a, b = matrices.Matrix(ring, a_rows), matrices.Matrix(ring, b_rows)
         za, zb = matrices.Matrix(INTEGERS, a_rows), matrices.Matrix(INTEGERS, b_rows)
-        assert a.mul(b).rows == _reduce(za.mul(zb), modulus)
+        want = _reduce(za.mul(zb), modulus)
+        assert a.mul(b).rows == want
+        # (a, b) then (b, a): both sides of the stacked product are a b
+        pair = matrices._pair_product([matrices.InvPair._trusted(a, b), matrices.InvPair._trusted(b, a)])
+        assert (pair.fwd.rows, pair.bwd.rows) == (want, want)
         v = b_rows[0]
         assert matrices.mat_vec(a, v) == tuple(x % modulus for x in matrices.mat_vec(za, v))
         assert matrices.vec_mat(v, a) == tuple(x % modulus for x in matrices.vec_mat(v, za))
 
 
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_every_limb_width_matches_the_integer_product_at_its_edges(dim):
+    # at the last m of each limb width and at the next: Matrix.mul,
+    # _pair_product, mat_vec and vec_mat of all-(m-1) and random factors,
+    # and ExtWord.eval, equal the product over Z reduced mod m
+    edges = _limb_edges(dim)
+    assert len(edges) >= 40
+    for modulus, width in edges:
+        ring = rings.ModularRing(modulus)
+        assert matrices._kernel(ring, dim) == width
+        rng = random.Random(dim * modulus)
+        top = [[modulus - 1] * dim for _ in range(dim)]
+        rand = [[ring.random(rng) for _ in range(dim)] for _ in range(dim)]
+        a, b = matrices.Matrix(ring, top), matrices.Matrix(ring, rand)
+        assert b.mul(a).rows == _int_product(rand, top, modulus)
+        pair = matrices._pair_product([matrices.InvPair._trusted(a, b), matrices.InvPair._trusted(a, a)])
+        assert pair.fwd.rows == _int_product(top, top, modulus)
+        assert pair.bwd.rows == _int_product(top, rand, modulus)
+        assert matrices.mat_vec(a, top[0]) == tuple(r[0] for r in _int_product(top, [[x] for x in top[0]], modulus))
+        assert matrices.vec_mat(rand[0], a) == _int_product([rand[0]], top, modulus)[0]
+        _assert_ext_word_eval(dim, modulus, 0)
+
+
 @pytest.mark.parametrize("dim,modulus,kernel", EDGES)
 def test_ext_word_eval_matches_the_integer_product_at_the_bounds(dim, modulus, kernel):
+    _assert_ext_word_eval(dim, modulus, 3)
+
+
+def _assert_ext_word_eval(dim, modulus, extra):
+    """A word of three all-(m-1) or unit letters and `extra` random ones,
+    evaluated as a pair, equals its letters multiplied over Z, reduced."""
     ring = rings.ModularRing(modulus)
     n = indexing.ambient_rank(dim)
     rng = random.Random(dim + modulus)
     letters = [(1, 2, modulus - 1), (2, 1, modulus - 1), (3, n, 1)]
-    letters += generate.random_ext_word(n, ring, 3, rng).letters
+    letters += generate.random_ext_word(n, ring, extra, rng).letters
     pair = ExtWord(n, letters).eval(ring)
     fwd = matrices.identity(INTEGERS, dim)
     bwd = matrices.identity(INTEGERS, dim)
@@ -220,13 +290,13 @@ def test_ext_word_eval_matches_the_integer_product_at_the_bounds(dim, modulus, k
 @pytest.mark.parametrize("dim", [10, 15, 45])
 def test_mersenne_31_takes_two_limbs(dim):
     m = 2**31 - 1
-    s = matrices._int64_kernel(rings.ModularRing(m), dim)
+    s = matrices._kernel(rings.ModularRing(m), dim)
     assert s != matrices.ONE_LIMB and ((m - 1).bit_length() - 1) // s + 1 == 2
 
 
 def test_no_limb_fits_for_mersenne_61_at_dim_6():
-    assert matrices._int64_kernel(rings.ModularRing(2**61 - 1), 6) is None
-    assert matrices._int64_kernel(rings.IntegerRing(), 6) is None
+    assert matrices._kernel(rings.ModularRing(2**61 - 1), 6) is None
+    assert matrices._kernel(rings.IntegerRing(), 6) is None
 
 
 # -- storage is read only inside matrices, through its accessors ---------------
@@ -261,7 +331,7 @@ def _ring_loop(ring, a, b):
     return out
 
 
-_LIMB_EDGE_6 = (2**62 - 1) // 6 + 1  # the largest modulus with limbs at dim 6
+_LIMB_EDGE_6 = _last_limb_modulus(6, 1)  # the largest modulus with limbs at dim 6
 ACCESSOR_RINGS = [
     pytest.param(rings.ModularRing(97), 6, id="zmod97-one-limb"),
     pytest.param(rings.ModularRing(2**31 - 1), 10, id="mersenne-31-limbs"),
@@ -289,7 +359,7 @@ def test_accessors_and_the_ring_product_agree_with_the_ring_loop(ring, dim):
     if ring.kind == "zmod":
         residues = a._residues()
         assert residues.dtype == np.int64 and residues.tolist() == a_rows
-        if matrices._int64_kernel(ring, dim) is not None:
+        if matrices._kernel(ring, dim) is not None:
             assert matrices._from_residues(ring, residues.copy()) == a
 
 
@@ -323,7 +393,7 @@ def test_equals_at_compares_the_payloads_at_paired_positions(ring, dim):
 # -- invertible pairs: one stacked product per factor -------------------------
 
 
-_ONE_LIMB_LAST_15 = math.isqrt((2**62 - 1) // 15) + 1  # largest m with 15 (m-1)^2 < 2^62
+_ONE_LIMB_LAST_15 = _last_float64_modulus(15)
 PAIR_RINGS = [
     pytest.param(rings.ModularRing(97), 6, "one limb", id="zmod97-6"),
     pytest.param(rings.ModularRing(2**31 - 1), 6, "limbs", id="mersenne-31-6"),
@@ -412,16 +482,6 @@ def test_ext_word_pairs_equal_their_letters_multiplied_out(ring, dim, kernel):
 # -- the float64 kernel: canonical residues on BLAS, reduced once per chain ---
 
 
-def _last_float64_modulus(dim):
-    """The largest m with dim (m-1)^2 + m <= 2^53."""
-    t = math.isqrt(2**53 // dim)
-    while dim * t * t + t + 1 > 2**53:
-        t -= 1
-    while dim * (t + 1) ** 2 + t + 2 <= 2**53:
-        t += 1
-    return t + 1
-
-
 FLOAT64_EDGES = [
     pytest.param(dim, _last_float64_modulus(dim) + past, id=f"{dim}-{'past' if past else 'last'}")
     for dim in (1, 6, 10, 15, 28, 45)
@@ -440,11 +500,14 @@ def _ring_chain(ring, factors):
 @pytest.mark.parametrize("dim,modulus", FLOAT64_EDGES)
 def test_float64_kernel_matches_the_ring_product_at_its_bound(monkeypatch, dim, modulus):
     # chains of four factors, the first all m - 1: at the last modulus the
-    # product runs in float64 and its bound makes _chain_matmul reduce before
-    # the second and third products and at the end; past it, in one int64 limb
+    # product runs in one float64 limb and its bound makes _chain_matmul
+    # reduce before the second and third products and at the end; past it,
+    # in float64 limbs, every limb product reduced
     ring = rings.ModularRing(modulus)
     inside = modulus == _last_float64_modulus(dim)
-    assert matrices._kernel(ring, dim) == (matrices.FLOAT64 if inside else matrices.ONE_LIMB)
+    s = matrices._kernel(ring, dim)
+    assert (s == matrices.ONE_LIMB) is inside and s is not None
+    chain = 3 if inside else 3 * (((modulus - 1).bit_length() - 1) // s + 1)
     reductions = []
     reduce = matrices._float64_reduce
     monkeypatch.setattr(matrices, "_float64_reduce", lambda c, m: reductions.append(c.shape) or reduce(c, m))
@@ -453,12 +516,12 @@ def test_float64_kernel_matches_the_ring_product_at_its_bound(monkeypatch, dim, 
     fwd = [top] + [_random_matrix(ring, dim, rng) for _ in range(3)]
     bwd = [_random_matrix(ring, dim, rng) for _ in range(3)] + [top]
     assert matrices._product(ring, dim, fwd).rows == _ring_chain(ring, [f.rows for f in fwd])
-    assert reductions == ([(dim, dim)] * 3 if inside else [])
+    assert reductions == [(dim, dim)] * chain
     pairs = [matrices.InvPair._trusted(f, b) for f, b in zip(fwd, bwd)]
     pair = matrices._pair_product(pairs)
     assert pair.fwd.rows == _ring_chain(ring, [f.rows for f in fwd])
     assert pair.bwd.rows == _ring_chain(ring, [b.rows for b in reversed(bwd)])
-    assert reductions == ([(dim, dim)] * 3 + [(2, dim, dim)] * 3 if inside else [])
+    assert reductions == [(dim, dim)] * chain + [(2, dim, dim)] * chain
     for v in ([modulus - 1] * dim, [ring.random(rng) for _ in range(dim)]):
         assert matrices.mat_vec(top, v) == tuple(row[0] for row in _ring_chain(ring, [top.rows, [[x] for x in v]]))
         assert matrices.vec_mat(v, top) == _ring_chain(ring, [[v], top.rows])[0]
@@ -474,35 +537,33 @@ def _numbers(obj):
 
 
 def test_zmod97_reads_hand_out_ints_never_floats():
-    ring, n = rings.ModularRing(97), 6
+    # on one float64 limb (Z/97) and on float64 limbs (Z/(2^31 - 1))
+    n = 6
     dim = indexing.dim(n)
-    assert matrices._kernel(ring, dim) == matrices.FLOAT64
-    pair = generate.source_pair(dim, ring, 2 * dim, random.Random(5))
-    reads = []
-    for a in (pair.fwd, pair.bwd, pair.fwd.mul(pair.bwd.mul(pair.fwd))):
-        assert a._residues().dtype == np.int64
-        reads += [a.at(2, 3), *a.column(4), *(x for row in a.rows for x in row)]
-        reads += a._gather(np.arange(dim), np.arange(dim)[::-1])
-        reads += matrices.mat_vec(a, a.column(1)) + matrices.vec_mat(a.rows[0], a)
-    reads += _numbers(jsonio.pair_to_json(pair, n=n)) + _numbers(jsonio.matrix_to_json(pair.bwd, n=n))
-    reads += _numbers(jsonio.vector_to_json(plucker.PairVector.column_of(pair.fwd, n, (1, 2))))
-    assert reads and {type(x) for x in reads} == {int}
+    for ring, kernel in ((rings.ModularRing(97), "one limb"), (rings.ModularRing(2**31 - 1), "limbs")):
+        assert _kernel_name(ring, dim) == kernel
+        pair = generate.source_pair(dim, ring, 2 * dim, random.Random(5))
+        reads = []
+        for a in (pair.fwd, pair.bwd, pair.fwd.mul(pair.bwd.mul(pair.fwd))):
+            assert a._np.dtype == np.float64 and a._residues().dtype == np.int64
+            reads += [a.at(2, 3), *a.column(4), *(x for row in a.rows for x in row)]
+            reads += a._gather(np.arange(dim), np.arange(dim)[::-1])
+            reads += matrices.mat_vec(a, a.column(1)) + matrices.vec_mat(a.rows[0], a)
+        reads += _numbers(jsonio.pair_to_json(pair, n=n)) + _numbers(jsonio.matrix_to_json(pair.bwd, n=n))
+        reads += _numbers(jsonio.vector_to_json(plucker.PairVector.column_of(pair.fwd, n, (1, 2))))
+        assert reads and {type(x) for x in reads} == {int}, ring
 
 
-def test_the_two_storage_kinds_of_one_matrix_are_equal_and_hash_equally(monkeypatch):
-    # the same residues stored in float64 (as _kernel decides over Z/97) and
-    # in int64 (as it decided while patched); _from_residues stores as
-    # _kernel decides, whatever dtype it is given
+def test_the_two_storage_kinds_of_one_matrix_are_equal_and_hash_equally():
+    # the same residues given as rows and as an int64 array: _from_residues
+    # stores as _kernel decides, float64 over Z/97, and the two matrices
+    # and pairs are equal and hash equally
     ring, dim = rings.ModularRing(97), 10
     rng = random.Random(8)
     rows = [[[ring.random(rng) for _ in range(dim)] for _ in range(dim)] for _ in range(2)]
     fwd, bwd = (matrices.Matrix(ring, r) for r in rows)
-    with monkeypatch.context() as patch:
-        patch.setattr(matrices, "_kernel", lambda ring, dim: matrices.ONE_LIMB)
-        fwd64, bwd64 = (matrices.Matrix(ring, r) for r in rows)
-    assert (fwd._np.dtype, fwd64._np.dtype) == (np.float64, np.int64)
+    fwd64, bwd64 = (matrices._from_residues(ring, np.array(r, dtype=np.int64)) for r in rows)
+    assert (fwd._np.dtype, fwd64._np.dtype) == (np.float64, np.float64)
     assert fwd == fwd64 and fwd64 == fwd and hash(fwd) == hash(fwd64)
     pair, pair64 = matrices.InvPair._trusted(fwd, bwd), matrices.InvPair._trusted(fwd64, bwd64)
     assert pair == pair64 and hash(pair) == hash(pair64)
-    assert matrices._from_residues(ring, fwd64._residues())._np.dtype == np.float64
-    assert matrices._from_residues(ring, fwd64._residues()) == fwd

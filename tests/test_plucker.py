@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -243,18 +244,22 @@ def test_int64_path_agrees_with_referee(n, seed, spot):
     _agrees_with_referee(_near_member(g, r % g.dim, c % g.dim, delta), n)
 
 
-# The largest modulus with limbs at inner dimension 6, 6 (m-1) < 2^62, and
-# the next, where no limb width fits.
-_LIMB_EDGE = (2**62 - 1) // 6 + 1
+# The float64 bounds at inner dimension 6: the largest modulus with one limb,
+# 6 (m-1)^2 + m <= 2^53, and the largest with any limb, (m-1) 8 + m <= 2^53.
+_ONE_LIMB_EDGE = 38_745_321
+_LIMB_EDGE = (2**53 + 8) // 9
+# The int64 bounds the path had before it ran in float64: now two moduli in
+# the limb range, and two past every limb.
+_FORMER_EDGES = [876706517, 876706559, 768614336404564651, 768614336404564652]
 
 
-@pytest.mark.parametrize("m", [876706517, 876706559, _LIMB_EDGE, _LIMB_EDGE + 1])
+@pytest.mark.parametrize("m", [_ONE_LIMB_EDGE, _ONE_LIMB_EDGE + 1, _LIMB_EDGE, _LIMB_EDGE + 1] + _FORMER_EDGES)
 def test_int64_guard_edges_agree_with_referee(m):
-    # both sides of the one-limb bound 6 (m-1)^2 < 2^62 at inner dimension 6,
-    # and of the limb bound; at n = 5, Z/_LIMB_EDGE stores g in python ints
+    # both sides of the one-limb bound at inner dimension 6, and of the
+    # limb bound; at n = 5, Z/_LIMB_EDGE stores g in python ints
     ring = rings.ModularRing(m)
-    assert (matrices._int64_kernel(ring, 6) == matrices.ONE_LIMB) == (m < 876706559)
-    assert (matrices._int64_kernel(ring, 6) is None) == (m > _LIMB_EDGE)
+    assert (matrices._kernel(ring, 6) == matrices.ONE_LIMB) == (m <= _ONE_LIMB_EDGE)
+    assert (matrices._kernel(ring, 6) is None) == (m > _LIMB_EDGE)
     rng = random.Random(m)
     for n in (4, 5):
         g = _compound(n, ring, rng)
@@ -263,6 +268,33 @@ def test_int64_guard_edges_agree_with_referee(m):
         assert not _agrees_with_referee(near, n)
         full = matrices.Matrix(ring, [[m - 1] * g.dim for _ in range(g.dim)])
         assert not _agrees_with_referee(full, n)
+
+
+@pytest.mark.parametrize("m", [_ONE_LIMB_EDGE, _ONE_LIMB_EDGE + 1, 2**31 - 1, _LIMB_EDGE])
+def test_a_signed_all_top_left_factor_stays_exact(monkeypatch, m):
+    # an all-(m-1) g makes the left factor of the a-sum products +-(m-1) in
+    # every entry, the largest the float64 bounds allow for a signed factor:
+    # each product equals the one over Z reduced mod m, at one limb, at the
+    # widest limbs, at two limbs and at one-bit limbs, and is_member agrees
+    # with _first_violation
+    ring, n = rings.ModularRing(m), 5
+    N = indexing.dim(n)
+    g = matrices.Matrix(ring, [[m - 1] * N for _ in range(N)])
+    seen = []
+    product = matrices._kernel_matmul
+
+    def spy(a, b, modulus, s):
+        out = product(a, b, modulus, s)
+        seen.append((a, b, out.copy()))
+        return out
+
+    monkeypatch.setattr(matrices, "_kernel_matmul", spy)
+    assert not _agrees_with_referee(g, n)
+    assert seen
+    for a, b, out in seen:
+        assert (abs(a) == m - 1).all() and (a < 0).any() and (a > 0).any()
+        exact = a.astype(np.int64).astype(object) @ b.astype(np.int64).astype(object)
+        assert (out.astype(np.int64) % m == exact % m).all()
 
 
 @pytest.mark.parametrize("block_entries", [1, 2000])
@@ -281,9 +313,10 @@ def _refuse(*_args):
     raise AssertionError("wrong membership path")
 
 
-@pytest.mark.parametrize("m", [97, 876706517, 876706559, 2**31 - 1])
+@pytest.mark.parametrize("m", [97, _ONE_LIMB_EDGE, _ONE_LIMB_EDGE + 1, 876706517, 876706559, 2**31 - 1, _LIMB_EDGE])
 def test_int64_path_decides_inside_the_guard(monkeypatch, m):
-    # one limb for the first two moduli, two limbs for the others
+    # one limb for the first two moduli, limbs of 24, 20, 20, 19 and 1 bits
+    # for the others
     ring = rings.ModularRing(m)
     rng = random.Random(37)
     found = [(n, _compound(n, ring, rng)) for n in range(4, 9)]
@@ -302,7 +335,7 @@ def test_int64_path_decides_inside_the_guard(monkeypatch, m):
         assert not plucker.is_member(_near_member(g, 3, 4, 1), n)
         assert not plucker.is_member(_near_member(g, g.dim - 1, 0, m - 1), n)
     # the a-sum blocks multiply at the kernel's own width, limbs included
-    assert widths == {matrices._int64_kernel(ring, 6)}
+    assert widths == {matrices._kernel(ring, 6)}
 
 
 @pytest.mark.parametrize("ring", [rings.IntegerRing(), rings.ModularRing(2**61 - 1),
@@ -310,6 +343,6 @@ def test_int64_path_decides_inside_the_guard(monkeypatch, m):
 def test_generic_path_decides_past_the_guard(monkeypatch, ring):
     # Z, a modulus with no limb width at dim 6, and one with m >= 2^62
     g = _compound(4, ring, random.Random(38))
-    monkeypatch.setattr(plucker, "_is_member_int64", _refuse)
+    monkeypatch.setattr(plucker, "_is_member_float64", _refuse)
     assert plucker.is_member(g, 4)
     assert not plucker.is_member(_near_member(g, 3, 4, 1), 4)

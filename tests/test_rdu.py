@@ -282,8 +282,8 @@ def test_every_run_memo_key_is_a_tuple_of_terms():
 
 
 SEGMENT_RINGS = {
-    "zmod97": rings.ModularRing(97),  # one-limb int64 kernel
-    "zmod-wide": rings.ModularRing(2**31 - 1),  # two limbs at N = 10
+    "zmod97": rings.ModularRing(97),  # one float64 limb
+    "zmod-wide": rings.ModularRing(2**31 - 1),  # two float64 limbs at N = 10
     "int": rings.IntegerRing(),  # pure python
 }
 
@@ -408,6 +408,22 @@ def _check_segments(segments, ring):
         assert pair == words.ExtWord(rank, letters).eval(ring), letters
 
 
+@pytest.mark.parametrize("ring_id", ["zmod97", "zmod-wide"])
+def test_every_engine_array_is_float64_after_a_sweep(ring_id):
+    # storage has one dtype: after a level sweep and the system check, the
+    # stacks of g, of every segment and of every core word in g's run memo,
+    # and both sides read from each, are float64
+    n = 5
+    g, eng = _engine(n, 13, SEGMENT_RINGS[ring_id])
+    _sweep(eng, g, n)
+    memo = eng._cache[("runs", id(g))][1]
+    pairs = [g, *_segments(eng).values(), *memo.values()]
+    assert memo and len(pairs) > len(memo) + 1
+    for pair in pairs:
+        assert pair._stack.dtype == np.float64
+        assert pair.fwd._np.dtype == pair.bwd._np.dtype == np.float64
+
+
 def _inverted_pairs(monkeypatch):
     """Every pair InvPair.invert returns, kept alive so that ids stay unique."""
     made = []
@@ -450,7 +466,7 @@ def test_segment_entries_are_the_products_of_their_letters(monkeypatch, ring_id)
     _check_segments(segments, g.ring)
 
 
-_ONE_LIMB_LAST_15 = math.isqrt((2**62 - 1) // 15) + 1  # largest m with 15 (m-1)^2 < 2^62
+_ONE_LIMB_LAST_15 = 24_504_693  # the largest m with 15 (m-1)^2 + m <= 2^53
 
 
 @pytest.mark.parametrize(
@@ -489,10 +505,10 @@ def test_each_column_stabilizer_is_its_letters_multiplied_out(ring, n):
 def test_a_letter_is_checked_in_place(ring_id):
     # _is_letter compares a product with the letter (i, j, xi) at its support
     # and against the identity elsewhere; one changed entry of either kind,
-    # or on the diagonal, is refused, on int64 storage and on python rows
+    # or on the diagonal, is refused, on float64 storage and on python rows
     ring, n, i, j = SEGMENT_RINGS[ring_id], 5, 4, 2
     N = indexing.dim(n)
-    assert (matrices._int64_kernel(ring, N) is None) == (ring_id == "int")
+    assert (matrices._kernel(ring, N) is None) == (ring_id == "int")
     xi = ring.coerce(-7)
     letter = ext_letter_matrix(ring, n, i, j, xi)
     assert rdu._is_letter(letter, n, i, j, xi)
@@ -1128,7 +1144,7 @@ def test_referee_at_the_one_limb_bound(monkeypatch, modulus, batched):
     # all-(m-1) matrices and letters: the largest residues the batched
     # updates see; both paths equal the same product over Z reduced mod m
     ring = rings.ModularRing(modulus)
-    assert (matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB) is batched
+    assert exterior._int64_minors(ring) is batched
     n, top = 4, modulus - 1
     N = indexing.dim(n)
     full = matrices.Matrix(ring, [[top] * N] * N)
@@ -1234,7 +1250,7 @@ def test_referee_at_the_float64_bound(monkeypatch, n, inside):
     N = indexing.dim(n)
     modulus = _largest_modulus(lambda m: N * (m - 1) ** 2 + m <= 2**53) + (not inside)
     ring = rings.ModularRing(modulus)
-    s = matrices._float64_kernel(ring, N)
+    s = matrices._kernel(ring, N)
     if inside:
         assert s == matrices.ONE_LIMB
     else:
@@ -1257,8 +1273,8 @@ def test_referee_at_the_minor_bound_and_at_2_to_the_31(monkeypatch, bound, shape
     modulus = {"float-minors-largest": largest, "float-minors-next": largest + 1, "2^31": 2**31}[bound]
     ring = rings.ModularRing(modulus)
     float_minors = bound == "float-minors-largest"
-    assert (matrices._float64_kernel(ring, 1) == matrices.ONE_LIMB) is float_minors
-    assert matrices._int64_kernel(ring, 1) == matrices.ONE_LIMB
+    assert (matrices._kernel(ring, 1) == matrices.ONE_LIMB) is float_minors
+    assert exterior._int64_minors(ring)
     dtypes = (np.int64, np.float64 if bound == "2^31" else np.int64)
     minors = _assert_referee_on_all_top(monkeypatch, modulus, 5, shape, dtypes)
     assert minors == {np.dtype(np.int64)}
@@ -1284,7 +1300,7 @@ def test_referee_kernel_at_the_balanced_bound(dim, inside):
         a = matrices._balance(a, modulus)
         assert (np.abs(a) == h).all()
     else:
-        assert kind == matrices._float64_kernel(ring, dim) >= 1
+        assert kind == matrices._kernel(ring, dim) >= 1
         a = a.astype(np.float64)
     got = matrices._referee_matmul(a, a, modulus, kind).astype(np.int64) % modulus
     assert set(got.ravel().tolist()) == {dim * h * h % modulus}
@@ -1571,7 +1587,7 @@ def test_float64_kernel_takes_the_widest_exact_limb(dim):
         if largest == 2**31 - 1 or dim * (largest - 1) ** 2 + largest <= 2**53:
             continue  # no limb bound below 2^31, or one limb
         for m in (largest, largest + 1):
-            s = matrices._float64_kernel(rings.ModularRing(m), dim)
+            s = matrices._kernel(rings.ModularRing(m), dim)
             assert fits(m, s) and not fits(m, s + 1)
             b = (((m - 1) >> s) << s) - 1
             prod = matrices._float64_matmul(
@@ -1583,10 +1599,10 @@ def test_float64_kernel_takes_the_widest_exact_limb(dim):
 
 
 def test_float64_kernel_answers_none_off_its_range():
-    assert matrices._float64_kernel(rings.IntegerRing(), 1) is None
-    assert matrices._float64_kernel(rings.ModularRing(2**53), 1) is None
-    assert matrices._float64_kernel(rings.ModularRing(2**61 - 1), 6) is None
-    assert matrices._float64_kernel(rings.ModularRing(2**31 - 1), 10) == 18
+    assert matrices._kernel(rings.IntegerRing(), 1) is None
+    assert matrices._kernel(rings.ModularRing(2**53), 1) is None
+    assert matrices._kernel(rings.ModularRing(2**61 - 1), 6) is None
+    assert matrices._kernel(rings.ModularRing(2**31 - 1), 10) == 18
 
 
 @pytest.mark.parametrize(
@@ -1607,17 +1623,16 @@ def test_verify_rejects_a_bad_target_on_both_paths(ring, k, l):
 
 
 def test_verify_over_the_mersenne_prime_multiplies_no_int64_product(monkeypatch):
-    # what this refuses is the engine's int64 kernels, _kernel_matmul and
-    # _limb_matmul: the referee's own balanced int64 products (through
+    # what this refuses is the engine's kernel, _kernel_matmul: the
+    # referee's own balanced int64 products (through
     # matrices._referee_matmul) do run here, at n = 5 on every n x n stack
     g, eng = _engine(5, 13, rings.ModularRing(2**31 - 1))
     d = eng.diagonal((1, 2), (3, 4), 4, 1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the referee multiplied in int64")
+        raise AssertionError("the referee called the engine's kernel")
 
     monkeypatch.setattr(matrices, "_kernel_matmul", refuse)
-    monkeypatch.setattr(matrices, "_limb_matmul", refuse)
     assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
     assert rdu.first_difference(d.word, g, d.k, d.l, g.ring.add(d.param, 1), 5) is not None
 

@@ -140,8 +140,8 @@ def test_expand_matches_eval(poly_xi):
 # -- factored conjugate-word evaluation against the naive product -------------
 
 RINGS = {
-    "zmod97": rings.ModularRing(97),  # one-limb int64 kernel
-    "zmod-wide": rings.ModularRing(2**31 - 1),  # two-limb int64 kernel at N = 6
+    "zmod97": rings.ModularRing(97),  # one float64 limb
+    "zmod-wide": rings.ModularRing(2**31 - 1),  # two float64 limbs at N = 6
     "zmod-widest": rings.ModularRing(2**61 - 1),  # pure python: no limb fits at N = 6
     "int": rings.IntegerRing(),
     "poly": rings.PolynomialRing(("x",)),
@@ -279,7 +279,7 @@ def test_one_segment_cache_keeps_each_ring_apart():
 def test_one_segment_cache_is_bounded_on_a_wide_modulus():
     # every letter argument of a modulus near 2^20 is a new key, so a sweep
     # and its referee over Z, through one cache dict, pass the cap and
-    # evict; the evicting int64 path stays exact
+    # evict; the evicting float64 path stays exact
     ring = rings.ModularRing(2**20 - 3)
     integers = rings.IntegerRing()
     n = 6
@@ -355,6 +355,42 @@ def test_warm_cache_variants_equal_naive_product(ring_id, seed, shape):
     ]
     for variant in variants:
         assert variant.eval_matrix(g, cache) == _naive_eval_matrix(variant, g)
+
+
+@pytest.mark.parametrize("ring_id", ["zmod97", "zmod-wide"])
+def test_words_not_recalled_multiply_their_forward_sides_only(monkeypatch, ring_id):
+    # a word no kept core words make up is multiplied out as the forward
+    # sides of its telescoped chain: on a fresh cache, every kernel call
+    # outside the making of segments (ExtWord.eval) has one N x N left
+    # operand, never a stacked pair, and the product is the naive one
+    ring = RINGS[ring_id]
+    n = 4
+    N = indexing.dim(n)
+    rng = random.Random(26)
+    g = generate.compound_of_random(n, ring, 6, rng)
+    lefts, segments = [], []
+    kernel, evaluate = matrices._kernel_matmul, ExtWord.eval
+
+    def spy_kernel(a, *args):
+        if not segments:
+            lefts.append(a.shape)
+        return kernel(a, *args)
+
+    def spy_eval(self, *args):
+        segments.append(1)
+        try:
+            return evaluate(self, *args)
+        finally:
+            segments.pop()
+
+    monkeypatch.setattr(matrices, "_kernel_matmul", spy_kernel)
+    monkeypatch.setattr(ExtWord, "eval", spy_eval)
+    for shape in ([1, 2, "same", 0], ["empty", 3, "same", 2], [2] * 8):
+        word = _shared_segment_word(ring, n, rng, shape)
+        lefts.clear()
+        got = word.eval_matrix(g, {})
+        assert lefts and set(lefts) == {(N, N)}, shape
+        assert got == _naive_eval_matrix(word, g), shape
 
 
 def test_words_not_made_of_kept_core_words_leave_the_run_memo_as_it_was():

@@ -9,9 +9,9 @@ within decompose, every core build (rdu.ReverseDecomposer._build_core) split
 into z's pass (words._chain), its commutator pair (words._keep_commutator,
 A^-1 Z A Z^-1 from z's pair) and the rest, every ConjWord.eval_matrix call
 with the matrices._kernel_matmul calls inside it (the entry point of every
-engine product, float64 or int64), all of decompose's _kernel_matmul
-calls, and its matrices._float64_reduce calls, the delayed reductions of
-its float64 products (Z/97).  Timers wrap those callables, so each figure
+engine product), all of decompose's _kernel_matmul calls, and its
+matrices._float64_reduce calls, the delayed reductions of its float64
+products (Z/97).  Timers wrap those callables, so each figure
 includes their small cost.  The package is imported from the src/ directory beside
 this script, the workload from perfbench/.  Run it from two checkouts to
 compare them.

@@ -19,7 +19,7 @@ from the src/ directory beside this script.  Two things are hashed:
 
 A line before the digest, outside it, gives the number of
 matrices._kernel_matmul calls of each sweep (the entry point of every
-engine product, float64 or int64: the engine's membership check,
+engine and membership product: the engine's membership check,
 decompositions and system check; 0 over Z, which has no array kernel), and
 the next the sizes of the engine's stores after the system check: g's run
 memo, the segments of the engine's cache and its cores.
