@@ -55,7 +55,7 @@ def cauchy_binet(x: matrices.Matrix, n: int) -> matrices.Matrix:
             b = ring.mul(x.at(i1 - 1, j2 - 1), x.at(i2 - 1, j1 - 1))
             row.append(ring.sub(a, b))
         out.append(row)
-    return matrices.Matrix(ring, out)
+    return matrices._from_rows(ring, out)
 
 
 def _int64_minors(ring) -> bool:

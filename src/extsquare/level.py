@@ -76,7 +76,7 @@ def reduce_matrix(g: matrices.Matrix, d: int) -> matrices.Matrix:
     elif g.ring.kind != "int":
         raise ValueError("reduction requires an integer or modular source")
     target = rings.ModularRing(d)
-    return matrices.Matrix(target, [[x % d for x in row] for row in g.rows])
+    return matrices.Matrix(target, g.rows)
 
 
 def congruence_class(g: matrices.Matrix, d: int) -> str:

@@ -3,11 +3,13 @@
 Matrices are immutable after construction.  One function, _kernel, decides
 per (ring, dim) how a product of dim x dim matrices runs, for the engine and
 for membership alike, and with it how entries are stored: float64 residues
-wherever it gives a kernel, payload tuples elsewhere.  Callers choose no
+wherever it gives a kernel, payload tuples elsewhere.  Matrix(ring, rows)
+validates outside input through ring.coerce; the package's own canonical
+payloads go through the trusted _from_rows or _matrix.  Callers choose no
 kernel: _identity_plus builds identities, transvections and exterior
-letters, _unipotent_pair the pair of I + A and I - A for A^2 = 0, _product
-and _pair_product multiply chains (Matrix.mul and every word evaluation),
-and mat_vec and vec_mat take vectors; each asks it once:
+letters, _unipotent_pair every elementary pair, I + A with I - A for
+A^2 = 0, _product and _pair_product multiply chains (Matrix.mul and every
+word evaluation), and mat_vec and vec_mat take vectors; each asks it once:
 
 * ONE_LIMB, when dim (m-1)^2 + m <= 2^53 (Z/97 up to dim 9.8 * 10^11):
   one BLAS product per factor, and a chain reduced only where the bound
@@ -220,23 +222,18 @@ def _referee_matmul(a, b, m: int, kind):
 
 
 class Matrix:
-    """A dim x dim matrix over a ring, stored row-major."""
+    """A dim x dim matrix over a ring, stored row-major.  Matrix(ring, rows)
+    checks that the rows are square and stores ring.coerce's answer for
+    every entry (a numpy integer read as an int first)."""
 
     __slots__ = ("ring", "dim", "_np", "_rows")
 
     def __init__(self, ring, rows):
-        rows = tuple(tuple(r) for r in rows)
-        self.ring = ring
-        self.dim = len(rows)
-        if any(len(r) != self.dim for r in rows):
+        rows = [list(r) for r in rows]
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        self._np = self._rows = None
-        if _kernel(ring, self.dim) is None:
-            self._rows = rows
-        else:
-            data = np.array(rows, dtype=np.int64).reshape(self.dim, self.dim) % ring.modulus
-            self._np = data.astype(np.float64)
-            self._np.flags.writeable = False
+        coerce = ring.coerce
+        _from_rows(ring, [[coerce(int(x) if isinstance(x, np.integer) else x) for x in r] for r in rows], self)
 
     @property
     def rows(self):
@@ -327,11 +324,23 @@ def _from_residues(ring, data) -> Matrix:
     return _matrix(ring, data.astype(np.float64, copy=False))
 
 
-def _matrix(ring, data) -> Matrix:
-    """The matrix stored as `data`, a float64 array of residues, read-only."""
+def _matrix(ring, data, out: Matrix | None = None) -> Matrix:
+    """The matrix stored as `data`, a float64 array of residues, read-only;
+    a new one unless `out` is given."""
     data.flags.writeable = False
-    out = object.__new__(Matrix)
+    out = object.__new__(Matrix) if out is None else out
     out.ring, out.dim, out._np, out._rows = ring, data.shape[0], data, None
+    return out
+
+
+def _from_rows(ring, rows, out: Matrix | None = None) -> Matrix:
+    """The matrix of `rows`, dim sequences of dim ring payloads, unchecked:
+    the trusted writer of rows, as _matrix is of arrays."""
+    dim = len(rows)
+    if _kernel(ring, dim) is not None:
+        return _matrix(ring, np.array(rows, dtype=np.float64).reshape(dim, dim), out)
+    out = object.__new__(Matrix) if out is None else out
+    out.ring, out.dim, out._np, out._rows = ring, dim, None, tuple(map(tuple, rows))
     return out
 
 
@@ -370,13 +379,14 @@ def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
     out = [[o if r == c else z for c in range(dim)] for r in range(dim)]
     for r, c, v in zip(rows, cols, values):
         out[r][c] = v
-    return Matrix(ring, out)
+    return _from_rows(ring, out)
 
 
 def _unipotent_pair(ring, dim: int, rows, cols, values) -> "InvPair":
     """The pair (I + A, I - A) for the dim x dim matrix A with ring payloads
     `values` (ring.coerce's answers) at the off-diagonal positions
-    (rows[k], cols[k]), 0-based, stored as they are.  The caller vouches
+    (rows[k], cols[k]), 0-based, stored as they are: the one writer of
+    elementary pairs, letters and one-column segments.  The caller vouches
     that A^2 = 0, so that I - A is the inverse of I + A; it is not checked.
     Where storage is an array both sides are written into one stack (see
     InvPair), else each is an _identity_plus."""
@@ -402,7 +412,7 @@ def _product(ring, dim: int, factors) -> Matrix:
     acc = factors[0].rows
     for f in factors[1:]:
         acc = _ring_product(ring, acc, tuple(zip(*f.rows)))
-    return Matrix(ring, acc)
+    return _from_rows(ring, acc)
 
 
 def _ring_product(ring, rows, cols) -> list:
@@ -428,9 +438,7 @@ def identity(ring, dim: int) -> Matrix:
 
 
 def scalar_matrix(ring, dim: int, payload) -> Matrix:
-    z = ring.zero
-    c = ring.coerce(payload)
-    return Matrix(ring, [[c if r == s else z for s in range(dim)] for r in range(dim)])
+    return Matrix(ring, [[payload if r == s else ring.zero for s in range(dim)] for r in range(dim)])
 
 
 def transvection(ring, dim: int, i: int, j: int, payload) -> Matrix:
@@ -559,16 +567,14 @@ def _pair_product(pairs) -> InvPair:
 
 
 def identity_pair(ring, dim: int) -> InvPair:
-    e = identity(ring, dim)
-    return InvPair._trusted(e, e)
+    return _unipotent_pair(ring, dim, [], [], [])
 
 
 def transvection_pair(ring, dim: int, i: int, j: int, payload) -> InvPair:
-    xi = ring.coerce(payload)
-    return InvPair._trusted(
-        transvection(ring, dim, i, j, xi),
-        transvection(ring, dim, i, j, ring.neg(xi)),
-    )
+    """(t_ij(xi), t_ij(-xi)), indices 1-based, as one _unipotent_pair."""
+    if not indexing._is_pair(i, j, dim):
+        raise ValueError("bad index")
+    return _unipotent_pair(ring, dim, [i - 1], [j - 1], [ring.coerce(payload)])
 
 
 def conjugate(y: InvPair, x: InvPair, side: str = "right") -> InvPair:

@@ -74,10 +74,10 @@ class IntegerRing(Ring):
     def canon(self, a):
         if not isinstance(a, int):
             raise TypeError(f"integer payload expected, got {type(a).__name__}")
-        return a
+        return int(a)  # a bool is an int, but its payload is 0 or 1
 
     def from_int(self, k):
-        return k
+        return int(k)
 
     def is_zero(self, a):
         return a == 0

@@ -35,16 +35,17 @@ its sides multiply in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices, the pair-indexed expansion in exterior and the signs rdu reads off
-a letter come from it.  Letter matrices are built uncached
-(_letter, ext_letter_matrix); every cache here belongs to a caller.  The
+a letter come from it.  A single letter matrix is built uncached by
+ext_letter_matrix; every cache here belongs to a caller.  The
 segment cache drops its oldest entries past its cap through _bounded_put;
 g's run memo, a slot of it, grows by one entry per core built, and the
 engine's core cache, which never evicts, bounds it.  Words choose no
-kernel: matrices._identity_plus builds each letter matrix,
-matrices._unipotent_pair each cached segment of one j (a letter, or a
-core's column stabilizer) with its inverse, matrices._pair_product
-multiplies letter pairs and z's telescoped chain, and matrices._product
-the forward sides of recalled core words and of any other word's chain.
+kernel: matrices._identity_plus builds a letter matrix,
+matrices._unipotent_pair every letter pair of the three species
+(_eval_letters) and each cached segment of one j (a letter, or a core's
+column stabilizer) with its inverse, matrices._pair_product multiplies
+letter pairs and z's telescoped chain, and matrices._product the forward
+sides of recalled core words and of any other word's chain.
 """
 
 from __future__ import annotations
@@ -126,18 +127,14 @@ def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
     return _letter(ring, n, i, j, ring.coerce(payload))
 
 
-def _eval_letters(ring, dim: int, letters, letter) -> matrices.InvPair:
-    """The product of letter(i, j, xi) over `letters`, with its inverse as the
-    product over the formal inverse: each letter is paired with its inverse
-    letter(i, j, -xi), and the pairs multiply by matrices._pair_product,
-    both sides in one kernel call per factor.  Payloads are coerced here,
-    so `letter` receives ring payloads."""
+def _eval_letters(ring, dim: int, letters, support) -> matrices.InvPair:
+    """The product of the letters, with its inverse as the product over the
+    formal inverse.  A letter (a, b, xi) is I + A with A^2 = 0, A's (rows,
+    cols, payloads) being support(a, b, ring.coerce(xi)), so its pair is one
+    matrices._unipotent_pair; the pairs multiply by matrices._pair_product."""
     if not letters:
         return matrices.identity_pair(ring, dim)
-    pairs = []
-    for i, j, xi in letters:
-        xi = ring.coerce(xi)
-        pairs.append(matrices.InvPair._trusted(letter(i, j, xi), letter(i, j, ring.neg(xi))))
+    pairs = [matrices._unipotent_pair(ring, dim, *support(a, b, ring.coerce(xi))) for a, b, xi in letters]
     return pairs[0] if len(pairs) == 1 else matrices._pair_product(pairs)
 
 
@@ -201,8 +198,7 @@ class TransvWord(_LetterWord):
         return out
 
     def eval(self, ring) -> matrices.InvPair:
-        letter = partial(matrices.transvection, ring, self.dim)
-        return _eval_letters(ring, self.dim, self.letters, letter)
+        return _eval_letters(ring, self.dim, self.letters, lambda i, j, xi: ([i - 1], [j - 1], [xi]))
 
 
 class PairWord(_LetterWord):
@@ -224,13 +220,8 @@ class PairWord(_LetterWord):
         return tuple(out)
 
     def eval(self, ring) -> matrices.InvPair:
-        N = indexing.dim(self.n)
-
-        def letter(row, col, xi):
-            r, c = indexing.rank(row, self.n), indexing.rank(col, self.n)
-            return matrices.transvection(ring, N, r + 1, c + 1, xi)
-
-        return _eval_letters(ring, N, self.letters, letter)
+        rank = partial(indexing.rank, n=self.n)
+        return _eval_letters(ring, indexing.dim(self.n), self.letters, lambda r, c, xi: ([rank(r)], [rank(c)], [xi]))
 
 
 class ExtWord(_LetterWord):
@@ -271,7 +262,7 @@ class ExtWord(_LetterWord):
         """
         n, letters = self.n, self.letters
         if cache is None or not letters:
-            return _eval_letters(ring, indexing.dim(n), letters, partial(_letter, ring, n))
+            return _eval_letters(ring, indexing.dim(n), letters, partial(_signed_support, ring, n))
         rk = ring.key()
         key = (rk, n, letters)
         hit = cache.get(key)

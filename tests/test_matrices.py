@@ -527,6 +527,33 @@ def test_float64_kernel_matches_the_ring_product_at_its_bound(monkeypatch, dim, 
         assert matrices.vec_mat(v, top) == _ring_chain(ring, [[v], top.rows])[0]
 
 
+def _last_two_product_modulus(dim):
+    """The largest m with dim^2 (m-1)^3 + m <= 2^53: the last m at which
+    _chain_matmul runs two one-limb products before it reduces."""
+    lo, hi = 2, 2**20
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if dim**2 * (mid - 1) ** 3 + mid <= 2**53 else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize("dim,past", [(d, p) for d in (6, 10, 15) for p in (0, 1)], ids=lambda v: str(v))
+def test_chain_matmul_reduces_mid_chain_exactly_where_its_bound_requires(monkeypatch, dim, past):
+    # a chain of three all-(m-1) factors on one limb: at the last m with
+    # dim^2 (m-1)^3 + m <= 2^53 both products run unreduced and the chain
+    # is reduced once, at the end; at the next m it is reduced before the
+    # second product too
+    modulus = _last_two_product_modulus(dim) + past
+    ring = rings.ModularRing(modulus)
+    assert matrices._kernel(ring, dim) == matrices.ONE_LIMB
+    reductions = []
+    reduce = matrices._float64_reduce
+    monkeypatch.setattr(matrices, "_float64_reduce", lambda c, m: reductions.append(c.shape) or reduce(c, m))
+    top = matrices.Matrix(ring, [[modulus - 1] * dim for _ in range(dim)])
+    assert matrices._product(ring, dim, [top] * 3).rows == _ring_chain(ring, [top.rows] * 3)
+    assert len(reductions) == 1 + past
+
+
 def _numbers(obj):
     """Every number in a JSON-ready object."""
     if isinstance(obj, dict):
@@ -567,3 +594,32 @@ def test_the_two_storage_kinds_of_one_matrix_are_equal_and_hash_equally():
     assert fwd == fwd64 and fwd64 == fwd and hash(fwd) == hash(fwd64)
     pair, pair64 = matrices.InvPair._trusted(fwd, bwd), matrices.InvPair._trusted(fwd64, bwd64)
     assert pair == pair64 and hash(pair) == hash(pair64)
+
+
+@pytest.mark.parametrize("modulus", [97, 2**31 - 1, 2**61 - 1, None], ids=["zmod97", "mersenne-31", "mersenne-61", "int"])
+def test_matrix_entries_pass_through_ring_coerce(modulus):
+    # Matrix(ring, rows) stores ring.coerce's answers: unreduced ints, an int
+    # past int64, a RingElement around an unreduced payload (the dataclass
+    # does not reduce it), True and a numpy integer give the matrix of the
+    # reduced rows, on float64 storage and on tuples alike
+    ring = rings.IntegerRing() if modulus is None else rings.ModularRing(modulus)
+    m = modulus or 97
+    given = [-1, m + 5, 10**19, rings.RingElement(ring, m + 7), True, np.int64(3), 0, 1, 2]
+    plain = [-1, m + 5, 10**19, m + 7, 1, 3, 0, 1, 2]
+    reduced = [[x if modulus is None else x % modulus for x in plain[r : r + 3]] for r in (0, 3, 6)]
+    got = matrices.Matrix(ring, [given[r : r + 3] for r in (0, 3, 6)])
+    want = matrices.Matrix(ring, reduced)
+    assert got == want and hash(got) == hash(want)
+    assert got.rows == want.rows == tuple(map(tuple, reduced))
+    index = np.arange(3)
+    for a in (got, want):
+        reads = [a.at(r, c) for r in range(3) for c in range(3)] + [x for c in range(3) for x in a.column(c)]
+        reads += a._gather(index, index[::-1]) + [x for row in a.rows for x in row]
+        assert reads == [x for row in reduced for x in row] + [row[c] for c in range(3) for row in reduced] + [
+            reduced[r][2 - r] for r in range(3)
+        ] + [x for row in reduced for x in row]
+        assert {type(x) for x in reads} == {int}
+    with pytest.raises(rings.RingMismatchError):
+        matrices.Matrix(ring, [[rings.RingElement(rings.ModularRing(5), 1)]])
+    with pytest.raises(ValueError, match="matrix must be square"):
+        matrices.Matrix(ring, [[1, 0], [0]])

@@ -1,7 +1,9 @@
 """Word evaluation, formal inverses, conjugate words."""
 
 import random
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,16 +63,43 @@ def test_eval_pair_is_certified(zmod97):
 
 
 def test_zmod_and_generic_paths_agree():
-    # the fast modular path must match the generic letter-product path
-    ring = rings.ModularRing(97)
+    # every letter pair is one matrices._unipotent_pair: on every ring kind,
+    # the pair of each species, of transvection_pair and of identity_pair is
+    # the product of its letters' matrices, built one by one
+    # (matrices.transvection, ext_letter_matrix), with the inverse letters'
+    # product in reverse order as bwd; float64 storage where _kernel gives a
+    # kernel
     rng = random.Random(14)
-    for _ in range(20):
-        w = generate.random_ext_word(4, ring, rng.randint(1, 6), rng)
-        fast = w.eval(ring)
-        slow_fwd = matrices.identity(ring, 6)
-        for i, j, xi in w.letters:
-            slow_fwd = slow_fwd.mul(ext_letter_matrix(ring, 4, i, j, xi))
-        assert fast.fwd == slow_fwd
+    n, N = 4, indexing.dim(4)
+    poly = rings.PolynomialRing(("x",))
+    for ring in (rings.IntegerRing(), rings.ModularRing(97), rings.ModularRing(2**31 - 1), rings.ModularRing(2**61 - 1), poly):
+
+        def check(pair, dim, letter, letters):
+            fwd = bwd = matrices.identity(ring, dim)
+            for a, b, xi in letters:
+                xi = ring.coerce(xi)
+                fwd = fwd.mul(letter(a, b, xi))
+                bwd = letter(a, b, ring.neg(xi)).mul(bwd)
+            assert (pair.fwd, pair.bwd) == (fwd, bwd), (ring, letters)
+            if matrices._kernel(ring, dim) is not None:
+                assert pair._stack.dtype == pair.fwd._np.dtype == pair.bwd._np.dtype == np.float64
+
+        def transvection(dim):
+            return partial(matrices.transvection, ring, dim)
+
+        def pair_letter(row, col, xi):
+            return matrices.transvection(ring, N, indexing.rank(row, n) + 1, indexing.rank(col, n) + 1, xi)
+
+        for _ in range(20):
+            w = generate.random_ext_word(n, ring, rng.randint(0, 6), rng)
+            check(w.eval(ring), N, partial(ext_letter_matrix, ring, n), w.letters)
+            t = generate.random_transv_word(n, ring, rng.randint(0, 6), rng)
+            check(t.eval(ring), n, transvection(n), t.letters)
+            p = w.expand()
+            check(p.eval(ring), N, pair_letter, p.letters)
+            i, j, xi = generate._random_letters(n, 1, rng, ring.random)[0]
+            check(matrices.transvection_pair(ring, n, i, j, xi), n, transvection(n), [(i, j, xi)])
+        check(matrices.identity_pair(ring, N), N, None, [])
 
 
 def test_bad_letters_rejected():
@@ -544,3 +573,13 @@ def test_letters_store_canonical_residues_from_unreduced_payloads(modulus):
                 pair = ExtWord(n, letters).eval(ring, cache)
                 assert canonical(pair.fwd) and canonical(pair.bwd), letters
                 assert (pair.fwd, pair.bwd) == (want.fwd, want.bwd), letters
+        # the other species and transvection_pair go through the same writer
+        transv = [(2, 4, x), (4, 1, x)]
+        pairs = [((1, 2), (3, 4), x), ((2, 5), (1, 3), x)]
+        for got, want in (
+            (TransvWord(n, transv).eval(ring), TransvWord(n, [(i, j, x_mod) for i, j, _ in transv]).eval(ring)),
+            (PairWord(n, pairs).eval(ring), PairWord(n, [(r, c, x_mod) for r, c, _ in pairs]).eval(ring)),
+            (matrices.transvection_pair(ring, N, 2, 7, x), matrices.transvection_pair(ring, N, 2, 7, x_mod)),
+        ):
+            assert canonical(got.fwd) and canonical(got.bwd)
+            assert (got.fwd, got.bwd) == (want.fwd, want.bwd)
