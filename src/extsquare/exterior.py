@@ -2,12 +2,12 @@
 
 cauchy_binet sends an n x n matrix to the C(n,2) x C(n,2) matrix of its
 2 x 2 minors.  Over Z/m with (m-1)^2 < 2^62 (_int64_minors) all minors
-come from _residue_minors, one int64 expression over the pair index arrays
-that serves any stack of n x n matrices (rdu.verify lifts the telescoped
-conjugators of a word through it at once, in the dtype of its n x n
-products: float64 where matrices._referee_kernel(ring, n) is ONE_LIMB,
-balanced int64 residues where it is BALANCED); elsewhere from ring
-arithmetic, entry by entry.
+come from _residue_minors, one expression over one gather of the entries
+that serves any stack of n x n matrices (rdu.verify lifts a word's
+telescoped conjugators and its target through it at once, in the dtype
+of its n x n products: float64 where matrices._referee_kernel(ring, n) is
+ONE_LIMB, balanced int64 residues where it is BALANCED); elsewhere from
+ring arithmetic, entry by entry.
 ext_transvection expands the compound image of a single elementary
 transvection into explicit elementary transvections of the pair-indexed
 group, at the positions and signs of words._letter_support; the expansion
@@ -80,26 +80,24 @@ def _residue_minors(x, m: int):
     then an exact float64 in [0, e^2] and every minor one in [-e^2, e^2],
     reduced by the floor quotient of matrices._float64_reduce."""
     n = x.shape[-1]
-    ac, bd, ad, bc = _minor_positions(n)
-    flat = x.reshape(x.shape[:-2] + (n * n,))
-    out = flat[..., ac] * flat[..., bd]
-    out -= flat[..., ad] * flat[..., bc]
-    if out.dtype == np.float64:
-        return matrices._float64_reduce(out, m)
-    out %= m
-    return out
+    # one gather from the entries as (n n, matrices): contiguous factors
+    flat = np.ascontiguousarray(x.reshape(-1, n * n).T)
+    ac, bd, ad, bc = flat.take(_minor_positions(n), axis=0)
+    out = ac * bd
+    out -= ad * bc
+    out = matrices._float64_reduce(out, m) if out.dtype == np.float64 else out % m
+    return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(x.shape[:-2] + out.shape[:2])
 
 
 @lru_cache(maxsize=None)
 def _minor_positions(n: int):
     """Flat positions in an n x n matrix of the four entries of every 2 x 2
     minor, pairs 0-based in lexicographic order: rows {a, b} and columns
-    {c, d} give (a c, b d, a d, b c), each an N x N index array."""
+    {c, d} give (a c, b d, a d, b c), one (4, N, N) index array."""
     a, b = (np.array(indexing.pairs(n)) - 1).T
     ra, rb = a[:, None] * n, b[:, None] * n
-    out = (ra + a, rb + b, ra + b, rb + a)
-    for p in out:
-        p.flags.writeable = False
+    out = np.array((ra + a, rb + b, ra + b, rb + a))
+    out.flags.writeable = False
     return out
 
 

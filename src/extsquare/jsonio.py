@@ -113,6 +113,8 @@ def _list(obj: dict, field: str, path: str = "") -> list:
 
 
 def _matrix_rows_from_json(ring, obj: dict, field: str):
+    """The square rows of `field` as elem_from_json's canonical payloads, for
+    matrices._from_rows; malformed ones raise ValueError naming the place."""
     rows = _field(obj, field)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{field}: expected a list of rows")
@@ -136,7 +138,7 @@ def matrix_from_json(obj: dict) -> matrices.Matrix:
     ring = ring_from_json(_field(obj, "ring"))
     rows = _matrix_rows_from_json(ring, obj, "rows")
     _check_dim(obj, len(rows))
-    return matrices.Matrix(ring, rows)
+    return matrices._from_rows(ring, rows)
 
 
 def pair_to_json(p: matrices.InvPair, n: int | None = None) -> dict:
@@ -154,9 +156,9 @@ def pair_to_json(p: matrices.InvPair, n: int | None = None) -> dict:
 def pair_from_json(obj: dict) -> matrices.InvPair:
     _object(obj, "matrix pair")
     ring = ring_from_json(_field(obj, "ring"))
-    fwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "fwd"))
+    fwd = matrices._from_rows(ring, _matrix_rows_from_json(ring, obj, "fwd"))
     _check_dim(obj, fwd.dim)
-    bwd = matrices.Matrix(ring, _matrix_rows_from_json(ring, obj, "bwd"))
+    bwd = matrices._from_rows(ring, _matrix_rows_from_json(ring, obj, "bwd"))
     return matrices.InvPair(fwd, bwd)  # certified on load
 
 

@@ -37,7 +37,7 @@ and _from_residues.  Reads hand out python ints or int64 arrays, never
 floats.
 
 _referee_kernel answers the same question for the batched stacks of the
-referee rdu._batched_product, and _referee_matmul multiplies at its
+referee rdu._batched, and _referee_matmul multiplies at its
 answer: balanced int64 residues where _kernel gives limbs and their
 products cannot overflow, else _kernel's own answer.  The referee shares
 _float64_matmul and _float64_reduce with the engine, never _kernel_matmul.
@@ -180,7 +180,7 @@ BALANCED = -1
 
 def _referee_kernel(ring, dim: int):
     """How a batched stack of dim x dim residue matrices over `ring` runs
-    (the referee rdu._batched_product): BALANCED, one int64 product of
+    (the referee rdu._batched): BALANCED, one int64 product of
     balanced residues, where _kernel gives a limb width and
     dim h^2 + h < 2^63 for h = floor(m/2); else _kernel's answer: ONE_LIMB,
     one float64 BLAS product (Z/97), a limb width s for _float64_matmul, or
@@ -214,8 +214,11 @@ def _balance(c, m: int):
 
 
 def _referee_matmul(a, b, m: int, kind):
-    """a @ b mod m at the answer `kind` of _referee_kernel, BALANCED or a
-    limb width: balanced int64 residues at BALANCED, float64 limbs else."""
+    """a @ b at the answer `kind` of _referee_kernel: unreduced at ONE_LIMB
+    (the referee reduces where its bounds require), else mod m, balanced
+    int64 residues at BALANCED and float64 limbs at a limb width."""
+    if kind == ONE_LIMB:
+        return a @ b
     if kind == BALANCED:
         return _balance(a @ b, m)
     return _float64_matmul(a, b, m, kind)
@@ -232,8 +235,7 @@ class Matrix:
         rows = [list(r) for r in rows]
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        coerce = ring.coerce
-        _from_rows(ring, [[coerce(int(x) if isinstance(x, np.integer) else x) for x in r] for r in rows], self)
+        _from_rows(ring, [_coerced(ring, r) for r in rows], self)
 
     @property
     def rows(self):
@@ -342,6 +344,13 @@ def _from_rows(ring, rows, out: Matrix | None = None) -> Matrix:
     out = object.__new__(Matrix) if out is None else out
     out.ring, out.dim, out._np, out._rows = ring, dim, None, tuple(map(tuple, rows))
     return out
+
+
+def _coerced(ring, values) -> list:
+    """ring.coerce's answer for each of `values`, a numpy integer read as an
+    int first: the residue rule of Matrix(ring, rows) and of vectors."""
+    coerce = ring.coerce
+    return [coerce(int(x) if isinstance(x, np.integer) else x) for x in values]
 
 
 def _payloads(ring, values):
@@ -463,9 +472,10 @@ def _vector_product(m: Matrix, vec, column: bool) -> tuple:
     ring = m.ring
     if len(vec) != m.dim:
         raise ValueError("dimension mismatch")
+    vec = _coerced(ring, vec)
     s = _kernel(ring, m.dim)
     if s is not None:
-        v = (np.array(vec, dtype=np.int64) % ring.modulus).astype(np.float64)
+        v = np.array(vec, dtype=np.float64)
         a, b = (m._np, v) if column else (v, m._np)
         return tuple(_chain_matmul(a, [b], ring.modulus, s).astype(np.int64).tolist())
     if column:

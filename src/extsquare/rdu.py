@@ -529,17 +529,18 @@ def verify(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n: int | Non
 
     The full product is compared exactly with the 2 x 2 minors of the
     n x n transvection t_kl(xi); nothing is sampled.  Over Z/m with
-    (m-1)^2 < 2^62 it comes from _batched_product, which multiplies the
-    conjugators out as n x n transvections, telescopes neighbouring ones
-    and lifts them all by one batched compound, sharing no word evaluator
-    and no letter rule with the engine; every stack runs at
-    matrices._referee_kernel for its dim, in float64 residues where every
-    BLAS sum stays an exact integer (reduced only where a proven bound on
-    the next product would pass 2^53), else in int64 balanced residues
-    where no sum can overflow, else in float64 limbs.  Over other rings it
-    comes from _naive_product, letter by letter.  Neither calls the
-    factored `ConjWord.eval_matrix` that the engine's own certificates use,
-    and neither reads a cache the engine writes.
+    (m-1)^2 < 2^62 both come from _batched, which multiplies the
+    conjugators and t_kl(xi) out as n x n transvections, telescopes
+    neighbouring conjugators and lifts them with t_kl(xi) by one batched
+    compound, sharing no word evaluator and no letter rule with the engine;
+    every stack runs at matrices._referee_kernel for its dim, in float64
+    residues where every BLAS sum stays an exact integer (reduced only
+    where a proven bound on the next product would pass 2^53), else in
+    int64 balanced residues where no sum can overflow, else in float64
+    limbs.  Over other rings they come from _naive_product, letter by
+    letter, and exterior.cauchy_binet.  Neither path calls the factored
+    `ConjWord.eval_matrix` that the engine's own certificates use, and
+    neither reads a cache the engine writes.
     """
     return first_difference(word, g, k, l, xi, n) is None
 
@@ -563,10 +564,8 @@ def first_difference(word: ConjWord, g: matrices.InvPair, k: int, l: int, xi, n:
     ring = g.ring
     xi = ring.coerce(xi)
     if exterior._int64_minors(ring):
-        t = np.identity(n, dtype=np.int64)
-        t[k - 1, l - 1] = xi
-        got, want = _batched_product(word, g), exterior._residue_minors(t, ring.modulus)
-        if np.array_equal(got, want):
+        got, want = _batched(word, g, (k, l, xi))
+        if (got == want).all():
             return None
         product, expected = matrices._from_residues(ring, got), matrices._from_residues(ring, want)
     else:
@@ -588,8 +587,8 @@ def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
     """Every conjugator multiplied out letter by letter, with no cache (a
     cache would extend one term's conjugator from another's), each letter
     built anew, and the terms multiplied in one by one; the referee of
-    _batched_product.  It shares no state with the engine, whose letters
-    sit in its own segment cache.
+    _batched.  It shares no state with the engine, whose letters sit in
+    its own segment cache.
     """
     ring = g.ring
     acc = matrices.identity(ring, g.dim)
@@ -601,104 +600,120 @@ def _naive_product(word: ConjWord, g: matrices.InvPair) -> matrices.Matrix:
 
 
 def _batched_product(word: ConjWord, g: matrices.InvPair):
-    """The word's product as an int64 array over Z/m with (m-1)^2 < 2^62.
+    """The word's product alone, as int64 residues (_batched)."""
+    return _batched(word, g, (1, 2, 0))[0].astype(np.int64)
+
+
+def _batched(word: ConjWord, g: matrices.InvPair, target):
+    """(the word's product, the compound of t_kl(xi)) for the target letter
+    (k, l, xi), xi a residue, as canonical residue arrays over Z/m with
+    (m-1)^2 < 2^62, from one batched pass.
 
     A term is X_t^-1 g^{eps_t} X_t, and X_t, the product of its
     conjugator's exterior letters, is the second compound of the product
     x_t of the n x n transvections t_ij(xi) of those letters (the paper's
-    definition of a letter).  So every x_t and x_t^-1 is multiplied out in
-    n x n (_transvection_stack, pairwise along the letter positions), and
-    the product telescopes: X_1^-1 g^{eps_1} (X_1 X_2^-1) g^{eps_2} ...
-    (X_{T-1} X_T^-1) g^{eps_T} X_T.  One batched n x n product forms
-    x_t x_{t+1}^-1 for t < T, one call of exterior._residue_minors lifts
-    the T + 1 factors x_1^-1, x_t x_{t+1}^-1 and x_T to N x N (the compound
-    is multiplicative), and the chain of 2T + 1 factors is multiplied
-    pairwise.  Every letter of every conjugator is applied in its own term;
-    nothing is shared between terms or calls, and the engine's sign rule
-    for letters (words._letter_support) is not read.
+    definition of a letter).  So every x_t, x_t^-1 and t_kl(xi) is
+    multiplied out in n x n (_transvection_stack, pairwise along the letter
+    positions), and the product telescopes: X_1^-1 g^{eps_1} (X_1 X_2^-1)
+    g^{eps_2} ... (X_{T-1} X_T^-1) g^{eps_T} X_T.  One batched n x n product
+    forms x_t x_{t+1}^-1 for t < T, one call of exterior._residue_minors
+    lifts x_1^-1, those, x_T and t_kl(xi) to N x N (the compound is
+    multiplicative), and the chain's first level is the T products
+    X_t g^{eps_t}, g^{+-1} taken from one (2, N, N) stack by index; their
+    product is multiplied by X_T.  Every letter of every conjugator is
+    applied in its own term; nothing is shared between terms or calls, and
+    the engine's sign rule for letters (words._letter_support) is not read.
 
     Every stack runs at matrices._referee_kernel for its dim.  At ONE_LIMB
-    (Z/97) the residues are float64, and _pairwise_product reduces a level
-    only when its exact bound requires it; the rows of a letter sum to at
-    most 1 + (m-1), and those of a canonical N x N factor to N (m-1).  The
-    products x_t x_{t+1}^-1 of canonical x are non-negative integers up to
-    e = n (m-1)^2, so their minors lie in [-e^2, e^2]; they reach
-    _residue_minors unreduced where e^2 + m <= 2^53 (every n <= 6 over
-    Z/97), which keeps every minor exact and reducible.  At BALANCED the
-    residues are balanced int64 (Z/(2^31 - 1) at n <= 7, and its N = 6
-    chain at n = 4), elsewhere float64 limbs (its N = 10 and 15 chains),
-    and every product is reduced.  The minors keep the n x n product's
-    dtype, int64 unless that is one float64 limb: |ad - bc| is at most
-    2 floor(m/2)^2 < 2^62 for balanced residues and (m-1)^2 < 2^62 for
-    canonical ones.  The minors and g^{+-1} enter the chain as canonical
-    residues, balanced there where the chain is int64, and the product is
-    made canonical before it is returned.
+    (Z/97) the residues are float64, and a product is reduced only where
+    its exact bound requires it (_pairwise_product).  The rows of a letter
+    sum to at most 1 + (m-1), those of a canonical N x N factor to
+    w = N (m-1).  The products x_t x_{t+1}^-1 of canonical x are
+    non-negative integers up to e = n (m-1)^2, with minors in [-e^2, e^2],
+    lifted unreduced where e^2 + m <= 2^53 (every n <= 6 over Z/97).  The
+    chain's first level has row sums up to w^2 and entries up to w (m-1);
+    its product, with row sums up to r, is reduced before X_T only where
+    r (m-1) + m > 2^53.  At BALANCED the residues are balanced int64
+    (Z/(2^31 - 1) at n <= 7, and its N = 6 chain at n = 4), elsewhere
+    float64 limbs (its N = 10 and 15 chains), and every product is
+    reduced.  The minors keep the n x n dtype, int64 unless that is one
+    float64 limb (|ad - bc| < 2^62 for balanced and for canonical
+    residues), come out canonical, and enter the chain balanced where it
+    is int64; the product is returned canonical.
     """
     ring, n, N = g.ring, word.n, g.dim
     m = ring.modulus
     T = len(word.terms)
-    if not T:
-        return np.identity(N, dtype=np.int64) % m
     s = matrices._referee_kernel(ring, n)
-    # the stack is passed, not named, so its first level frees it; a
-    # letter's rows sum to at most 1 + (m-1)
-    x = _pairwise_product(_transvection_stack(word, ring, s), m, s, m)
-    if s == matrices.ONE_LIMB:
-        between = x[: T - 1] @ x[T + 1 :]
+    # the stack is passed, not named, so its first level frees it
+    x, _, top = _pairwise_product(_transvection_stack(word, ring, s, target), m, s, m, m - 1)
+    if s == matrices.ONE_LIMB and top >= m:
+        matrices._float64_reduce(x, m)
+    x = x[0]
+    if T:
+        # x_t at t < T, t_kl(xi) at T, x_t^-1 at 2T - t
+        between = matrices._referee_matmul(x[: T - 1], x[2 * T - 1 : T : -1], m, s)
         top = n * (m - 1) ** 2  # its entries; its minors are at most top^2
-        if top * top + m > 2**53:
+        if s == matrices.ONE_LIMB and top * top + m > 2**53:
             matrices._float64_reduce(between, m)
-    else:
-        between = matrices._referee_matmul(x[: T - 1], x[T + 1 :], m, s)
-    # x_1^-1, then x_t x_{t+1}^-1 for t < T, then x_T
-    x = np.concatenate([x[T : T + 1], between, x[T - 1 : T]])
-    if s != matrices.ONE_LIMB:
-        x = x.astype(np.int64, copy=False)
-    X = exterior._residue_minors(x, m)
+        # x_1^-1, then x_t x_{t+1}^-1 for t < T, then x_T and t_kl(xi)
+        x = np.concatenate([x[2 * T :], between, x[T - 1 : T + 1]])
+    X = exterior._residue_minors(x if s == matrices.ONE_LIMB else x.astype(np.int64, copy=False), m)
+    if not T:
+        return np.identity(N), X[0]
     s = matrices._referee_kernel(ring, N)
-    balanced = s == matrices.BALANCED
-    eps = np.array([eps for eps, _ in word.terms])[:, None, None]
-    chain = np.empty((2 * T + 1, N, N), np.int64 if balanced else np.float64)
-    chain[0::2] = X
-    chain[1::2] = np.where(eps == 1, g.fwd._residues(chain.dtype), g.bwd._residues(chain.dtype))
-    if balanced:
+    dtype = np.int64 if s == matrices.BALANCED else np.float64
+    chain = X[: T + 1].astype(dtype, copy=False)
+    gs = np.array((g.fwd._residues(dtype), g.bwd._residues(dtype)))[[(1 - eps) // 2 for eps, _ in word.terms]]
+    if s == matrices.BALANCED:
         matrices._balance(chain, m)
-    out = _pairwise_product(chain, m, s, N * (m - 1))
-    return out % m if balanced else out.astype(np.int64)
+        matrices._balance(gs, m)
+    w = N * (m - 1)
+    out, rows, _ = _pairwise_product(matrices._referee_matmul(chain[:T], gs, m, s), m, s, w * w, w * (m - 1))
+    if s == matrices.ONE_LIMB and rows * (m - 1) + m > 2**53:
+        matrices._float64_reduce(out, m)
+    out = matrices._referee_matmul(out, chain[T], m, s)
+    if s == matrices.ONE_LIMB:
+        matrices._float64_reduce(out, m)
+    return (out[0] % m if s == matrices.BALANCED else out[0]), X[-1]
 
 
-def _transvection_stack(word: ConjWord, ring, kind):
-    """The letters of the T conjugators as n x n transvections, in one stack
-    (P, 2T, n, n) for the longest conjugator length P: slot t holds the
-    conjugator of term t as t_ij(xi) in order, slot T + t its inverse as
-    t_ij(-xi) in reverse order, each padded with identities.  Balanced int64
-    residues where `kind`, an answer of matrices._referee_kernel, is
-    BALANCED, canonical float64 residues otherwise."""
+def _transvection_stack(word: ConjWord, ring, kind, target):
+    """The letters of the T conjugators and the target letter (k, l, xi) as
+    n x n transvections, in one stack (P, 2T + 1, n, n) for the longest
+    conjugator length P: slot t holds the conjugator of term t as t_ij(xi)
+    in order, slot T the target, slot 2T - t the inverse of conjugator t as
+    t_ij(-xi) in reverse order, each padded with identities, so that the
+    inverse of the letter at (p, t) sits at (P - 1 - p, 2T - t), the mirror
+    image through the centre.  Balanced int64 residues where `kind`, an
+    answer of matrices._referee_kernel, is BALANCED, canonical float64
+    residues otherwise."""
     n, m, T = word.n, ring.modulus, len(word.terms)
-    balanced = kind == matrices.BALANCED
-    lens = np.array([len(h) for _, h in word.terms])
-    X = np.zeros((max(int(lens.max()), 1), 2 * T, n, n), np.int64 if balanced else np.float64)
-    X.reshape(-1, n * n)[:, :: n + 1] = 1
-    letters = [x for _, h in word.terms for x in h.letters]
-    if letters:
-        i, j, xi = _letter_arrays(letters, ring)
-        inv = -xi
-        if balanced:
-            matrices._balance(xi, m)
-            matrices._balance(inv, m)
-        else:
-            inv %= m
-        # (term, position) of every letter, in the flat order of `letters`
-        term = np.repeat(np.arange(T), lens)
-        pos = np.arange(len(letters)) - np.repeat(np.cumsum(lens) - lens, lens)
-        X[pos, term, i, j] = xi
-        X[lens[term] - 1 - pos, T + term, i, j] = inv
+    conjugators = [h.letters for _, h in word.terms]
+    lens = [len(h) for h in conjugators] + [1]
+    P, S, nn = max(lens), 2 * T + 1, n * n
+    X = np.zeros((P, S, n, n), np.int64 if kind == matrices.BALANCED else np.float64)
+    X.reshape(-1, nn)[:, :: n + 1] = 1
+    ij, xi = _letter_arrays([*itertools.chain.from_iterable(conjugators), target], ring, n)
+    # the flat offset (p S + t) n^2 of letter p of slot t, q S n^2 for its
+    # index q in the word less (q_t S - t) n^2 for its slot's first, q_t
+    shift = [(q * S - t) * nn for t, q in enumerate(itertools.accumulate(lens, initial=0))]
+    at = np.arange(0, len(ij) * S * nn, S * nn) - np.array(shift[:-1]).repeat(lens)
+    inv = -xi[:-1]
+    if kind == matrices.BALANCED:
+        matrices._balance(xi, m)
+        matrices._balance(inv, m)
+    else:
+        inv %= m
+    flat = X.reshape(-1)
+    flat[at + ij] = xi
+    flat[(P * S - 1) * nn - at[:-1] + ij[:-1]] = inv
     return X
 
 
-def _letter_arrays(letters, ring):
-    """The 0-based rows i and columns j of (i, j, xi) letters, and their
-    payloads coerced into Z/m, as three int64 arrays.
+def _letter_arrays(letters, ring, n: int):
+    """The row-major offsets (i-1) n + j-1 of (i, j, xi) letters in an
+    n x n matrix, and their payloads coerced into Z/m, as two int64 arrays.
 
     Where every payload is a python int within int64, all three are read in
     one np.fromiter pass and xi is reduced % m, as ring.coerce reduces an
@@ -708,48 +723,42 @@ def _letter_arrays(letters, ring):
     raises) goes through ring.coerce, once per distinct payload."""
     if {int} == {type(x) for _, _, x in letters}:
         with contextlib.suppress(OverflowError):
-            flat = np.fromiter(itertools.chain.from_iterable(letters), np.int64, 3 * len(letters))
-            i, j, xi = flat.reshape(-1, 3).T
-            return i - 1, j - 1, xi % ring.modulus
+            flat = np.fromiter(itertools.chain.from_iterable(letters), np.int64, 3 * len(letters)).reshape(-1, 3)
+            return flat[:, 0] * n + flat[:, 1] - (n + 1), flat[:, 2] % ring.modulus
     i, j, payloads = zip(*letters)
     coerced = {x: ring.coerce(x) for x in set(payloads)}
-    return np.array(i) - 1, np.array(j) - 1, np.array([coerced[x] for x in payloads], np.int64)
+    return np.array(i) * n + np.array(j) - (n + 1), np.array([coerced[x] for x in payloads], np.int64)
 
 
-def _pairwise_product(stack, m: int, s, rows: int):
-    """The product, in order, of the residue matrices of `stack` along its
-    first axis, multiplied pairwise (an odd one out waits for the next
-    level) at the answer s of matrices._referee_kernel, as residues of the
-    stack's kind: canonical for float64, balanced for BALANCED.
+def _pairwise_product(stack, m: int, s, rows: int, top: int):
+    """(the product, in order, of the residue matrices of `stack` along its
+    first axis as a stack of one, its bounds r and e), multiplied pairwise
+    (an odd one out waits for the next level) by matrices._referee_matmul
+    at the answer s of matrices._referee_kernel.
 
-    At BALANCED and at limb widths matrices._referee_matmul reduces every
-    product.  At ONE_LIMB the reduction is delayed, on the bounds that
-    matrices._chain_matmul proves for the engine's chains: the entries are
-    canonical residues, so non-negative integers at most e = m - 1, and
-    `rows` bounds every row sum by r; a product's entries are at most
-    r(A) e(B) and its row sums r(A) r(B), so a level takes r -> r^2 and
-    e -> r e, and the odd one out, at r and e, stays within them.  A level
-    is multiplied unreduced while r e + m <= 2^53, which keeps every entry
-    exact and reducible.  Otherwise the stack is reduced first, to e = m - 1
-    and r = min(r, dim (m-1)), where r e + m <= dim (m-1)^2 + m <= 2^53 is
-    the ONE_LIMB condition itself.  The product is reduced once at the end
-    unless e < m already.
+    At BALANCED and at limb widths every product is reduced, to balanced
+    int64 or canonical float64 residues.  At ONE_LIMB the reduction is
+    delayed, on the bounds that matrices._chain_matmul proves for the
+    engine's chains: the entries are non-negative integers at most
+    e = `top`, and every row sums to at most r = `rows`; a product's
+    entries are at most r(A) e(B) and its row sums r(A) r(B), so a level
+    takes r -> r^2 and e -> r e, and the odd one out, at r and e, stays
+    within them.  A level is multiplied unreduced while r e + m <= 2^53,
+    which keeps every entry exact and reducible.  Otherwise the stack is
+    reduced first, to e = m - 1 and r = min(r, dim (m-1)), where
+    r e + m <= dim (m-1)^2 + m <= 2^53 is the ONE_LIMB condition itself.
+    The product is returned unreduced, with r and e: the caller reduces it
+    where e >= m, after one more product if the bounds allow.
     """
-    top = m - 1
     dim = stack.shape[-1]
     while len(stack) > 1:
-        if s != matrices.ONE_LIMB:
-            head = matrices._referee_matmul(stack[0:-1:2], stack[1::2], m, s)
-        else:
-            if rows * top + m > 2**53:
-                matrices._float64_reduce(stack, m)
-                rows, top = min(rows, dim * (m - 1)), m - 1
-            head = stack[0:-1:2] @ stack[1::2]
-            rows, top = rows * rows, rows * top
+        if s == matrices.ONE_LIMB and rows * top + m > 2**53:
+            matrices._float64_reduce(stack, m)
+            rows, top = min(rows, dim * (m - 1)), m - 1
+        head = matrices._referee_matmul(stack[0:-1:2], stack[1::2], m, s)
+        rows, top = rows * rows, rows * top
         stack = np.concatenate([head, stack[-1:]]) if len(stack) % 2 else head
-    if top >= m:
-        matrices._float64_reduce(stack, m)
-    return stack[0]
+    return stack, rows, top
 
 
 def targets_of_level(g: matrices.InvPair, n: int, k: int = 2, l: int = 3):

@@ -623,3 +623,27 @@ def test_matrix_entries_pass_through_ring_coerce(modulus):
         matrices.Matrix(ring, [[rings.RingElement(rings.ModularRing(5), 1)]])
     with pytest.raises(ValueError, match="matrix must be square"):
         matrices.Matrix(ring, [[1, 0], [0]])
+
+
+@pytest.mark.parametrize("modulus", [97, 2**31 - 1, 2**61 - 1, None], ids=["zmod97", "mersenne-31", "mersenne-61", "int"])
+def test_vector_entries_pass_through_ring_coerce(modulus):
+    # mat_vec and vec_mat take what Matrix takes: unreduced ints, an int past
+    # int64, a RingElement around an unreduced payload and a numpy integer
+    # give the products of the reduced vector, as python ints, on float64
+    # storage and on tuples alike
+    ring = rings.IntegerRing() if modulus is None else rings.ModularRing(modulus)
+    m = modulus or 97
+    given = [-1, m + 5, 10**19, rings.RingElement(ring, m + 7), np.int64(3)]
+    plain = [-1, m + 5, 10**19, m + 7, 3]
+    reduced = [x if modulus is None else x % modulus for x in plain]
+    rng = random.Random(f"vectors {modulus}")
+    a = matrices.Matrix(ring, [[rng.randrange(m) for _ in range(5)] for _ in range(5)])
+    column = tuple(sum(row[k] * reduced[k] for k in range(5)) for row in a.rows)
+    row = tuple(sum(reduced[k] * a.rows[k][c] for k in range(5)) for c in range(5))
+    if modulus is not None:
+        column, row = (tuple(x % modulus for x in v) for v in (column, row))
+    for got, want in ((matrices.mat_vec(a, given), column), (matrices.vec_mat(given, a), row)):
+        assert got == want and {type(x) for x in got} == {int}
+    assert matrices.mat_vec(matrices.identity(ring, 5), given) == tuple(reduced)
+    with pytest.raises(rings.RingMismatchError):
+        matrices.mat_vec(a, [rings.RingElement(rings.ModularRing(5), 1)] * 5)

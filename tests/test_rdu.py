@@ -1137,6 +1137,76 @@ def test_batched_referee_matches_the_loop_on_named_shapes(monkeypatch, ring_id, 
     assert seen == _stack_dtypes(*REFEREE_DTYPES[ring_id][n], calls=2)
 
 
+# Z/97 on one float64 limb throughout; Z/(2^31 - 1) with balanced int64
+# n x n stacks and float64 limbs for its N = 10 and 15 chains; 1 610 612 741,
+# a prime with balanced int64 up to dim 10 and float64 limbs at N = 15
+EDGE_RINGS = {"zmod97": 97, "mersenne-31": 2**31 - 1, "limbs-at-15": 1_610_612_741}
+
+# pairs of terms (eps, h), (-eps, h), each multiplying out to the identity,
+# inserted into a decomposition: conjugator lengths per pair
+EDGE_SHAPES = {"none": [], "empty-conjugator": [0], "length-one": [1, 1], "very-unequal": [1, 60, 0, 2]}
+
+
+@lru_cache(maxsize=None)
+def _edge_words(ring_id, n):
+    """g and its 8-, 16-, 24- and 48-term decompositions over one ring."""
+    g, eng = _engine(n, 17, rings.ModularRing(EDGE_RINGS[ring_id]))
+    return g, (
+        eng.entry((1, 3), (1, 2), 2, 3),
+        eng.entry((1, 2), (3, 4), 4, 1),
+        eng.diagonal((1, 2), (1, 3), 3, 2),
+        eng.diagonal((1, 2), (3, 4), 5, 1),
+    )
+
+
+def _assert_refereed(word, g, k, l, xi, n, rng):
+    """The batched product equals the loop's; verify accepts (k, l, xi) and
+    rejects xi + 1 and the word with one exponent flipped."""
+    assert np.array_equal(rdu._batched_product(word, g), rdu._naive_product(word, g)._residues())
+    assert rdu.verify(word, g, k, l, xi, n)
+    assert not rdu.verify(word, g, k, l, g.ring.add(xi, 1), n)
+    terms = list(word.terms)
+    t = rng.randrange(len(terms))
+    terms[t] = (-terms[t][0], terms[t][1])
+    assert not rdu.verify(ConjWord(n, terms), g, k, l, xi, n)
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+@pytest.mark.parametrize("case", [0, 1, 2, 3], ids=["8-term", "16-term", "24-term", "48-term"])
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("ring_id", sorted(EDGE_RINGS))
+def test_batched_referee_on_edge_shapes_of_real_words(ring_id, n, case, shape):
+    # a decomposition of every case length, with identity pairs of the
+    # shape's conjugator lengths inserted at one place
+    g, found = _edge_words(ring_id, n)
+    d = found[case]
+    assert len(d.word) == (8, 16, 24, 48)[case]
+    rng = random.Random(f"edge {ring_id} {n} {case} {shape}")
+    pairs = []
+    for k in EDGE_SHAPES[shape]:
+        eps, h = rng.choice((1, -1)), generate.random_ext_word(n, g.ring, k, rng)
+        pairs += [(eps, h), (-eps, h)]
+    at = rng.randrange(len(d.word) + 1)
+    word = ConjWord(n, d.word.terms[:at] + tuple(pairs) + d.word.terms[at:])
+    _assert_refereed(word, g, d.k, d.l, d.param, n, rng)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("ring_id", sorted(EDGE_RINGS))
+def test_batched_referee_on_a_one_term_word(ring_id, n, eps):
+    # T = 1, no product between conjugators: g is the exterior transvection
+    # t_23(xi)'s compound, and the conjugator's letters commute with t_23,
+    # so the word's product is g^eps, the target t_23(eps xi)
+    ring = rings.ModularRing(EDGE_RINGS[ring_id])
+    rng = random.Random(f"one term {ring_id} {n} {eps}")
+    xi = ring.random(rng) or 1
+    g = exterior.compound_pair(matrices.transvection_pair(ring, n, 2, 3, xi), n)
+    far = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j and not {i, j} & {2, 3}]
+    h = words.ExtWord(n, [(*rng.choice(far), ring.random(rng)) for _ in range(7)])
+    _assert_refereed(ConjWord(n, [(eps, h)]), g, 2, 3, xi if eps == 1 else ring.neg(xi), n, rng)
+
+
 @pytest.mark.parametrize(
     "modulus,batched", [(2**31, True), (2**31 + 1, False)], ids=["2^31", "2^31+1"]
 )
@@ -1335,7 +1405,7 @@ def test_transvection_stack_holds_residues_of_its_kind(modulus):
     rng = random.Random(f"stack {modulus}")
     word = ConjWord(5, [(1, generate.random_ext_word(5, ring, k, rng)) for k in (6, 0, 9)])
     kind = matrices._referee_kernel(ring, 5)
-    stack = rdu._transvection_stack(word, ring, kind)
+    stack = rdu._transvection_stack(word, ring, kind, (2, 3, 1))
     if modulus == 97:
         assert kind == matrices.ONE_LIMB and stack.dtype == np.float64
         assert 0 <= stack.min() and stack.max() <= modulus - 1
@@ -1448,16 +1518,18 @@ CHAIN_LARGEST = 1279
 
 @pytest.mark.parametrize("inside", [True, False], ids=["largest", "next"])
 def test_delayed_reduction_at_the_chain_bound(monkeypatch, inside):
-    # four terms at n = 6: the minors reduce their 5 factors, then the
-    # chain of 9 factors runs 9 -> 5 -> 3 -> 2 -> 1; up to m = 1279 it is
-    # reduced before the third level and at the end, from m = 1280 on
-    # before every level but the first, and at the end
+    # four terms at n = 6: the chain's first level, the 4 products
+    # X_t g^{eps_t}, runs 4 -> 2 -> 1, reduced before the third level, and
+    # the product times X_T is reduced at the end; up to m = 1279 that is
+    # all, from m = 1280 on the first level is reduced before the second
+    # too.  The stacks of 15 x 15 matrices are listed by length (the
+    # minors, reduced as (15, 15, 6), are not)
     assert _largest_modulus(lambda m: 3375 * (m - 1) ** 4 + m <= 2**53) == CHAIN_LARGEST
     modulus = CHAIN_LARGEST + (not inside)
     assert matrices._referee_kernel(rings.ModularRing(modulus), 15) == matrices.ONE_LIMB
     shapes = _assert_delayed_product(monkeypatch, _alternating_word(6, modulus, 8, 4), modulus)
     chain = [shape[0] for shape in shapes if shape[-1] == 15]
-    assert chain == ([5, 3, 1] if inside else [5, 5, 3, 2, 1])
+    assert chain == ([2, 1] if inside else [4, 2, 1])
 
 
 # the largest m at each n whose products x_t x_{t+1}^-1 reach the minors
@@ -1506,13 +1578,15 @@ def test_batched_referee_matches_the_loop_at_every_delayed_bound(modulus, n, len
     assert np.array_equal(got, rdu._naive_product(word, g)._residues())
 
 
-@pytest.mark.parametrize("case,reductions", [("8-term", 6), ("16-term", 6)])
+@pytest.mark.parametrize("case,reductions", [("8-term", 5), ("16-term", 6)])
 def test_zmod97_verify_reduces_only_where_a_bound_requires(monkeypatch, case, reductions):
     # the float64 reductions of one verify at n = 6 over Z/97, where every
-    # product used to be reduced (11 and 13): 8-term words have a letter
-    # tree of 4 levels and a chain of 17 factors, 16-term words 5 levels and
-    # 33 factors.  Two reductions in the tree, one in the minors, three in
-    # the chain.  The guard counts calls; it does not time them.
+    # product used to be reduced (11 and 13): two in the letter tree (before
+    # its fourth level and at the end), one in the minors, and in the chain,
+    # whose first level is the T products X_t g^{eps_t}, one every two
+    # levels and one at the end, after X_T: 8-term words have 3 levels
+    # after the first (one reduction), 16-term words 4 (two).  The guard
+    # counts calls; it does not time them.
     g, eng = _engine(6, 13)
     if case == "8-term":
         d = eng.entry((1, 3), (1, 2), 2, 3)
@@ -1553,7 +1627,10 @@ def test_transvection_stack_coerces_payloads_as_the_ring_does(modulus, payload, 
         coerced.append((1, words.ExtWord(5, [(i, j, ring.coerce(x)) for i, j, x in letters])))
     word, plain = ConjWord(5, terms), ConjWord(5, coerced)
     kind = matrices._referee_kernel(ring, 5)
-    assert np.array_equal(rdu._transvection_stack(word, ring, kind), rdu._transvection_stack(plain, ring, kind))
+    target = (2, 3, 1)
+    assert np.array_equal(
+        rdu._transvection_stack(word, ring, kind, target), rdu._transvection_stack(plain, ring, kind, target)
+    )
     assert np.array_equal(rdu._batched_product(word, g), rdu._naive_product(word, g)._residues())
 
 
@@ -1567,7 +1644,7 @@ def test_transvection_stack_refuses_what_the_ring_refuses(payload):
     g, _ = _engine(4, 2)
     word = ConjWord(4, [(1, words.ExtWord(4, [(1, 2, 5), (2, 3, payload)]))])
     with pytest.raises(refused.type, match=re.escape(str(refused.value))):
-        rdu._transvection_stack(word, ring, matrices.ONE_LIMB)
+        rdu._transvection_stack(word, ring, matrices.ONE_LIMB, (2, 3, 1))
     with pytest.raises(refused.type, match=re.escape(str(refused.value))):
         rdu.verify(word, g, 2, 3, 1, 4)
 

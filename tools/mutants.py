@@ -115,9 +115,58 @@ MUTANTS = [
     (
         "Matrix.__init__ without ring.coerce",
         "matrices.py",
-        "        _from_rows(ring, [[coerce(int(x) if isinstance(x, np.integer) else x) for x in r] for r in rows], self)",
+        "        _from_rows(ring, [_coerced(ring, r) for r in rows], self)",
         "        _from_rows(ring, rows, self)",
         ["tests/test_matrices.py::test_matrix_entries_pass_through_ring_coerce"],
+    ),
+    (
+        "vector without ring.coerce",
+        "matrices.py",
+        "    vec = _coerced(ring, vec)",
+        "    pass",
+        ["tests/test_matrices.py::test_vector_entries_pass_through_ring_coerce"],
+    ),
+    (
+        "matrix reader without its row-length check",
+        "jsonio.py",
+        '            raise ValueError(f"{field}[{r}]: expected {len(rows)} entries, got {len(row)}")',
+        "            pass",
+        ["tests/test_cli.py::test_a_truncated_row_names_its_field"],
+    ),
+    (
+        "referee chain without its reduction before X_T",
+        "rdu.py",
+        "    if s == matrices.ONE_LIMB and rows * (m - 1) + m > 2**53:",
+        "    if False:",
+        ["tests/test_rdu.py::test_batched_referee_matches_the_loop_at_every_kernel_bound"],
+    ),
+    (
+        "referee levels without their delayed reduction",
+        "rdu.py",
+        "            matrices._float64_reduce(stack, m)",
+        "            pass",
+        ["tests/test_rdu.py::test_batched_referee_matches_the_loop_at_every_delayed_bound"],
+    ),
+    (
+        "referee target letter placed at (l, k)",
+        "rdu.py",
+        "        got, want = _batched(word, g, (k, l, xi))",
+        "        got, want = _batched(word, g, (l, k, xi))",
+        ["tests/test_rdu.py::test_all_cases_lengths_and_verification"],
+    ),
+    (
+        "referee inverse slots without negated payloads",
+        "rdu.py",
+        "    inv = -xi[:-1]",
+        "    inv = xi[:-1].copy()",
+        ["tests/test_rdu.py::test_batched_referee_matches_the_loop_on_real_words"],
+    ),
+    (
+        "letter intake without its int type check",
+        "rdu.py",
+        "    if {int} == {type(x) for _, _, x in letters}:",
+        "    if True:",
+        ["tests/test_rdu.py::test_transvection_stack_refuses_what_the_ring_refuses"],
     ),
 ]
 
