@@ -6,10 +6,11 @@ for membership alike, and with it how entries are stored: float64 residues
 wherever it gives a kernel, payload tuples elsewhere.  Matrix(ring, rows)
 validates outside input through ring.coerce; the package's own canonical
 payloads go through the trusted _from_rows or _matrix.  Callers choose no
-kernel: _identity_plus builds identities, transvections and exterior
-letters, _unipotent_pair every elementary pair, I + A with I - A for
-A^2 = 0, _product and _pair_product multiply chains (Matrix.mul and every
-word evaluation), and mat_vec and vec_mat take vectors; each asks it once:
+kernel: _unipotent_pair writes every elementary matrix, I + A with I - A
+for A^2 = 0 (identities, transvections and exterior letters are the
+forward sides of their pairs), _product and _pair_product multiply chains
+(Matrix.mul and every word evaluation), and _vector_product takes
+canonical vectors, mat_vec and vec_mat coercing theirs; each asks it once:
 
 * ONE_LIMB, when dim (m-1)^2 + m <= 2^53 (Z/97 up to dim 9.8 * 10^11):
   one BLAS product per factor, and a chain reduced only where the bound
@@ -31,7 +32,7 @@ _kernel_matmul (plucker's a-sum blocks through _chain_matmul too).  No
 other module reads the storage.  They use at, column and rows, and four
 package-internal accessors: Matrix._gather (payloads at paired positions),
 Matrix._equals_at (whether the payloads at given positions are given ones,
-in numpy for array storage, the payloads as _payloads makes them),
+made by _payloads for the storage _kernel gives, in numpy for arrays),
 Matrix._residues (an int64 array, or the storage in the dtype asked for)
 and _from_residues.  Reads hand out python ints or int64 arrays, never
 floats.
@@ -268,11 +269,10 @@ class Matrix:
         (row r, column c at r dim + c) is payloads[k], for an integer index
         array and payloads from _payloads of one length.  Array storage is
         compared in numpy, as the bytes of the entries there, as int64,
-        against those of the int64 payload array."""
+        against those of the int64 payload array, tuple storage against the
+        payload tuple."""
         if self._np is not None:
             return self._np.take(flat).astype(np.int64).tobytes() == payloads.tobytes()
-        if isinstance(payloads, np.ndarray):
-            payloads = payloads.tolist()
         return self._gather(*np.divmod(flat, self.dim)) == list(payloads)
 
     def _residues(self, dtype=np.int64):
@@ -353,11 +353,11 @@ def _coerced(ring, values) -> list:
     return [coerce(int(x) if isinstance(x, np.integer) else x) for x in values]
 
 
-def _payloads(ring, values):
-    """Ring payloads as Matrix._equals_at takes them: an int64 array over
-    Z/m with m <= 2^63 (its payloads are residues), else a tuple.  Callers
+def _payloads(ring, dim: int, values):
+    """Ring payloads as Matrix._equals_at takes them for dim x dim matrices:
+    an int64 array where _kernel gives array storage, else a tuple.  Callers
     make them once per set of positions, not per comparison."""
-    if ring.kind == "zmod" and ring.modulus <= 2**63:
+    if _kernel(ring, dim) is not None:
         out = np.array(values, dtype=np.int64)
         out.flags.writeable = False
         return out
@@ -369,40 +369,28 @@ def _identity_at(ring, mask):
     true, the identity's payloads there as _payloads makes them), the
     arguments of Matrix._equals_at that ask for the identity there."""
     rows, cols = np.nonzero(mask)
-    eye = _payloads(ring, [ring.one if d else ring.zero for d in (rows == cols).tolist()])
+    eye = _payloads(ring, len(mask), [ring.one if d else ring.zero for d in (rows == cols).tolist()])
     flat = rows * len(mask) + cols
     flat.flags.writeable = False
     return flat, eye
-
-
-def _identity_plus(ring, dim: int, rows, cols, values) -> Matrix:
-    """The dim x dim identity with payloads `values` at the off-diagonal
-    positions (rows[k], cols[k]), 0-based, stored as _kernel decides.
-    The values are ring payloads (ring.coerce's answers, residues in [0, m)
-    over Z/m), stored as they are."""
-    if _kernel(ring, dim) is not None:
-        data = np.eye(dim)
-        data[rows, cols] = values
-        return _matrix(ring, data)
-    z, o = ring.zero, ring.one
-    out = [[o if r == c else z for c in range(dim)] for r in range(dim)]
-    for r, c, v in zip(rows, cols, values):
-        out[r][c] = v
-    return _from_rows(ring, out)
 
 
 def _unipotent_pair(ring, dim: int, rows, cols, values) -> "InvPair":
     """The pair (I + A, I - A) for the dim x dim matrix A with ring payloads
     `values` (ring.coerce's answers) at the off-diagonal positions
     (rows[k], cols[k]), 0-based, stored as they are: the one writer of
-    elementary pairs, letters and one-column segments.  The caller vouches
-    that A^2 = 0, so that I - A is the inverse of I + A; it is not checked.
-    Where storage is an array both sides are written into one stack (see
-    InvPair), else each is an _identity_plus."""
+    elementary matrices (identities, transvections and exterior letters are
+    the forward sides of theirs), elementary pairs, letters and one-column
+    segments.  The caller vouches that A^2 = 0, so that I - A is the inverse
+    of I + A; it is not checked.  Where storage is an array both sides are
+    written into one stack (see InvPair), else into two rows lists."""
     neg = [ring.neg(v) for v in values]
     if _kernel(ring, dim) is None:
-        at = (ring, dim, rows, cols)
-        return InvPair._trusted(_identity_plus(*at, values), _identity_plus(*at, neg))
+        z, o = ring.zero, ring.one
+        fwd, bwd = ([[o if r == c else z for c in range(dim)] for r in range(dim)] for _ in range(2))
+        for r, c, v, w in zip(rows, cols, values, neg):
+            fwd[r][c], bwd[r][c] = v, w
+        return InvPair._trusted(_from_rows(ring, fwd), _from_rows(ring, bwd))
     stack = np.zeros((2, dim, dim))
     stack.reshape(2, -1)[:, :: dim + 1] = 1
     stack[0, rows, cols] = values
@@ -411,10 +399,8 @@ def _unipotent_pair(ring, dim: int, rows, cols, values) -> "InvPair":
 
 
 def _product(ring, dim: int, factors) -> Matrix:
-    """The product of a sequence of dim x dim matrices over `ring`, left to
-    right (the identity when it is empty), with the kernel chosen once."""
-    if not factors:
-        return identity(ring, dim)
+    """The product of a nonempty sequence of dim x dim matrices over `ring`,
+    left to right, with the kernel chosen once."""
     s = _kernel(ring, dim)
     if s is not None:
         return _matrix(ring, _chain_matmul(factors[0]._np, [f._np for f in factors[1:]], ring.modulus, s))
@@ -443,7 +429,7 @@ def _ring_product(ring, rows, cols) -> list:
 
 
 def identity(ring, dim: int) -> Matrix:
-    return _identity_plus(ring, dim, [], [], [])
+    return _unipotent_pair(ring, dim, [], [], []).fwd
 
 
 def scalar_matrix(ring, dim: int, payload) -> Matrix:
@@ -452,27 +438,25 @@ def scalar_matrix(ring, dim: int, payload) -> Matrix:
 
 def transvection(ring, dim: int, i: int, j: int, payload) -> Matrix:
     """The elementary matrix e + xi E_{i,j}, indices 1-based."""
-    if not indexing._is_pair(i, j, dim):
-        raise ValueError("bad index")
-    return _identity_plus(ring, dim, [i - 1], [j - 1], [ring.coerce(payload)])
+    return transvection_pair(ring, dim, i, j, payload).fwd
 
 
 def mat_vec(m: Matrix, vec):
     """Matrix times column vector of payloads."""
-    return _vector_product(m, vec, True)
+    return _vector_product(m, _coerced(m.ring, vec), True)
 
 
 def vec_mat(vec, m: Matrix):
     """Row vector of payloads times matrix."""
-    return _vector_product(m, vec, False)
+    return _vector_product(m, _coerced(m.ring, vec), False)
 
 
 def _vector_product(m: Matrix, vec, column: bool) -> tuple:
-    """m vec for a column vector, vec m for a row one, at m's kernel."""
+    """m vec for a column vector, vec m for a row one, at m's kernel, for a
+    vector of canonical payloads (ring.coerce's answers)."""
     ring = m.ring
     if len(vec) != m.dim:
         raise ValueError("dimension mismatch")
-    vec = _coerced(ring, vec)
     s = _kernel(ring, m.dim)
     if s is not None:
         v = np.array(vec, dtype=np.float64)
@@ -587,13 +571,9 @@ def transvection_pair(ring, dim: int, i: int, j: int, payload) -> InvPair:
     return _unipotent_pair(ring, dim, [i - 1], [j - 1], [ring.coerce(payload)])
 
 
-def conjugate(y: InvPair, x: InvPair, side: str = "right") -> InvPair:
-    """Conjugate y by x: left is x y x^-1, right is x^-1 y x."""
-    if side == "left":
-        return _pair_product((x, y, x.invert()))
-    if side == "right":
-        return _pair_product((x.invert(), y, x))
-    raise ValueError("side must be 'left' or 'right'")
+def conjugate(y: InvPair, x: InvPair) -> InvPair:
+    """x^-1 y x; x y x^-1 is conjugate(y, x.invert()), x.invert() a view."""
+    return _pair_product((x.invert(), y, x))
 
 
 def commutator(x: InvPair, y: InvPair) -> InvPair:

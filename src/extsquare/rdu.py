@@ -194,10 +194,13 @@ class ReverseDecomposer:
 
         Returns (word, param, certificates), param = pair_{I,J}.  The core is
         built on g1, the source-routed pair, and written on self.g through
-        the outer prefix P = tau + src^-1 (g1 = P^-1 g P); an orientation flip
-        from the source route is absorbed by formal inversion.  T's pair is
-        written in one step (ExtWord.eval) and kept inverted as t^-1's
-        (ExtWord._keep); h = g1^-1 T g1 and h^-1 are one conjugation of it.
+        the outer prefix P = tau + src^-1 (g1 = P^-1 g P, the conjugation of
+        pair by src's pair inverted, a view); an orientation flip from the
+        source route is absorbed by formal inversion.  T's pair is written in
+        one step (ExtWord.eval), checked to fix g1's column by
+        matrices._vector_product on the column as read, and kept inverted as
+        t^-1's (ExtWord._keep); h = g1^-1 T g1 and h^-1 are one conjugation
+        of it.
         z's pair Z takes 9 products (words._chain, on g1), and the word's
         pair A^-1 Z A Z^-1, for a^-1's segment A, 3 more; it is kept in g's
         run memo only if the word's terms are exactly those built from z's
@@ -210,7 +213,7 @@ class ReverseDecomposer:
 
         src, sigma = exterior.route_source(I, J, n)
         outer = src.inverse(ring) if tau is None else tau + src.inverse(ring)
-        g1 = matrices.conjugate(pair, src.eval(ring, self._cache), "left")
+        g1 = matrices.conjugate(pair, src.eval(ring, self._cache).invert())
         r13, r12 = self._rank((1, 3)), self._rank((1, 2))
         c = g1.fwd.at(r13, r12)
         certs.append(
@@ -227,7 +230,7 @@ class ReverseDecomposer:
         T = ExtWord._trusted(n, tuple((s, 1, col[s - 2]) for s in range(2, n + 1)))
         Tm = T.eval(ring, self._cache)
         certs.append(
-            _require(matrices.mat_vec(Tm.fwd, col) == tuple(col), "column-fixed")
+            _require(matrices._vector_product(Tm.fwd, col, True) == col, "column-fixed")
         )
 
         h_pair = matrices.conjugate(Tm, g1)  # g1^-1 T g1 and its inverse

@@ -27,11 +27,11 @@ the routed g1 = P^-1 g P (_chain),
 and its commutator word's pair A^-1 Z A Z^-1 from z's pair Z and a^-1's
 segment A (_keep_commutator).  ExtWord.eval keeps the segments in a
 caller's cache, each entry exactly the product of its key's letters: a new
-segment inverts its formal inverse's entry, is written in one step when
-its letters share one j and have distinct i (a letter, or a core's column
-stabilizer), or extends its longest cached proper suffix.  Every pair is
-one stack where matrices stores arrays (see matrices.InvPair), so both of
-its sides multiply in one kernel call.
+segment is written in one step when its letters share one j and have
+distinct i (a letter, or a core's column stabilizer), or extends its
+longest cached proper suffix; a core keeps T^-1 as T's pair inverted
+(ExtWord._keep).  Every pair is one stack where matrices stores arrays
+(see matrices.InvPair), so both of its sides multiply in one kernel call.
 
 _letter_support is the one source of the exterior-letter sign rule: letter
 matrices, the pair-indexed expansion in exterior and the signs rdu reads off
@@ -40,10 +40,10 @@ ext_letter_matrix; every cache here belongs to a caller.  The
 segment cache drops its oldest entries past its cap through _bounded_put;
 g's run memo, a slot of it, grows by one entry per core built, and the
 engine's core cache, which never evicts, bounds it.  Words choose no
-kernel: matrices._identity_plus builds a letter matrix,
-matrices._unipotent_pair every letter pair of the three species
-(_eval_letters) and each cached segment of one j (a letter, or a core's
-column stabilizer) with its inverse, matrices._pair_product multiplies
+kernel: matrices._unipotent_pair writes a letter matrix (its forward
+side), every letter pair of the three species (_eval_letters) and each
+cached segment of one j (a letter, or a core's column stabilizer) with
+its inverse, matrices._pair_product multiplies
 letter pairs and z's telescoped chain, and matrices._product the forward
 sides of recalled core words and of any other word's chain.
 """
@@ -108,23 +108,20 @@ def _signed_support(ring, n: int, i: int, j: int, xi):
     return rows, cols, [xi if s == 1 else neg for s in signs.tolist()]
 
 
-def _letter(ring, n: int, i: int, j: int, xi) -> matrices.Matrix:
-    """ext_letter_matrix for valid indices and a ring payload xi."""
-    return matrices._identity_plus(ring, indexing.dim(n), *_signed_support(ring, n, i, j, xi))
-
-
 def ext_letter_matrix(ring, n: int, i: int, j: int, payload) -> matrices.Matrix:
     """The N x N matrix of a single exterior transvection letter.
 
     It is the identity plus, for every a outside {i, j}, the entry
     sign(a,i) * sign(a,j) * xi at row {a,i}, column {a,j} (sorted labels),
-    at the positions and signs of _letter_support.  All touched positions
-    are independent, so this closed form equals the product of the letter's
+    at the positions and signs of _letter_support: the forward side of the
+    letter's matrices._unipotent_pair.  All touched positions are
+    independent, so this closed form equals the product of the letter's
     elementary-transvection expansion.  Nothing is cached.
     """
     if not indexing._is_pair(i, j, n):
         raise ValueError("bad index")
-    return _letter(ring, n, i, j, ring.coerce(payload))
+    support = _signed_support(ring, n, i, j, ring.coerce(payload))
+    return matrices._unipotent_pair(ring, indexing.dim(n), *support).fwd
 
 
 def _eval_letters(ring, dim: int, letters, support) -> matrices.InvPair:
@@ -244,16 +241,12 @@ class ExtWord(_LetterWord):
         A caller's `cache` keeps the pair under (ring.key(), n, letters), at
         most _SEGMENT_CACHE_MAX entries in all, and every entry is exactly
         the product of the letters of its key over its ring, so one cache
-        may serve several rings.  On a miss the pair is the cached pair of
-        the word's formal inverse, inverted (a view of its stack; a letter's
-        inverse is the letter with -xi, so this is the product of the
-        letters too), when that is there.  Otherwise a word whose letters
-        share one j and have distinct i, a single letter or a core's column
-        stabilizer, is written in one step (_one_column_pair), and any other
-        extends its longest cached proper suffix letters[p:]: the head
-        letters[:p] is read from the cache when it is there and
-        multiplied out (and not stored) otherwise, and the pair is the head
-        composed with the tail.  Without a cached suffix the word is
+        may serve several rings.  On a miss a word whose letters share one j
+        and have distinct i, a single letter or a core's column stabilizer,
+        is written in one step (_one_column_pair); any other extends its
+        longest cached proper suffix letters[p:]: the head letters[:p] is
+        read from the cache when it is there and multiplied out (and not
+        stored) otherwise, and the pair is the head composed with the tail.  Without a cached suffix the word is
         multiplied out.  Either is stored under the word's own key only.
         Multiplying out takes each letter's one-letter segment from the
         cache, storing it there when new.  Without a cache the word is
@@ -268,10 +261,7 @@ class ExtWord(_LetterWord):
         hit = cache.get(key)
         if hit is not None:
             return hit
-        inverse = cache.get((rk, n, self.inverse(ring).letters))
-        if inverse is not None:
-            pair = inverse.invert()
-        elif len({j for _, j, _ in letters}) == 1 and len({i for i, _, _ in letters}) == len(letters):
+        if len({j for _, j, _ in letters}) == 1 and len({i for i, _, _ in letters}) == len(letters):
             pair = _one_column_pair(ring, n, letters)
         else:
             for p in range(1, len(letters)):
@@ -288,7 +278,9 @@ class ExtWord(_LetterWord):
         return pair
 
     def _keep(self, ring, pair: matrices.InvPair, cache: dict) -> None:
-        """Keep `pair`, the word's own pair over `ring`, as eval keeps it."""
+        """Keep `pair`, the word's own pair over `ring`, as eval keeps it: a
+        core's T^-1 as T's pair inverted, a view that spares its one-column
+        write."""
         _bounded_put(cache, (ring.key(), self.n, self.letters), pair, _SEGMENT_CACHE_MAX)
 
     def expand(self) -> PairWord:

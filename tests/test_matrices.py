@@ -64,6 +64,30 @@ def test_invpair_certification(zmod97):
     assert p.invert() == p
 
 
+@pytest.mark.parametrize("ring", [rings.ModularRing(97), rings.IntegerRing()], ids=["zmod97", "int"])
+def test_sides_and_factors_of_another_ring_or_dim_are_refused(ring):
+    # on array and on tuple storage: InvPair refuses sides of two rings or
+    # dims; compose, conjugate and commutator refuse a pair of another ring
+    # or dim on either side; Matrix == is False across rings and dims
+    other = rings.ModularRing(101) if ring.kind == "zmod" else rings.PolynomialRing(("x",))
+    e3, e4, f3 = (matrices.identity(r, d) for r, d in ((ring, 3), (ring, 4), (other, 3)))
+    for fwd, bwd in ((e3, e4), (e4, e3), (e3, f3), (f3, e3)):
+        with pytest.raises(ValueError, match="forward and backward parts do not match"):
+            matrices.InvPair(fwd, bwd)
+    p = matrices.transvection_pair(ring, 3, 1, 2, 5)
+    refused = [
+        (matrices.transvection_pair(other, 3, 1, 2, 5), rings.RingMismatchError, "ring mismatch"),
+        (matrices.transvection_pair(ring, 4, 1, 2, 5), ValueError, "dimension mismatch"),
+    ]
+    for q, error, message in refused:
+        for op in (matrices.InvPair.compose, matrices.conjugate, matrices.commutator):
+            for x, y in ((p, q), (q, p)):
+                with pytest.raises(error, match=message):
+                    op(x, y)
+    assert not e3 == e4 and not e3 == f3 and e3 != f3
+    assert e3 == matrices.identity(ring, 3) and e3 != "identity"
+
+
 def test_pair_compose_and_invert(zmod97):
     rng = random.Random(4)
     p = generate.source_pair(4, zmod97, 12, rng)
@@ -86,10 +110,8 @@ def test_conjugation_inverse_relations(zmod97):
     rng = random.Random(5)
     x = generate.source_pair(4, zmod97, 10, rng)
     y = generate.source_pair(4, zmod97, 10, rng)
-    left = matrices.conjugate(y, x, "left")
-    assert matrices.conjugate(left, x, "right") == y
-    with pytest.raises(ValueError):
-        matrices.conjugate(y, x, "sideways")
+    left = matrices.conjugate(y, x.invert())
+    assert matrices.conjugate(left, x) == y
 
 
 def test_commutator_with_identity(zmod97):
@@ -114,10 +136,10 @@ def test_shifted_commutator_identity(zmod97):
     e = matrices.identity_pair(zmod97, 4)
     for _ in range(200):
         x, y, z = (generate.source_pair(4, zmod97, 8, rng) for _ in range(3))
-        lhs = matrices.conjugate(matrices.commutator(x.compose(y), z), x, "right")
+        lhs = matrices.conjugate(matrices.commutator(x.compose(y), z), x)
         rhs = matrices.commutator(y, z).compose(matrices.commutator(z, x.invert()))
         assert lhs == rhs
-    assert matrices.conjugate(e, e, "right") == e
+    assert matrices.conjugate(e, e) == e
 
 
 def test_mat_vec_and_vec_mat(zmod97):
@@ -383,11 +405,11 @@ def test_equals_at_compares_the_payloads_at_paired_positions(ring, dim):
     want = [a.at(f // dim, f % dim) for f in flat.tolist()]
     # as stored, and as the bwd of a pair: a transposed view into its stack
     for m in (a, matrices.InvPair(a, a, check=False).bwd):
-        assert m._equals_at(flat, matrices._payloads(ring, want))
+        assert m._equals_at(flat, matrices._payloads(ring, dim, want))
         for k in (0, len(want) - 1):
             wrong = list(want)
             wrong[k] = ring.add(wrong[k], ring.one)
-            assert not m._equals_at(flat, matrices._payloads(ring, wrong))
+            assert not m._equals_at(flat, matrices._payloads(ring, dim, wrong))
 
 
 # -- invertible pairs: one stacked product per factor -------------------------
@@ -448,8 +470,8 @@ def test_pair_products_equal_the_separate_products_and_the_ring_product(ring, di
         assert inv.invert() == a
         for b in pairs:
             _assert_pair(a.compose(b), [a.fwd, b.fwd], [b.bwd, a.bwd])
-            _assert_pair(matrices.conjugate(a, b, "right"), [b.bwd, a.fwd, b.fwd], [b.bwd, a.bwd, b.fwd])
-            _assert_pair(matrices.conjugate(a, b, "left"), [b.fwd, a.fwd, b.bwd], [b.fwd, a.bwd, b.bwd])
+            _assert_pair(matrices.conjugate(a, b), [b.bwd, a.fwd, b.fwd], [b.bwd, a.bwd, b.fwd])
+            _assert_pair(matrices.conjugate(a, b.invert()), [b.fwd, a.fwd, b.bwd], [b.fwd, a.bwd, b.bwd])
             _assert_pair(
                 matrices.commutator(a, b), [a.fwd, b.fwd, a.bwd, b.bwd], [b.fwd, a.fwd, b.bwd, a.bwd]
             )
@@ -457,8 +479,8 @@ def test_pair_products_equal_the_separate_products_and_the_ring_product(ring, di
 
 @pytest.mark.parametrize("ring,dim,kernel", PAIR_RINGS)
 def test_ext_word_pairs_equal_their_letters_multiplied_out(ring, dim, kernel):
-    # a word evaluated letter by letter, from the formal inverse's cached
-    # pair, and by extending a cached suffix
+    # a word evaluated letter by letter, after its formal inverse, and by
+    # extending a cached suffix
     n = indexing.ambient_rank(dim)
     rng = random.Random(dim * 13 + 2)
     word = generate.random_ext_word(n, ring, 5, rng)
@@ -470,9 +492,9 @@ def test_ext_word_pairs_equal_their_letters_multiplied_out(ring, dim, kernel):
     cache = {}
     inverse.eval(ring, cache)
     _assert_pair(word.eval(ring, cache), fwd, bwd)
-    # the inverse's entry was inverted: the word added only its own entry
-    # to the inverse's and its letters' (one-letter segments)
-    keys = [inverse.letters, word.letters] + [(x,) for x in inverse.letters]
+    # the inverse's entry is not read: the word is multiplied out from its
+    # own letters (one-letter segments), added beside the inverse's
+    keys = [inverse.letters, word.letters] + [(x,) for x in inverse.letters + word.letters]
     assert set(cache) == {(ring.key(), n, letters) for letters in keys}
     cache = {}
     ExtWord(n, word.letters[2:]).eval(ring, cache)

@@ -1,6 +1,8 @@
-"""The checked-in mutant list (tools/mutants.py) still names real lines."""
+"""The checked-in mutant list (tools/mutants.py) still names real lines and
+real tests."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -18,4 +20,6 @@ def test_every_mutated_line_occurs_once_in_its_file(name, file, line, replacemen
     assert lines.count(line) == 1, name
     assert replacement != line and tests
     for test in tests:
-        assert (ROOT / test.split("::")[0]).is_file(), test
+        path, _, func = test.partition("::")
+        assert (ROOT / path).is_file(), test
+        assert not func or re.search(rf"^def {func}\(", (ROOT / path).read_text(), re.M), test

@@ -109,7 +109,7 @@ def test_verify_does_not_use_the_factored_evaluator(monkeypatch):
     monkeypatch.setattr(words, "ext_letter_matrix", refuse)
     monkeypatch.setattr(rdu, "ext_letter_matrix", refuse)
     monkeypatch.setattr(words, "_letter_support", refuse)
-    monkeypatch.setattr(words, "_letter", refuse)
+    monkeypatch.setattr(words, "_signed_support", refuse)
     for g, d in found:
         assert len(d.word) == 48
         assert rdu.verify(d.word, g, d.k, d.l, d.param, 5)
@@ -460,7 +460,7 @@ def test_segment_entries_are_the_products_of_their_letters(monkeypatch, ring_id)
     _sweep(eng, g, n, targets=((2, 3), (3, 2), (1, n)))
     assert composed
     segments = _segments(eng)
-    # some entries were served by inverting the entry of the formal inverse
+    # some entries were kept inverted: a core's T^-1, T's pair (ExtWord._keep)
     made = {id(pair) for pair in inverted}
     assert any(id(pair) in made for pair in segments.values())
     _check_segments(segments, g.ring)

@@ -519,7 +519,7 @@ def test_a_segment_of_one_j_is_written_without_a_product(monkeypatch, ring_id):
     # letters that share one j and have distinct i annihilate pairwise, so a
     # fresh cached segment of them, a core's column stabilizer T or a single
     # letter, is written in one step: no kernel call, both sides equal to
-    # the letters multiplied out, and T's inverse recalled from T
+    # the letters multiplied out, and each inverse written the same way
     ring, n = RINGS[ring_id], 6
     rng = random.Random(29)
     pay = lambda: ring.coerce(rng.randrange(-50, 50))  # noqa: E731

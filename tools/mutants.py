@@ -16,8 +16,9 @@ status is 1 unless that holds and every mutant is killed.  Nothing in this
 checkout is modified.
 
 A tier-1 test (tests/test_mutants.py) checks that every listed line occurs
-exactly once in its file, so an edit of the source that moves a line makes
-the list fail instead of rotting silently.  The mutants themselves run only
+exactly once in its file and that every named test is a `def` in its test
+file, so an edit of the source or of a test that moves a line or renames a
+test makes the list fail instead of rotting silently.  The mutants themselves run only
 here, outside tier-1.
 """
 
@@ -122,9 +123,37 @@ MUTANTS = [
     (
         "vector without ring.coerce",
         "matrices.py",
-        "    vec = _coerced(ring, vec)",
-        "    pass",
+        "    return _vector_product(m, _coerced(m.ring, vec), True)",
+        "    return _vector_product(m, vec, True)",
         ["tests/test_matrices.py::test_vector_entries_pass_through_ring_coerce"],
+    ),
+    (
+        "row vector without ring.coerce",
+        "matrices.py",
+        "    return _vector_product(m, _coerced(m.ring, vec), False)",
+        "    return _vector_product(m, vec, False)",
+        ["tests/test_matrices.py::test_vector_entries_pass_through_ring_coerce"],
+    ),
+    (
+        "conjugate computing x y x^-1",
+        "matrices.py",
+        "    return _pair_product((x.invert(), y, x))",
+        "    return _pair_product((x, y, x.invert()))",
+        ["tests/test_matrices.py::test_pair_products_equal_the_separate_products_and_the_ring_product"],
+    ),
+    (
+        "_unipotent_pair writing values on the pure-python inverse side",
+        "matrices.py",
+        "            fwd[r][c], bwd[r][c] = v, w",
+        "            fwd[r][c], bwd[r][c] = v, v",
+        ["tests/test_words.py::test_zmod_and_generic_paths_agree"],
+    ),
+    (
+        "one-column segment test without its distinct-i condition",
+        "words.py",
+        "        if len({j for _, j, _ in letters}) == 1 and len({i for i, _, _ in letters}) == len(letters):",
+        "        if len({j for _, j, _ in letters}) == 1:",
+        ["tests/test_words.py::test_a_segment_of_one_j_is_written_without_a_product"],
     ),
     (
         "matrix reader without its row-length check",
